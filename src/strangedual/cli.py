@@ -77,6 +77,8 @@ from .surfaces import (
 )
 
 WORKERS_ENV = "STRANGEDUAL_WORKERS"
+# libyaml's parser when the installed PyYAML has it; both build the same specs
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class CliConfigError(ValueError):
@@ -225,7 +227,7 @@ def normalize_instance(raw: dict, index: int) -> list[dict]:
 def load_batch(path: str) -> list[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=YAML_LOADER)
     except OSError as exc:
         raise CliConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -322,6 +324,12 @@ def _check_tower(ctx: _Ctx):
         a_values = range(0, int(ctx.bounds["a_max"]) + 1)
     else:
         a_values = [int(ctx.params.get("a", 9))]
+    if r_max < 1 or not a_values:
+        return "error:empty", {
+            "reason": "no tower vector to check: need r_max >= 1 and some a",
+            "r_max": r_max,
+            "a_checked": 0,
+        }
     failures = []
     for a in a_values:
         result = ogrady_tower(r_max, a, ctx.model)
@@ -494,31 +502,42 @@ def _check_exclusion_sweep(ctx: _Ctx):
 def _audit_one_vector(v: MukaiVector, coeff_bound: int, parts_arg, with_oracle: bool):
     walls_data = []
     all_ok = True
+    q_v = mukai_pair(v, v)
+    # the codimension audit (q_v > 0) needs every part count, so each wall is
+    # enumerated once for all of them and the --parts view is filtered from it
+    if q_v > 0 or parts_arg is None:
+        part_counts = range(2, v.r + 1)
+    else:
+        part_counts = [parts_arg]
     for wall in wall_enumerate(v, coeff_bound):
-        q_v = mukai_pair(v, v)
         strata = []
-        part_counts = [parts_arg] if parts_arg else list(range(2, v.r + 1))
         for k in part_counts:
             strata.extend(strata_enumerate(v, wall, k))
-        chain_ok = all(chain_audit(v, st).ok for st in strata)
-        codim_ok = all(stratum_codim_ok(v, st) for st in strata)
+        shown = strata if parts_arg is None else [
+            st for st in strata if len(st.parts) == parts_arg
+        ]
+        audit = codim_audit(v, wall, strata) if q_v > 0 else None
+        if audit is not None and audit.chain_ok:
+            chain_ok = True  # every stratum passed, the shown ones among them
+        else:
+            chain_ok = all(chain_audit(v, st).ok for st in shown)
+        codim_ok = all(stratum_codim_ok(v, st) for st in shown)
         oracle_ok = True
         if with_oracle and (parts_arg in (None, 2)):
-            two_part = [st for st in strata if len(st.parts) == 2]
+            two_part = [st for st in shown if len(st.parts) == 2]
             oracle = strata_box_oracle(v, wall, coeff_bound=max(coeff_bound, 3))
             oracle_ok = set(two_part) == set(oracle)
         entry = {
             "wall_d": wall.d,
             "m_value": wall.m_value,
-            "strata": len(strata),
-            "unordered": unordered_count(strata),
-            "min_codim": min(((q_v + 1) - st.total_dim for st in strata), default=None),
+            "strata": len(shown),
+            "unordered": unordered_count(shown),
+            "min_codim": min(((q_v + 1) - st.total_dim for st in shown), default=None),
             "chain_ok": chain_ok,
             "codim_bound_ok": codim_ok,
             "oracle_match": oracle_ok,
         }
-        if q_v > 0:
-            audit = codim_audit(v, wall)
+        if audit is not None:
             entry["bound"] = audit.bound
             entry["bound_satisfied"] = audit.bound_satisfied
             entry["corollary_applicable"] = audit.corollary_applicable
@@ -533,6 +552,11 @@ def _check_strata_audit(ctx: _Ctx):
     if ctx.model.kind != ELLIPTIC_K3:
         return "error:model", {"reason": "strata are enumerated on the elliptic K3"}
     coeff_bound = int(ctx.bound("coeff_bound", 3))
+    if coeff_bound < 1:
+        return "error:empty", {
+            "reason": "the wall-class box is empty: need coeff_bound >= 1",
+            "coeff_bound": coeff_bound,
+        }
     parts_arg = ctx.bounds.get("parts")
     with_oracle = bool(ctx.bound("oracle", True))
     vectors = []
@@ -543,6 +567,8 @@ def _check_strata_audit(ctx: _Ctx):
         s4_hi = int(ctx.bound("s4_hi", 0))
         for s4 in range(s4_lo, s4_hi + 1):
             vectors.append(MukaiVector(2, ctx.model.sigma, s4))
+    if not vectors:
+        return "error:empty", {"reason": "no vector to audit: s4_lo > s4_hi"}
     results = []
     ok = True
     for v in vectors:
@@ -673,6 +699,8 @@ def run_instance(spec: dict) -> dict:
             status, data = "error:missing-params", {"reason": str(exc)}
         except (ValueError, AssertionError) as exc:
             status, data = "error:invalid", {"reason": str(exc)}
+        except Exception as exc:  # one broken check must not sink the batch
+            status, data = f"error:internal:{type(exc).__name__}", {"reason": str(exc)}
         statuses[name] = status
         results[name] = {"status": status, **to_jsonable(data)}
     return {
@@ -682,8 +710,17 @@ def run_instance(spec: dict) -> dict:
     }
 
 
+def _workers_from_env() -> int:
+    """The process count asked for by STRANGEDUAL_WORKERS (1 when unset)."""
+    text = os.environ.get(WORKERS_ENV, "1") or "1"
+    try:
+        return int(text)
+    except ValueError:
+        raise CliConfigError(f"{WORKERS_ENV}={text!r} is not an integer") from None
+
+
 def run_batch(instances: list[dict]) -> dict:
-    workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
+    workers = _workers_from_env()
     if workers > 1 and len(instances) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -853,6 +890,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _workers_from_env()  # a bad STRANGEDUAL_WORKERS fails here, before any work
         instances = instances_from_args(args)
     except CliConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ recover the same stratum list.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -247,19 +248,14 @@ def strata_enumerate(v: MukaiVector, wall: Wall, s_parts: int) -> list[Stratum]:
     out: list[Stratum] = []
     for ranks in _compositions(r, s_parts):
         t_bounds = [isqrt((ri * ri * budget * r * r) // dsq) + 1 for ri in ranks]
-        for ts in _t_tuples(ranks, t_bounds, budget, dsq, r):
-            parts_c1 = []
-            ok = True
-            for ri, ti in zip(ranks, ts):
-                coeffs = tuple(
-                    ri * x + ti * dc for x, dc in zip(xi.coeffs, wall.d.coeffs)
+        for ts in _t_tuples(ranks, t_bounds, budget, dsq, r, xi.coeffs, wall.d.coeffs):
+            parts_c1 = [
+                NSClass(
+                    v.model,
+                    tuple((ri * x + ti * dc) // r for x, dc in zip(xi.coeffs, wall.d.coeffs)),
                 )
-                if any(c % r for c in coeffs):
-                    ok = False
-                    break
-                parts_c1.append(NSClass(v.model, tuple(c // r for c in coeffs)))
-            if not ok:
-                continue
+                for ri, ti in zip(ranks, ts)
+            ]
             # slope equality on the wall is built in; assert it anyway
             assert all(
                 r * ns_pair(c1, h1) == ri * mu_num for ri, c1 in zip(ranks, parts_c1)
@@ -268,40 +264,62 @@ def strata_enumerate(v: MukaiVector, wall: Wall, s_parts: int) -> list[Stratum]:
     return out
 
 
-def _t_tuples(ranks, t_bounds, budget, dsq, r):
-    """Integer tuples with zero sum within the pairwise slope budget."""
-    k = len(ranks)
+def _t_tuples(ranks, t_bounds, budget, dsq, r, xi_coeffs, d_coeffs):
+    """Zero-sum tuples (t_i) within the pairwise slope budget and integral parts.
 
-    def pair_ok(ts):
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                lhs = (ranks[i] * ts[j] - ranks[j] * ts[i]) ** 2 * dsq
-                if lhs > budget * ranks[i] * ranks[j] * r * r:
-                    return False
+    Yields, in lexicographic order, the integer tuples with |t_i| <= t_bounds[i]
+    and sum 0 such that every pair obeys
+    (r_i t_j - r_j t_i)^2 |D^2| <= budget r_i r_j r^2 and every part class
+    (r_i xi + t_i D)/r is integral.  Integrality depends on t_i mod r only,
+    so each t_i runs over its admissible residues from the start, the last
+    entry -sum(prefix) is tested against the same residues, and appending
+    t_j checks only the new pairs (i, j) against precomputed limits.
+    """
+    k = len(ranks)
+    candidates = []
+    for ri, bound in zip(ranks, t_bounds):
+        residues = {
+            t
+            for t in range(r)
+            if all((ri * x + t * dc) % r == 0 for x, dc in zip(xi_coeffs, d_coeffs))
+        }
+        candidates.append([t for t in range(-bound, bound + 1) if t % r in residues])
+    limits = [[budget * ri * rj * r * r for rj in ranks] for ri in ranks]
+
+    def fits(prefix, j, tj):
+        rj = ranks[j]
+        for i, ti in enumerate(prefix):
+            if (ranks[i] * tj - rj * ti) ** 2 * dsq > limits[i][j]:
+                return False
         return True
 
+    last_ok = set(candidates[k - 1])
+
     def rec(prefix):
-        if len(prefix) == k - 1:
+        j = len(prefix)
+        if j == k - 1:
             last = -sum(prefix)
-            if abs(last) > t_bounds[k - 1]:
-                return
-            ts = prefix + (last,)
-            if pair_ok(ts):
-                yield ts
+            if last in last_ok and fits(prefix, j, last):
+                yield prefix + (last,)
             return
-        i = len(prefix)
-        for t in range(-t_bounds[i], t_bounds[i] + 1):
-            if pair_ok(prefix + (t,)):
+        for t in candidates[j]:
+            if fits(prefix, j, t):
                 yield from rec(prefix + (t,))
 
     yield from rec(())
 
 
 def _fill_degree_components(v, ranks, ts, parts_c1, q_v):
-    """Enumerate degree-4 slots within the Bogomolov/complement window."""
+    """Enumerate degree-4 slots within the Bogomolov/complement window.
+
+    Each part's window first drops the slots whose class admits no
+    semistable sheaf.  The slot tuples summing to v.s are then taken from
+    the product of the windows in lexicographic order, skipping every slot
+    that leaves the later parts no reachable sum.
+    """
     r = v.r
     k = len(ranks)
-    windows = []
+    windows = []  # per part: (s, part, stack dimension) for the nonempty slots
     for ri, c1 in zip(ranks, parts_c1):
         c1sq = ns_pair(c1, c1)
         hi = (c1sq + 2 * ri * ri) // (2 * ri)  # <v_i^2> >= -2 r_i^2
@@ -309,31 +327,38 @@ def _fill_degree_components(v, ranks, ts, parts_c1, q_v):
         cap = Fraction(ri * q_v, r) + 2 * ri * (r - ri)
         lo_frac = (Fraction(c1sq) - cap) / (2 * ri)
         lo = _ceil_div(lo_frac.numerator, lo_frac.denominator)
-        if lo > hi:
+        window = []
+        for s in range(lo, hi + 1):
+            part = MukaiVector(ri, c1, s)
+            dim = stack_dim(part)
+            if dim is not None:
+                window.append((s, part, dim))
+        if not window:
             return
-        windows.append((lo, hi))
+        windows.append(window)
+    last_window = {s: (part, dim) for s, part, dim in windows[k - 1]}
+    slots = [[s for s, _, _ in window] for window in windows]
+    # the slots of parts i, i+1, .. sum to between rest_lo[i] and rest_hi[i]
+    rest_lo = [sum(w[0] for w in slots[i:]) for i in range(k)]
+    rest_hi = [sum(w[-1] for w in slots[i:]) for i in range(k)]
 
     keys = [Fraction(t, ri) for t, ri in zip(ts, ranks)]
 
-    def rec(i, chosen):
+    def rec(i, chosen, rest):
         if i == k - 1:
-            last = v.s - sum(chosen)
-            lo, hi = windows[i]
-            if not lo <= last <= hi:
-                return
-            yield chosen + (last,)
+            entry = last_window.get(rest)
+            if entry is not None:
+                yield chosen + (entry,)
             return
-        lo, hi = windows[i]
-        for s in range(lo, hi + 1):
-            yield from rec(i + 1, chosen + (s,))
+        # only slots that leave the later parts a reachable sum
+        lo = bisect_left(slots[i], rest - rest_hi[i + 1])
+        hi = bisect_right(slots[i], rest - rest_lo[i + 1])
+        for s, part, dim in windows[i][lo:hi]:
+            yield from rec(i + 1, chosen + ((part, dim),), rest - s)
 
-    for s_tuple in rec(0, ()):
-        parts = tuple(
-            MukaiVector(ri, c1, si) for ri, c1, si in zip(ranks, parts_c1, s_tuple)
-        )
-        dims = tuple(stack_dim(p) for p in parts)
-        if any(d is None for d in dims):
-            continue
+    for chosen in rec(0, (), v.s):
+        parts = tuple(part for part, _ in chosen)
+        dims = tuple(dim for _, dim in chosen)
         full_keys = [
             (keys[i], Fraction(chi_vec(parts[i]), ranks[i])) for i in range(k)
         ]
@@ -343,7 +368,7 @@ def _fill_degree_components(v, ranks, ts, parts_c1, q_v):
         for i in range(k):
             for j in range(i + 1, k):
                 pair_sum += mukai_pair(parts[i], parts[j])
-        yield Stratum(parts, dims, sum(dims) + pair_sum)  # type: ignore[arg-type]
+        yield Stratum(parts, dims, sum(dims) + pair_sum)
 
 
 def unordered_count(strata: list[Stratum]) -> int:
@@ -506,19 +531,26 @@ class CodimAudit:
     chain_ok: bool
 
 
-def codim_audit(v: MukaiVector, wall: Wall) -> CodimAudit:
+def codim_audit(
+    v: MukaiVector, wall: Wall, strata: list[Stratum] | None = None
+) -> CodimAudit:
     """Compare the worst stratum codimension on a wall against the bound.
 
     The codimension bound is <v^2>/(2r) + r - r^2 + 1; the polarization
     independence criterion asks for it to be >= 2, relaxed to
-    <v, v> >= 2(r-1)(r^2+1) when c1 is primitive.
+    <v, v> >= 2(r-1)(r^2+1) when c1 is primitive.  ``strata`` is every
+    stratum on the wall, with 2..r parts, as ``strata_enumerate`` lists
+    them; a caller that already holds that list passes it in, and without
+    it the strata are enumerated here.  ``chain_ok`` runs ``chain_audit``
+    on each of them.
     """
     q_v = mukai_pair(v, v)
     if q_v <= 0:
         raise ValueError("codimension audit needs <v, v> > 0")
-    strata: list[Stratum] = []
-    for k in range(2, v.r + 1):
-        strata.extend(strata_enumerate(v, wall, k))
+    if strata is None:
+        strata = []
+        for k in range(2, v.r + 1):
+            strata.extend(strata_enumerate(v, wall, k))
     min_codim = min(((q_v + 1) - st.total_dim for st in strata), default=None)
     bound = Fraction(q_v, 2 * v.r) + v.r - v.r * v.r + 1
     r = v.r

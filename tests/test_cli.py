@@ -2,9 +2,13 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
+import yaml
 
+import strangedual.cli as cli
+import strangedual.strata as strata
 from strangedual.cli import (
     CliConfigError,
     document_exit_code,
@@ -17,7 +21,8 @@ from strangedual.cli import (
     run_instance,
     to_jsonable,
 )
-from strangedual.surfaces import elliptic_k3, generic_k3
+from strangedual.strata import codim_audit, strata_enumerate, wall_enumerate
+from strangedual.surfaces import elliptic_k3, generic_k3, mukai_pair
 from fractions import Fraction
 
 
@@ -136,6 +141,81 @@ class TestRunInstance:
         assert report["results"]["hypotheses-T2"]["status"] == "pass"
 
 
+class TestNoVacuousPass:
+    def test_tower_with_nothing_to_check(self):
+        spec = normalize_instance(
+            {"checks": ["tower"], "bounds": {"r_max": -3, "a_max": -1}}, 0
+        )[0]
+        result = run_instance(spec)["results"]["tower"]
+        assert result["status"] == "error:empty"
+        assert result["a_checked"] == 0
+
+    def test_strata_with_empty_wall_box(self, tmp_path):
+        out = tmp_path / "s.json"
+        code = main(["strata", "--v", "2:1,0:-2", "--coeff-bound", "-1",
+                     "--out", str(out), "--quiet"])
+        assert code == 1
+        result = json.loads(out.read_text())["instances"][0]["results"]["strata-audit"]
+        assert result["status"] == "error:empty"
+
+    def test_strata_with_no_vector(self):
+        spec = normalize_instance(
+            {"checks": ["strata-audit"], "bounds": {"s4_lo": 0, "s4_hi": -1}}, 0
+        )[0]
+        result = run_instance(spec)["results"]["strata-audit"]
+        assert result["status"] == "error:empty"
+
+
+class TestStrataAuditWork:
+    def test_one_enumeration_per_wall_and_part_count(self, monkeypatch):
+        calls = []
+        original = strata.strata_enumerate
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "strata_enumerate", counting)
+        monkeypatch.setattr(strata, "strata_enumerate", counting)
+        spec = normalize_instance(
+            {"params": {"v": "4:1,1:-4"}, "checks": ["strata-audit"]}, 0
+        )[0]
+        result = run_instance(spec)["results"]["strata-audit"]
+        assert result["status"] == "pass"
+        walls = result["vectors"][0]["walls"]
+        assert walls
+        assert len(calls) == len(walls) * (4 - 1)
+
+    def test_parts_two_entries(self):
+        # each entry describes the two-part strata alone; the bound fields
+        # come from the audit of every stratum on the wall
+        v = parse_vector("4:1,1:-4", E)
+        q_v = mukai_pair(v, v)
+        spec = normalize_instance(
+            {
+                "params": {"v": "4:1,1:-4"},
+                "checks": ["strata-audit"],
+                "bounds": {"parts": 2},
+            },
+            0,
+        )[0]
+        result = run_instance(spec)["results"]["strata-audit"]
+        entries = result["vectors"][0]["walls"]
+        walls = wall_enumerate(v, 3)
+        assert len(entries) == len(walls)
+        for entry, wall in zip(entries, walls):
+            two_part = strata_enumerate(v, wall, 2)
+            audit = codim_audit(v, wall)
+            assert entry["strata"] == len(two_part)
+            assert entry["min_codim"] == min(
+                ((q_v + 1) - st.total_dim for st in two_part), default=None
+            )
+            assert entry["chain_ok"] and entry["codim_bound_ok"] and entry["oracle_match"]
+            assert entry["bound"] == to_jsonable(audit.bound)
+            assert entry["bound_satisfied"] == audit.bound_satisfied
+        assert sum(e["strata"] for e in entries) > 0
+
+
 class TestBatch:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -169,6 +249,16 @@ class TestBatch:
         assert len(instances) == 2
         assert instances[0]["name"] == "g[a=9,b=9]"
         assert instances[1]["params"]["a"] == 10
+
+    def test_both_yaml_loaders_agree(self, monkeypatch):
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML is built without libyaml")
+        path = str(Path(__file__).parent / "data" / "acceptance_batch.yaml")
+        monkeypatch.setattr(cli, "YAML_LOADER", yaml.SafeLoader)
+        pure = load_batch(path)
+        monkeypatch.setattr(cli, "YAML_LOADER", yaml.CSafeLoader)
+        assert load_batch(path) == pure
+        assert pure
 
     def test_yaml_parse_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -208,6 +298,33 @@ class TestMainExitCodes:
     def test_exit_two_on_config_error(self, capsys):
         code = main(["check", "--checks", "definitely-not-a-check", "--quiet"])
         assert code == 2
+
+    def test_internal_error_does_not_sink_batch(self, tmp_path):
+        spec = tmp_path / "b.yaml"
+        spec.write_text(
+            "instances:\n"
+            "  - name: good\n"
+            "    params: {r: 2, s: 2, a: 9, b: 9}\n"
+            "    checks: [nu]\n"
+            "  - name: bad-bounds\n"
+            "    checks: [sign-law]\n"
+            "    bounds: {degrees: 5}\n"
+        )
+        out = tmp_path / "r.json"
+        assert main(["batch", str(spec), "--out", str(out), "--quiet"]) == 1
+        good, bad = json.loads(out.read_text())["instances"]
+        assert good["results"]["nu"]["status"] == "pass"
+        assert bad["results"]["sign-law"]["status"] == "error:internal:TypeError"
+
+    def test_exit_two_on_bad_workers(self, tmp_path, monkeypatch, capsys):
+        spec = tmp_path / "one.yaml"
+        spec.write_text("instances:\n  - params: {r: 2, s: 2, a: 9, b: 9}\n    checks: [nu]\n")
+        monkeypatch.setenv("STRANGEDUAL_WORKERS", "abc")
+        assert main(["batch", str(spec), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "STRANGEDUAL_WORKERS" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_exit_two_on_missing_file(self):
         assert main(["batch", "/nonexistent/specs.yaml", "--quiet"]) == 2

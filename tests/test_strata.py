@@ -1,11 +1,14 @@
 """Walls, stratum enumeration, and the codimension-estimate audits."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from strangedual.strata import (
     Wall,
+    _compositions,
+    _t_tuples,
     chain_audit,
     codim_audit,
     hodge_check,
@@ -201,6 +204,67 @@ class TestOracle:
                     assert abs(p.s) < 20
 
 
+def _reference_t_tuples(ranks, t_bounds, budget, dsq, r):
+    """The t-tuple recursion before residue pruning: every pair of every prefix."""
+    k = len(ranks)
+
+    def pair_ok(ts):
+        for i in range(len(ts)):
+            for j in range(i + 1, len(ts)):
+                lhs = (ranks[i] * ts[j] - ranks[j] * ts[i]) ** 2 * dsq
+                if lhs > budget * ranks[i] * ranks[j] * r * r:
+                    return False
+        return True
+
+    def rec(prefix):
+        if len(prefix) == k - 1:
+            last = -sum(prefix)
+            if abs(last) > t_bounds[k - 1]:
+                return
+            ts = prefix + (last,)
+            if pair_ok(ts):
+                yield ts
+            return
+        i = len(prefix)
+        for t in range(-t_bounds[i], t_bounds[i] + 1):
+            if pair_ok(prefix + (t,)):
+                yield from rec(prefix + (t,))
+
+    yield from rec(())
+
+
+class TestTTuples:
+    @pytest.mark.parametrize("r", range(2, 6))
+    @pytest.mark.parametrize("y, s", [(0, -4), (1, -4), (2, -2)])
+    def test_matches_reference_recursion(self, r, y, s):
+        # the reference tuples that give integral parts, in the same order
+        v = vec(r, 1, y, s)
+        budget = mukai_pair(v, v) + 2 * r * r
+        assert budget > 0
+        walls = wall_enumerate(v, 4)
+        compared = 0
+        for wall in walls:
+            dsq = -ns_pair(wall.d, wall.d)
+            for k in range(2, r + 1):
+                for ranks in _compositions(r, k):
+                    t_bounds = [isqrt((ri * ri * budget * r * r) // dsq) + 1 for ri in ranks]
+                    expected = [
+                        ts
+                        for ts in _reference_t_tuples(ranks, t_bounds, budget, dsq, r)
+                        if all(
+                            (ri * x + ti * dc) % r == 0
+                            for ri, ti in zip(ranks, ts)
+                            for x, dc in zip(v.c1.coeffs, wall.d.coeffs)
+                        )
+                    ]
+                    got = list(
+                        _t_tuples(ranks, t_bounds, budget, dsq, r, v.c1.coeffs, wall.d.coeffs)
+                    )
+                    assert got == expected, (wall.d, ranks)
+                    compared += len(got)
+        assert compared > 0 or not walls
+
+
 class TestAudits:
     def test_worked_codim_audit(self):
         v = vec(2, 1, 0, -2)
@@ -230,6 +294,12 @@ class TestAudits:
         audit = codim_audit(v, _wall_at_4(v))
         assert audit.remark_applicable
         assert audit.min_codim is None or audit.min_codim >= 2
+
+    def test_precomputed_strata(self):
+        v = vec(3, 1, 1, -4)
+        for wall in wall_enumerate(v, 3):
+            strata = [st for k in (2, 3) for st in strata_enumerate(v, wall, k)]
+            assert codim_audit(v, wall, strata) == codim_audit(v, wall)
 
     def test_positivity_guard(self):
         v = vec(2, 1, 0, 0)  # <v,v> = -2
