@@ -43,6 +43,7 @@ from .duality import (
     dimension_match,
     duality_line_bundle,
     hypotheses_report,
+    k3_divisible_points,
     ogrady_tower,
     theorem2_equivalence,
     theta_relation_identity,
@@ -77,6 +78,9 @@ from .surfaces import (
 )
 
 WORKERS_ENV = "STRANGEDUAL_WORKERS"
+# the one valid (r, s, a, b) of the elliptic K3 where h0 does not exclude the
+# Q1/Q2 components (the paper's case study); both exclusion checks expect it
+DOCUMENTED_H00_EXCEPTION = (2, 2, 9, 9)
 # libyaml's parser when the installed PyYAML has it; both build the same specs
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
@@ -308,7 +312,7 @@ def _check_exclusions(ctx: _Ctx):
     if inst.surface.kind != ELLIPTIC_K3:
         return "error:model", {"reason": "exclusion counts are pinned on the elliptic K3"}
     rep = exclusion_report(inst.r, inst.s, inst.a, inst.b)
-    documented_exception = (inst.r, inst.s, inst.a, inst.b) == (2, 2, 9, 9)
+    documented_exception = (inst.r, inst.s, inst.a, inst.b) == DOCUMENTED_H00_EXCEPTION
     ok = (
         rep.q3_excluded
         and rep.s_proper
@@ -356,6 +360,9 @@ def _check_sign_law(ctx: _Ctx):
         "mismatches": mismatches,
         "documented_discrepancy": discrepancy,
     }
+    if total == 0:
+        reason = "the coordinate grid is empty: need coord_bound >= 0"
+        return "error:empty", {"reason": reason, **data}
     return ("pass" if mismatches == 0 else "fail"), data
 
 
@@ -364,6 +371,12 @@ def _check_fm_verify(ctx: _Ctx):
         return "error:model", {"reason": "the transform lives on the elliptic models"}
     r_max = int(ctx.bound("r_max", 6))
     a_max = int(ctx.bound("a_max", 20))
+    if r_max < 1 or a_max < 0:
+        return "error:empty", {
+            "reason": "no (r, a) row to check: need r_max >= 1 and a_max >= 0",
+            "r_max": r_max,
+            "a_max": a_max,
+        }
     matrix, diag = derive_fm_matrix(ctx.model)
     report = verify_fm_suite(matrix, r_max, a_max)
     ok = diag.unique and diag.isometry_ok and report.all_ok
@@ -442,19 +455,6 @@ def _make_hypotheses_check(theorem: str):
     return run
 
 
-def _valid_grid_points(r_rng, s_rng, ab_max):
-    for r in r_rng:
-        for s in s_rng:
-            for total in range(2, ab_max + 1):
-                for a in range(0, total + 1):
-                    b = total - a
-                    try:
-                        compute_nu(r, s, a, b)
-                    except (DivisibilityError, NuBoundError):
-                        continue
-                    yield r, s, a, b
-
-
 def _check_exclusion_sweep(ctx: _Ctx):
     r_lo = int(ctx.bound("r_lo", 2))
     r_hi = int(ctx.bound("r_hi", 4))
@@ -466,7 +466,13 @@ def _check_exclusion_sweep(ctx: _Ctx):
     h00_exceptions = []
     chi_violations = []
     bound_disagreements = []
-    for r, s, a, b in _valid_grid_points(range(r_lo, r_hi + 1), range(s_lo, s_hi + 1), ab_max):
+    grid = k3_divisible_points(range(r_lo, r_hi + 1), range(s_lo, s_hi + 1), ab_max)
+    for r, s, a, b, valid in grid:
+        # both directions of the bound equivalence: valid and too-small twists
+        if theorem2_equivalence(r, s, a, b) is False:
+            bound_disagreements.append((r, s, a, b))
+        if not valid:
+            continue
         points += 1
         rep = exclusion_report(r, s, a, b)
         if not (rep.q3_excluded and rep.s_proper and rep.q_proper):
@@ -476,11 +482,10 @@ def _check_exclusion_sweep(ctx: _Ctx):
         inst = tower_instance(r, s, a, b)
         if euler_form(inst.v, inst.w) != 0:
             chi_violations.append((r, s, a, b))
-        if theorem2_equivalence(r, s, a, b) is False:
-            bound_disagreements.append((r, s, a, b))
+    er, es, ea, eb = DOCUMENTED_H00_EXCEPTION
     expected_exceptions = (
-        [(2, 2, 9, 9)]
-        if (r_lo <= 2 <= r_hi and s_lo <= 2 <= s_hi and ab_max >= 18)
+        [DOCUMENTED_H00_EXCEPTION]
+        if (r_lo <= er <= r_hi and s_lo <= es <= s_hi and ea + eb <= ab_max)
         else []
     )
     ok = (
@@ -496,6 +501,8 @@ def _check_exclusion_sweep(ctx: _Ctx):
         "chi_vanishing_violations": chi_violations,
         "bound_equivalence_disagreements": bound_disagreements,
     }
+    if ok and points == 0:
+        return "error:empty", {"reason": "no valid (r, s, a, b) in the bounds", **data}
     return ("pass" if ok else "fail"), data
 
 

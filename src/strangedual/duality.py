@@ -56,14 +56,27 @@ class NuBoundError(ValueError):
     """The twist bound -nu >= 2 (resp. >= chi) fails."""
 
 
+# the twist bound -nu >= 2 on the elliptic K3
+_K3_MIN_MINUS_NU = 2
+
+
+def _require_ranks(r: int, s: int) -> None:
+    if min(r, s) < 2:
+        raise ValueError("both ranks must be >= 2")
+
+
+def _k3_minus_nu(t: int, total: int) -> int:
+    """-nu = (a+b-2)/(r+s) - (r+s-2) for t = r+s dividing a+b-2 = total-2."""
+    return (total - 2) // t - (t - 2)
+
+
 def compute_nu(r: int, s: int, a: int, b: int, model: SurfaceModel | None = None) -> int:
     """The fiber-twist exponent nu for complementary moduli of ranks r, s.
 
     Raises DivisibilityError / NuBoundError separately so callers can tell
     an invalid grid point from a merely-too-small one.
     """
-    if min(r, s) < 2:
-        raise ValueError("both ranks must be >= 2")
+    _require_ranks(r, s)
     if min(a, b) < 0:
         raise ValueError("half-dimensions must be >= 0")
     if model is None:
@@ -71,9 +84,9 @@ def compute_nu(r: int, s: int, a: int, b: int, model: SurfaceModel | None = None
     if model.kind == ELLIPTIC_K3:
         if (a + b - 2) % (r + s) != 0:
             raise DivisibilityError(f"r+s = {r + s} does not divide a+b-2 = {a + b - 2}")
-        minus_nu = (a + b - 2) // (r + s) - (r + s - 2)
-        if minus_nu < 2:
-            raise NuBoundError(f"-nu = {minus_nu} < 2")
+        minus_nu = _k3_minus_nu(r + s, a + b)
+        if minus_nu < _K3_MIN_MINUS_NU:
+            raise NuBoundError(f"-nu = {minus_nu} < {_K3_MIN_MINUS_NU}")
         return -minus_nu
     if model.kind == ELLIPTIC_GENERAL:
         chi = model.chi_o
@@ -90,6 +103,24 @@ def compute_nu(r: int, s: int, a: int, b: int, model: SurfaceModel | None = None
             raise NuBoundError(f"-nu = {minus_nu} < chi = {chi}")
         return -minus_nu
     raise ModelMismatchError("nu is defined on the elliptic models")
+
+
+def k3_divisible_points(r_rng, s_rng, ab_max: int):
+    """Yield (r, s, a, b, valid) for the elliptic-K3 grid points with r+s | a+b-2.
+
+    Covers r in r_rng, s in s_rng and 0 <= a, b with a+b <= ab_max, in
+    (r, s, a+b, a) order.  ``valid`` is True exactly where compute_nu returns
+    a twist, i.e. a+b = (r+s)(k+r+s-2)+2 with k = -nu >= 2; the other points
+    fail only its bound, never its divisibility.
+    """
+    for r in r_rng:
+        for s in s_rng:
+            _require_ranks(r, s)
+            t = r + s
+            for total in range(2, ab_max + 1, t):
+                valid = _k3_minus_nu(t, total) >= _K3_MIN_MINUS_NU
+                for a in range(0, total + 1):
+                    yield r, s, a, total - a, valid
 
 
 def duality_line_bundle_class(r: int, s: int, nu: int, model: SurfaceModel | None = None) -> NSClass:
@@ -535,6 +566,7 @@ __all__ = [
     "DeformationPair",
     "THEOREM_IDS",
     "compute_nu",
+    "k3_divisible_points",
     "duality_line_bundle_class",
     "duality_line_bundle",
     "delta_bound",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 GENERIC_K3 = "generic_k3"
@@ -442,56 +443,60 @@ def normalized_vector(r: int, a: int, model: SurfaceModel) -> MukaiVector:
     return MukaiVector(r, c1, 1)
 
 
+def _coordinate_vector(model: SurfaceModel, q: tuple[int, ...]) -> MukaiVector:
+    """The vector with coordinates q = (rank, c1 coefficients..., s)."""
+    return MukaiVector(q[0], model.cls(*q[1:-1]), q[-1])
+
+
 def sign_law_sweep(model: SurfaceModel, bound: int) -> tuple[int, list, dict]:
-    """Exhaustively compare chi(v . w) with -<v, w*> on a coordinate grid.
+    """Compare chi(v . w) with -<v, w*> on every pair of a coordinate grid.
 
-    Runs over all vectors with coordinates in [-bound, bound] on a K3 model
-    (unordered pairs; both forms are symmetric).  The two sides are computed
-    through their separate formulas: the tensor-product route and the
-    pairing-with-dual route.  Returns (pairs checked, mismatches, an example
-    record of the sign discrepancy between the two raw conventions at
-    (v(O), v(O))).
+    The grid holds the vectors with coordinates (rank, c1 coefficients, s) in
+    [-bound, bound] on a K3 model.  Both sides are integer bilinear forms in
+    (v, w), so they agree on every grid pair exactly when their Gram matrices
+    agree on the model's coordinate basis: 16 entries on the elliptic K3, 9 on
+    a generic K3.  Each entry is evaluated through the typed route, the
+    tensor product for the left side and the pairing with the dual for the
+    right.  Only when some entry differs is the grid enumerated, to list the
+    mismatching pairs with both values.
 
-    The loop works on plain integer tuples for speed; tests spot-check it
-    against the object-level euler_form/mukai_pair on samples.
+    Returns (unordered grid pairs covered, n(n+1)/2 for n grid vectors;
+    mismatches as (v, w, lhs, rhs); an example record of the sign
+    discrepancy between the two raw conventions at (v(O), v(O))).
     """
     if not model.is_k3:
         raise ModelMismatchError("the sign law is a statement about the K3 models")
-    rng = range(-bound, bound + 1)
-    if model.kind == ELLIPTIC_K3:
-        vecs = [(r, x, y, s) for r in rng for x in rng for y in rng for s in rng]
-
-        def dot(a, b):
-            return -2 * a[1] * b[1] + a[1] * b[2] + a[2] * b[1]
-
-    else:
-        h2 = model.degree
-        vecs = [(r, x, 0, s) for r in rng for x in rng for s in rng]
-
-        def dot(a, b):
-            return h2 * a[1] * b[1]
-
+    dim = model.ns_rank + 2
+    basis = [_coordinate_vector(model, tuple(int(i == j) for j in range(dim))) for i in range(dim)]
+    lhs = [[euler_form(e, f) for f in basis] for e in basis]
+    rhs = [[-mukai_pair(e, mukai_dual(f)) for f in basis] for e in basis]
+    n = len(range(-bound, bound + 1)) ** dim
     mismatches = []
-    checked = 0
-    n = len(vecs)
-    for i in range(n):
-        v = vecs[i]
-        r1, s1 = v[0], v[3]
-        chi1 = r1 + s1
-        for j in range(i, n):
-            w = vecs[j]
-            r2, s2 = w[0], w[3]
-            d = dot(v, w)
-            # tensor route: chi of the product by Riemann-Roch
-            lhs = r1 * (r2 + s2) + r2 * chi1 + d - 2 * r1 * r2
-            # pairing route: -<v, w*> = c1.c1' + r1 s2 + s1 r2
-            rhs = d + r1 * s2 + s1 * r2
-            checked += 1
-            if lhs != rhs:
-                mismatches.append((v, w, lhs, rhs))
+    if lhs != rhs:
+        mismatches = _sign_law_mismatches(model, bound, lhs, rhs)
     o = structure_vector(model)
     discrepancy = {
         "euler_form(vO, vO)": euler_form(o, o),
         "<vO, vO_dual>": mukai_pair(o, mukai_dual(o)),
     }
-    return checked, mismatches, discrepancy
+    return n * (n + 1) // 2, mismatches, discrepancy
+
+
+def _sign_law_mismatches(model: SurfaceModel, bound: int, lhs: list, rhs: list) -> list:
+    """The grid pairs v <= w (in grid order) on which the two Gram forms differ."""
+    coords = list(product(range(-bound, bound + 1), repeat=len(lhs)))
+
+    def apply(gram, w):
+        return [sum(g * c for g, c in zip(row, w)) for row in gram]
+
+    lhs_w = [apply(lhs, w) for w in coords]
+    rhs_w = [apply(rhs, w) for w in coords]
+    out = []
+    for i, v in enumerate(coords):
+        for j in range(i, len(coords)):
+            left = sum(c * g for c, g in zip(v, lhs_w[j]))
+            right = sum(c * g for c, g in zip(v, rhs_w[j]))
+            if left != right:
+                pair = (_coordinate_vector(model, v), _coordinate_vector(model, coords[j]))
+                out.append((*pair, left, right))
+    return out

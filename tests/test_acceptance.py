@@ -88,7 +88,7 @@ def test_criterion_2_euler_form_sign_law():
         total_checked += c
         mismatches += m
     ok = not mismatches
-    # the sweep is tuple-level; spot-check it against the object layer
+    # the sweep decides on basis Gram matrices; spot-check it on grid vectors
     rng = random.Random(0)
     vecs = [
         MukaiVector(rng.randint(-3, 3), E.cls(rng.randint(-3, 3), rng.randint(-3, 3)),

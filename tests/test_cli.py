@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import strangedual.cli as cli
+import strangedual.duality as duality
 import strangedual.strata as strata
 from strangedual.cli import (
     CliConfigError,
@@ -20,6 +21,12 @@ from strangedual.cli import (
     run_batch,
     run_instance,
     to_jsonable,
+)
+from strangedual.duality import (
+    DivisibilityError,
+    NuBoundError,
+    compute_nu,
+    k3_divisible_points,
 )
 from strangedual.strata import codim_audit, strata_enumerate, wall_enumerate
 from strangedual.surfaces import elliptic_k3, generic_k3, mukai_pair
@@ -164,6 +171,115 @@ class TestNoVacuousPass:
         )[0]
         result = run_instance(spec)["results"]["strata-audit"]
         assert result["status"] == "error:empty"
+
+
+    def test_sign_law_with_empty_grid(self):
+        spec = normalize_instance(
+            {"checks": ["sign-law"], "bounds": {"coord_bound": -1}}, 0
+        )[0]
+        result = run_instance(spec)["results"]["sign-law"]
+        assert result["status"] == "error:empty"
+        assert result["pairs_checked"] == 0
+
+    def test_sweep_with_empty_rank_range(self, tmp_path):
+        out = tmp_path / "s.json"
+        code = main(["sweep", "--r", "2:1", "--out", str(out), "--quiet"])
+        assert code == 1
+        result = json.loads(out.read_text())["instances"][0]["results"]["exclusion-sweep"]
+        assert result["status"] == "error:empty"
+        assert result["points_checked"] == 0
+
+    def test_fm_verify_with_no_rows(self, tmp_path):
+        out = tmp_path / "f.json"
+        code = main(["fm-verify", "--rmax", "0", "--amax", "-1", "--out", str(out), "--quiet"])
+        assert code == 1
+        result = json.loads(out.read_text())["instances"][0]["results"]["fm-verify"]
+        assert result["status"] == "error:empty"
+
+
+def _reference_valid_grid_points(r_rng, s_rng, ab_max):
+    """The exclusion grid as it was found before: compute_nu on every (a, b)."""
+    for r in r_rng:
+        for s in s_rng:
+            for total in range(2, ab_max + 1):
+                for a in range(0, total + 1):
+                    b = total - a
+                    try:
+                        compute_nu(r, s, a, b)
+                    except (DivisibilityError, NuBoundError):
+                        continue
+                    yield r, s, a, b
+
+
+SWEEP_BOUNDS = [
+    (range(2, 5), range(2, 5), 60),
+    (range(2, 5), range(2, 5), 0),
+    (range(2, 5), range(2, 5), 2),
+    (range(2, 5), range(2, 5), 17),
+    (range(2, 5), range(2, 5), 18),
+    (range(4, 2), range(2, 5), 60),
+    (range(3, 6), range(2, 3), 90),
+]
+
+
+class TestExclusionSweepGrid:
+    @pytest.mark.parametrize("r_rng,s_rng,ab_max", SWEEP_BOUNDS)
+    def test_points_by_formula(self, r_rng, s_rng, ab_max):
+        got = list(k3_divisible_points(r_rng, s_rng, ab_max))
+        valid = [p[:4] for p in got if p[4]]
+        assert valid == list(_reference_valid_grid_points(r_rng, s_rng, ab_max))
+        divisible = [
+            (r, s, a, total - a)
+            for r in r_rng
+            for s in s_rng
+            for total in range(2, ab_max + 1)
+            for a in range(total + 1)
+            if (total - 2) % (r + s) == 0
+        ]
+        assert [p[:4] for p in got] == divisible
+
+    def test_acceptance_bounds_counts(self):
+        points = list(k3_divisible_points(range(2, 5), range(2, 5), 60))
+        assert len(points) == 2903
+        assert sum(valid for *_, valid in points) == 1829
+
+    def test_rank_below_two_is_invalid(self):
+        spec = normalize_instance(
+            {"checks": ["exclusion-sweep"], "bounds": {"r_lo": 1, "r_hi": 2}}, 0
+        )[0]
+        result = run_instance(spec)["results"]["exclusion-sweep"]
+        assert result["status"] == "error:invalid"
+
+    def test_nu_calls_per_valid_and_divisible_point(self, monkeypatch):
+        calls = []
+        original = duality.compute_nu
+
+        def counting(*args):
+            calls.append(args[:4])
+            return original(*args)
+
+        monkeypatch.setattr(duality, "compute_nu", counting)
+        spec = normalize_instance({"checks": ["exclusion-sweep"]}, 0)[0]
+        result = run_instance(spec)["results"]["exclusion-sweep"]
+        assert result["status"] == "pass"
+        assert result["points_checked"] == 1829
+        # exclusion_report and tower_instance on each valid point, and
+        # theorem2_equivalence on all 2903 divisible points
+        assert len(calls) == 2 * 1829 + 2903
+
+    def test_bound_comparison_sees_the_invalid_points(self, monkeypatch):
+        seen = []
+
+        def recording(r, s, a, b):
+            seen.append((r, s, a, b))
+            return False if (r, s, a, b) == (2, 2, 0, 2) else True
+
+        monkeypatch.setattr(cli, "theorem2_equivalence", recording)
+        spec = normalize_instance({"checks": ["exclusion-sweep"]}, 0)[0]
+        result = run_instance(spec)["results"]["exclusion-sweep"]
+        assert len(seen) == 2903
+        assert result["status"] == "fail"
+        assert result["bound_equivalence_disagreements"] == [[2, 2, 0, 2]]
 
 
 class TestStrataAuditWork:

@@ -3,6 +3,7 @@
 import pytest
 
 from strangedual.fourier_mukai import (
+    FMMatrix,
     FiberClass,
     coords_vector,
     derive_bridge_matrix,
@@ -243,6 +244,23 @@ class TestSuite:
         img_k3 = vector_coords(fm_apply(k3_matrix, v_k3))
         img_gen = vector_coords(fm_apply(matrix, v_gen))
         assert img_gen == (img_k3[0], img_k3[1], img_k3[2], img_k3[0] + img_k3[3])
+
+    def test_c1_check_catches_a_wrong_matrix(self):
+        matrix, _ = derive_fm_matrix(E)
+        rows = [list(row) for row in matrix.rows]
+        rows[1][3] += 1  # the x-coefficient of the image now depends on s
+        broken = FMMatrix(E, tuple(tuple(row) for row in rows))
+        report = verify_fm_suite(broken, 1, 0)
+        assert report.c1_grr_ok is False
+        assert report.failures["c1_grr"] == [(0, 0, 0, 1)]
+
+    def test_degeneration_check_catches_a_wrong_matrix(self):
+        model = elliptic_general(2)
+        matrix, _ = derive_fm_matrix(model)
+        rows = [list(row) for row in matrix.rows]
+        rows[2][0] += 1
+        broken = FMMatrix(model, tuple(tuple(row) for row in rows))
+        assert verify_fm_suite(broken, 1, 0).degeneration_ok is False
 
     def test_chi3_matrix_is_integral_in_chi_coordinates(self):
         matrix, _ = derive_fm_matrix(elliptic_general(3))

@@ -1,11 +1,13 @@
 """Lattice arithmetic, Riemann-Roch counts and Mukai-vector algebra."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strangedual.surfaces as surfaces
 from strangedual.surfaces import (
     ModelMismatchError,
     MukaiVector,
@@ -298,6 +300,49 @@ class TestChiAndDimensions:
         assert v == normalized_vector(1, 9, E)
 
 
+def _reference_sign_law_sweep(model, bound):
+    """The exhaustive tuple loop that sign_law_sweep ran before the Gram check.
+
+    It has its own copies of both formulas on raw (r, x, y, s) tuples; y is 0
+    on a generic K3.  Returns (pairs checked, mismatches).
+    """
+    rng = range(-bound, bound + 1)
+    if model == E:
+        vecs = [(r, x, y, s) for r in rng for x in rng for y in rng for s in rng]
+
+        def dot(a, b):
+            return -2 * a[1] * b[1] + a[1] * b[2] + a[2] * b[1]
+
+    else:
+        h2 = model.degree
+        vecs = [(r, x, 0, s) for r in rng for x in rng for s in rng]
+
+        def dot(a, b):
+            return h2 * a[1] * b[1]
+
+    mismatches = []
+    checked = 0
+    for i, v in enumerate(vecs):
+        r1, s1 = v[0], v[3]
+        for w in vecs[i:]:
+            r2, s2 = w[0], w[3]
+            d = dot(v, w)
+            lhs = r1 * (r2 + s2) + r2 * (r1 + s1) + d - 2 * r1 * r2
+            rhs = d + r1 * s2 + s1 * r2
+            checked += 1
+            if lhs != rhs:
+                mismatches.append((v, w, lhs, rhs))
+    return checked, mismatches
+
+
+def _grid_vectors(model, bound):
+    rng = range(-bound, bound + 1)
+    return [
+        MukaiVector(q[0], model.cls(*q[1:-1]), q[-1])
+        for q in product(rng, repeat=model.ns_rank + 2)
+    ]
+
+
 class TestSignLaw:
     @given(mukai_vectors, mukai_vectors)
     def test_euler_form_is_minus_pairing_with_dual(self, v, w):
@@ -319,6 +364,34 @@ class TestSignLaw:
         checked, mismatches, _ = sign_law_sweep(generic_k3(6), 2)
         assert mismatches == []
         assert checked == (5 ** 3) * (5 ** 3 + 1) // 2
+
+    @pytest.mark.parametrize("model", [E, G2, generic_k3(4), generic_k3(6), generic_k3(8)])
+    @pytest.mark.parametrize("bound", [-1, 0, 1, 2])
+    def test_gram_sweep_agrees_with_the_exhaustive_loop(self, model, bound):
+        checked, mismatches, _ = sign_law_sweep(model, bound)
+        ref_checked, ref_mismatches = _reference_sign_law_sweep(model, bound)
+        assert checked == ref_checked
+        assert mismatches == ref_mismatches == []
+
+    @pytest.mark.parametrize("model", [E, G2])
+    def test_broken_dual_is_caught_with_every_witness(self, model, monkeypatch):
+        def broken_dual(v):
+            return MukaiVector(v.r, -v.c1, -v.s)
+
+        monkeypatch.setattr(surfaces, "mukai_dual", broken_dual)
+        checked, mismatches, _ = sign_law_sweep(model, 1)
+        vecs = _grid_vectors(model, 1)
+        brute = []
+        for i, v in enumerate(vecs):
+            for w in vecs[i:]:
+                lhs = euler_form(v, w)
+                rhs = -mukai_pair(v, broken_dual(w))
+                if lhs != rhs:
+                    brute.append((v, w, lhs, rhs))
+        assert checked == len(vecs) * (len(vecs) + 1) // 2
+        assert mismatches
+        assert all(lhs != rhs for _, _, lhs, rhs in mismatches)
+        assert mismatches == brute
 
     @given(mukai_vectors, mukai_vectors)
     def test_hom_pairing_is_minus_mukai_on_k3(self, v, w):
