@@ -124,15 +124,16 @@ def k3_divisible_points(r_rng, s_rng, ab_max: int):
 
 
 def duality_line_bundle_class(r: int, s: int, nu: int, model: SurfaceModel | None = None) -> NSClass:
-    """The theta line bundle L on the surface for given ranks and twist."""
+    """The theta line bundle L = O((r+s)sigma + ((r+s-1)chi - nu)f + K).
+
+    On the elliptic K3 (chi = 2, K = 0) this is (r+s)sigma + (2(r+s)-2-nu)f.
+    """
     if model is None:
         model = elliptic_k3()
-    if model.kind == ELLIPTIC_K3:
-        return model.cls(r + s, 2 * (r + s) - 2 - nu)
-    if model.kind == ELLIPTIC_GENERAL:
-        chi = model.chi_o
-        return model.cls(r + s, (r + s - 1) * chi - nu) + model.canonical
-    raise ModelMismatchError("the theta line bundle lives on the elliptic models")
+    if model.ns_rank != 2:
+        raise ModelMismatchError("the theta line bundle lives on the elliptic models")
+    t = r + s
+    return model.cls(t, (t - 1) * model.chi_o - nu) + model.canonical
 
 
 def delta_bound(chi_o: int, r: int, s: int) -> int:
@@ -194,15 +195,14 @@ def duality_line_bundle(inst: DualityInstance) -> LineBundleCheck:
     total = inst.a + inst.b
     chi = chi_rr(line)
     chi_ok = chi == total
-    h0 = h0_surface(line) if inst.surface.kind == ELLIPTIC_K3 else None
-    h0_ok = None if h0 is None else h0 == total
+    h0, alt_ok = None, True
     if inst.surface.kind == ELLIPTIC_K3:
+        h0 = h0_surface(line)
         alt = inst.surface.cls(
             inst.r + inst.s, (inst.r + inst.s) + (total - 2) // (inst.r + inst.s)
         )
         alt_ok = alt == line
-    else:
-        alt_ok = True
+    h0_ok = None if h0 is None else h0 == total
     ok = chi_ok and alt_ok and (h0_ok is not False)
     if not ok:
         raise AssertionError(
@@ -274,7 +274,7 @@ def hypotheses_report(
         return _report(theorem_id, cond)
 
     # T5 / Conj: any elliptic surface with a section
-    if not model.is_elliptic:
+    if model.ns_rank != 2:
         raise ModelMismatchError(f"{theorem_id} concerns the elliptic models")
     cond = {
         "orthogonal": orth,
@@ -340,7 +340,7 @@ def ogrady_tower(r_max: int, a: int, model: SurfaceModel | None = None) -> Tower
     """
     if model is None:
         model = elliptic_k3()
-    if not model.is_elliptic:
+    if model.ns_rank != 2:
         raise ModelMismatchError("the tower lives on the elliptic models")
     chi_o = model.chi_o
     vectors = tuple(normalized_vector(r, a, model) for r in range(1, r_max + 1))
@@ -474,11 +474,6 @@ def deformation_setup(r: int, s: int, chi: int, chi_prime: int) -> DeformationPa
     return DeformationPair(generic_inst, elliptic_inst, agree, h2)
 
 
-def chi_pairing_vanishes(inst: DualityInstance) -> bool:
-    """chi(v . w) = 0 for the instance's orthogonal pair."""
-    return euler_form(inst.v, inst.w) == 0
-
-
 def theta_relation_sweep(
     r_lo: int = 2, r_hi: int = 5, chi_lo: int = -5, chi_hi: int = 0
 ) -> tuple[int, list, int]:
@@ -577,6 +572,5 @@ __all__ = [
     "theta_classes",
     "theta_relation_identity",
     "deformation_setup",
-    "chi_pairing_vanishes",
     "theorem2_equivalence",
 ]

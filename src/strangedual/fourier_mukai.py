@@ -19,8 +19,8 @@ change chi = rank + s, and the suite checks that identification exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
+from .linalg import row_reduce
 from .surfaces import (
     ELLIPTIC_GENERAL,
     ELLIPTIC_K3,
@@ -110,7 +110,7 @@ class FMMatrix:
         return FMMatrix(self.model, rows)  # type: ignore[arg-type]
 
     def determinant(self) -> int:
-        det = _det4([[Fraction(e) for e in row] for row in self.rows])
+        _, _, det = row_reduce(self.rows)
         assert det.denominator == 1
         return int(det)
 
@@ -119,62 +119,26 @@ class FMMatrix:
         return all(self.rows[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4))
 
 
-def _det4(m: list[list[Fraction]]) -> Fraction:
-    mat = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(4):
-        pivot = next((i for i in range(col, 4) if mat[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for i in range(col + 1, 4):
-            factor = mat[i][col] * inv
-            for j in range(col, 4):
-                mat[i][j] -= factor * mat[col][j]
-    return det
+def _fit_matrix(model: SurfaceModel, pairs: list[tuple[Quad, Quad]]) -> FMMatrix | None:
+    """The matrix M with M.u = o for four (u, o) pairs; None when the u's are dependent.
 
-
-def _solve_matrix(pairs: list[tuple[Quad, Quad]]) -> tuple[Quad, Quad, Quad, Quad] | None:
-    """Solve M.u = o exactly for four (u, o) pairs; None when the u's are dependent.
-
-    M = O.U^-1 with U the column matrix of inputs, computed by Gauss-Jordan
-    over Fractions.  Returns the rows of M, or None rather than guessing
-    when U is singular.
+    M = O.U^-1 with U the column matrix of inputs.  Solving M.U = O row by
+    row is solving U^T.M^T = O^T, so [U^T | O^T] is row-reduced exactly and
+    M^T read off its right half.  None rather than a guess when U is singular.
     """
-    u_cols = [p[0] for p in pairs]
-    o_cols = [p[1] for p in pairs]
-    # Augment U^T | O^T and row-reduce: solving X.U = O row by row is the
-    # same as solving U^T.X^T = O^T.
-    aug = [
-        [Fraction(u_cols[i][j]) for j in range(4)] + [Fraction(o_cols[i][j]) for j in range(4)]
-        for i in range(4)
-    ]
-    for col in range(4):
-        pivot = next((i for i in range(col, 4) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for i in range(4):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    # aug now holds X^T in the last four columns: X[i][j] = aug[j][4 + i]
+    reduced, _, det = row_reduce([list(u) + list(o) for u, o in pairs])
+    if det == 0:
+        return None
     rows = []
     for i in range(4):
         row = []
         for j in range(4):
-            e = aug[j][4 + i]
+            e = reduced[j][4 + i]
             if e.denominator != 1:
                 raise FMDerivationError(f"non-integral matrix entry {e} from the constraints")
             row.append(int(e))
         rows.append(tuple(row))
-    return tuple(rows)  # type: ignore[return-value]
+    return FMMatrix(model, tuple(rows))  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +178,13 @@ class FMDiagnostics:
 _DEFINING = ((1, 0), (1, 1), (2, 0))
 
 
+def _defining_quads(model: SurfaceModel) -> list[tuple[Quad, Quad]]:
+    """(input, image) coordinates of the defining dual-tower images and the normalization."""
+    pairs = [_dual_tower_pair(r, a, model) for r, a in _DEFINING]
+    pairs.append(_normalization_pair(model))
+    return [(vector_coords(u), vector_coords(o)) for u, o in pairs]
+
+
 def derive_fm_matrix(
     model: SurfaceModel | None = None, check_grid: tuple[int, int] = (4, 6)
 ) -> tuple[FMMatrix, FMDiagnostics]:
@@ -226,18 +197,14 @@ def derive_fm_matrix(
     """
     if model is None:
         model = elliptic_k3()
-    if not model.is_elliptic:
+    if model.ns_rank != 2:
         raise ModelMismatchError("the transform is defined on the elliptic models")
 
-    pairs = [_dual_tower_pair(r, a, model) for r, a in _DEFINING]
-    pairs.append(_normalization_pair(model))
-    quad_pairs = [(vector_coords(u), vector_coords(o)) for u, o in pairs]
-    rows = _solve_matrix(quad_pairs)
-    if rows is None:
+    matrix = _fit_matrix(model, _defining_quads(model))
+    if matrix is None:
         raise FMDerivationError(
             f"defining constraints {_DEFINING} + normalization are linearly dependent"
         )
-    matrix = FMMatrix(model, rows)
 
     failures = []
     checked = 0
@@ -310,14 +277,11 @@ def derive_bridge_matrix(matrix: FMMatrix) -> FMMatrix:
     source; solving those swapped constraints independently and multiplying
     out is a consistency check on the whole derivation.
     """
-    model = matrix.model
-    pairs = [_dual_tower_pair(r, a, model) for r, a in _DEFINING]
-    pairs.append(_normalization_pair(model))
-    swapped = [(vector_coords(o), vector_coords(u)) for u, o in pairs]
-    rows = _solve_matrix(swapped)
-    if rows is None:
+    swapped = [(o, u) for u, o in _defining_quads(matrix.model)]
+    bridge = _fit_matrix(matrix.model, swapped)
+    if bridge is None:
         raise FMDerivationError("bridge constraints are linearly dependent")
-    return FMMatrix(model, rows)
+    return bridge
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .linalg import row_reduce
 from .surfaces import (
     ModelMismatchError,
     NSClass,
@@ -82,11 +83,6 @@ class ProductClass:
 
     def __neg__(self) -> "ProductClass":
         return ProductClass(-self.left, -self.right)
-
-
-def sym_class(base: NSClass, a: int) -> HilbPicClass:
-    """L_(a), induced from the symmetric power of L."""
-    return HilbPicClass(a, base, 0)
 
 
 def taut_class(base: NSClass, a: int) -> HilbPicClass:
@@ -175,23 +171,6 @@ class GammaSolution:
 _GAMMA_UNKNOWNS = ("q1", "r1", "r2", "s1", "s2")
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rows[:rank]
-
-
 def _relation_string(row: list[Fraction]) -> str:
     pivot = next(i for i, x in enumerate(row) if x != 0)
     rest = [(j, -row[j]) for j in range(pivot + 1, len(row)) if row[j] != 0]
@@ -220,13 +199,11 @@ def solve_gamma_constraints(r: int, s: int, a: int, b: int) -> GammaSolution:
     if min(r, s) < 2 or min(a, b) < 1:
         raise ValueError("need ranks >= 2 and point counts >= 1")
     rows = [
-        [Fraction(a - 1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(-1)],
-        [Fraction(1), Fraction(-2), Fraction(2), Fraction(0), Fraction(0)],
+        [a - 1 if a > 1 else 1, 0, 0, 0, 0],
+        [0, 0, 0, 1, -1],
+        [1, -2, 2, 0, 0],
     ]
-    if a == 1:
-        rows[0][0] = Fraction(1)
-    reduced = _row_reduce(rows)
+    reduced, _, _ = row_reduce(rows)
     relations = tuple(sorted(_relation_string(row) for row in reduced))
     if relations != ("q1 = 0", "r1 = r2", "s1 = s2"):
         raise AssertionError(f"unexpected relation set {relations}; this is a bug")

@@ -1,7 +1,6 @@
 """Exact intersection theory and Mukai-vector algebra on K3-type surfaces.
 
-Three surface models are supported, each carrying its Neron-Severi lattice,
-holomorphic Euler characteristic chi(O) and canonical class:
+Three surface models are supported:
 
 * ``generic_k3(2n)``        Pic = Z.H with H^2 = 2n > 0, K = 0, chi(O) = 2
 * ``elliptic_k3()``         NS = Z.sigma + Z.f with sigma^2 = -2, f^2 = 0,
@@ -9,11 +8,23 @@ holomorphic Euler characteristic chi(O) and canonical class:
 * ``elliptic_general(chi)`` sigma^2 = -chi, f^2 = 0, sigma.f = 1,
                             K = (chi - 2).f, chi(O) = chi >= 1
 
+Each model is built once per parameter and carries one description of its
+lattice, fixed when it is built:
+
+* ``gram``      the Gram matrix of NS in the basis H, or sigma and f;
+* ``chi_o``     the holomorphic Euler characteristic chi(O);
+* ``canonical`` the canonical class K, as an NS class of the model;
+* ``s_shift``   the slot shift e with chi(v) = s + e.rank (see below);
+* ``labels``    the basis names used to print classes (``H``, or ``s``/``f``)
+  and ``basis``, the basis tag of reports (``H`` or ``sigma_f``).
+
 A Mukai vector is stored as (rank, c1, s).  On the two K3 models the integer
-slot ``s`` is the degree-4 Mukai component v4 = ch2 + rank; on the general
-elliptic model square roots of the Todd class are not integral, so ``s``
-stores the Euler characteristic chi directly and ch2 is derived by
-Riemann-Roch (ch2 = chi - rank*chi_O + c1.K/2).
+slot ``s`` is the degree-4 Mukai component v4 = ch2 + rank, so e = 1; on the
+general elliptic model square roots of the Todd class are not integral, so
+``s`` stores the Euler characteristic chi directly and e = 0.  Every formula
+below is the Riemann-Roch formula of the general model, ch2 = chi -
+rank*chi(O) + c1.K/2 with chi = s + e.rank, and holds on the K3 models as
+written because K = 0 there.
 
 All arithmetic is exact: plain Python integers throughout, with
 fractions.Fraction for the few half-integer intermediates.  No floats.
@@ -22,8 +33,9 @@ Every value is immutable, every operation a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd
 
@@ -36,13 +48,22 @@ class ModelMismatchError(ValueError):
     """Lattice elements from different surface models were combined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceModel:
-    """An intersection lattice together with chi(O) and the canonical class."""
+    """An intersection lattice together with chi(O) and the canonical class.
+
+    Only ``kind``, ``degree`` and ``chi_o`` are given; the lattice
+    description is derived from them once, and equality compares only them.
+    """
 
     kind: str
     degree: int = 0  # H^2, generic K3 only
     chi_o: int = 2
+    gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    canonical: NSClass = field(init=False, repr=False, compare=False)
+    s_shift: int = field(init=False, repr=False, compare=False)
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    basis: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == GENERIC_K3:
@@ -50,32 +71,35 @@ class SurfaceModel:
                 raise ValueError("generic K3 degree must be a positive even integer")
             if self.chi_o != 2:
                 raise ValueError("a K3 surface has chi(O) = 2")
+            gram, k, e, labels, basis = ((self.degree,),), (0,), 1, ("H",), "H"
         elif self.kind == ELLIPTIC_K3:
             if self.degree != 0:
                 raise ValueError("elliptic K3 model takes no degree")
             if self.chi_o != 2:
                 raise ValueError("a K3 surface has chi(O) = 2")
+            gram, k, e, labels, basis = ((-2, 1), (1, 0)), (0, 0), 1, ("s", "f"), "sigma_f"
         elif self.kind == ELLIPTIC_GENERAL:
             if self.degree != 0:
                 raise ValueError("general elliptic model takes no degree")
             if self.chi_o < 1:
                 raise ValueError("chi(O) must be >= 1")
+            gram = ((-self.chi_o, 1), (1, 0))
+            k, e, labels, basis = (0, self.chi_o - 2), 0, ("s", "f"), "sigma_f"
         else:
             raise ValueError(f"unknown surface kind {self.kind!r}")
+        for name, value in (("gram", gram), ("s_shift", e), ("labels", labels), ("basis", basis)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "canonical", NSClass(self, k))
 
     # -- basic shape ------------------------------------------------------
 
     @property
     def ns_rank(self) -> int:
-        return 1 if self.kind == GENERIC_K3 else 2
+        return len(self.labels)
 
     @property
     def is_k3(self) -> bool:
         return self.kind in (GENERIC_K3, ELLIPTIC_K3)
-
-    @property
-    def is_elliptic(self) -> bool:
-        return self.kind in (ELLIPTIC_K3, ELLIPTIC_GENERAL)
 
     # -- named classes ----------------------------------------------------
 
@@ -92,7 +116,7 @@ class SurfaceModel:
 
     @property
     def hyperplane(self) -> "NSClass":
-        if self.kind != GENERIC_K3:
+        if self.ns_rank != 1:
             raise ModelMismatchError("H is the generator of the rank-1 model only")
         return self.cls(1)
 
@@ -108,26 +132,23 @@ class SurfaceModel:
             raise ModelMismatchError("f lives on the elliptic models")
         return self.cls(0, 1)
 
-    @property
-    def canonical(self) -> "NSClass":
-        if self.kind == ELLIPTIC_GENERAL:
-            return self.cls(0, self.chi_o - 2)
-        return self.zero
 
-
+@cache
 def generic_k3(degree: int) -> SurfaceModel:
     return SurfaceModel(GENERIC_K3, degree=degree)
 
 
+@cache
 def elliptic_k3() -> SurfaceModel:
     return SurfaceModel(ELLIPTIC_K3)
 
 
+@cache
 def elliptic_general(chi_o: int) -> SurfaceModel:
     return SurfaceModel(ELLIPTIC_GENERAL, chi_o=chi_o)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NSClass:
     """An integer divisor class in the Neron-Severi lattice of a model."""
 
@@ -137,7 +158,8 @@ class NSClass:
     def _require_same(self, other: "NSClass") -> None:
         if not isinstance(other, NSClass):
             raise TypeError(f"expected NSClass, got {type(other).__name__}")
-        if self.model != other.model:
+        # models are built once per parameter; == covers an equal copy
+        if self.model is not other.model and self.model != other.model:
             raise ModelMismatchError("NS classes live on different surface models")
 
     def __add__(self, other: "NSClass") -> "NSClass":
@@ -161,22 +183,19 @@ class NSClass:
     def dot(self, other: "NSClass") -> int:
         """Intersection pairing with ``other`` (symmetric, bilinear, exact)."""
         self._require_same(other)
-        if self.model.kind == GENERIC_K3:
-            return self.coeffs[0] * other.coeffs[0] * self.model.degree
-        x1, y1 = self.coeffs
-        x2, y2 = other.coeffs
-        # sigma^2 = -chi(O), f^2 = 0, sigma.f = 1 (chi(O) = 2 on the K3)
-        return -self.model.chi_o * x1 * x2 + x1 * y2 + y1 * x2
+        x, y = self.coeffs, other.coeffs
+        g = self.model.gram
+        if len(x) == 1:
+            return x[0] * y[0] * g[0][0]
+        # the Gram matrix is symmetric: g01 = g10
+        return g[0][0] * x[0] * y[0] + g[0][1] * (x[0] * y[1] + x[1] * y[0]) + g[1][1] * x[1] * y[1]
 
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
     def __str__(self) -> str:
-        if self.model.kind == GENERIC_K3:
-            return f"{self.coeffs[0]}H"
-        x, y = self.coeffs
-        return f"{x}s+{y}f"
+        return "+".join(f"{c}{label}" for c, label in zip(self.coeffs, self.model.labels))
 
 
 def ns_pair(d1: NSClass, d2: NSClass) -> int:
@@ -219,12 +238,13 @@ def h0_surface(d: NSClass) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MukaiVector:
     """A lattice vector (rank, c1, s).
 
     ``s`` is the degree-4 Mukai component on K3 models and the Euler
-    characteristic on the general elliptic model (see module docstring).
+    characteristic on the general elliptic model: chi = s + e.rank with the
+    model's slot shift e (see module docstring).
     """
 
     r: int
@@ -238,7 +258,7 @@ class MukaiVector:
     def _require_same(self, other: "MukaiVector") -> None:
         if not isinstance(other, MukaiVector):
             raise TypeError(f"expected MukaiVector, got {type(other).__name__}")
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ModelMismatchError("Mukai vectors live on different surface models")
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
@@ -282,27 +302,22 @@ class MukaiVector:
 
 
 def ch2(v: MukaiVector) -> Fraction:
-    """Degree-4 Chern character, derived from the stored slots per model."""
-    if v.model.is_k3:
-        return Fraction(v.s - v.r)
-    return Fraction(v.s - v.r * v.model.chi_o) + Fraction(v.c1.dot(v.model.canonical), 2)
+    """Degree-4 Chern character by Riemann-Roch: chi - rank*chi(O) + c1.K/2."""
+    model = v.model
+    return Fraction(2 * (chi_vec(v) - v.r * model.chi_o) + v.c1.dot(model.canonical), 2)
 
 
 def chi_vec(v: MukaiVector) -> int:
-    """Euler characteristic chi(v) by Riemann-Roch (= r + s on K3 models)."""
-    if v.model.is_k3:
-        return v.r + v.s
-    return v.s
+    """Euler characteristic chi(v) = s + e.rank (= r + s on K3 models)."""
+    return v.s + v.model.s_shift * v.r
 
 
 def mukai_dual(v: MukaiVector) -> MukaiVector:
     """The dual class: ch_i goes to (-1)^i ch_i, i.e. c1 is negated.
 
-    On K3 models the s-slot is untouched; on the general model the stored
-    Euler characteristic picks up the c1.K correction forced by Riemann-Roch.
+    Riemann-Roch adds c1.K to the Euler characteristic, hence to the s-slot;
+    on K3 models K = 0 and the s-slot is untouched.
     """
-    if v.model.is_k3:
-        return MukaiVector(v.r, -v.c1, v.s)
     return MukaiVector(v.r, -v.c1, v.s + v.c1.dot(v.model.canonical))
 
 
@@ -326,24 +341,16 @@ def mukai_tensor(v: MukaiVector, w: MukaiVector) -> MukaiVector:
     formula r1*chi2 + r2*chi1 + c1.c2 - r1*r2*chi(O), valid on all models.
     """
     v._require_same(w)
+    model = v.model
     rank = v.r * w.r
     c1 = v.r * w.c1 + w.r * v.c1
-    chi = (
-        v.r * chi_vec(w)
-        + w.r * chi_vec(v)
-        + v.c1.dot(w.c1)
-        - v.r * w.r * v.model.chi_o
-    )
-    if v.model.is_k3:
-        return MukaiVector(rank, c1, chi - rank)
-    return MukaiVector(rank, c1, chi)
+    chi = v.r * chi_vec(w) + w.r * chi_vec(v) + v.c1.dot(w.c1) - rank * model.chi_o
+    return MukaiVector(rank, c1, chi - model.s_shift * rank)
 
 
 def structure_vector(model: SurfaceModel) -> MukaiVector:
     """v(O_X): the unit of the tensor product."""
-    if model.is_k3:
-        return MukaiVector(1, model.zero, 1)
-    return MukaiVector(1, model.zero, model.chi_o)
+    return MukaiVector(1, model.zero, model.chi_o - model.s_shift)
 
 
 def point_vector(model: SurfaceModel) -> MukaiVector:
@@ -353,35 +360,27 @@ def point_vector(model: SurfaceModel) -> MukaiVector:
 
 def line_bundle_vector(d: NSClass) -> MukaiVector:
     """v(O(d))."""
-    chi = chi_rr(d)
-    if d.model.is_k3:
-        return MukaiVector(1, d, chi - 1)
-    return MukaiVector(1, d, chi)
+    return MukaiVector(1, d, chi_rr(d) - d.model.s_shift)
 
 
 def ideal_sheaf_vector(d: NSClass, n: int) -> MukaiVector:
     """v(I_Z(d)) for a length-n subscheme Z."""
     if n < 0:
         raise ValueError("subscheme length must be >= 0")
-    chi = chi_rr(d) - n
-    if d.model.is_k3:
-        return MukaiVector(1, d, chi - 1)
-    return MukaiVector(1, d, chi)
+    return MukaiVector(1, d, chi_rr(d) - n - d.model.s_shift)
 
 
 def twist(v: MukaiVector, d: NSClass) -> MukaiVector:
-    """The vector of v tensored with O(d): multiplication by e^d."""
-    if v.model != d.model:
+    """The vector of v tensored with O(d): multiplication by e^d.
+
+    chi, hence the s-slot, shifts by c1.d + r.d.(d - K)/2.
+    """
+    model = v.model
+    if model is not d.model and model != d.model:
         raise ModelMismatchError("twisting class lives on a different model")
-    c1 = v.c1 + v.r * d
-    dd = d.dot(d)
-    if v.model.is_k3:
-        # s4 shifts by c1.d + r*d^2/2; the K3 lattice is even
-        assert (v.r * dd) % 2 == 0
-        return MukaiVector(v.r, c1, v.s + v.c1.dot(d) + v.r * dd // 2)
-    num = v.r * (dd - d.dot(v.model.canonical))
+    num = v.r * (d.dot(d) - d.dot(model.canonical))
     assert num % 2 == 0  # D.(D-K) is even
-    return MukaiVector(v.r, c1, v.s + v.c1.dot(d) + num // 2)
+    return MukaiVector(v.r, v.c1 + v.r * d, v.s + v.c1.dot(d) + num // 2)
 
 
 def euler_form(v: MukaiVector, w: MukaiVector) -> int:
@@ -413,14 +412,14 @@ def euler_pair_hom(v: MukaiVector, w: MukaiVector) -> int:
 def moduli_dim(v: MukaiVector) -> int:
     """Expected dimension of the moduli space of stable sheaves of class v.
 
-    Computed as 2*r*c2 - (r-1)*c1^2 - (r^2-1)*chi(O), which on K3 models
-    collapses to <v, v> + 2.
+    Computed as 2*r*c2 - (r-1)*c1^2 - (r^2-1)*chi(O) with c2 = c1^2/2 - ch2,
+    which on K3 models collapses to <v, v> + 2.  2*ch2 is an integer, so
+    the sum is taken over the integers.
     """
+    model = v.model
     c1sq = v.c1.dot(v.c1)
-    c2 = Fraction(c1sq, 2) - ch2(v)
-    dim = 2 * v.r * c2 - (v.r - 1) * c1sq - (v.r * v.r - 1) * v.model.chi_o
-    assert dim.denominator == 1
-    return int(dim)
+    twice_ch2 = 2 * (chi_vec(v) - v.r * model.chi_o) + v.c1.dot(model.canonical)
+    return c1sq - v.r * twice_ch2 - (v.r * v.r - 1) * model.chi_o
 
 
 def normalized_vector(r: int, a: int, model: SurfaceModel) -> MukaiVector:
@@ -433,14 +432,11 @@ def normalized_vector(r: int, a: int, model: SurfaceModel) -> MukaiVector:
         raise ValueError("rank must be >= 1")
     if a < 0:
         raise ValueError("half-dimension must be >= 0")
-    if not model.is_elliptic:
+    if model.ns_rank != 2:
         raise ModelMismatchError("normalized vectors live on the elliptic models")
     half = r * (r - 1) * model.chi_o
     assert half % 2 == 0
-    c1 = model.cls(1, a - half // 2)
-    if model.kind == ELLIPTIC_K3:
-        return MukaiVector(r, c1, 1 - r)
-    return MukaiVector(r, c1, 1)
+    return MukaiVector(r, model.cls(1, a - half // 2), 1 - model.s_shift * r)
 
 
 def _coordinate_vector(model: SurfaceModel, q: tuple[int, ...]) -> MukaiVector:

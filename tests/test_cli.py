@@ -267,6 +267,22 @@ class TestExclusionSweepGrid:
         # theorem2_equivalence on all 2903 divisible points
         assert len(calls) == 2 * 1829 + 2903
 
+    def test_non_orthogonal_point_does_not_pass(self, monkeypatch):
+        # tower_instance is the sweep's orthogonality check; break it at one point
+        bad = duality.tower_instance(2, 3, 13, 14)
+        original = duality.euler_form
+
+        def broken(v, w):
+            value = original(v, w)
+            return value + 1 if (v, w) == (bad.v, bad.w) else value
+
+        monkeypatch.setattr(duality, "euler_form", broken)
+        spec = normalize_instance({"checks": ["exclusion-sweep"]}, 0)[0]
+        result = run_instance(spec)["results"]["exclusion-sweep"]
+        assert result["status"] != "pass"
+        assert result["status"] == "error:invalid"
+        assert "chi(v . w) != 0" in result["reason"]
+
     def test_bound_comparison_sees_the_invalid_points(self, monkeypatch):
         seen = []
 
@@ -376,6 +392,13 @@ class TestBatch:
         assert load_batch(path) == pure
         assert pure
 
+    def test_report_matches_the_golden_file(self, tmp_path):
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "report.json"
+        assert main(["batch", str(data / "acceptance_batch.yaml"), "--out", str(out), "--quiet"]) == 0
+        golden = (data / "acceptance_report.json").read_text()
+        assert _strip_timing(out.read_text()) == _strip_timing(golden)
+
     def test_yaml_parse_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("instances: [}{")
@@ -440,6 +463,22 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "STRANGEDUAL_WORKERS" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("param", ["r: [2]", "a: nine", "chi_prime: {x: 1}"])
+    def test_exit_two_on_wrongly_typed_param(self, tmp_path, capsys, param):
+        params = {"r": "r: 2", "s": "s: 2", "a": "a: 9", "b": "b: 9", "chi_prime": None}
+        params[param.split(":")[0]] = param
+        spec = tmp_path / "typed.yaml"
+        spec.write_text(
+            "instances:\n"
+            f"  - params: {{{', '.join(p for p in params.values() if p)}}}\n"
+            "    checks: [nu]\n"
+        )
+        assert main(["batch", str(spec), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert param.split(":")[0] in err
         assert len(err.strip().splitlines()) == 1
 
     def test_exit_two_on_missing_file(self):

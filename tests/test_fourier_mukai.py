@@ -1,8 +1,14 @@
 """Derivation and verification of the transform's lattice action."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+import strangedual.fourier_mukai as fourier_mukai
+
 from strangedual.fourier_mukai import (
+    FMDerivationError,
     FMMatrix,
     FiberClass,
     coords_vector,
@@ -14,6 +20,8 @@ from strangedual.fourier_mukai import (
     vector_coords,
     verify_fm_suite,
 )
+from strangedual.hilbert import solve_gamma_constraints
+from strangedual.linalg import row_reduce
 from strangedual.surfaces import (
     ModelMismatchError,
     MukaiVector,
@@ -265,3 +273,54 @@ class TestSuite:
     def test_chi3_matrix_is_integral_in_chi_coordinates(self):
         matrix, _ = derive_fm_matrix(elliptic_general(3))
         assert matrix.columns == ((0, -1, -3, -1), (1, 0, 2, 3), (0, 0, 0, -1), (0, 0, 1, 0))
+
+
+class TestLinalg:
+    def test_determinant_matches_cofactor_expansion(self):
+        rng = random.Random(5)
+        matrices = [list(map(list, derive_fm_matrix(E)[0].rows))]
+        matrices.append([list(u) for u, _ in _defining_pairs(E)])
+        for _ in range(40):
+            matrices.append([[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
+        # rank-deficient ones: a repeated row, and a row that is a sum of two
+        for m in matrices[2:12]:
+            matrices.append([m[0], m[1], m[2], m[0]])
+            matrices.append([m[0], m[1], [a + b for a, b in zip(m[0], m[1])], m[3]])
+        singular = 0
+        for m in matrices:
+            _, pivots, det = row_reduce(m)
+            assert det == _det4(m)
+            assert (det == 0) == (pivots != (0, 1, 2, 3))
+            singular += det == 0
+            assert FMMatrix(E, tuple(map(tuple, m))).determinant() == _det4(m)
+        assert singular == 23
+
+    def test_reduced_rows_solve_the_system(self):
+        # [A | I] reduces to [I | A^-1]
+        a = [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 3], [0, 0, 0, 1]]
+        aug = [row + [int(i == j) for j in range(4)] for i, row in enumerate(a)]
+        reduced, pivots, det = row_reduce(aug)
+        assert pivots == (0, 1, 2, 3) and det == 2 - 1
+        inverse = [row[4:] for row in reduced]
+        assert inverse == [[1, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 1, -3], [0, 0, 0, 1]]
+
+    def test_singular_system_is_reported(self):
+        reduced, pivots, det = row_reduce([[1, 2, 5], [2, 4, 7]])
+        assert det == 0 and pivots == (0, 2)
+        assert reduced == [[1, 2, 0], [0, 0, 1]]
+        assert row_reduce([[0, 0], [0, 0]]) == ([], (), Fraction(0))
+
+    def test_dependent_defining_inputs_are_rejected(self, monkeypatch):
+        # the normalization repeats the first defining input: U is singular
+        repeat = fourier_mukai._dual_tower_pair(1, 0, E)
+        monkeypatch.setattr(fourier_mukai, "_normalization_pair", lambda model: repeat)
+        with pytest.raises(FMDerivationError, match="linearly dependent"):
+            derive_fm_matrix(E)
+
+    @pytest.mark.parametrize("a", [1, 2, 9])
+    def test_gamma_relations_unchanged(self, a):
+        assert solve_gamma_constraints(2, 3, a, 4).relations == ("q1 = 0", "r1 = r2", "s1 = s2")
+        q1 = a - 1 if a > 1 else 1
+        reduced, pivots, _ = row_reduce([[q1, 0, 0, 0, 0], [0, 0, 0, 1, -1], [1, -2, 2, 0, 0]])
+        assert pivots == (0, 1, 3)
+        assert reduced == [[1, 0, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 0, 1, -1]]

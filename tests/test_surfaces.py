@@ -443,3 +443,179 @@ class TestVectorHelpers:
         assert 3 * v == evec(3, 6, 9, 12)
         with pytest.raises(ModelMismatchError):
             v + MukaiVector(1, G2.hyperplane, 0)
+
+
+# ---------------------------------------------------------------------------
+# The per-kind formulas the models used before they carried one lattice
+# description, kept as an independent reference for the branch-free algebra.
+# ---------------------------------------------------------------------------
+
+REFERENCE_MODELS = [elliptic_k3(), generic_k3(2), generic_k3(8),
+                    elliptic_general(1), elliptic_general(3)]
+
+
+def _ref_is_k3(model):
+    return model.kind in (surfaces.GENERIC_K3, surfaces.ELLIPTIC_K3)
+
+
+def _reference_dot(d1, d2):
+    model = d1.model
+    if model.kind == surfaces.GENERIC_K3:
+        return d1.coeffs[0] * d2.coeffs[0] * model.degree
+    x1, y1 = d1.coeffs
+    x2, y2 = d2.coeffs
+    return -model.chi_o * x1 * x2 + x1 * y2 + y1 * x2
+
+
+def _reference_canonical(model):
+    if model.kind == surfaces.ELLIPTIC_GENERAL:
+        return model.cls(0, model.chi_o - 2)
+    return model.zero
+
+
+def _reference_str(d):
+    if d.model.kind == surfaces.GENERIC_K3:
+        return f"{d.coeffs[0]}H"
+    x, y = d.coeffs
+    return f"{x}s+{y}f"
+
+
+def _reference_chi_rr(d):
+    num = _reference_dot(d, d) - _reference_dot(d, _reference_canonical(d.model))
+    return num // 2 + d.model.chi_o
+
+
+def _reference_ch2(v):
+    model = v.model
+    if _ref_is_k3(model):
+        return Fraction(v.s - v.r)
+    k_dot = _reference_dot(v.c1, _reference_canonical(model))
+    return Fraction(v.s - v.r * model.chi_o) + Fraction(k_dot, 2)
+
+
+def _reference_chi_vec(v):
+    return v.r + v.s if _ref_is_k3(v.model) else v.s
+
+
+def _reference_mukai_dual(v):
+    if _ref_is_k3(v.model):
+        return MukaiVector(v.r, -v.c1, v.s)
+    k_dot = _reference_dot(v.c1, _reference_canonical(v.model))
+    return MukaiVector(v.r, -v.c1, v.s + k_dot)
+
+
+def _reference_mukai_tensor(v, w):
+    rank = v.r * w.r
+    c1 = v.r * w.c1 + w.r * v.c1
+    chi = (v.r * _reference_chi_vec(w) + w.r * _reference_chi_vec(v)
+           + _reference_dot(v.c1, w.c1) - rank * v.model.chi_o)
+    return MukaiVector(rank, c1, chi - rank if _ref_is_k3(v.model) else chi)
+
+
+def _reference_structure_vector(model):
+    return MukaiVector(1, model.zero, 1 if _ref_is_k3(model) else model.chi_o)
+
+
+def _reference_line_bundle_vector(d):
+    chi = _reference_chi_rr(d)
+    return MukaiVector(1, d, chi - 1 if _ref_is_k3(d.model) else chi)
+
+
+def _reference_ideal_sheaf_vector(d, n):
+    chi = _reference_chi_rr(d) - n
+    return MukaiVector(1, d, chi - 1 if _ref_is_k3(d.model) else chi)
+
+
+def _reference_twist(v, d):
+    c1 = v.c1 + v.r * d
+    dd = _reference_dot(d, d)
+    shift = _reference_dot(v.c1, d)
+    if _ref_is_k3(v.model):
+        return MukaiVector(v.r, c1, v.s + shift + v.r * dd // 2)
+    num = v.r * (dd - _reference_dot(d, _reference_canonical(v.model)))
+    return MukaiVector(v.r, c1, v.s + shift + num // 2)
+
+
+def _reference_moduli_dim(v):
+    c1sq = _reference_dot(v.c1, v.c1)
+    c2 = Fraction(c1sq, 2) - _reference_ch2(v)
+    dim = 2 * v.r * c2 - (v.r - 1) * c1sq - (v.r * v.r - 1) * v.model.chi_o
+    assert dim.denominator == 1
+    return int(dim)
+
+
+def _reference_normalized_vector(r, a, model):
+    c1 = model.cls(1, a - r * (r - 1) * model.chi_o // 2)
+    if model.kind == surfaces.ELLIPTIC_K3:
+        return MukaiVector(r, c1, 1 - r)
+    return MukaiVector(r, c1, 1)
+
+
+def _grid_classes(model, bound):
+    return [model.cls(*c) for c in product(range(-bound, bound + 1), repeat=model.ns_rank)]
+
+
+@pytest.mark.parametrize(
+    "model", REFERENCE_MODELS, ids=lambda m: f"{m.kind}-{m.degree}-{m.chi_o}"
+)
+class TestBranchFreeAlgebraMatchesPerKindFormulas:
+    def test_dot_and_str(self, model):
+        classes = _grid_classes(model, 3)
+        for d1 in classes:
+            assert str(d1) == _reference_str(d1)
+            for d2 in classes:
+                assert d1.dot(d2) == _reference_dot(d1, d2)
+
+    def test_unary_vector_functions(self, model):
+        assert model.canonical == _reference_canonical(model)
+        assert structure_vector(model) == _reference_structure_vector(model)
+        for v in _grid_vectors(model, 2):
+            assert surfaces.ch2(v) == _reference_ch2(v)
+            assert chi_vec(v) == _reference_chi_vec(v)
+            assert mukai_dual(v) == _reference_mukai_dual(v)
+            assert moduli_dim(v) == _reference_moduli_dim(v)
+
+    def test_tensor_and_twist(self, model):
+        vectors = _grid_vectors(model, 1)
+        classes = _grid_classes(model, 2)
+        for v in vectors:
+            for w in vectors:
+                assert mukai_tensor(v, w) == _reference_mukai_tensor(v, w)
+            for d in classes:
+                assert twist(v, d) == _reference_twist(v, d)
+
+    def test_line_bundle_and_ideal_sheaf_vectors(self, model):
+        for d in _grid_classes(model, 3):
+            assert line_bundle_vector(d) == _reference_line_bundle_vector(d)
+            for n in range(3):
+                assert ideal_sheaf_vector(d, n) == _reference_ideal_sheaf_vector(d, n)
+
+    def test_normalized_vector(self, model):
+        for r in range(1, 5):
+            for a in range(6):
+                if model.ns_rank != 2:
+                    with pytest.raises(ModelMismatchError):
+                        normalized_vector(r, a, model)
+                    continue
+                assert normalized_vector(r, a, model) == _reference_normalized_vector(r, a, model)
+
+
+class TestModelsAreBuiltOnce:
+    def test_factories_return_one_model_per_parameter(self):
+        assert elliptic_k3() is elliptic_k3()
+        assert generic_k3(8) is generic_k3(8)
+        assert elliptic_general(3) is elliptic_general(3)
+        assert elliptic_general(2) is not elliptic_k3()
+
+    def test_equal_copy_still_combines(self):
+        copy = surfaces.SurfaceModel(surfaces.ELLIPTIC_K3)
+        assert copy is not E and copy == E
+        d = copy.cls(1, 2)
+        assert d.dot(E.cls(0, 1)) == 1
+        assert MukaiVector(1, d, 0) + evec(1, 0, 0, 0) == evec(2, 1, 2, 0)
+        assert twist(evec(1, 0, 0, 0), d) == twist(evec(1, 0, 0, 0), E.cls(1, 2))
+
+    def test_general_model_at_chi_two_is_not_the_k3(self):
+        gen2 = elliptic_general(2)
+        with pytest.raises(ModelMismatchError):
+            E.cls(1, 0).dot(gen2.cls(1, 0))
