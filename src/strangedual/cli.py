@@ -44,6 +44,7 @@ from .duality import (
     duality_line_bundle,
     hypotheses_report,
     k3_divisible_points,
+    k3_tower_row,
     ogrady_tower,
     theorem2_equivalence,
     theta_relation_identity,
@@ -177,6 +178,19 @@ def parse_rational(text) -> Fraction:
         raise CliConfigError(f"bad rational {text!r}") from exc
 
 
+def _config_int(value, what: str) -> int:
+    """``value`` as an int; booleans and non-integral numbers are config errors.
+
+    ``int()`` alone would take ``True`` as 1 and truncate ``9.6`` to 9.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise CliConfigError(f"{what} is not an integer: {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise CliConfigError(f"{what} is not an integer: {value!r}") from None
+
+
 def normalize_instance(raw: dict, index: int) -> list[dict]:
     """Validate one raw instance and expand its grid, if any."""
     if not isinstance(raw, dict):
@@ -201,12 +215,7 @@ def normalize_instance(raw: dict, index: int) -> list[dict]:
     model = resolve_surface(base["surface"])
     for key in INT_PARAMS:
         if key in base["params"]:
-            try:
-                int(base["params"][key])
-            except (TypeError, ValueError):
-                raise CliConfigError(
-                    f"instance #{index} param {key!r} is not an integer: {base['params'][key]!r}"
-                ) from None
+            _config_int(base["params"][key], f"instance #{index} param {key!r}")
     for key in ("v", "w"):
         if key in base["params"]:
             parse_vector(base["params"][key], model)
@@ -222,7 +231,8 @@ def normalize_instance(raw: dict, index: int) -> list[dict]:
         rng = grid[key]
         if not (isinstance(rng, list) and len(rng) == 2):
             raise CliConfigError(f"grid axis {key!r} is not a [lo, hi] pair")
-        axes.append((key, range(int(rng[0]), int(rng[1]) + 1)))
+        lo, hi = (_config_int(end, f"grid axis {key!r} end") for end in rng)
+        axes.append((key, range(lo, hi + 1)))
     out = []
     for combo in product(*(rng for _, rng in axes)):
         inst = json.loads(json.dumps(base))
@@ -485,7 +495,7 @@ def _check_exclusion_sweep(ctx: _Ctx):
         if rep.exceptional_case:
             h00_exceptions.append((r, s, a, b))
         # raises unless chi(v . w) = 0, so a violation is an error, never a list entry
-        tower_instance(r, s, a, b)
+        k3_tower_row(r, s, a, b)
     er, es, ea, eb = DOCUMENTED_H00_EXCEPTION
     expected_exceptions = (
         [DOCUMENTED_H00_EXCEPTION]
@@ -535,7 +545,7 @@ def _audit_one_vector(v: MukaiVector, coeff_bound: int, parts_arg, with_oracle: 
         oracle_ok = True
         if with_oracle and (parts_arg in (None, 2)):
             two_part = [st for st in shown if len(st.parts) == 2]
-            oracle = strata_box_oracle(v, wall, coeff_bound=max(coeff_bound, 3))
+            oracle = strata_box_oracle(v, wall)
             oracle_ok = set(two_part) == set(oracle)
         entry = {
             "wall_d": wall.d,

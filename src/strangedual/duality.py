@@ -176,6 +176,40 @@ def tower_instance(r: int, s: int, a: int, b: int, model: SurfaceModel | None = 
     return DualityInstance(model, v, w, r, s, a, b, nu, line)
 
 
+def _k3_chi_product(v: tuple[int, ...], w: tuple[int, ...]) -> int:
+    """chi(v . w) = c1(v).c1(w) + r(v)s(w) + s(v)r(w) on elliptic-K3 coordinates.
+
+    A vector is (rank, sigma-coefficient, f-coefficient, s) with sigma^2 = -2,
+    sigma.f = 1 and f^2 = 0.
+    """
+    (r1, x1, y1, s1), (r2, x2, y2, s2) = v, w
+    return -2 * x1 * x2 + x1 * y2 + y1 * x2 + r1 * s2 + s1 * r2
+
+
+def k3_tower_row(r: int, s: int, a: int, b: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """``tower_instance`` on the elliptic K3 in plain integers.
+
+    Returns nu and the coordinates (rank, sigma, f, s) of
+
+        v = v_{r,a}                 = (r, sigma + (a - r(r-1))f, 1 - r),
+        w = twist(v_{s,b}, nu.f)    = (s, sigma + (b - s(s-1) + s.nu)f, 1 - s + nu),
+
+    and raises AssertionError, as ``tower_instance`` does, unless
+    chi(v . w) = 0, dim M(v) = 2a and dim M(w) = 2b.  The dimension is
+    <u, u> + 2 = 2 - chi(u . u*), with u* = (r, -c1, s) the dual.
+    """
+    nu = compute_nu(r, s, a, b)
+    v = (r, 1, a - r * (r - 1), 1 - r)
+    w = (s, 1, b - s * (s - 1) + s * nu, 1 - s + nu)
+    if _k3_chi_product(v, w) != 0:
+        raise AssertionError("chi(v . w) != 0 on a valid instance; this is a bug")
+    for u, half in ((v, a), (w, b)):
+        rank, x, y, slot = u
+        if 2 - _k3_chi_product(u, (rank, -x, -y, slot)) != 2 * half:
+            raise AssertionError("half-dimension bookkeeping failed; this is a bug")
+    return nu, v, w
+
+
 @dataclass(frozen=True)
 class LineBundleCheck:
     line_bundle: NSClass
@@ -566,6 +600,7 @@ __all__ = [
     "duality_line_bundle",
     "delta_bound",
     "tower_instance",
+    "k3_tower_row",
     "hypotheses_report",
     "dimension_match",
     "ogrady_tower",

@@ -24,6 +24,7 @@ from .surfaces import (
     ModelMismatchError,
     NSClass,
     SurfaceModel,
+    h0_coeffs,
     h0_surface,
 )
 
@@ -271,21 +272,20 @@ def exclusion_report(r: int, s: int, a: int, b: int) -> ExclusionReport:
 
     Requires (r, s, a, b) to pass the divisibility/bound conditions; the
     theta line bundle is L = O((r+s)sigma + (2(r+s) - 2 - nu)f) on the
-    elliptic K3.
+    elliptic K3.  Every count is ``h0_coeffs`` of L shifted by a multiple of
+    f or by -sigma, taken on L's coefficients (m, n).
     """
     from .duality import compute_nu, duality_line_bundle_class
 
     model_nu = compute_nu(r, s, a, b)
     line = duality_line_bundle_class(r, s, model_nu)
-    model = line.model
-    fib = model.fiber
-    sig = model.sigma
+    m, n = line.coeffs
 
-    h0_mbf = h0_surface(line - b * fib)
-    h0_maf = h0_surface(line - a * fib)
-    h0_a1 = h0_surface(line + (1 - a) * fib)
-    h0_b1 = h0_surface(line + (1 - b) * fib)
-    h0_msig = h0_surface(line - sig)
+    h0_mbf = h0_coeffs(m, n - b)
+    h0_maf = h0_coeffs(m, n - a)
+    h0_a1 = h0_coeffs(m, n + 1 - a)
+    h0_b1 = h0_coeffs(m, n + 1 - b)
+    h0_msig = h0_coeffs(m - 1, n)
     # L(-sigma) sits in the big-and-nef range for every valid parameter set
     assert h0_msig is not None
 
@@ -295,7 +295,7 @@ def exclusion_report(r: int, s: int, a: int, b: int) -> ExclusionReport:
     q1q2_right = None if h0_b1 is None else binom(h0_b1 + b - 1, b)
     s_count = binom(h0_msig, a + b)
 
-    h0_q = h0_surface(line + (1 - a - b) * fib)
+    h0_q = h0_coeffs(m, n + 1 - a - b)
     assert h0_q == 0  # fiber coefficient is negative for every valid parameter set
     q_count = binom(h0_q + (a + b) - 1, a + b)
 

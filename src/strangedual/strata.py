@@ -37,7 +37,6 @@ from .surfaces import (
     MukaiVector,
     NSClass,
     SurfaceModel,
-    chi_vec,
     mukai_pair,
     ns_pair,
 )
@@ -50,10 +49,21 @@ def stack_dim(v: MukaiVector) -> int | None:
     """
     if v.r < 1:
         raise ValueError("stack dimension needs rank >= 1")
-    q = mukai_pair(v, v)
+    if not v.model.is_k3:
+        raise ModelMismatchError("stack dimensions use the Mukai pairing of the K3 models")
+    return _stack_dim(v.r, ns_pair(v.c1, v.c1), gcd(*v.c1.coeffs), v.s)
+
+
+def _stack_dim(r: int, c1sq: int, c1_content: int, s: int) -> int | None:
+    """``stack_dim`` of (r, c1, s) on a K3 model, from c1^2 and gcd(c1).
+
+    On a K3 <v, v> = c1^2 - 2rs, and the gcd of v's coordinates is
+    gcd(r, gcd of c1's coefficients, s).
+    """
+    q = c1sq - 2 * r * s
     if q > 0:
         return q + 1
-    el = v.content()
+    el = gcd(r, c1_content, s)
     if q == 0:
         return el
     if q < -2 * el * el:
@@ -62,6 +72,18 @@ def stack_dim(v: MukaiVector) -> int | None:
     # l copies of the unique rigid stable sheaf, a BGL(l) stack
     assert q == -2 * el * el
     return -el * el
+
+
+def _nonempty_slots(r: int, c1: NSClass, slots: range) -> list[tuple[int, int]]:
+    """(s, stack dimension) for each slot s whose class (r, c1, s) is nonempty."""
+    c1sq = ns_pair(c1, c1)
+    content = gcd(*c1.coeffs)
+    out = []
+    for s in slots:
+        dim = _stack_dim(r, c1sq, content, s)
+        if dim is not None:
+            out.append((s, dim))
+    return out
 
 
 @dataclass(frozen=True)
@@ -204,10 +226,6 @@ class Stratum:
         return total
 
 
-def _is_nonempty(p: MukaiVector) -> bool:
-    return stack_dim(p) is not None
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         if total >= 1:
@@ -312,14 +330,23 @@ def _t_tuples(ranks, t_bounds, budget, dsq, r, xi_coeffs, d_coeffs):
 def _fill_degree_components(v, ranks, ts, parts_c1, q_v):
     """Enumerate degree-4 slots within the Bogomolov/complement window.
 
+    Parts come in strictly decreasing Gieseker keys (t_i/r_i, then
+    chi_i/r_i), so a t-tuple whose first keys rise anywhere gives nothing.
     Each part's window first drops the slots whose class admits no
-    semistable sheaf.  The slot tuples summing to v.s are then taken from
-    the product of the windows in lexicographic order, skipping every slot
-    that leaves the later parts no reachable sum.
+    semistable sheaf, tested on integers.  The slot tuples summing to v.s
+    are then taken from the product of the windows in lexicographic order,
+    skipping every slot that leaves the later parts no reachable sum; a
+    ``MukaiVector`` is built only for the parts of a stratum that is kept.
     """
     r = v.r
     k = len(ranks)
-    windows = []  # per part: (s, part, stack dimension) for the nonempty slots
+    ties = []  # per neighbour pair: equal first keys, so chi_i/r_i decides
+    for i in range(k - 1):
+        left, right = ts[i] * ranks[i + 1], ts[i + 1] * ranks[i]
+        if left < right:
+            return
+        ties.append(left == right)
+    windows = []  # per part: (s, stack dimension) for the nonempty slots
     for ri, c1 in zip(ranks, parts_c1):
         c1sq = ns_pair(c1, c1)
         hi = (c1sq + 2 * ri * ri) // (2 * ri)  # <v_i^2> >= -2 r_i^2
@@ -327,47 +354,40 @@ def _fill_degree_components(v, ranks, ts, parts_c1, q_v):
         cap = Fraction(ri * q_v, r) + 2 * ri * (r - ri)
         lo_frac = (Fraction(c1sq) - cap) / (2 * ri)
         lo = _ceil_div(lo_frac.numerator, lo_frac.denominator)
-        window = []
-        for s in range(lo, hi + 1):
-            part = MukaiVector(ri, c1, s)
-            dim = stack_dim(part)
-            if dim is not None:
-                window.append((s, part, dim))
+        window = _nonempty_slots(ri, c1, range(lo, hi + 1))
         if not window:
             return
         windows.append(window)
-    last_window = {s: (part, dim) for s, part, dim in windows[k - 1]}
-    slots = [[s for s, _, _ in window] for window in windows]
+    last_window = dict(windows[k - 1])
+    slots = [[s for s, _ in window] for window in windows]
     # the slots of parts i, i+1, .. sum to between rest_lo[i] and rest_hi[i]
     rest_lo = [sum(w[0] for w in slots[i:]) for i in range(k)]
     rest_hi = [sum(w[-1] for w in slots[i:]) for i in range(k)]
-
-    keys = [Fraction(t, ri) for t, ri in zip(ts, ranks)]
+    dots = [[ns_pair(a, b) for b in parts_c1] for a in parts_c1]
 
     def rec(i, chosen, rest):
         if i == k - 1:
-            entry = last_window.get(rest)
-            if entry is not None:
-                yield chosen + (entry,)
+            dim = last_window.get(rest)
+            if dim is not None:
+                yield chosen + ((rest, dim),)
             return
         # only slots that leave the later parts a reachable sum
         lo = bisect_left(slots[i], rest - rest_hi[i + 1])
         hi = bisect_right(slots[i], rest - rest_lo[i + 1])
-        for s, part, dim in windows[i][lo:hi]:
-            yield from rec(i + 1, chosen + ((part, dim),), rest - s)
+        for entry in windows[i][lo:hi]:
+            yield from rec(i + 1, chosen + (entry,), rest - entry[0])
 
     for chosen in rec(0, (), v.s):
-        parts = tuple(part for part, _ in chosen)
-        dims = tuple(dim for _, dim in chosen)
-        full_keys = [
-            (keys[i], Fraction(chi_vec(parts[i]), ranks[i])) for i in range(k)
-        ]
-        if any(full_keys[i] <= full_keys[i + 1] for i in range(k - 1)):
+        ss = [s for s, _ in chosen]
+        # chi_i/r_i = s_i/r_i + 1 on the K3 must fall strictly on a tie
+        if any(tie and ss[i] * ranks[i + 1] <= ss[i + 1] * ranks[i] for i, tie in enumerate(ties)):
             continue
         pair_sum = 0
         for i in range(k):
             for j in range(i + 1, k):
-                pair_sum += mukai_pair(parts[i], parts[j])
+                pair_sum += dots[i][j] - ranks[i] * ss[j] - ss[i] * ranks[j]
+        dims = tuple(dim for _, dim in chosen)
+        parts = tuple(MukaiVector(ri, c1, s) for ri, c1, s in zip(ranks, parts_c1, ss))
         yield Stratum(parts, dims, sum(dims) + pair_sum)
 
 
@@ -379,47 +399,82 @@ def unordered_count(strata: list[Stratum]) -> int:
     return len(seen)
 
 
-def strata_box_oracle(
-    v: MukaiVector, wall: Wall, coeff_bound: int = 3, s_bound: int = 20
-) -> list[Stratum]:
-    """Brute-force two-part strata from a coordinate box, no pruning identity.
+def strata_box_oracle(v: MukaiVector, wall: Wall) -> list[Stratum]:
+    """Brute-force two-part strata from a box sized by v, no pruning identity.
 
-    Enumerates every first part (r1, x1.sigma + y1.f, s1) with
-    |x1|, |y1| <= coeff_bound and |s1| <= s_bound, takes the complement as
-    second part, and filters by the raw constraints: slope equality on the
-    wall, nonemptiness of both parts, and strictly decreasing Gieseker keys
-    just beyond the wall (fiber-degree slope, then reduced chi).  The key
-    computation is independent of the t-multiple parametrization used by the
-    pruned enumerator.
+    Enumerates every first part p1 = (r1, xi1, s1) with xi1 = x1.sigma +
+    y1.f in the box below, takes p2 = v - p1 = (r2, xi2, s2) as second part,
+    and filters by the raw constraints: slope equality on the wall,
+    nonemptiness of both parts, and strictly decreasing Gieseker keys just
+    beyond the wall (fiber-degree slope, then reduced chi).  Neither the
+    wall class nor the t-multiple parametrization of the pruned enumerator
+    is used.
+
+    The box.  Write v = (r, xi, s) with xi = x.sigma + y.f, and
+    E = r.xi1 - r1.xi = r2.xi1 - r1.xi2.  Expanding <p_i^2> = xi_i^2 - 2 r_i s_i
+    gives the identity
+
+        (r/r1) <p1^2> + (r/r2) <p2^2> = <v^2> + E^2 / (r1 r2).
+
+    * Bogomolov: a nonempty class has <p_i^2> >= -2 r_i^2, so the left side
+      is at least -2r^2, and -E^2 <= B = r1 r2 (<v^2> + 2r^2).
+    * Slope equality on the wall: E.H = 0 for H = sigma + m.f.  With
+      E = e.sigma + g.f this reads g = (2 - m)e.
+    * Hodge index, explicit on this lattice: E^2 = -2e^2 + 2eg = -2(m - 1)e^2,
+      negative unless E = 0, because m > 2.
+
+    Hence 2(m - 1)e^2 <= B, and x1 = (r1.x + e)/r lies within
+    (r1.x +- e_max)/r for e_max the largest e allowed.  At each x1 slope
+    equality r.(xi1.H) = r1.(xi.H) fixes y1, which must be an integer.
+    Bogomolov on each part then bounds s1 from both sides:
+    s1 <= (xi1^2 + 2r1^2)/(2r1) and s2 <= (xi2^2 + 2r2^2)/(2r2).  A class
+    outside these bounds has <p^2> < -2r^2 <= -2l^2 for l its content, so
+    ``stack_dim`` rejects it: the box drops no stratum.
     """
     if v.model.kind != ELLIPTIC_K3:
         raise ModelMismatchError("strata are enumerated on the elliptic K3 model")
-    h1 = _ample_ray_class(v.model, wall.m_value)
+    if wall.m_value <= 2:
+        raise ValueError("the ample range is m > 2")
+    model = v.model
+    r, x, s = v.r, v.c1.coeffs[0], v.s
+    q_v = mukai_pair(v, v)
+    h1 = _ample_ray_class(model, wall.m_value)  # den.sigma + num.f
+    den, num = h1.coeffs
+    xi_h = ns_pair(v.c1, h1)
+    sigma_h = ns_pair(model.sigma, h1)
+    fiber_h = ns_pair(model.fiber, h1)  # = den > 0
     out = []
-    rng = range(-coeff_bound, coeff_bound + 1)
-    for r1 in range(1, v.r):
-        r2 = v.r - r1
-        for x1 in rng:
-            for y1 in rng:
-                c1 = v.model.cls(x1, y1)
-                c2 = v.c1 - c1
-                if r2 * ns_pair(c1, h1) != r1 * ns_pair(c2, h1):
+    for r1 in range(1, r):
+        r2 = r - r1
+        budget = r1 * r2 * (q_v + 2 * r * r)
+        if budget < 0:
+            continue
+        # 2(m - 1)e^2 <= B with m = num/den
+        e_max = isqrt(den * budget // (2 * (num - den)))
+        for x1 in range(_ceil_div(r1 * x - e_max, r), (r1 * x + e_max) // r + 1):
+            # slope equality: r (x1 sigma.H + y1 f.H) = r1 xi.H
+            y_num = r1 * xi_h - r * x1 * sigma_h
+            if y_num % (r * fiber_h):
+                continue
+            c1 = model.cls(x1, y_num // (r * fiber_h))
+            c2 = v.c1 - c1
+            x2 = x - x1
+            s_hi = (ns_pair(c1, c1) + 2 * r1 * r1) // (2 * r1)
+            s_lo = s - (ns_pair(c2, c2) + 2 * r2 * r2) // (2 * r2)
+            dims2 = dict(_nonempty_slots(r2, c2, range(s - s_hi, s - s_lo + 1)))
+            cross = ns_pair(c1, c2)
+            for s1, d1 in _nonempty_slots(r1, c1, range(s_lo, s_hi + 1)):
+                s2 = s - s1
+                d2 = dims2.get(s2)
+                if d2 is None:
                     continue
-                for s1 in range(-s_bound, s_bound + 1):
-                    p1 = MukaiVector(r1, c1, s1)
-                    p2 = MukaiVector(r2, c2, v.s - s1)
-                    d1 = stack_dim(p1)
-                    d2 = stack_dim(p2)
-                    if d1 is None or d2 is None:
-                        continue
-                    key1 = (Fraction(ns_pair(c1, v.model.fiber), r1),
-                            Fraction(chi_vec(p1), r1))
-                    key2 = (Fraction(ns_pair(c2, v.model.fiber), r2),
-                            Fraction(chi_vec(p2), r2))
-                    if key1 <= key2:
-                        continue
-                    total = d1 + d2 + mukai_pair(p1, p2)
-                    out.append(Stratum((p1, p2), (d1, d2), total))
+                # keys (xi_i.f/r_i, chi_i/r_i) with xi_i.f = x_i and
+                # chi_i/r_i = s_i/r_i + 1, compared times r1 r2
+                if (x1 * r2, s1 * r2) <= (x2 * r1, s2 * r1):
+                    continue
+                parts = (MukaiVector(r1, c1, s1), MukaiVector(r2, c2, s2))
+                total = d1 + d2 + cross - r1 * s2 - s1 * r2
+                out.append(Stratum(parts, (d1, d2), total))
     return out
 
 

@@ -211,7 +211,7 @@ def chi_rr(d: NSClass) -> int:
     return num // 2 + model.chi_o
 
 
-def h0_surface(d: NSClass) -> int | None:
+def h0_coeffs(m: int, n: int) -> int | None:
     """Global-section count of O(m.sigma + n.f) on the elliptic K3.
 
     Returns None ("unknown") outside the ranges where the count is pinned:
@@ -219,9 +219,6 @@ def h0_surface(d: NSClass) -> int | None:
     n >= 2m; 1 for multiples of the section (n = 0, m >= 0); n + 1 for
     pure fiber classes (m = 0, n >= 0).
     """
-    if d.model.kind != ELLIPTIC_K3:
-        raise ModelMismatchError("section counts are pinned on the elliptic K3 only")
-    m, n = d.coeffs
     if m >= 0 and n < 0:
         return 0
     if m > 0 and n >= 2 * m:
@@ -231,6 +228,13 @@ def h0_surface(d: NSClass) -> int | None:
     if m == 0 and n >= 0:
         return n + 1
     return None
+
+
+def h0_surface(d: NSClass) -> int | None:
+    """``h0_coeffs`` of the class d = m.sigma + n.f of the elliptic K3."""
+    if d.model.kind != ELLIPTIC_K3:
+        raise ModelMismatchError("section counts are pinned on the elliptic K3 only")
+    return h0_coeffs(*d.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -194,14 +194,14 @@ def test_criterion_6_hn_strata():
     ok = ok and all(st.total_dim == 5 for st in strata)
     audit = codim_audit(v, wall)
     ok = ok and audit.min_codim == 2 and audit.bound == Fraction(1, 2) and audit.bound_satisfied
-    ok = ok and set(strata) == set(strata_box_oracle(v, wall, 3, 20))
+    ok = ok and set(strata) == set(strata_box_oracle(v, wall))
 
     audited = 0
     for s4 in range(-4, 1):
         vv = MukaiVector(2, E.sigma, s4)
         for w in wall_enumerate(vv, 3):
             pruned = strata_enumerate(vv, w, 2)
-            ok = ok and set(pruned) == set(strata_box_oracle(vv, w, 3, 20))
+            ok = ok and set(pruned) == set(strata_box_oracle(vv, w))
             for st in pruned:
                 audited += 1
                 ok = ok and chain_audit(vv, st).ok

@@ -263,20 +263,20 @@ class TestExclusionSweepGrid:
         result = run_instance(spec)["results"]["exclusion-sweep"]
         assert result["status"] == "pass"
         assert result["points_checked"] == 1829
-        # exclusion_report and tower_instance on each valid point, and
+        # exclusion_report and k3_tower_row on each valid point, and
         # theorem2_equivalence on all 2903 divisible points
         assert len(calls) == 2 * 1829 + 2903
 
     def test_non_orthogonal_point_does_not_pass(self, monkeypatch):
-        # tower_instance is the sweep's orthogonality check; break it at one point
-        bad = duality.tower_instance(2, 3, 13, 14)
-        original = duality.euler_form
+        # k3_tower_row is the sweep's orthogonality check; break it at one point
+        _, bad_v, bad_w = duality.k3_tower_row(2, 3, 13, 14)
+        original = duality._k3_chi_product
 
         def broken(v, w):
             value = original(v, w)
-            return value + 1 if (v, w) == (bad.v, bad.w) else value
+            return value + 1 if (v, w) == (bad_v, bad_w) else value
 
-        monkeypatch.setattr(duality, "euler_form", broken)
+        monkeypatch.setattr(duality, "_k3_chi_product", broken)
         spec = normalize_instance({"checks": ["exclusion-sweep"]}, 0)[0]
         result = run_instance(spec)["results"]["exclusion-sweep"]
         assert result["status"] != "pass"
@@ -465,7 +465,9 @@ class TestMainExitCodes:
         assert "STRANGEDUAL_WORKERS" in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("param", ["r: [2]", "a: nine", "chi_prime: {x: 1}"])
+    @pytest.mark.parametrize(
+        "param", ["r: [2]", "a: nine", "chi_prime: {x: 1}", "a: 9.6", "b: true"]
+    )
     def test_exit_two_on_wrongly_typed_param(self, tmp_path, capsys, param):
         params = {"r": "r: 2", "s": "s: 2", "a": "a: 9", "b": "b: 9", "chi_prime": None}
         params[param.split(":")[0]] = param
@@ -479,6 +481,21 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert param.split(":")[0] in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("axis", ["[x, 9]", "[1, 9.5]", "[true, 9]", "[1, [9]]"])
+    def test_exit_two_on_non_integer_grid_end(self, tmp_path, capsys, axis):
+        spec = tmp_path / "grid.yaml"
+        spec.write_text(
+            "instances:\n"
+            "  - params: {r: 2, s: 2, b: 9}\n"
+            f"    grid: {{a: {axis}}}\n"
+            "    checks: [nu]\n"
+        )
+        assert main(["batch", str(spec), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "grid axis 'a'" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_exit_two_on_missing_file(self):

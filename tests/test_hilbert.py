@@ -1,8 +1,16 @@
 """Picard classes on Hilbert schemes, section counts and exclusion logic."""
 
+from dataclasses import fields
+
 import pytest
 
-from strangedual.duality import compute_nu
+from strangedual.duality import (
+    compute_nu,
+    duality_line_bundle_class,
+    k3_divisible_points,
+    k3_tower_row,
+    tower_instance,
+)
 from strangedual.hilbert import (
     HilbPicClass,
     ProductClass,
@@ -17,7 +25,7 @@ from strangedual.hilbert import (
     taut_sym_sections,
     tau_pullback,
 )
-from strangedual.surfaces import elliptic_k3
+from strangedual.surfaces import ModelMismatchError, elliptic_k3, h0_coeffs
 
 E = elliptic_k3()
 
@@ -199,3 +207,82 @@ class TestExclusionReport:
                             exceptional.append((r, s, a, b))
         assert points > 100
         assert exceptional == [(2, 2, 9, 9)]
+
+
+def _reference_h0_surface(d):
+    """The pinned-range rule on a typed class, kept apart from ``h0_coeffs``."""
+    if d.model != E:
+        raise ModelMismatchError("section counts are pinned on the elliptic K3 only")
+    m, n = d.coeffs
+    if m >= 0 and n < 0:
+        return 0
+    if m > 0 and n >= 2 * m:
+        return 2 + m * (n - m)
+    if n == 0 and m >= 0:
+        return 1
+    if m == 0 and n >= 0:
+        return n + 1
+    return None
+
+
+def _reference_exclusion_report(r, s, a, b):
+    """The exclusion counts through NSClass arithmetic on L, as fields of the report."""
+    nu = compute_nu(r, s, a, b)
+    line = duality_line_bundle_class(r, s, nu)
+    fib, sig = E.fiber, E.sigma
+    h0_mbf = _reference_h0_surface(line - b * fib)
+    h0_maf = _reference_h0_surface(line - a * fib)
+    h0_a1 = _reference_h0_surface(line + (1 - a) * fib)
+    h0_b1 = _reference_h0_surface(line + (1 - b) * fib)
+    h0_msig = _reference_h0_surface(line - sig)
+    h0_q = _reference_h0_surface(line + (1 - a - b) * fib)
+    q1q2_excluded = h0_a1 == 0 or h0_b1 == 0
+    s_count = binom(h0_msig, a + b)
+    q_count = binom(h0_q + (a + b) - 1, a + b)
+    return dict(
+        r=r, s=s, a=a, b=b, nu=nu, line_bundle=line,
+        h0_l_minus_bf=h0_mbf,
+        h0_l_minus_af=h0_maf,
+        h0_l_a1f=h0_a1,
+        h0_l_b1f=h0_b1,
+        h0_l_minus_sigma=h0_msig,
+        q3_left_count=None if h0_mbf is None else binom(h0_mbf, a),
+        q3_right_count=None if h0_maf is None else binom(h0_maf, b),
+        q1q2_left_count=None if h0_a1 is None else binom(h0_a1 + a - 1, a),
+        q1q2_right_count=None if h0_b1 is None else binom(h0_b1 + b - 1, b),
+        s_count=s_count,
+        q_count=q_count,
+        q3_excluded=h0_mbf == 0 or h0_maf == 0,
+        q1q2_excluded=q1q2_excluded,
+        exceptional_case=not q1q2_excluded,
+        s_proper=s_count == 0,
+        q_proper=q_count == 0,
+    )
+
+
+# the acceptance batch's exclusion-sweep bounds, and one wider box
+EXCLUSION_BOXES = [(range(2, 5), range(2, 5), 60), (range(2, 7), range(2, 7), 120)]
+
+
+class TestIntegerExclusionRoute:
+    def test_h0_coeffs_matches_the_typed_rule(self):
+        for m in range(-6, 13):
+            for n in range(-6, 30):
+                assert h0_coeffs(m, n) == _reference_h0_surface(E.cls(m, n)), (m, n)
+
+    @pytest.mark.parametrize("r_rng,s_rng,ab_max", EXCLUSION_BOXES)
+    def test_reports_and_rows_match_the_typed_route(self, r_rng, s_rng, ab_max):
+        points = [p[:4] for p in k3_divisible_points(r_rng, s_rng, ab_max) if p[4]]
+        assert (2, 2, 9, 9) in points
+        for r, s, a, b in points:
+            rep = exclusion_report(r, s, a, b)
+            expected = _reference_exclusion_report(r, s, a, b)
+            got = {f.name: getattr(rep, f.name) for f in fields(rep)}
+            assert got == expected, (r, s, a, b)
+            inst = tower_instance(r, s, a, b)
+            nu, v, w = k3_tower_row(r, s, a, b)
+            assert nu == inst.nu
+            assert v == (inst.v.r, *inst.v.c1.coeffs, inst.v.s), (r, s, a, b)
+            assert w == (inst.w.r, *inst.w.c1.coeffs, inst.w.s), (r, s, a, b)
+        if ab_max == 60:
+            assert len(points) == 1829

@@ -1,12 +1,18 @@
 """Walls, stratum enumeration, and the codimension-estimate audits."""
 
+import json
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
+import strangedual.strata as strata
+from strangedual.cli import main, normalize_instance, run_instance
 from strangedual.strata import (
+    Stratum,
     Wall,
+    _ceil_div,
     _compositions,
     _t_tuples,
     chain_audit,
@@ -21,11 +27,16 @@ from strangedual.strata import (
     wall_enumerate,
 )
 from strangedual.surfaces import (
+    ModelMismatchError,
     MukaiVector,
+    chi_vec,
+    elliptic_general,
     elliptic_k3,
+    generic_k3,
     mukai_pair,
     normalized_vector,
     ns_pair,
+    twist,
 )
 
 E = elliptic_k3()
@@ -33,6 +44,37 @@ E = elliptic_k3()
 
 def vec(r, x, y, s):
     return MukaiVector(r, E.cls(x, y), s)
+
+
+def _reference_stack_dim(v):
+    """The typed route: the Mukai pairing and the content of the vector."""
+    q = mukai_pair(v, v)
+    if q > 0:
+        return q + 1
+    el = v.content()
+    if q == 0:
+        return el
+    if q < -2 * el * el:
+        return None
+    return -el * el
+
+
+# every vector the benchmark's seeded strata batches can draw (each class
+# r:1,y0:s0 twisted by k = -1 or 0 fibres), so both seed 1 and seed 7, plus
+# its fixed 4:1,0:-9; all audited at coeff_bound 4
+BENCH_CLASSES = {
+    2: ((0, -1), (0, -3), (0, -5), (0, -7), (1, 0), (1, -2), (1, -4), (1, -6)),
+    3: ((0, -2), (0, -5), (1, -1), (1, -4), (2, -2), (2, -5)),
+    4: ((0, -4), (1, -4), (2, -2)),
+}
+BENCH_VECTORS = [
+    (r, y0 + r * k, s0 + k)
+    for r, classes in BENCH_CLASSES.items()
+    for y0, s0 in classes
+    for k in (-1, 0)
+] + [(4, 0, -9)]
+# vectors whose strata left the oracle's former fixed box
+ORACLE_PROBES = [(4, 0, -9), (4, 0, -10), (4, -1, -9), (2, -4, -14), (4, -8, -6)]
 
 
 class TestStackDim:
@@ -189,19 +231,215 @@ class TestStrataEnumeration:
                     assert stratum_codim_ok(v, st)
 
 
+def _reference_fill_degree_components(v, ranks, ts, parts_c1, q_v):
+    """The slot filler on typed vectors: every slot of the window through stack_dim."""
+    r = v.r
+    k = len(ranks)
+    windows = []
+    for ri, c1 in zip(ranks, parts_c1):
+        c1sq = ns_pair(c1, c1)
+        hi = (c1sq + 2 * ri * ri) // (2 * ri)
+        cap = Fraction(ri * q_v, r) + 2 * ri * (r - ri)
+        lo_frac = (Fraction(c1sq) - cap) / (2 * ri)
+        lo = _ceil_div(lo_frac.numerator, lo_frac.denominator)
+        window = []
+        for s in range(lo, hi + 1):
+            part = MukaiVector(ri, c1, s)
+            dim = _reference_stack_dim(part)
+            if dim is not None:
+                window.append((s, part, dim))
+        if not window:
+            return
+        windows.append(window)
+    last_window = {s: (part, dim) for s, part, dim in windows[k - 1]}
+    slots = [[s for s, _, _ in window] for window in windows]
+    rest_lo = [sum(w[0] for w in slots[i:]) for i in range(k)]
+    rest_hi = [sum(w[-1] for w in slots[i:]) for i in range(k)]
+    keys = [Fraction(t, ri) for t, ri in zip(ts, ranks)]
+
+    def rec(i, chosen, rest):
+        if i == k - 1:
+            entry = last_window.get(rest)
+            if entry is not None:
+                yield chosen + (entry,)
+            return
+        lo = bisect_left(slots[i], rest - rest_hi[i + 1])
+        hi = bisect_right(slots[i], rest - rest_lo[i + 1])
+        for s, part, dim in windows[i][lo:hi]:
+            yield from rec(i + 1, chosen + ((part, dim),), rest - s)
+
+    for chosen in rec(0, (), v.s):
+        parts = tuple(part for part, _ in chosen)
+        dims = tuple(dim for _, dim in chosen)
+        full_keys = [(keys[i], Fraction(chi_vec(parts[i]), ranks[i])) for i in range(k)]
+        if any(full_keys[i] <= full_keys[i + 1] for i in range(k - 1)):
+            continue
+        pair_sum = 0
+        for i in range(k):
+            for j in range(i + 1, k):
+                pair_sum += mukai_pair(parts[i], parts[j])
+        yield Stratum(parts, dims, sum(dims) + pair_sum)
+
+
+def _reference_strata_box_oracle(v, wall, coeff_bound, s_bound):
+    """The oracle with a fixed box |x1|, |y1| <= coeff_bound, |s1| <= s_bound."""
+    h1 = E.cls(wall.m_value.denominator, wall.m_value.numerator)
+    out = []
+    rng = range(-coeff_bound, coeff_bound + 1)
+    for r1 in range(1, v.r):
+        r2 = v.r - r1
+        for x1 in rng:
+            for y1 in rng:
+                c1 = E.cls(x1, y1)
+                c2 = v.c1 - c1
+                if r2 * ns_pair(c1, h1) != r1 * ns_pair(c2, h1):
+                    continue
+                for s1 in range(-s_bound, s_bound + 1):
+                    p1 = MukaiVector(r1, c1, s1)
+                    p2 = MukaiVector(r2, c2, v.s - s1)
+                    d1, d2 = _reference_stack_dim(p1), _reference_stack_dim(p2)
+                    if d1 is None or d2 is None:
+                        continue
+                    key1 = (Fraction(ns_pair(c1, E.fiber), r1), Fraction(chi_vec(p1), r1))
+                    key2 = (Fraction(ns_pair(c2, E.fiber), r2), Fraction(chi_vec(p2), r2))
+                    if key1 <= key2:
+                        continue
+                    out.append(Stratum((p1, p2), (d1, d2), d1 + d2 + mukai_pair(p1, p2)))
+    return out
+
+
+def _all_strata(v, coeff_bound=4):
+    """Every wall of v with its strata for 2..r parts, in enumeration order."""
+    return [
+        (wall, [st for k in range(2, v.r + 1) for st in strata_enumerate(v, wall, k)])
+        for wall in wall_enumerate(v, coeff_bound)
+    ]
+
+
+class TestIntegerSlots:
+    def test_stack_dim_matches_typed_route(self):
+        rng = range(-4, 5)
+        for r in range(1, 5):
+            for x in rng:
+                for y in rng:
+                    for s in range(-12, 13):
+                        v = vec(r, x, y, s)
+                        assert stack_dim(v) == _reference_stack_dim(v), v
+        for x in range(-3, 4):
+            for s in range(-6, 7):
+                v = MukaiVector(2, generic_k3(4).cls(x), s)
+                assert stack_dim(v) == _reference_stack_dim(v), v
+
+    def test_stack_dim_needs_a_k3_model(self):
+        with pytest.raises(ModelMismatchError):
+            stack_dim(MukaiVector(2, elliptic_general(3).cls(1, 0), -1))
+
+    @pytest.mark.parametrize("r,y,s", BENCH_VECTORS + ORACLE_PROBES[1:])
+    def test_enumeration_matches_reference_filler(self, monkeypatch, r, y, s):
+        v = vec(r, 1, y, s)
+        got = _all_strata(v)
+        monkeypatch.setattr(strata, "_fill_degree_components", _reference_fill_degree_components)
+        assert got == _all_strata(v)
+
+    def test_core_matches_typed_route_on_every_slot(self, monkeypatch):
+        # every slot tested by the enumerator and the oracle of a strata audit
+        original = strata._nonempty_slots
+        seen = []
+
+        def checked(r, c1, slots):
+            got = original(r, c1, slots)
+            expected = []
+            for s in slots:
+                dim = _reference_stack_dim(MukaiVector(r, c1, s))
+                if dim is not None:
+                    expected.append((s, dim))
+            assert got == expected, (r, c1, slots)
+            seen.append(len(slots))
+            return got
+
+        monkeypatch.setattr(strata, "_nonempty_slots", checked)
+        for r, y, s in BENCH_VECTORS:
+            spec = normalize_instance(
+                {
+                    "params": {"v": f"{r}:1,{y}:{s}"},
+                    "checks": ["strata-audit"],
+                    "bounds": {"coeff_bound": 4},
+                },
+                0,
+            )[0]
+            assert run_instance(spec)["results"]["strata-audit"]["status"] == "pass"
+        assert sum(seen) > 1000
+
+
 class TestOracle:
     @pytest.mark.parametrize("s4", range(-4, 1))
     def test_pruned_matches_box_bruteforce(self, s4):
         v = vec(2, 1, 0, s4)
         for wall in wall_enumerate(v, 3):
             pruned = strata_enumerate(v, wall, 2)
-            oracle = strata_box_oracle(v, wall, coeff_bound=3, s_bound=20)
+            oracle = strata_box_oracle(v, wall)
             assert set(pruned) == set(oracle), (s4, wall.d, wall.m_value)
-            # the box provably covers: every pruned part sits strictly inside
-            for st in pruned:
-                for p in st.parts:
-                    assert all(abs(c) < 3 for c in p.c1.coeffs)
-                    assert abs(p.s) < 20
+
+    @pytest.mark.parametrize("r,x,y,s", [(2, 2, 0, -4), (3, 3, 0, -3), (4, 2, 2, -6)])
+    def test_non_primitive_vectors(self, r, x, y, s):
+        # proportional parts tie in both Gieseker keys and must be left out
+        v = vec(r, x, y, s)
+        for wall in wall_enumerate(v, 4):
+            assert set(strata_box_oracle(v, wall)) == set(strata_enumerate(v, wall, 2))
+
+    @pytest.mark.parametrize("r,y,s", ORACLE_PROBES)
+    def test_probes_pass(self, tmp_path, r, y, s):
+        out = tmp_path / "probe.json"
+        code = main(["strata", "--v", f"{r}:1,{y}:{s}", "--coeff-bound", "4",
+                     "--out", str(out), "--quiet"])
+        assert code == 0
+        v = vec(r, 1, y, s)
+        for wall, listed in _all_strata(v):
+            two_part = [st for st in listed if len(st.parts) == 2]
+            assert set(strata_box_oracle(v, wall)) == set(two_part)
+
+    def test_derived_box_covers_a_larger_fixed_box(self):
+        # the stratum the former 3/20 box missed lies on sigma - 4f (m = 6)
+        v = vec(4, 1, 0, -9)
+        wall = [w for w in wall_enumerate(v, 4) if w.m_value == 6][0]
+        missed = Stratum((vec(2, 2, -6, -6), vec(2, -1, 6, -3)), None, None)
+        found = strata_box_oracle(v, wall)
+        assert missed.parts in {st.parts for st in found}
+        assert set(found) == set(_reference_strata_box_oracle(v, wall, 8, 40))
+
+    def test_wall_outside_the_ample_range(self):
+        # sigma is orthogonal to the nef class sigma + 2f, where the box has no bound
+        with pytest.raises(ValueError):
+            strata_box_oracle(vec(2, 1, 0, -2), Wall(E.sigma, Fraction(2), ()))
+
+
+class TestFibreTwist:
+    """Twisting by k fibres is an isometry r:1,y:s -> r:1,(y+rk):(s+k) that
+    keeps the walls and maps every stratum part p to twist(p, k.f)."""
+
+    @pytest.mark.parametrize("r,y,s,k", [(4, 0, -4, -2), (3, 0, -2, -2), (3, 1, -1, 2)])
+    def test_strata_map_onto_the_twisted_strata(self, r, y, s, k):
+        v = vec(r, 1, y, s)
+        tv = twist(v, k * E.fiber)
+        assert tv == vec(r, 1, y + r * k, s + k)
+        before, after = _all_strata(v), _all_strata(tv)
+        assert [(w.d, w.m_value) for w, _ in before] == [(w.d, w.m_value) for w, _ in after]
+        assert sum(len(listed) for _, listed in before) > 0
+        for (_, listed), (_, twisted) in zip(before, after):
+            assert twisted == [
+                Stratum(tuple(twist(p, k * E.fiber) for p in st.parts), st.dims, st.total_dim)
+                for st in listed
+            ]
+
+    def test_audits_agree_on_a_twisted_pair(self, tmp_path):
+        walls = []
+        for text in ("4:1,0:-4", "4:1,-8:-6"):
+            out = tmp_path / "twist.json"
+            assert main(["strata", "--v", text, "--coeff-bound", "4",
+                         "--out", str(out), "--quiet"]) == 0
+            doc = json.loads(out.read_text())
+            walls.append(doc["instances"][0]["results"]["strata-audit"]["vectors"][0]["walls"])
+        assert walls[0] == walls[1]
 
 
 def _reference_t_tuples(ranks, t_bounds, budget, dsq, r):
