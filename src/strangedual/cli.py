@@ -29,7 +29,9 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
+from typing import Callable
 
 import yaml
 
@@ -135,13 +137,13 @@ INT_PARAMS = ("r", "s", "a", "b", "chi", "chi_prime")
 
 def resolve_surface(spec: dict) -> SurfaceModel:
     kind = spec.get("kind", "elliptic-k3")
-    if kind not in SURFACE_KINDS:
+    if not isinstance(kind, str) or kind not in SURFACE_KINDS:
         raise CliConfigError(f"unknown surface kind {kind!r}")
     try:
         if kind == "generic-k3":
-            return generic_k3(int(spec.get("degree", 0)))
+            return generic_k3(_config_int(spec.get("degree", 0), "surface degree"))
         if kind == "elliptic-general":
-            return elliptic_general(int(spec.get("chi_o", 0)))
+            return elliptic_general(_config_int(spec.get("chi_o", 0), "surface chi_o"))
         return elliptic_k3()
     except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
@@ -167,13 +169,12 @@ def parse_vector(text: str, model: SurfaceModel) -> MukaiVector:
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
+    """An integer, or "p/q" with integers p and q != 0."""
+    if not (isinstance(text, str) and "/" in text):
+        return Fraction(_config_int(text, "rational"))
     try:
-        if "/" in str(text):
-            num, den = str(text).split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        num, den = text.split("/")
+        return Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise CliConfigError(f"bad rational {text!r}") from exc
 
@@ -191,6 +192,57 @@ def _config_int(value, what: str) -> int:
         raise CliConfigError(f"{what} is not an integer: {value!r}") from None
 
 
+@dataclasses.dataclass(frozen=True)
+class Bound:
+    """One bound a check reads: its type, its default and, where the check
+    has nothing to examine below some value, that lower bound."""
+
+    kind: type  # int, bool, or list for a list of ints
+    default: object = None  # None: the check reads "not given"
+    lo: int | None = None
+
+    def read(self, value, what: str):
+        if self.kind is bool:
+            if not isinstance(value, bool):
+                raise CliConfigError(f"{what} is not a boolean: {value!r}")
+            return value
+        if self.kind is list:
+            if not isinstance(value, list):
+                raise CliConfigError(f"{what} is not a list of integers: {value!r}")
+            return tuple(_config_int(x, what) for x in value)
+        return _config_int(value, what)
+
+
+def check_arguments(spec: dict, where: str = "instance") -> tuple[SurfaceModel, dict[str, dict]]:
+    """The model of a spec and the typed keyword arguments of each requested
+    check, read as ``CHECKS`` declares them.  Raises CliConfigError on an
+    unknown check, a malformed surface, param or bound, and on a bound that
+    none of the requested checks reads."""
+    model = resolve_surface(spec["surface"])
+    params = {}
+    for key, value in spec["params"].items():
+        if key in ("v", "w"):
+            params[key] = parse_vector(value, model)
+        elif key == "m":
+            params[key] = parse_rational(value)
+        elif key in INT_PARAMS:
+            params[key] = _config_int(value, f"{where} param {key!r}")
+    given = spec["bounds"]
+    args = {}
+    for name in spec["checks"]:
+        if not isinstance(name, str) or name not in CHECKS:
+            raise CliConfigError(f"{where} requests unknown check {name!r}")
+        check = CHECKS[name]
+        args[name] = {key: params.get(key) for key in check.params}
+        for key, bound in check.bounds.items():
+            what = f"{where} bound {key!r}"
+            args[name][key] = bound.read(given[key], what) if key in given else bound.default
+    unread = [key for key in given if all(key not in CHECKS[name].bounds for name in args)]
+    if unread:
+        raise CliConfigError(f"{where} bounds {unread} are read by none of its checks")
+    return model, args
+
+
 def normalize_instance(raw: dict, index: int) -> list[dict]:
     """Validate one raw instance and expand its grid, if any."""
     if not isinstance(raw, dict):
@@ -201,9 +253,9 @@ def normalize_instance(raw: dict, index: int) -> list[dict]:
     checks = raw.get("checks")
     if not isinstance(checks, list) or not checks:
         raise CliConfigError(f"instance #{index} lists no checks")
-    for c in checks:
-        if c not in CHECK_ORDER:
-            raise CliConfigError(f"instance #{index} requests unknown check {c!r}")
+    for key in ("surface", "params", "bounds"):
+        if not isinstance(raw.get(key) or {}, dict):
+            raise CliConfigError(f"instance #{index} {key} is not a mapping")
     base = {
         "name": str(raw.get("name", f"instance-{index}")),
         "surface": dict(raw.get("surface") or {"kind": "elliptic-k3"}),
@@ -211,23 +263,18 @@ def normalize_instance(raw: dict, index: int) -> list[dict]:
         "checks": list(checks),
         "bounds": dict(raw.get("bounds") or {}),
     }
-    # validate eagerly: malformed surfaces/vectors are config errors (exit 2)
-    model = resolve_surface(base["surface"])
-    for key in INT_PARAMS:
-        if key in base["params"]:
-            _config_int(base["params"][key], f"instance #{index} param {key!r}")
-    for key in ("v", "w"):
-        if key in base["params"]:
-            parse_vector(base["params"][key], model)
-    if "m" in base["params"]:
-        parse_rational(base["params"]["m"])
+    # validate eagerly: malformed surfaces, params and bounds are config errors (exit 2)
+    check_arguments(base, f"instance #{index}")
     grid = raw.get("grid")
     if not grid:
         return [base]
-    if not isinstance(grid, dict) or not grid:
+    if not isinstance(grid, dict):
         raise CliConfigError(f"instance #{index} grid is not a mapping")
     axes = []
-    for key in sorted(grid):
+    for key in sorted(grid, key=str):
+        # the grid sets integer params only, so the checks above hold at every point
+        if key not in INT_PARAMS:
+            raise CliConfigError(f"grid axis {key!r} is not one of the integer params {INT_PARAMS}")
         rng = grid[key]
         if not (isinstance(rng, list) and len(rng) == 2):
             raise CliConfigError(f"grid axis {key!r} is not a [lo, hi] pair")
@@ -274,36 +321,27 @@ def load_batch(path: str) -> list[dict]:
 
 
 class _Ctx:
-    def __init__(self, spec: dict):
-        self.spec = spec
-        self.model = resolve_surface(spec["surface"])
-        self.params = spec["params"]
-        self.bounds = spec["bounds"]
+    """The model of one instance and the tower instance its checks share."""
+
+    def __init__(self, model: SurfaceModel):
+        self.model = model
         self.cache: dict = {}
 
-    def int_param(self, *names: str) -> list[int]:
-        missing = [n for n in names if n not in self.params]
-        if missing:
-            raise KeyError(f"missing params {missing}")
-        return [int(self.params[n]) for n in names]
-
-    def bound(self, name: str, default):
-        return self.bounds.get(name, default)
-
-    def instance(self):
-        if "instance" not in self.cache:
-            r, s, a, b = self.int_param("r", "s", "a", "b")
-            self.cache["instance"] = tower_instance(r, s, a, b, self.model)
-        return self.cache["instance"]
+    def instance(self, r, s, a, b):
+        if None in (r, s, a, b):
+            raise KeyError("missing params: need r, s, a and b")
+        if (r, s, a, b) not in self.cache:
+            self.cache[r, s, a, b] = tower_instance(r, s, a, b, self.model)
+        return self.cache[r, s, a, b]
 
 
-def _check_nu(ctx: _Ctx):
-    inst = ctx.instance()
+def _check_nu(ctx: _Ctx, r, s, a, b):
+    inst = ctx.instance(r, s, a, b)
     return "pass", {"nu": inst.nu, "v": inst.v, "w": inst.w}
 
 
-def _check_line_bundle(ctx: _Ctx):
-    check = duality_line_bundle(ctx.instance())
+def _check_line_bundle(ctx: _Ctx, r, s, a, b):
+    check = duality_line_bundle(ctx.instance(r, s, a, b))
     return "pass" if check.ok else "fail", {
         "L": check.line_bundle,
         "chi": check.chi,
@@ -312,21 +350,19 @@ def _check_line_bundle(ctx: _Ctx):
     }
 
 
-def _check_chi_vanishing(ctx: _Ctx):
-    inst = ctx.instance()
+def _check_chi_vanishing(ctx: _Ctx, r, s, a, b):
+    inst = ctx.instance(r, s, a, b)
     value = euler_form(inst.v, inst.w)
     return ("pass" if value == 0 else "fail"), {"chi_product": value}
 
 
-def _check_dimension_match(ctx: _Ctx):
-    left, right, equal = dimension_match(ctx.instance())
+def _check_dimension_match(ctx: _Ctx, r, s, a, b):
+    left, right, equal = dimension_match(ctx.instance(r, s, a, b))
     return ("pass" if equal else "fail"), {"left": left, "right": right, "equal": equal}
 
 
-def _check_exclusions(ctx: _Ctx):
-    inst = ctx.instance()
-    if inst.surface.kind != ELLIPTIC_K3:
-        return "error:model", {"reason": "exclusion counts are pinned on the elliptic K3"}
+def _check_exclusions(ctx: _Ctx, r, s, a, b):
+    inst = ctx.instance(r, s, a, b)
     rep = exclusion_report(inst.r, inst.s, inst.a, inst.b)
     documented_exception = (inst.r, inst.s, inst.a, inst.b) == DOCUMENTED_H00_EXCEPTION
     ok = (
@@ -338,37 +374,24 @@ def _check_exclusions(ctx: _Ctx):
     return ("pass" if ok else "fail"), {"report": rep}
 
 
-def _check_tower(ctx: _Ctx):
-    r_max = int(ctx.bound("r_max", 10))
-    if "a_max" in ctx.bounds:
-        a_values = range(0, int(ctx.bounds["a_max"]) + 1)
+def _check_tower(ctx: _Ctx, a, r_max, a_max):
+    if a_max is not None:
+        a_values = range(0, a_max + 1)
     else:
-        a_values = [int(ctx.params.get("a", 9))]
-    if r_max < 1 or not a_values:
-        return "error:empty", {
-            "reason": "no tower vector to check: need r_max >= 1 and some a",
-            "r_max": r_max,
-            "a_checked": 0,
-        }
-    failures = []
-    for a in a_values:
-        result = ogrady_tower(r_max, a, ctx.model)
-        if not result.ok:
-            failures.append(a)
-    data = {"r_max": r_max, "a_checked": len(list(a_values)), "failures": failures}
+        a_values = [9 if a is None else a]
+    failures = [x for x in a_values if not ogrady_tower(r_max, x, ctx.model).ok]
+    data = {"r_max": r_max, "a_checked": len(a_values), "failures": failures}
     return ("pass" if not failures else "fail"), data
 
 
-def _check_sign_law(ctx: _Ctx):
-    bound = int(ctx.bound("coord_bound", 3))
-    degrees = list(ctx.bound("degrees", [2, 4, 6, 8]))
+def _check_sign_law(ctx: _Ctx, coord_bound, degrees):
     total = 0
     mismatches = 0
-    checked_e, bad_e, discrepancy = sign_law_sweep(elliptic_k3(), bound)
+    checked_e, bad_e, discrepancy = sign_law_sweep(elliptic_k3(), coord_bound)
     total += checked_e
     mismatches += len(bad_e)
     for deg in degrees:
-        checked_g, bad_g, _ = sign_law_sweep(generic_k3(int(deg)), bound)
+        checked_g, bad_g, _ = sign_law_sweep(generic_k3(deg), coord_bound)
         total += checked_g
         mismatches += len(bad_g)
     data = {
@@ -376,23 +399,10 @@ def _check_sign_law(ctx: _Ctx):
         "mismatches": mismatches,
         "documented_discrepancy": discrepancy,
     }
-    if total == 0:
-        reason = "the coordinate grid is empty: need coord_bound >= 0"
-        return "error:empty", {"reason": reason, **data}
     return ("pass" if mismatches == 0 else "fail"), data
 
 
-def _check_fm_verify(ctx: _Ctx):
-    if ctx.model.ns_rank != 2:
-        return "error:model", {"reason": "the transform lives on the elliptic models"}
-    r_max = int(ctx.bound("r_max", 6))
-    a_max = int(ctx.bound("a_max", 20))
-    if r_max < 1 or a_max < 0:
-        return "error:empty", {
-            "reason": "no (r, a) row to check: need r_max >= 1 and a_max >= 0",
-            "r_max": r_max,
-            "a_max": a_max,
-        }
+def _check_fm_verify(ctx: _Ctx, r_max, a_max):
     matrix, diag = derive_fm_matrix(ctx.model)
     report = verify_fm_suite(matrix, r_max, a_max)
     ok = diag.unique and diag.isometry_ok and report.all_ok
@@ -411,16 +421,15 @@ def _check_fm_verify(ctx: _Ctx):
     return ("pass" if ok else "fail"), data
 
 
-def _check_theta_relation(ctx: _Ctx):
-    if all(k in ctx.params for k in ("r", "s", "chi", "chi_prime")):
-        r, s, chi, chi_p = ctx.int_param("r", "s", "chi", "chi_prime")
-        h2 = 2 * r * s - r * chi_p - s * chi
+def _check_theta_relation(ctx: _Ctx, r, s, chi, chi_prime, r_lo, r_hi, chi_lo, chi_hi):
+    if None not in (r, s, chi, chi_prime):
+        h2 = 2 * r * s - r * chi_prime - s * chi
         if h2 <= 0 or h2 % 2:
             return "error:parameters", {"reason": f"induced H^2 = {h2} has no even model"}
         model = generic_k3(h2)
         h = model.hyperplane
         res = theta_relation_identity(
-            MukaiVector(r, h, chi - r), MukaiVector(s, h, chi_p - s)
+            MukaiVector(r, h, chi - r), MukaiVector(s, h, chi_prime - s)
         )
         data = {
             "h_squared": h2,
@@ -430,19 +439,15 @@ def _check_theta_relation(ctx: _Ctx):
             "perpendicular": res.lambda_perp and res.mu_perp,
         }
         return ("pass" if res.ok else "fail"), data
-    checked, failures, crossed = theta_relation_sweep(
-        int(ctx.bound("r_lo", 2)),
-        int(ctx.bound("r_hi", 5)),
-        int(ctx.bound("chi_lo", -5)),
-        int(ctx.bound("chi_hi", 0)),
-    )
+    checked, failures, crossed = theta_relation_sweep(r_lo, r_hi, chi_lo, chi_hi)
     data = {"points_checked": checked, "failures": failures, "typed_cross_checked": crossed}
     return ("pass" if not failures else "fail"), data
 
 
-def _check_deformation(ctx: _Ctx):
-    r, s, chi, chi_p = ctx.int_param("r", "s", "chi", "chi_prime")
-    pair = deformation_setup(r, s, chi, chi_p)
+def _check_deformation(ctx: _Ctx, r, s, chi, chi_prime):
+    if None in (r, s, chi, chi_prime):
+        return "error:missing-params", {"reason": "need params r, s, chi and chi_prime"}
+    pair = deformation_setup(r, s, chi, chi_prime)
     data = {
         "h_squared": pair.degree,
         "elliptic_c1": pair.elliptic.v.c1,
@@ -452,31 +457,20 @@ def _check_deformation(ctx: _Ctx):
     return ("pass" if pair.pairings_agree else "fail"), data
 
 
-def _make_hypotheses_check(theorem: str):
-    def run(ctx: _Ctx):
-        if "v" in ctx.params and "w" in ctx.params:
-            v = parse_vector(ctx.params["v"], ctx.model)
-            w = parse_vector(ctx.params["w"], ctx.model)
-        elif all(k in ctx.params for k in ("r", "s", "a", "b")):
-            inst = ctx.instance()
-            v, w = inst.v, inst.w
-        else:
+def _check_hypotheses(ctx: _Ctx, theorem: str, v, w, r, s, a, b):
+    if v is None or w is None:
+        if None in (r, s, a, b):
             return "error:missing-params", {"reason": "need vectors v/w or (r, s, a, b)"}
-        rep = hypotheses_report(v, w, ctx.model, theorem)
-        return ("pass" if rep.verdict else "fail"), {
-            "conditions": rep.conditions,
-            "verdict": rep.verdict,
-        }
+        inst = ctx.instance(r, s, a, b)
+        v, w = inst.v, inst.w
+    rep = hypotheses_report(v, w, ctx.model, theorem)
+    return ("pass" if rep.verdict else "fail"), {
+        "conditions": rep.conditions,
+        "verdict": rep.verdict,
+    }
 
-    return run
 
-
-def _check_exclusion_sweep(ctx: _Ctx):
-    r_lo = int(ctx.bound("r_lo", 2))
-    r_hi = int(ctx.bound("r_hi", 4))
-    s_lo = int(ctx.bound("s_lo", 2))
-    s_hi = int(ctx.bound("s_hi", 4))
-    ab_max = int(ctx.bound("ab_max", 60))
+def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
     points = 0
     h0_violations = []
     h00_exceptions = []
@@ -568,44 +562,30 @@ def _audit_one_vector(v: MukaiVector, coeff_bound: int, parts_arg, with_oracle: 
     return all_ok, walls_data
 
 
-def _check_strata_audit(ctx: _Ctx):
-    if ctx.model.kind != ELLIPTIC_K3:
-        return "error:model", {"reason": "strata are enumerated on the elliptic K3"}
-    coeff_bound = int(ctx.bound("coeff_bound", 3))
-    if coeff_bound < 1:
-        return "error:empty", {
-            "reason": "the wall-class box is empty: need coeff_bound >= 1",
-            "coeff_bound": coeff_bound,
-        }
-    parts_arg = ctx.bounds.get("parts")
-    with_oracle = bool(ctx.bound("oracle", True))
-    vectors = []
-    if "v" in ctx.params:
-        vectors.append(parse_vector(ctx.params["v"], ctx.model))
+def _check_strata_audit(ctx: _Ctx, v, coeff_bound, parts, oracle, s4_lo, s4_hi):
+    if v is not None:
+        vectors = [v]
     else:
-        s4_lo = int(ctx.bound("s4_lo", -4))
-        s4_hi = int(ctx.bound("s4_hi", 0))
-        for s4 in range(s4_lo, s4_hi + 1):
-            vectors.append(MukaiVector(2, ctx.model.sigma, s4))
+        vectors = [MukaiVector(2, ctx.model.sigma, s4) for s4 in range(s4_lo, s4_hi + 1)]
     if not vectors:
         return "error:empty", {"reason": "no vector to audit: s4_lo > s4_hi"}
+    rank = max(u.r for u in vectors)
+    if parts is not None and parts > rank:
+        reason = f"no stratum has {parts} parts: need parts <= the rank {rank}"
+        return "error:empty", {"reason": reason, "parts": parts}
     results = []
     ok = True
     for v in vectors:
-        v_ok, walls_data = _audit_one_vector(
-            v, coeff_bound, int(parts_arg) if parts_arg else None, with_oracle
-        )
+        v_ok, walls_data = _audit_one_vector(v, coeff_bound, parts, oracle)
         results.append({"v": v, "ok": v_ok, "walls": walls_data})
         ok = ok and v_ok
     return ("pass" if ok else "fail"), {"coeff_bound": coeff_bound, "vectors": results}
 
 
-def _check_suitability(ctx: _Ctx):
-    if "v" not in ctx.params or "m" not in ctx.params:
+def _check_suitability(ctx: _Ctx, v, m, coeff_bound):
+    if v is None or m is None:
         return "error:missing-params", {"reason": "need params v and m"}
-    v = parse_vector(ctx.params["v"], ctx.model)
-    m = parse_rational(ctx.params["m"])
-    rep = is_suitable(m, v, int(ctx.bound("coeff_bound", 3)))
+    rep = is_suitable(m, v, coeff_bound)
     data = {
         "suitable": rep.suitable,
         "max_wall": rep.max_wall,
@@ -626,9 +606,7 @@ def _minimal_valid_total(r: int, s: int, model: SurfaceModel) -> int:
             continue
 
 
-def _check_general_consistency(ctx: _Ctx):
-    chi_list = [int(c) for c in ctx.bound("chi_list", [2, 3, 4])]
-    ranks = [int(x) for x in ctx.bound("ranks", [2, 3])]
+def _check_general_consistency(ctx: _Ctx, chi_list, ranks):
     details = []
     ok = True
     for chi_o in chi_list:
@@ -667,41 +645,102 @@ def _check_general_consistency(ctx: _Ctx):
     return ("pass" if ok else "fail"), {"delta_2_2_chi2": delta, "cases": details}
 
 
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """A check and all it reads: ``run(ctx, **args)`` gets its params (None when
+    not given) and bounds as typed keyword arguments and returns (status, data).
+    ``examined`` names the count an ``error:empty`` report sets to 0."""
+
+    run: Callable
+    requires: tuple[str, ...] = ()  # checks that must pass first
+    params: tuple[str, ...] = ()
+    bounds: dict[str, Bound] = dataclasses.field(default_factory=dict)
+    models: tuple[str, ...] = ()  # the model kinds it runs on; empty: every kind
+    model_reason: str = ""
+    examined: str | None = None
+
+
+RSAB = ("r", "s", "a", "b")
+THETA_PARAMS = ("r", "s", "chi", "chi_prime")
 CHECKS = {
-    "nu": (_check_nu, ()),
-    "line-bundle": (_check_line_bundle, ("nu",)),
-    "chi-vanishing": (_check_chi_vanishing, ("nu",)),
-    "dimension-match": (_check_dimension_match, ("nu",)),
-    "exclusions": (_check_exclusions, ("nu",)),
-    "tower": (_check_tower, ()),
-    "sign-law": (_check_sign_law, ()),
-    "fm-verify": (_check_fm_verify, ()),
-    "theta-relation": (_check_theta_relation, ()),
-    "deformation": (_check_deformation, ()),
-    "hypotheses-T1": (_make_hypotheses_check("T1"), ()),
-    "hypotheses-T1A": (_make_hypotheses_check("T1A"), ()),
-    "hypotheses-T2": (_make_hypotheses_check("T2"), ()),
-    "hypotheses-T5": (_make_hypotheses_check("T5"), ()),
-    "hypotheses-Conj": (_make_hypotheses_check("Conj"), ()),
-    "exclusion-sweep": (_check_exclusion_sweep, ()),
-    "strata-audit": (_check_strata_audit, ()),
-    "suitability": (_check_suitability, ()),
-    "general-consistency": (_check_general_consistency, ()),
+    "nu": Check(_check_nu, params=RSAB),
+    "line-bundle": Check(_check_line_bundle, ("nu",), RSAB),
+    "chi-vanishing": Check(_check_chi_vanishing, ("nu",), RSAB),
+    "dimension-match": Check(_check_dimension_match, ("nu",), RSAB),
+    "exclusions": Check(_check_exclusions, ("nu",), RSAB, models=(ELLIPTIC_K3,),
+                        model_reason="exclusion counts are pinned on the elliptic K3"),
+    "tower": Check(_check_tower, params=("a",), examined="a_checked", bounds={
+        "r_max": Bound(int, 10, lo=1),
+        "a_max": Bound(int, lo=0),
+    }),
+    "sign-law": Check(_check_sign_law, examined="pairs_checked", bounds={
+        "coord_bound": Bound(int, 3, lo=0),
+        "degrees": Bound(list, (2, 4, 6, 8)),
+    }),
+    "fm-verify": Check(_check_fm_verify, models=(ELLIPTIC_K3, ELLIPTIC_GENERAL),
+                       model_reason="the transform lives on the elliptic models", bounds={
+        "r_max": Bound(int, 6, lo=1),
+        "a_max": Bound(int, 20, lo=0),
+    }),
+    "theta-relation": Check(_check_theta_relation, params=THETA_PARAMS, bounds={
+        "r_lo": Bound(int, 2),
+        "r_hi": Bound(int, 5),
+        "chi_lo": Bound(int, -5),
+        "chi_hi": Bound(int, 0),
+    }),
+    "deformation": Check(_check_deformation, params=THETA_PARAMS),
+    **{
+        f"hypotheses-{t}": Check(partial(_check_hypotheses, theorem=t), params=("v", "w", *RSAB))
+        for t in ("T1", "T1A", "T2", "T5", "Conj")
+    },
+    "exclusion-sweep": Check(_check_exclusion_sweep, bounds={
+        "r_lo": Bound(int, 2),
+        "r_hi": Bound(int, 4),
+        "s_lo": Bound(int, 2),
+        "s_hi": Bound(int, 4),
+        "ab_max": Bound(int, 60),
+    }),
+    "strata-audit": Check(_check_strata_audit, params=("v",), models=(ELLIPTIC_K3,),
+                          model_reason="strata are enumerated on the elliptic K3", bounds={
+        "coeff_bound": Bound(int, 3, lo=1),
+        "parts": Bound(int, lo=2),
+        "oracle": Bound(bool, True),
+        "s4_lo": Bound(int, -4),
+        "s4_hi": Bound(int, 0),
+    }),
+    "suitability": Check(_check_suitability, params=("v", "m"), bounds={
+        "coeff_bound": Bound(int, 3),
+    }),
+    "general-consistency": Check(_check_general_consistency, bounds={
+        "chi_list": Bound(list, (2, 3, 4)),
+        "ranks": Bound(list, (2, 3)),
+    }),
 }
-CHECK_ORDER = list(CHECKS)
+
+
+def _unmet(check: Check, model: SurfaceModel, args: dict):
+    """The error:model or error:empty result the table gives before a run, if any."""
+    if check.models and model.kind not in check.models:
+        return "error:model", {"reason": check.model_reason}
+    for key, bound in check.bounds.items():
+        if bound.lo is not None and args[key] is not None and args[key] < bound.lo:
+            data = {"reason": f"nothing to examine: need {key} >= {bound.lo}", key: args[key]}
+            if check.examined:
+                data[check.examined] = 0
+            return "error:empty", data
 
 
 def run_instance(spec: dict) -> dict:
     """Execute the requested checks of one instance in dependency order."""
     started = time.perf_counter()
-    ctx = _Ctx(spec)
+    model, args = check_arguments(spec)
+    ctx = _Ctx(model)
     results: dict[str, dict] = {}
     statuses: dict[str, str] = {}
-    for name in CHECK_ORDER:
-        if name not in spec["checks"]:
+    for name, check in CHECKS.items():
+        if name not in args:
             continue
-        fn, requires = CHECKS[name]
-        blocked = [req for req in requires if statuses.get(req, "pass") != "pass"]
+        blocked = [req for req in check.requires if statuses.get(req, "pass") != "pass"]
         if blocked:
             statuses[name] = "skipped"
             results[name] = {
@@ -710,7 +749,7 @@ def run_instance(spec: dict) -> dict:
             }
             continue
         try:
-            status, data = fn(ctx)
+            status, data = _unmet(check, model, args[name]) or check.run(ctx, **args[name])
         except DivisibilityError as exc:
             status, data = "error:divisibility", {"reason": str(exc)}
         except NuBoundError as exc:
@@ -778,9 +817,8 @@ def _emit(doc: dict, out_path: str | None, quiet: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument("--quiet", action="store_true", help="suppress per-check summary lines")
+def _default(check: str, bound: str):
+    return CHECKS[check].bounds[bound].default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -789,56 +827,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact lattice checks for strange duality on K3-type surfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="write the JSON report to this path")
+    common.add_argument("--quiet", action="store_true", help="suppress per-check summary lines")
 
-    p_check = sub.add_parser("check", help="run checks on a single instance")
+    p_check = sub.add_parser("check", parents=[common], help="run checks on a single instance")
     p_check.add_argument("--surface", default="elliptic-k3", choices=sorted(SURFACE_KINDS))
     p_check.add_argument("--degree", type=int, help="H^2 for the generic K3 model")
     p_check.add_argument("--chi-o", type=int, help="chi(O) for the general elliptic model")
-    p_check.add_argument("--r", type=int)
-    p_check.add_argument("--s", type=int)
-    p_check.add_argument("--a", type=int)
-    p_check.add_argument("--b", type=int)
-    p_check.add_argument("--chi", type=int)
-    p_check.add_argument("--chi-prime", type=int)
+    for key in INT_PARAMS:
+        p_check.add_argument(f"--{key.replace('_', '-')}", type=int)
     p_check.add_argument("--v", help="vector r:x,y:s (or r:x:s on the generic model)")
     p_check.add_argument("--w", help="second vector")
     p_check.add_argument("--m", help="polarization parameter, integer or p/q")
     p_check.add_argument("--checks", required=True, help="comma-separated check names")
-    _add_common(p_check)
 
-    p_batch = sub.add_parser("batch", help="run every instance of a YAML spec file")
+    p_batch = sub.add_parser("batch", parents=[common], help="run every instance of a YAML spec file")
     p_batch.add_argument("path")
-    _add_common(p_batch)
 
-    p_fm = sub.add_parser("fm-verify", help="derive and verify the transform matrix")
-    p_fm.add_argument("--rmax", type=int, default=6)
-    p_fm.add_argument("--amax", type=int, default=20)
+    p_fm = sub.add_parser("fm-verify", parents=[common], help="derive and verify the transform matrix")
+    p_fm.add_argument("--rmax", type=int, default=_default("fm-verify", "r_max"))
+    p_fm.add_argument("--amax", type=int, default=_default("fm-verify", "a_max"))
     p_fm.add_argument("--surface", default="elliptic-k3", choices=["elliptic-k3", "elliptic-general"])
     p_fm.add_argument("--chi-o", type=int)
-    _add_common(p_fm)
 
-    p_strata = sub.add_parser("strata", help="enumerate walls and audit strata")
+    p_strata = sub.add_parser("strata", parents=[common], help="enumerate walls and audit strata")
     p_strata.add_argument("--v", required=True, help="vector r:x,y:s")
-    p_strata.add_argument("--coeff-bound", type=int, default=3)
+    p_strata.add_argument("--coeff-bound", type=int, default=_default("strata-audit", "coeff_bound"))
     p_strata.add_argument("--parts", type=int)
     p_strata.add_argument("--no-oracle", action="store_true")
-    _add_common(p_strata)
 
-    p_sweep = sub.add_parser("sweep", help="exclusion sweep over rank/dimension grids")
-    p_sweep.add_argument("--r", default="2:4", help="rank range lo:hi for the first factor")
-    p_sweep.add_argument("--s", default="2:4", help="rank range lo:hi for the second factor")
-    p_sweep.add_argument("--ab-max", type=int, default=60)
-    _add_common(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[common], help="exclusion sweep over rank/dimension grids")
+    for axis, factor in (("r", "first"), ("s", "second")):
+        lo, hi = (_default("exclusion-sweep", f"{axis}_{end}") for end in ("lo", "hi"))
+        help_text = f"rank range lo:hi for the {factor} factor"
+        p_sweep.add_argument(f"--{axis}", default=f"{lo}:{hi}", help=help_text)
+    p_sweep.add_argument("--ab-max", type=int, default=_default("exclusion-sweep", "ab_max"))
     return parser
-
-
-def _surface_spec(kind: str, degree, chi_o) -> dict:
-    spec = {"kind": kind}
-    if degree is not None:
-        spec["degree"] = degree
-    if chi_o is not None:
-        spec["chi_o"] = chi_o
-    return spec
 
 
 def _range_pair(text: str) -> list[int]:
@@ -852,58 +877,31 @@ def _range_pair(text: str) -> list[int]:
 def instances_from_args(args: argparse.Namespace) -> list[dict]:
     if args.command == "batch":
         return load_batch(args.path)
+    surface = {"kind": getattr(args, "surface", "elliptic-k3")}
+    for key in ("degree", "chi_o"):
+        if getattr(args, key, None) is not None:
+            surface[key] = getattr(args, key)
+    raw = {"name": args.command, "surface": surface, "params": {}, "bounds": {}}
     if args.command == "check":
-        params = {}
-        for key in ("r", "s", "a", "b", "chi", "v", "w", "m"):
-            value = getattr(args, key, None)
-            if value is not None:
-                params[key] = value
-        if args.chi_prime is not None:
-            params["chi_prime"] = args.chi_prime
-        raw = {
-            "name": "check",
-            "surface": _surface_spec(args.surface, args.degree, args.chi_o),
-            "params": params,
-            "checks": [c.strip() for c in args.checks.split(",") if c.strip()],
-        }
-        return normalize_instance(raw, 0)
-    if args.command == "fm-verify":
-        raw = {
-            "name": "fm-verify",
-            "surface": _surface_spec(args.surface, None, args.chi_o),
-            "checks": ["fm-verify"],
-            "bounds": {"r_max": args.rmax, "a_max": args.amax},
-        }
-        return normalize_instance(raw, 0)
-    if args.command == "strata":
-        bounds = {"coeff_bound": args.coeff_bound, "oracle": not args.no_oracle}
+        for key in (*INT_PARAMS, "v", "w", "m"):
+            if getattr(args, key) is not None:
+                raw["params"][key] = getattr(args, key)
+        raw["checks"] = [c.strip() for c in args.checks.split(",") if c.strip()]
+    elif args.command == "fm-verify":
+        raw["checks"] = ["fm-verify"]
+        raw["bounds"] = {"r_max": args.rmax, "a_max": args.amax}
+    elif args.command == "strata":
+        raw["params"] = {"v": args.v}
+        raw["checks"] = ["strata-audit"]
+        raw["bounds"] = {"coeff_bound": args.coeff_bound, "oracle": not args.no_oracle}
         if args.parts is not None:
-            bounds["parts"] = args.parts
-        raw = {
-            "name": "strata",
-            "surface": {"kind": "elliptic-k3"},
-            "params": {"v": args.v},
-            "checks": ["strata-audit"],
-            "bounds": bounds,
-        }
-        return normalize_instance(raw, 0)
-    if args.command == "sweep":
+            raw["bounds"]["parts"] = args.parts
+    else:
+        raw["checks"] = ["exclusion-sweep"]
         r_lo, r_hi = _range_pair(args.r)
         s_lo, s_hi = _range_pair(args.s)
-        raw = {
-            "name": "sweep",
-            "surface": {"kind": "elliptic-k3"},
-            "checks": ["exclusion-sweep"],
-            "bounds": {
-                "r_lo": r_lo,
-                "r_hi": r_hi,
-                "s_lo": s_lo,
-                "s_hi": s_hi,
-                "ab_max": args.ab_max,
-            },
-        }
-        return normalize_instance(raw, 0)
-    raise CliConfigError(f"unknown command {args.command!r}")
+        raw["bounds"] = {"r_lo": r_lo, "r_hi": r_hi, "s_lo": s_lo, "s_hi": s_hi, "ab_max": args.ab_max}
+    return normalize_instance(raw, 0)
 
 
 def main(argv: list[str] | None = None) -> int:

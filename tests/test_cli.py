@@ -1,5 +1,6 @@
 """CLI behavior: parsing, exit codes, batch semantics, determinism."""
 
+import inspect
 import json
 import re
 from pathlib import Path
@@ -438,22 +439,25 @@ class TestMainExitCodes:
         code = main(["check", "--checks", "definitely-not-a-check", "--quiet"])
         assert code == 2
 
-    def test_internal_error_does_not_sink_batch(self, tmp_path):
+    def test_internal_error_does_not_sink_batch(self, tmp_path, monkeypatch):
+        def crash(*args):
+            raise RuntimeError("a fault in the program")
+
+        monkeypatch.setattr(cli, "sign_law_sweep", crash)
         spec = tmp_path / "b.yaml"
         spec.write_text(
             "instances:\n"
             "  - name: good\n"
             "    params: {r: 2, s: 2, a: 9, b: 9}\n"
             "    checks: [nu]\n"
-            "  - name: bad-bounds\n"
+            "  - name: crashing\n"
             "    checks: [sign-law]\n"
-            "    bounds: {degrees: 5}\n"
         )
         out = tmp_path / "r.json"
         assert main(["batch", str(spec), "--out", str(out), "--quiet"]) == 1
         good, bad = json.loads(out.read_text())["instances"]
         assert good["results"]["nu"]["status"] == "pass"
-        assert bad["results"]["sign-law"]["status"] == "error:internal:TypeError"
+        assert bad["results"]["sign-law"]["status"] == "error:internal:RuntimeError"
 
     def test_exit_two_on_bad_workers(self, tmp_path, monkeypatch, capsys):
         spec = tmp_path / "one.yaml"
@@ -532,3 +536,186 @@ class TestMainExitCodes:
         assert main(["batch", str(spec), "--out", str(out1), "--quiet"]) == 0
         assert main(["batch", str(spec), "--out", str(out2), "--quiet"]) == 0
         assert _strip_timing(out1.read_text()) == _strip_timing(out2.read_text())
+
+
+def _run_batch_text(tmp_path, text, capsys):
+    spec = tmp_path / "b.yaml"
+    spec.write_text(text)
+    out = tmp_path / "r.json"
+    code = main(["batch", str(spec), "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    return code, err, (json.loads(out.read_text()) if out.exists() else None)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_TABLE_HEADER = "| check | params | runs on | bound | type | default | lower bound |"
+TYPE_NAMES = {int: "int", bool: "bool", list: "list of int"}
+
+
+def _default_text(default) -> str:
+    if default is None:
+        return "—"
+    if isinstance(default, tuple):
+        return json.dumps(list(default))
+    return json.dumps(default)
+
+
+def _table_rows_from_checks():
+    kinds = {kind: name for name, kind in cli.SURFACE_KINDS.items()}
+    rows = []
+    for name, check in cli.CHECKS.items():
+        params = ", ".join(f"`{p}`" for p in check.params) or "—"
+        runs_on = ", ".join(kinds[k] for k in check.models) or "any"
+        for i, (key, bound) in enumerate(check.bounds.items() or [(None, None)]):
+            cells = [f"`{name}`", params, runs_on] if i == 0 else [f"`{name}`", "", ""]
+            if bound is None:
+                cells += ["—"] * 4
+            else:
+                lo = "—" if bound.lo is None else str(bound.lo)
+                cells += [f"`{key}`", TYPE_NAMES[bound.kind], _default_text(bound.default), lo]
+            rows.append(cells)
+    return rows
+
+
+class TestCheckTable:
+    """Every check reads its params and bounds as ``cli.CHECKS`` declares them."""
+
+    def test_readme_table_matches_the_checks(self):
+        lines = README.read_text(encoding="utf-8").splitlines()
+        start = lines.index(README_TABLE_HEADER) + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in line.strip().strip("|").split("|")])
+        assert rows == _table_rows_from_checks()
+
+    def test_each_check_takes_exactly_its_declared_arguments(self):
+        for name, check in cli.CHECKS.items():
+            fixed = getattr(check.run, "keywords", {})  # the theorem of a hypotheses check
+            taken = set(inspect.signature(check.run).parameters) - {"ctx", *fixed}
+            assert taken == set(check.params) | set(check.bounds), name
+
+    def test_subcommand_defaults_come_from_the_table(self):
+        parser = cli.build_parser()
+        fm = parser.parse_args(["fm-verify"])
+        strata_args = parser.parse_args(["strata", "--v", "2:1,0:-2"])
+        sweep = parser.parse_args(["sweep"])
+        bounds = {name: check.bounds for name, check in cli.CHECKS.items()}
+        assert (fm.rmax, fm.amax) == (
+            bounds["fm-verify"]["r_max"].default,
+            bounds["fm-verify"]["a_max"].default,
+        )
+        assert strata_args.coeff_bound == bounds["strata-audit"]["coeff_bound"].default
+        sweep_bounds = bounds["exclusion-sweep"]
+        assert sweep.r == f"{sweep_bounds['r_lo'].default}:{sweep_bounds['r_hi'].default}"
+        assert sweep.s == f"{sweep_bounds['s_lo'].default}:{sweep_bounds['s_hi'].default}"
+        assert sweep.ab_max == sweep_bounds["ab_max"].default
+
+    @pytest.mark.parametrize(
+        "check,bounds,key",
+        [
+            ("sign-law", "{degrees: 5}", "degrees"),
+            ("general-consistency", "{chi_list: 3}", "chi_list"),
+            ("general-consistency", "{ranks: [2, x]}", "ranks"),
+            ("strata-audit", "{coeff_bound: 3.7}", "coeff_bound"),
+            ("tower", "{r_max: true, a_max: 2}", "r_max"),
+            ("fm-verify", "{a_max: [20]}", "a_max"),
+            ("tower", "{rmax: 3}", "rmax"),
+            ("tower", "{coord_bound: 3}", "coord_bound"),
+            ("strata-audit", "{oracle: 'no'}", "oracle"),
+            ("strata-audit", "{oracle: 1}", "oracle"),
+            ("tower", "[r_max, 3]", "bounds"),
+        ],
+    )
+    def test_exit_two_on_a_bad_bound(self, tmp_path, capsys, check, bounds, key):
+        text = f"instances:\n  - checks: [{check}]\n    bounds: {bounds}\n"
+        code, err, doc = _run_batch_text(tmp_path, text, capsys)
+        assert code == 2 and doc is None
+        assert err.startswith("error: ")
+        assert key in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_a_bound_may_be_read_by_several_checks(self):
+        spec = normalize_instance(
+            {"checks": ["tower", "fm-verify"], "bounds": {"r_max": 2, "a_max": 1}}, 0
+        )[0]
+        results = run_instance(spec)["results"]
+        assert results["tower"]["status"] == results["fm-verify"]["status"] == "pass"
+        assert results["tower"]["r_max"] == 2
+
+    @pytest.mark.parametrize(
+        "surface,key",
+        [
+            ("{kind: generic-k3, degree: 8.5}", "degree"),
+            ("{kind: elliptic-general, chi_o: true}", "chi_o"),
+            ("{kind: elliptic-general, chi_o: 2.9}", "chi_o"),
+            ("{kind: [generic-k3]}", "kind"),
+        ],
+    )
+    def test_exit_two_on_a_non_integral_surface_param(self, tmp_path, capsys, surface, key):
+        text = f"instances:\n  - surface: {surface}\n    checks: [tower]\n"
+        code, err, _ = _run_batch_text(tmp_path, text, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and key in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "field", ["params: {v: '2:1,0:-2', m: 9.6}", "grid: {v: [1, 2]}", "grid: {1: [1, 2], a: [1, 2]}"]
+    )
+    def test_exit_two_on_a_non_integral_rational_or_a_vector_grid(self, tmp_path, capsys, field):
+        text = f"instances:\n  - {field}\n    checks: [suitability]\n"
+        code, err, _ = _run_batch_text(tmp_path, text, capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "surface,check,reason",
+        [
+            ("{kind: generic-k3, degree: 8}", "exclusions", "pinned on the elliptic K3"),
+            ("{kind: elliptic-general, chi_o: 3}", "exclusions", "pinned on the elliptic K3"),
+            ("{kind: generic-k3, degree: 8}", "fm-verify", "the elliptic models"),
+            ("{kind: generic-k3, degree: 8}", "strata-audit", "enumerated on the elliptic K3"),
+            ("{kind: elliptic-general, chi_o: 3}", "strata-audit", "enumerated on the elliptic K3"),
+        ],
+    )
+    def test_model_guards(self, surface, check, reason):
+        raw = yaml.safe_load(f"surface: {surface}\nparams: {{r: 2, s: 2, a: 9, b: 9}}")
+        spec = normalize_instance({**raw, "checks": [check]}, 0)[0]
+        result = run_instance(spec)["results"][check]
+        assert result["status"] == "error:model"
+        assert reason in result["reason"]
+
+    def test_each_lower_bound_gives_empty_just_below_it(self):
+        probed = 0
+        for name, check in cli.CHECKS.items():
+            for key, bound in check.bounds.items():
+                if bound.lo is None:
+                    continue
+                for value, empty in ((bound.lo - 1, True), (bound.lo, False)):
+                    spec = normalize_instance({"checks": [name], "bounds": {key: value}}, 0)[0]
+                    result = run_instance(spec)["results"][name]
+                    assert (result["status"] == "error:empty") == empty, (name, key, value)
+                    if empty:
+                        assert result[key] == value
+                        if check.examined:
+                            assert result[check.examined] == 0
+                probed += 1
+        assert probed == 7
+
+    @pytest.mark.parametrize("parts", [0, 1, 3, 5])
+    def test_parts_outside_two_to_the_rank_is_empty(self, parts):
+        spec = normalize_instance(
+            {"params": {"v": "2:1,0:-2"}, "checks": ["strata-audit"], "bounds": {"parts": parts}},
+            0,
+        )[0]
+        result = run_instance(spec)["results"]["strata-audit"]
+        assert result["status"] == "error:empty"
+        assert result["parts"] == parts
+
+    def test_parts_equal_to_the_rank_runs(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["strata", "--v", "2:1,0:-2", "--parts", "2", "--out", str(out), "--quiet"]) == 0
+        walls = json.loads(out.read_text())["instances"][0]["results"]["strata-audit"]
+        assert sum(w["strata"] for w in walls["vectors"][0]["walls"]) == 3
