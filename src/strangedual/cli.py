@@ -10,14 +10,15 @@ Input is a YAML file (or command-line flags assembled into the same shape):
         checks: [nu, line-bundle, dimension-match, exclusions]
 
 An instance may carry ``grid: {r: [2,3], a: [9,12]}``; it is then expanded
-into one report per grid point.  Output is a JSON document with a stable
-schema: {version, instances: [{spec, results: {check: {status, ...}},
-timing_ms}]}.  All rationals serialize as "p/q" strings; reports are
-deterministic modulo the timing field.
+into one report per grid point.  Instances run one after another, in file
+order.  Output is a JSON document with a stable schema: {version,
+instances: [{spec, results: {check: {status, ...}}, timing_ms}]}.  All
+rationals serialize as "p/q" strings; reports are deterministic modulo the
+timing field.
 
 Exit codes: 0 when every requested check passes, 1 when some check fails or
-errors, 2 for parse/config problems.  STRANGEDUAL_WORKERS > 1 runs batch
-items in a process pool (report order still follows spec order).
+errors, 2 for parse/config problems, among them a param, surface key or
+bound that nothing reads.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -39,7 +39,6 @@ from . import __version__
 from .duality import (
     DivisibilityError,
     NuBoundError,
-    compute_nu,
     deformation_setup,
     delta_bound,
     dimension_match,
@@ -55,16 +54,7 @@ from .duality import (
 )
 from .fourier_mukai import derive_fm_matrix, verify_fm_suite
 from .hilbert import exclusion_report
-from .strata import (
-    chain_audit,
-    codim_audit,
-    is_suitable,
-    strata_box_oracle,
-    strata_enumerate,
-    stratum_codim_ok,
-    unordered_count,
-    wall_enumerate,
-)
+from .strata import codim_audit, is_suitable, strata_box_oracle, strata_enumerate, wall_enumerate
 from .surfaces import (
     ELLIPTIC_GENERAL,
     ELLIPTIC_K3,
@@ -80,7 +70,6 @@ from .surfaces import (
     sign_law_sweep,
 )
 
-WORKERS_ENV = "STRANGEDUAL_WORKERS"
 # the one valid (r, s, a, b) of the elliptic K3 where h0 does not exclude the
 # Q1/Q2 components (the paper's case study); both exclusion checks expect it
 DOCUMENTED_H00_EXCEPTION = (2, 2, 9, 9)
@@ -131,20 +120,23 @@ SURFACE_KINDS = {
 }
 # the parameters that pick a model of each kind, as reports show them
 MODEL_PARAMS = {ELLIPTIC_K3: (), GENERIC_K3: ("degree",), ELLIPTIC_GENERAL: ("chi_o",)}
+# the factory of each kind, which takes exactly its MODEL_PARAMS as keywords
+MODEL_FACTORIES = {ELLIPTIC_K3: elliptic_k3, GENERIC_K3: generic_k3, ELLIPTIC_GENERAL: elliptic_general}
 # instance params the checks read as integers
 INT_PARAMS = ("r", "s", "a", "b", "chi", "chi_prime")
 
 
 def resolve_surface(spec: dict) -> SurfaceModel:
-    kind = spec.get("kind", "elliptic-k3")
-    if not isinstance(kind, str) or kind not in SURFACE_KINDS:
-        raise CliConfigError(f"unknown surface kind {kind!r}")
+    name = spec.get("kind", "elliptic-k3")
+    if not isinstance(name, str) or name not in SURFACE_KINDS:
+        raise CliConfigError(f"unknown surface kind {name!r}")
+    kind = SURFACE_KINDS[name]
+    unknown = [key for key in spec if key not in ("kind", *MODEL_PARAMS[kind])]
+    if unknown:
+        raise CliConfigError(f"surface {name} takes no key {unknown[0]!r}")
     try:
-        if kind == "generic-k3":
-            return generic_k3(_config_int(spec.get("degree", 0), "surface degree"))
-        if kind == "elliptic-general":
-            return elliptic_general(_config_int(spec.get("chi_o", 0), "surface chi_o"))
-        return elliptic_k3()
+        args = {key: _config_int(spec.get(key, 0), f"surface {key}") for key in MODEL_PARAMS[kind]}
+        return MODEL_FACTORIES[kind](**args)
     except ValueError as exc:
         raise CliConfigError(str(exc)) from exc
 
@@ -227,6 +219,8 @@ def check_arguments(spec: dict, where: str = "instance") -> tuple[SurfaceModel, 
             params[key] = parse_rational(value)
         elif key in INT_PARAMS:
             params[key] = _config_int(value, f"{where} param {key!r}")
+        else:
+            raise CliConfigError(f"{where} has unknown param {key!r}")
     given = spec["bounds"]
     args = {}
     for name in spec["checks"]:
@@ -441,6 +435,8 @@ def _check_theta_relation(ctx: _Ctx, r, s, chi, chi_prime, r_lo, r_hi, chi_lo, c
         return ("pass" if res.ok else "fail"), data
     checked, failures, crossed = theta_relation_sweep(r_lo, r_hi, chi_lo, chi_hi)
     data = {"points_checked": checked, "failures": failures, "typed_cross_checked": crossed}
+    if checked == 0:
+        return "error:empty", {"reason": "no point with H^2 > 0 in the bounds", **data}
     return ("pass" if not failures else "fail"), data
 
 
@@ -517,25 +513,17 @@ def _audit_one_vector(v: MukaiVector, coeff_bound: int, parts_arg, with_oracle: 
     walls_data = []
     all_ok = True
     q_v = mukai_pair(v, v)
-    # the codimension audit (q_v > 0) needs every part count, so each wall is
+    # the bound (q_v > 0) is judged on every part count, so each wall is
     # enumerated once for all of them and the --parts view is filtered from it
     if q_v > 0 or parts_arg is None:
         part_counts = range(2, v.r + 1)
     else:
         part_counts = [parts_arg]
     for wall in wall_enumerate(v, coeff_bound):
-        strata = []
+        shown, hidden = [], []
         for k in part_counts:
-            strata.extend(strata_enumerate(v, wall, k))
-        shown = strata if parts_arg is None else [
-            st for st in strata if len(st.parts) == parts_arg
-        ]
-        audit = codim_audit(v, wall, strata) if q_v > 0 else None
-        if audit is not None and audit.chain_ok:
-            chain_ok = True  # every stratum passed, the shown ones among them
-        else:
-            chain_ok = all(chain_audit(v, st).ok for st in shown)
-        codim_ok = all(stratum_codim_ok(v, st) for st in shown)
+            (shown if parts_arg in (None, k) else hidden).extend(strata_enumerate(v, wall, k))
+        audit = codim_audit(v, wall, shown)
         oracle_ok = True
         if with_oracle and (parts_arg in (None, 2)):
             two_part = [st for st in shown if len(st.parts) == 2]
@@ -544,21 +532,25 @@ def _audit_one_vector(v: MukaiVector, coeff_bound: int, parts_arg, with_oracle: 
         entry = {
             "wall_d": wall.d,
             "m_value": wall.m_value,
-            "strata": len(shown),
-            "unordered": unordered_count(shown),
-            "min_codim": min(((q_v + 1) - st.total_dim for st in shown), default=None),
-            "chain_ok": chain_ok,
-            "codim_bound_ok": codim_ok,
+            "strata": audit.strata_count,
+            "unordered": audit.unordered_strata_count,
+            "min_codim": audit.min_codim,
+            "chain_ok": audit.chain_ok,
+            "codim_bound_ok": audit.bound_satisfied,
             "oracle_match": oracle_ok,
         }
-        if audit is not None:
+        if q_v > 0:
+            # the strata --parts hides are audited here, once, for the bound
+            bound_ok = audit.bound_satisfied and (
+                not hidden or codim_audit(v, wall, hidden).bound_satisfied
+            )
             entry["bound"] = audit.bound
-            entry["bound_satisfied"] = audit.bound_satisfied
+            entry["bound_satisfied"] = bound_ok
             entry["corollary_applicable"] = audit.corollary_applicable
             entry["remark_applicable"] = audit.remark_applicable
-            all_ok = all_ok and audit.bound_satisfied
+            all_ok = all_ok and bound_ok
         walls_data.append(entry)
-        all_ok = all_ok and chain_ok and codim_ok and oracle_ok
+        all_ok = all_ok and audit.chain_ok and audit.bound_satisfied and oracle_ok
     return all_ok, walls_data
 
 
@@ -596,17 +588,15 @@ def _check_suitability(ctx: _Ctx, v, m, coeff_bound):
 
 
 def _minimal_valid_total(r: int, s: int, model: SurfaceModel) -> int:
-    total = 0
-    while True:
-        total += 1
-        try:
-            compute_nu(r, s, total // 2, total - total // 2, model)
-            return total
-        except (DivisibilityError, NuBoundError):
-            continue
+    """The least a + b that ``compute_nu`` accepts for (r, s) on ``model``."""
+    t, chi = r + s, model.chi_o
+    return t * (chi - 1) + t * (t - 1) * chi // 2 + chi
 
 
 def _check_general_consistency(ctx: _Ctx, chi_list, ranks):
+    if not (chi_list and ranks):
+        reason = "nothing to examine: chi_list or ranks is empty"
+        return "error:empty", {"reason": reason, "cases": []}
     details = []
     ok = True
     for chi_o in chi_list:
@@ -769,25 +759,8 @@ def run_instance(spec: dict) -> dict:
     }
 
 
-def _workers_from_env() -> int:
-    """The process count asked for by STRANGEDUAL_WORKERS (1 when unset)."""
-    text = os.environ.get(WORKERS_ENV, "1") or "1"
-    try:
-        return int(text)
-    except ValueError:
-        raise CliConfigError(f"{WORKERS_ENV}={text!r} is not an integer") from None
-
-
 def run_batch(instances: list[dict]) -> dict:
-    workers = _workers_from_env()
-    if workers > 1 and len(instances) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_instance, instances))
-    else:
-        reports = [run_instance(spec) for spec in instances]
-    return {"version": __version__, "instances": reports}
+    return {"version": __version__, "instances": [run_instance(spec) for spec in instances]}
 
 
 def document_exit_code(doc: dict) -> int:
@@ -908,7 +881,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _workers_from_env()  # a bad STRANGEDUAL_WORKERS fails here, before any work
         instances = instances_from_args(args)
     except CliConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -595,13 +595,14 @@ def codim_audit(
     independence criterion asks for it to be >= 2, relaxed to
     <v, v> >= 2(r-1)(r^2+1) when c1 is primitive.  ``strata`` is every
     stratum on the wall, with 2..r parts, as ``strata_enumerate`` lists
-    them; a caller that already holds that list passes it in, and without
-    it the strata are enumerated here.  ``chain_ok`` runs ``chain_audit``
-    on each of them.
+    them; without it the strata are enumerated here.  A caller may pass any
+    list of strata on the wall instead, and every count and verdict then
+    covers that list alone: ``bound_satisfied`` is ``stratum_codim_ok`` on
+    each of them, and ``chain_ok`` runs ``chain_audit`` once on each.  For
+    <v, v> <= 0 and r >= 2 the bound is below 2 and the relaxed threshold
+    is positive, so neither applicability flag holds.
     """
     q_v = mukai_pair(v, v)
-    if q_v <= 0:
-        raise ValueError("codimension audit needs <v, v> > 0")
     if strata is None:
         strata = []
         for k in range(2, v.r + 1):

@@ -29,8 +29,16 @@ from strangedual.duality import (
     compute_nu,
     k3_divisible_points,
 )
-from strangedual.strata import codim_audit, strata_enumerate, wall_enumerate
-from strangedual.surfaces import elliptic_k3, generic_k3, mukai_pair
+from strangedual.strata import (
+    chain_audit,
+    codim_audit,
+    strata_box_oracle,
+    strata_enumerate,
+    stratum_codim_ok,
+    unordered_count,
+    wall_enumerate,
+)
+from strangedual.surfaces import elliptic_general, elliptic_k3, generic_k3, mukai_pair
 from fractions import Fraction
 
 
@@ -197,6 +205,24 @@ class TestNoVacuousPass:
         result = json.loads(out.read_text())["instances"][0]["results"]["fm-verify"]
         assert result["status"] == "error:empty"
 
+    @pytest.mark.parametrize(
+        "bounds", [{"r_lo": 5, "r_hi": 2}, {"chi_lo": 0, "chi_hi": -5}, {"r_hi": 0}]
+    )
+    def test_theta_relation_sweep_with_no_point(self, bounds):
+        spec = normalize_instance({"checks": ["theta-relation"], "bounds": bounds}, 0)[0]
+        result = run_instance(spec)["results"]["theta-relation"]
+        assert result["status"] == "error:empty"
+        assert result["reason"]
+        assert result["points_checked"] == 0
+
+    @pytest.mark.parametrize("bounds", [{"chi_list": []}, {"ranks": []}])
+    def test_general_consistency_with_no_case(self, bounds):
+        spec = normalize_instance({"checks": ["general-consistency"], "bounds": bounds}, 0)[0]
+        result = run_instance(spec)["results"]["general-consistency"]
+        assert result["status"] == "error:empty"
+        assert result["reason"]
+        assert result["cases"] == []
+
 
 def _reference_valid_grid_points(r_rng, s_rng, ab_max):
     """The exclusion grid as it was found before: compute_nu on every (a, b)."""
@@ -299,6 +325,28 @@ class TestExclusionSweepGrid:
         assert result["bound_equivalence_disagreements"] == [[2, 2, 0, 2]]
 
 
+def _reference_minimal_valid_total(r, s, model):
+    """The least a + b that compute_nu accepts, found by trying each in turn."""
+    total = 0
+    while True:
+        total += 1
+        try:
+            compute_nu(r, s, total // 2, total - total // 2, model)
+            return total
+        except (DivisibilityError, NuBoundError):
+            continue
+
+
+class TestGeneralConsistency:
+    def test_minimal_valid_total_by_formula(self):
+        for chi_o in range(1, 9):
+            model = elliptic_general(chi_o)
+            for r in range(2, 7):
+                for s in range(2, 7):
+                    expected = _reference_minimal_valid_total(r, s, model)
+                    assert cli._minimal_valid_total(r, s, model) == expected, (chi_o, r, s)
+
+
 class TestStrataAuditWork:
     def test_one_enumeration_per_wall_and_part_count(self, monkeypatch):
         calls = []
@@ -347,6 +395,124 @@ class TestStrataAuditWork:
             assert entry["bound"] == to_jsonable(audit.bound)
             assert entry["bound_satisfied"] == audit.bound_satisfied
         assert sum(e["strata"] for e in entries) > 0
+
+
+def _reference_audit_one_vector(v, coeff_bound, parts_arg, with_oracle):
+    """The wall entries as they were built before each came from one
+    ``codim_audit``: the CLI's own count, minimum, bound loop and chain
+    fallback over the shown strata, and the audit of every stratum for the
+    bound fields."""
+    walls_data = []
+    all_ok = True
+    q_v = mukai_pair(v, v)
+    if q_v > 0 or parts_arg is None:
+        part_counts = range(2, v.r + 1)
+    else:
+        part_counts = [parts_arg]
+    for wall in wall_enumerate(v, coeff_bound):
+        strata = []
+        for k in part_counts:
+            strata.extend(strata_enumerate(v, wall, k))
+        shown = strata if parts_arg is None else [
+            st for st in strata if len(st.parts) == parts_arg
+        ]
+        audit = codim_audit(v, wall, strata) if q_v > 0 else None
+        if audit is not None and audit.chain_ok:
+            chain_ok = True
+        else:
+            chain_ok = all(chain_audit(v, st).ok for st in shown)
+        codim_ok = all(stratum_codim_ok(v, st) for st in shown)
+        oracle_ok = True
+        if with_oracle and (parts_arg in (None, 2)):
+            two_part = [st for st in shown if len(st.parts) == 2]
+            oracle = strata_box_oracle(v, wall)
+            oracle_ok = set(two_part) == set(oracle)
+        entry = {
+            "wall_d": wall.d,
+            "m_value": wall.m_value,
+            "strata": len(shown),
+            "unordered": unordered_count(shown),
+            "min_codim": min(((q_v + 1) - st.total_dim for st in shown), default=None),
+            "chain_ok": chain_ok,
+            "codim_bound_ok": codim_ok,
+            "oracle_match": oracle_ok,
+        }
+        if audit is not None:
+            entry["bound"] = audit.bound
+            entry["bound_satisfied"] = audit.bound_satisfied
+            entry["corollary_applicable"] = audit.corollary_applicable
+            entry["remark_applicable"] = audit.remark_applicable
+            all_ok = all_ok and audit.bound_satisfied
+        walls_data.append(entry)
+        all_ok = all_ok and chain_ok and codim_ok and oracle_ok
+    return all_ok, walls_data
+
+
+# <v, v> < 0, = 0 and > 0, each with strata on its walls at coeff_bound 3
+WALL_ENTRY_VECTORS = ("2:1,0:0", "4:1,-1:0", "3:1,1:0", "4:1,1:0", "3:1,0:-1", "4:1,1:-4")
+WALL_ENTRY_KEYS_LINE = "| wall-entry key | covers |"
+
+
+def _wall_entry_modes():
+    for text in WALL_ENTRY_VECTORS:
+        rank = int(text.split(":")[0])
+        for parts in (None, 2, 3, 4):
+            if parts is None or parts <= rank:
+                for oracle in (True, False):
+                    yield text, parts, oracle
+
+
+class TestStrataWallEntries:
+    """Each wall entry is one ``codim_audit`` of the strata it shows."""
+
+    def test_signs_of_the_vectors(self):
+        signs = {(mukai_pair(v, v) > 0) - (mukai_pair(v, v) < 0)
+                 for v in (parse_vector(t, E) for t in WALL_ENTRY_VECTORS)}
+        assert signs == {-1, 0, 1}
+
+    @pytest.mark.parametrize("text,parts,oracle", list(_wall_entry_modes()))
+    def test_entries_equal_the_reference(self, text, parts, oracle):
+        v = parse_vector(text, E)
+        got = cli._audit_one_vector(v, 3, parts, oracle)
+        expected = _reference_audit_one_vector(v, 3, parts, oracle)
+        assert to_jsonable(got) == to_jsonable(expected)
+        assert got[1]
+
+    def test_no_stratum_is_audited_twice(self, monkeypatch):
+        counts = {}
+        original = strata.chain_audit
+
+        def counting(v, stratum):
+            counts[v, stratum] = counts.get((v, stratum), 0) + 1
+            return original(v, stratum)
+
+        monkeypatch.setattr(strata, "chain_audit", counting)
+        monkeypatch.setattr(cli, "chain_audit", counting, raising=False)
+        audited = 0
+        for text, parts, oracle in _wall_entry_modes():
+            counts.clear()
+            bounds = {"oracle": oracle, **({} if parts is None else {"parts": parts})}
+            spec = normalize_instance(
+                {"params": {"v": text}, "checks": ["strata-audit"], "bounds": bounds}, 0
+            )[0]
+            assert run_instance(spec)["results"]["strata-audit"]["status"] == "pass"
+            assert max(counts.values(), default=1) == 1, (text, parts, oracle)
+            audited += len(counts)
+        assert audited > 0
+
+    def test_readme_lists_the_keys_of_an_entry(self):
+        lines = README.read_text(encoding="utf-8").splitlines()
+        start = lines.index(WALL_ENTRY_KEYS_LINE) + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            key, covers = (cell.strip() for cell in line.strip().strip("|").split("|", 1))
+            rows.append((key.strip("`"), covers.startswith("only when <v, v> > 0")))
+        for text, has_bound in (("4:1,1:-4", True), ("3:1,1:0", False), ("2:1,0:0", False)):
+            _, walls = cli._audit_one_vector(parse_vector(text, E), 3, None, True)
+            expected = [key for key, bound_only in rows if has_bound or not bound_only]
+            assert [list(entry) for entry in walls] == [expected] * len(walls), text
 
 
 class TestBatch:
@@ -458,16 +624,6 @@ class TestMainExitCodes:
         good, bad = json.loads(out.read_text())["instances"]
         assert good["results"]["nu"]["status"] == "pass"
         assert bad["results"]["sign-law"]["status"] == "error:internal:RuntimeError"
-
-    def test_exit_two_on_bad_workers(self, tmp_path, monkeypatch, capsys):
-        spec = tmp_path / "one.yaml"
-        spec.write_text("instances:\n  - params: {r: 2, s: 2, a: 9, b: 9}\n    checks: [nu]\n")
-        monkeypatch.setenv("STRANGEDUAL_WORKERS", "abc")
-        assert main(["batch", str(spec), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "STRANGEDUAL_WORKERS" in err
-        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
         "param", ["r: [2]", "a: nine", "chi_prime: {x: 1}", "a: 9.6", "b: true"]
@@ -658,6 +814,52 @@ class TestCheckTable:
         code, err, _ = _run_batch_text(tmp_path, text, capsys)
         assert code == 2
         assert err.startswith("error: ") and key in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "params,key",
+        [("{aa: 5}", "aa"), ("{a: 9, degree: 8}", "degree"), ("{v: '2:1,0:-2', x: 1}", "x")],
+    )
+    def test_exit_two_on_an_unknown_param(self, tmp_path, capsys, params, key):
+        text = f"instances:\n  - params: {params}\n    checks: [tower]\n"
+        code, err, doc = _run_batch_text(tmp_path, text, capsys)
+        assert code == 2 and doc is None
+        assert err.startswith("error: ") and repr(key) in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "surface,key",
+        [
+            ("{kind: elliptic-k3, degree: 8}", "degree"),
+            ("{degree: 8}", "degree"),
+            ("{kind: elliptic-k3, chi_o: 2}", "chi_o"),
+            ("{kind: generic-k3, degree: 8, chi_o: 2}", "chi_o"),
+            ("{kind: elliptic-general, chi_o: 3, degree: 2}", "degree"),
+            ("{kind: generic-k3, degree: 8, deg: 8}", "deg"),
+        ],
+    )
+    def test_exit_two_on_a_surface_key_its_kind_does_not_take(
+        self, tmp_path, capsys, surface, key
+    ):
+        text = f"instances:\n  - surface: {surface}\n    checks: [tower]\n"
+        code, err, doc = _run_batch_text(tmp_path, text, capsys)
+        assert code == 2 and doc is None
+        assert err.startswith("error: ") and repr(key) in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--degree", "8", "--r", "2", "--s", "2", "--a", "9", "--b", "9",
+             "--checks", "nu"],
+            ["check", "--surface", "generic-k3", "--degree", "8", "--chi-o", "2", "--checks", "tower"],
+            ["fm-verify", "--chi-o", "3"],
+        ],
+    )
+    def test_exit_two_on_a_surface_flag_its_kind_does_not_take(self, capsys, argv):
+        assert main([*argv, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(

@@ -539,10 +539,19 @@ class TestAudits:
             strata = [st for k in (2, 3) for st in strata_enumerate(v, wall, k)]
             assert codim_audit(v, wall, strata) == codim_audit(v, wall)
 
-    def test_positivity_guard(self):
-        v = vec(2, 1, 0, 0)  # <v,v> = -2
-        with pytest.raises(ValueError):
-            codim_audit(v, _wall_at_4(v))
+    def test_bound_at_nonpositive_square(self):
+        # <v,v> = -2, -4 and 0: no guard, the bound verdict is the per-stratum one
+        audited = 0
+        for v in (vec(2, 1, 0, 0), vec(4, 1, -1, 0), vec(3, 1, 1, 0), vec(4, 1, 1, 0)):
+            assert mukai_pair(v, v) <= 0
+            for wall in wall_enumerate(v, 3):
+                strata = [st for k in range(2, v.r + 1) for st in strata_enumerate(v, wall, k)]
+                audit = codim_audit(v, wall)
+                assert audit.strata_count == len(strata)
+                assert audit.bound_satisfied == all(stratum_codim_ok(v, st) for st in strata)
+                assert not audit.corollary_applicable and not audit.remark_applicable
+                audited += len(strata)
+        assert audited > 0
 
     def test_chain_steps_individually(self):
         v = vec(2, 1, 0, -2)
