@@ -46,8 +46,10 @@ from .duality import (
     hypotheses_report,
     k3_divisible_points,
     k3_tower_row,
+    minimal_valid_total,
     ogrady_tower,
     theorem2_equivalence,
+    theta_pair,
     theta_relation_identity,
     theta_relation_sweep,
     tower_instance,
@@ -81,6 +83,10 @@ class CliConfigError(ValueError):
     """A spec file or flag set could not be parsed into instances."""
 
 
+class MissingParamsError(Exception):
+    """A check was not given the params it needs; reported as error:missing-params."""
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -95,17 +101,12 @@ def to_jsonable(obj):
         return {"basis": obj.model.basis, "coeffs": list(obj.coeffs)}
     if isinstance(obj, MukaiVector):
         return {"r": obj.r, "c1": to_jsonable(obj.c1), "s": obj.s}
-    if isinstance(obj, SurfaceModel):
-        return {"kind": obj.kind, **{p: getattr(obj, p) for p in MODEL_PARAMS[obj.kind]}}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = list(obj)
-        if isinstance(obj, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [to_jsonable(x) for x in items]
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(x) for x in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -118,7 +119,7 @@ SURFACE_KINDS = {
     "generic-k3": GENERIC_K3,
     "elliptic-general": ELLIPTIC_GENERAL,
 }
-# the parameters that pick a model of each kind, as reports show them
+# the parameters that pick a model of each kind
 MODEL_PARAMS = {ELLIPTIC_K3: (), GENERIC_K3: ("degree",), ELLIPTIC_GENERAL: ("chi_o",)}
 # the factory of each kind, which takes exactly its MODEL_PARAMS as keywords
 MODEL_FACTORIES = {ELLIPTIC_K3: elliptic_k3, GENERIC_K3: generic_k3, ELLIPTIC_GENERAL: elliptic_general}
@@ -323,7 +324,7 @@ class _Ctx:
 
     def instance(self, r, s, a, b):
         if None in (r, s, a, b):
-            raise KeyError("missing params: need r, s, a and b")
+            raise MissingParamsError("missing params: need r, s, a and b")
         if (r, s, a, b) not in self.cache:
             self.cache[r, s, a, b] = tower_instance(r, s, a, b, self.model)
         return self.cache[r, s, a, b]
@@ -417,16 +418,10 @@ def _check_fm_verify(ctx: _Ctx, r_max, a_max):
 
 def _check_theta_relation(ctx: _Ctx, r, s, chi, chi_prime, r_lo, r_hi, chi_lo, chi_hi):
     if None not in (r, s, chi, chi_prime):
-        h2 = 2 * r * s - r * chi_prime - s * chi
-        if h2 <= 0 or h2 % 2:
-            return "error:parameters", {"reason": f"induced H^2 = {h2} has no even model"}
-        model = generic_k3(h2)
-        h = model.hyperplane
-        res = theta_relation_identity(
-            MukaiVector(r, h, chi - r), MukaiVector(s, h, chi_prime - s)
-        )
+        v, w = theta_pair(r, s, chi, chi_prime)
+        res = theta_relation_identity(v, w)
         data = {
-            "h_squared": h2,
+            "h_squared": v.model.degree,
             "lambda": res.lambda_v,
             "mu": res.mu_v,
             "identity_ok": res.identity_ok,
@@ -442,7 +437,7 @@ def _check_theta_relation(ctx: _Ctx, r, s, chi, chi_prime, r_lo, r_hi, chi_lo, c
 
 def _check_deformation(ctx: _Ctx, r, s, chi, chi_prime):
     if None in (r, s, chi, chi_prime):
-        return "error:missing-params", {"reason": "need params r, s, chi and chi_prime"}
+        raise MissingParamsError("need params r, s, chi and chi_prime")
     pair = deformation_setup(r, s, chi, chi_prime)
     data = {
         "h_squared": pair.degree,
@@ -456,7 +451,7 @@ def _check_deformation(ctx: _Ctx, r, s, chi, chi_prime):
 def _check_hypotheses(ctx: _Ctx, theorem: str, v, w, r, s, a, b):
     if v is None or w is None:
         if None in (r, s, a, b):
-            return "error:missing-params", {"reason": "need vectors v/w or (r, s, a, b)"}
+            raise MissingParamsError("need vectors v/w or (r, s, a, b)")
         inst = ctx.instance(r, s, a, b)
         v, w = inst.v, inst.w
     rep = hypotheses_report(v, w, ctx.model, theorem)
@@ -550,7 +545,7 @@ def _audit_one_vector(v: MukaiVector, coeff_bound: int, parts_arg, with_oracle: 
             entry["remark_applicable"] = audit.remark_applicable
             all_ok = all_ok and bound_ok
         walls_data.append(entry)
-        all_ok = all_ok and audit.chain_ok and audit.bound_satisfied and oracle_ok
+        all_ok = all_ok and entry["chain_ok"] and audit.bound_satisfied and oracle_ok
     return all_ok, walls_data
 
 
@@ -576,7 +571,7 @@ def _check_strata_audit(ctx: _Ctx, v, coeff_bound, parts, oracle, s4_lo, s4_hi):
 
 def _check_suitability(ctx: _Ctx, v, m, coeff_bound):
     if v is None or m is None:
-        return "error:missing-params", {"reason": "need params v and m"}
+        raise MissingParamsError("need params v and m")
     rep = is_suitable(m, v, coeff_bound)
     data = {
         "suitable": rep.suitable,
@@ -585,12 +580,6 @@ def _check_suitability(ctx: _Ctx, v, m, coeff_bound):
         "note": rep.note,
     }
     return ("pass" if rep.suitable else "fail"), data
-
-
-def _minimal_valid_total(r: int, s: int, model: SurfaceModel) -> int:
-    """The least a + b that ``compute_nu`` accepts for (r, s) on ``model``."""
-    t, chi = r + s, model.chi_o
-    return t * (chi - 1) + t * (t - 1) * chi // 2 + chi
 
 
 def _check_general_consistency(ctx: _Ctx, chi_list, ranks):
@@ -603,7 +592,7 @@ def _check_general_consistency(ctx: _Ctx, chi_list, ranks):
         model = elliptic_general(chi_o)
         for r in ranks:
             for s in ranks:
-                total = _minimal_valid_total(r, s, model)
+                total = minimal_valid_total(r, s, chi_o)
                 a, b = total // 2, total - total // 2
                 inst = tower_instance(r, s, a, b, model)
                 check = duality_line_bundle(inst)
@@ -744,7 +733,7 @@ def run_instance(spec: dict) -> dict:
             status, data = "error:divisibility", {"reason": str(exc)}
         except NuBoundError as exc:
             status, data = "error:nu-bound", {"reason": str(exc)}
-        except KeyError as exc:
+        except MissingParamsError as exc:
             status, data = "error:missing-params", {"reason": str(exc)}
         except (ValueError, AssertionError) as exc:
             status, data = "error:invalid", {"reason": str(exc)}

@@ -1,14 +1,14 @@
 """Numerical hypothesis checks and dimension bookkeeping for the duality map.
 
 Given two normalized moduli spaces of ranks r, s and half-dimensions a, b on
-an elliptic surface, the pairing vanishing chi(E . F(nu f)) = 0 pins the
-twist nu through the divisibility condition
+an elliptic surface with chi(O) = chi, the pairing vanishing
+chi(E . F(nu f)) = 0 pins the twist nu through the one rule
 
-    r + s | a + b - 2,   -nu = (a+b-2)/(r+s) - (r+s-2) >= 2
+    -nu = (a+b-chi)/(r+s) - (r+s-1)chi/2 + 1 >= chi,
 
-(on the elliptic K3; the general elliptic surface replaces it by
--nu = (a+b-chi)/(r+s) - (r+s-1)chi/2 + 1 >= chi).  The candidate theta
-bundle comes from L = O((r+s)sigma + (2(r+s)-2-nu)f), with chi(L) = a+b.
+which on the elliptic K3 (chi = 2) reads -nu = (a+b-2)/(r+s) - (r+s-2) >= 2.
+The candidate theta bundle comes from L = O((r+s)sigma + ((r+s-1)chi - nu)f
++ K), with chi(L) = a+b.
 
 This module builds such instances, verifies the hypothesis lists of the
 duality theorems, matches theta-section counts across the two factors, walks
@@ -20,11 +20,9 @@ deformation argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .hilbert import binom, taut_det_sections
 from .surfaces import (
-    ELLIPTIC_GENERAL,
     ELLIPTIC_K3,
     GENERIC_K3,
     ModelMismatchError,
@@ -53,11 +51,7 @@ class DivisibilityError(ValueError):
 
 
 class NuBoundError(ValueError):
-    """The twist bound -nu >= 2 (resp. >= chi) fails."""
-
-
-# the twist bound -nu >= 2 on the elliptic K3
-_K3_MIN_MINUS_NU = 2
+    """The twist bound -nu >= chi(O) fails (-nu >= 2 on the elliptic K3)."""
 
 
 def _require_ranks(r: int, s: int) -> None:
@@ -65,44 +59,35 @@ def _require_ranks(r: int, s: int) -> None:
         raise ValueError("both ranks must be >= 2")
 
 
-def _k3_minus_nu(t: int, total: int) -> int:
-    """-nu = (a+b-2)/(r+s) - (r+s-2) for t = r+s dividing a+b-2 = total-2."""
-    return (total - 2) // t - (t - 2)
-
-
 def compute_nu(r: int, s: int, a: int, b: int, model: SurfaceModel | None = None) -> int:
     """The fiber-twist exponent nu for complementary moduli of ranks r, s.
 
-    Raises DivisibilityError / NuBoundError separately so callers can tell
-    an invalid grid point from a merely-too-small one.
+    One integer rule on every elliptic model: 2t(-nu) = 2(a+b-chi) -
+    t(t-1)chi + 2t with t = r+s and chi = chi(O).  Raises DivisibilityError /
+    NuBoundError separately so callers can tell an invalid grid point from a
+    merely-too-small one.
     """
     _require_ranks(r, s)
     if min(a, b) < 0:
         raise ValueError("half-dimensions must be >= 0")
     if model is None:
         model = elliptic_k3()
-    if model.kind == ELLIPTIC_K3:
-        if (a + b - 2) % (r + s) != 0:
-            raise DivisibilityError(f"r+s = {r + s} does not divide a+b-2 = {a + b - 2}")
-        minus_nu = _k3_minus_nu(r + s, a + b)
-        if minus_nu < _K3_MIN_MINUS_NU:
-            raise NuBoundError(f"-nu = {minus_nu} < {_K3_MIN_MINUS_NU}")
-        return -minus_nu
-    if model.kind == ELLIPTIC_GENERAL:
-        chi = model.chi_o
-        # the two fractional terms may cancel; only the total need be integral
-        minus_nu = (
-            Fraction(a + b - chi, r + s) - Fraction((r + s - 1) * chi, 2) + 1
-        )
-        if minus_nu.denominator != 1:
-            raise DivisibilityError(
-                f"(a+b-chi)/(r+s) - (r+s-1)chi/2 + 1 = {minus_nu} is not an integer"
-            )
-        minus_nu = int(minus_nu)
-        if minus_nu < chi:
-            raise NuBoundError(f"-nu = {minus_nu} < chi = {chi}")
-        return -minus_nu
-    raise ModelMismatchError("nu is defined on the elliptic models")
+    if model.ns_rank != 2:
+        raise ModelMismatchError("nu is defined on the elliptic models")
+    t, chi = r + s, model.chi_o
+    num = 2 * (a + b - chi) - t * (t - 1) * chi + 2 * t
+    if num % (2 * t) != 0:
+        raise DivisibilityError(f"-nu = {num}/{2 * t} is not an integer")
+    minus_nu = num // (2 * t)
+    if minus_nu < chi:
+        raise NuBoundError(f"-nu = {minus_nu} < chi = {chi}")
+    return -minus_nu
+
+
+def minimal_valid_total(r: int, s: int, chi_o: int) -> int:
+    """The least a + b that ``compute_nu`` accepts at chi(O) = chi_o, where -nu = chi_o."""
+    t = r + s
+    return t * (chi_o - 1) + t * (t - 1) * chi_o // 2 + chi_o
 
 
 def k3_divisible_points(r_rng, s_rng, ab_max: int):
@@ -110,15 +95,15 @@ def k3_divisible_points(r_rng, s_rng, ab_max: int):
 
     Covers r in r_rng, s in s_rng and 0 <= a, b with a+b <= ab_max, in
     (r, s, a+b, a) order.  ``valid`` is True exactly where compute_nu returns
-    a twist, i.e. a+b = (r+s)(k+r+s-2)+2 with k = -nu >= 2; the other points
+    a twist, i.e. a+b >= ``minimal_valid_total(r, s, 2)``; the other points
     fail only its bound, never its divisibility.
     """
     for r in r_rng:
         for s in s_rng:
             _require_ranks(r, s)
-            t = r + s
-            for total in range(2, ab_max + 1, t):
-                valid = _k3_minus_nu(t, total) >= _K3_MIN_MINUS_NU
+            least = minimal_valid_total(r, s, 2)
+            for total in range(2, ab_max + 1, r + s):
+                valid = total >= least
                 for a in range(0, total + 1):
                     yield r, s, a, total - a, valid
 
@@ -176,14 +161,19 @@ def tower_instance(r: int, s: int, a: int, b: int, model: SurfaceModel | None = 
     return DualityInstance(model, v, w, r, s, a, b, nu, line)
 
 
-def _k3_chi_product(v: tuple[int, ...], w: tuple[int, ...]) -> int:
-    """chi(v . w) = c1(v).c1(w) + r(v)s(w) + s(v)r(w) on elliptic-K3 coordinates.
+def _chi_product(gram, v: tuple[int, ...], w: tuple[int, ...]) -> int:
+    """chi(v . w) = c1(v).c1(w) + r(v)s(w) + s(v)r(w) on raw K3 coordinates.
 
-    A vector is (rank, sigma-coefficient, f-coefficient, s) with sigma^2 = -2,
-    sigma.f = 1 and f^2 = 0.
+    A vector is (rank, c1 coefficients..., s), with c1 in the NS basis whose
+    Gram matrix is ``gram``: H on the generic K3, sigma and f on the
+    elliptic K3.  Unrolled by NS rank, as ``NSClass.dot`` is.
     """
+    if len(v) == 3:
+        (r1, x1, s1), (r2, x2, s2) = v, w
+        return gram[0][0] * x1 * x2 + r1 * s2 + s1 * r2
     (r1, x1, y1, s1), (r2, x2, y2, s2) = v, w
-    return -2 * x1 * x2 + x1 * y2 + y1 * x2 + r1 * s2 + s1 * r2
+    c1c1 = gram[0][0] * x1 * x2 + gram[0][1] * (x1 * y2 + y1 * x2) + gram[1][1] * y1 * y2
+    return c1c1 + r1 * s2 + s1 * r2
 
 
 def k3_tower_row(r: int, s: int, a: int, b: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -199,13 +189,14 @@ def k3_tower_row(r: int, s: int, a: int, b: int) -> tuple[int, tuple[int, ...], 
     <u, u> + 2 = 2 - chi(u . u*), with u* = (r, -c1, s) the dual.
     """
     nu = compute_nu(r, s, a, b)
+    gram = elliptic_k3().gram
     v = (r, 1, a - r * (r - 1), 1 - r)
     w = (s, 1, b - s * (s - 1) + s * nu, 1 - s + nu)
-    if _k3_chi_product(v, w) != 0:
+    if _chi_product(gram, v, w) != 0:
         raise AssertionError("chi(v . w) != 0 on a valid instance; this is a bug")
     for u, half in ((v, a), (w, b)):
         rank, x, y, slot = u
-        if 2 - _k3_chi_product(u, (rank, -x, -y, slot)) != 2 * half:
+        if 2 - _chi_product(gram, u, (rank, -x, -y, slot)) != 2 * half:
             raise AssertionError("half-dimension bookkeeping failed; this is a bug")
     return nu, v, w
 
@@ -396,6 +387,20 @@ def ogrady_tower(r_max: int, a: int, model: SurfaceModel | None = None) -> Tower
 # ---------------------------------------------------------------------------
 
 
+def theta_pair(r: int, s: int, chi: int, chi_prime: int) -> tuple[MukaiVector, MukaiVector]:
+    """The theta-relation point v = (r, H, chi - r), w = (s, H, chi' - s).
+
+    The two are orthogonal exactly when H^2 = 2rs - r.chi' - s.chi, so they
+    live on ``generic_k3`` of that degree.  Raises ValueError unless that
+    H^2 is a positive even integer.
+    """
+    h2 = 2 * r * s - r * chi_prime - s * chi
+    if h2 <= 0 or h2 % 2 != 0:
+        raise ValueError(f"induced H^2 = {h2} is not a positive even integer")
+    h = generic_k3(h2).hyperplane
+    return MukaiVector(r, h, chi - r), MukaiVector(s, h, chi_prime - s)
+
+
 @dataclass(frozen=True)
 class ThetaRelationResult:
     lambda_v: MukaiVector
@@ -467,22 +472,15 @@ class DeformationPair:
 def deformation_setup(r: int, s: int, chi: int, chi_prime: int) -> DeformationPair:
     """Match a generic-K3 instance with its elliptic degeneration.
 
-    v = (r, H, chi - r) and w = (s, H, chi' - s) are orthogonal exactly when
-    H^2 = 2rs - r.chi' - s.chi; on the elliptic side H degenerates to the
-    numerical section sigma + (n+1)f of the same square 2n.  All Mukai
-    pairings must agree across the two models.
+    The generic side is the ``theta_pair`` of H^2 = 2n; on the elliptic side
+    H degenerates to the numerical section sigma + (n+1)f of the same square.
+    All Mukai pairings must agree across the two models.
     """
-    if min(r, s) < 2:
-        raise ValueError("both ranks must be >= 2")
+    _require_ranks(r, s)
     if chi > 0 or chi_prime > 0:
         raise ValueError("the deformation argument needs chi(v), chi(w) <= 0")
-    h2 = 2 * r * s - r * chi_prime - s * chi
-    if h2 <= 0 or h2 % 2 != 0:
-        raise ValueError(f"induced H^2 = {h2} is not a positive even integer")
-    gen = generic_k3(h2)
-    h = gen.hyperplane
-    v_g = MukaiVector(r, h, chi - r)
-    w_g = MukaiVector(s, h, chi_prime - s)
+    v_g, w_g = theta_pair(r, s, chi, chi_prime)
+    h2 = v_g.model.degree
 
     ell = elliptic_k3()
     k = h2 // 2 + 1  # (sigma + k.f)^2 = 2k - 2 = H^2
@@ -501,7 +499,7 @@ def deformation_setup(r: int, s: int, chi: int, chi_prime: int) -> DeformationPa
     nu = compute_nu(r, s, a, b)
     if nu != chi + chi_prime - 2:
         raise AssertionError("twist exponent disagrees with chi + chi' - 2; this is a bug")
-    generic_inst = DualityInstance(gen, v_g, w_g, r, s, a, b)
+    generic_inst = DualityInstance(v_g.model, v_g, w_g, r, s, a, b)
     elliptic_inst = DualityInstance(
         ell, v_e, w_e, r, s, a, b, nu, duality_line_bundle_class(r, s, nu)
     )
@@ -531,37 +529,21 @@ def theta_relation_sweep(
                     if h2 <= 0:
                         continue
                     checked += 1
-                    # triples (rank, H-coeff, v4)
+                    # triples (rank, H-coeff, s) with the Gram matrix (H^2)
+                    gram = ((h2,),)
+                    v = (r, 1, chi - r)
                     w = (s, 1, chi_p - s)
                     lam = (0, -r, h2)
                     mu = (-h2, (chi - r), 0)
-                    lhs = tuple(h2 * c for c in w)
-                    rhs = tuple(
-                        (chi_p - s) * lc - s * mc for lc, mc in zip(lam, mu)
-                    )
-                    ok = lhs == rhs
-                    # orthogonality of v with both auxiliary classes:
-                    # chi(v . u) = r1 chi2 + r2 chi1 + x1 x2 H^2 - 2 r1 r2
-                    v = (r, 1, chi - r)
-
-                    def pair0(p, q):
-                        return (
-                            p[0] * (q[0] + q[2])
-                            + q[0] * (p[0] + p[2])
-                            + p[1] * q[1] * h2
-                            - 2 * p[0] * q[0]
-                        )
-
-                    ok = ok and pair0(v, lam) == 0 and pair0(v, mu) == 0 and pair0(v, w) == 0
+                    # H^2.w = (chi' - s).lambda - s.mu, and v orthogonal to w and
+                    # both auxiliary classes
+                    ok = all(h2 * c == (chi_p - s) * lc - s * mc for c, lc, mc in zip(w, lam, mu))
+                    ok = ok and all(_chi_product(gram, v, u) == 0 for u in (lam, mu, w))
                     if not ok:
                         failures.append((r, s, chi, chi_p))
                     if h2 % 2 == 0:
                         cross_checked += 1
-                        model = generic_k3(h2)
-                        h = model.hyperplane
-                        res = theta_relation_identity(
-                            MukaiVector(r, h, chi - r), MukaiVector(s, h, chi_p - s)
-                        )
+                        res = theta_relation_identity(*theta_pair(r, s, chi, chi_p))
                         if res.ok != ok:
                             failures.append((r, s, chi, chi_p, "typed-route disagreement"))
     return checked, failures, cross_checked
@@ -595,6 +577,7 @@ __all__ = [
     "DeformationPair",
     "THEOREM_IDS",
     "compute_nu",
+    "minimal_valid_total",
     "k3_divisible_points",
     "duality_line_bundle_class",
     "duality_line_bundle",
@@ -605,6 +588,7 @@ __all__ = [
     "dimension_match",
     "ogrady_tower",
     "theta_classes",
+    "theta_pair",
     "theta_relation_identity",
     "deformation_setup",
     "theorem2_equivalence",

@@ -185,14 +185,12 @@ def _defining_quads(model: SurfaceModel) -> list[tuple[Quad, Quad]]:
     return [(vector_coords(u), vector_coords(o)) for u, o in pairs]
 
 
-def derive_fm_matrix(
-    model: SurfaceModel | None = None, check_grid: tuple[int, int] = (4, 6)
-) -> tuple[FMMatrix, FMDiagnostics]:
+def derive_fm_matrix(model: SurfaceModel | None = None) -> tuple[FMMatrix, FMDiagnostics]:
     """Solve for the unique lattice map realizing the displayed transforms.
 
     The defining system uses the dual-tower images at (r, a) in
     {(1,0), (1,1), (2,0)} plus the structure-sheaf normalization; every
-    further grid point up to ``check_grid`` is then re-checked and any
+    further grid point with r <= 4 and a <= 6 is then re-checked and any
     residual is a hard error (the constraints are never silently pruned).
     """
     if model is None:
@@ -207,11 +205,9 @@ def derive_fm_matrix(
         )
 
     failures = []
-    checked = 0
-    for r in range(1, check_grid[0] + 1):
-        for a in range(0, check_grid[1] + 1):
+    for r in range(1, 5):
+        for a in range(0, 7):
             u, o = _dual_tower_pair(r, a, model)
-            checked += 1
             if matrix.apply(vector_coords(u)) != vector_coords(o):
                 failures.append((r, a))
     if failures:
@@ -220,7 +216,7 @@ def derive_fm_matrix(
     diag = FMDiagnostics(
         unique=True,
         defining_constraints=_DEFINING,
-        checked_constraints=checked + 1,
+        checked_constraints=4 * 7 + 1,  # the grid points and the normalization
         residual_failures=tuple(failures),
         isometry_ok=_isometry_ok(matrix),
         determinant=matrix.determinant(),

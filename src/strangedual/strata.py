@@ -583,7 +583,12 @@ class CodimAudit:
     bound_satisfied: bool
     corollary_applicable: bool
     remark_applicable: bool
-    chain_ok: bool
+    strata: tuple[Stratum, ...]
+
+    @property
+    def chain_ok(self) -> bool:
+        """``chain_audit`` passes on every stratum; each read runs it again."""
+        return all(chain_audit(self.v, st).ok for st in self.strata)
 
 
 def codim_audit(
@@ -598,7 +603,8 @@ def codim_audit(
     them; without it the strata are enumerated here.  A caller may pass any
     list of strata on the wall instead, and every count and verdict then
     covers that list alone: ``bound_satisfied`` is ``stratum_codim_ok`` on
-    each of them, and ``chain_ok`` runs ``chain_audit`` once on each.  For
+    each of them, and reading ``chain_ok`` runs ``chain_audit`` once on each,
+    so a caller that reads only the bound runs no chain.  For
     <v, v> <= 0 and r >= 2 the bound is below 2 and the relaxed threshold
     is positive, so neither applicability flag holds.
     """
@@ -623,7 +629,7 @@ def codim_audit(
         bound_satisfied=min_codim is None or min_codim >= bound,
         corollary_applicable=bound >= 2,
         remark_applicable=c1_content == 1 and q_v >= 2 * (r - 1) * (r * r + 1),
-        chain_ok=all(chain_audit(v, st).ok for st in strata),
+        strata=tuple(strata),
     )
 
 

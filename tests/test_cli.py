@@ -129,8 +129,47 @@ class TestRunInstance:
 
     def test_missing_params(self):
         spec = normalize_instance({"checks": ["nu"]}, 0)[0]
-        report = run_instance(spec)
-        assert report["results"]["nu"]["status"] == "error:missing-params"
+        result = run_instance(spec)["results"]["nu"]
+        assert result["status"] == "error:missing-params"
+        assert result["reason"] == "missing params: need r, s, a and b"
+
+    @pytest.mark.parametrize(
+        "check,reason",
+        [
+            ("deformation", "need params r, s, chi and chi_prime"),
+            ("suitability", "need params v and m"),
+            ("hypotheses-T2", "need vectors v/w or (r, s, a, b)"),
+        ],
+    )
+    def test_missing_params_of_each_check(self, check, reason):
+        spec = normalize_instance({"checks": [check]}, 0)[0]
+        result = run_instance(spec)["results"][check]
+        assert (result["status"], result["reason"]) == ("error:missing-params", reason)
+
+    def test_key_error_in_a_check_is_internal(self, monkeypatch):
+        def broken(*args):
+            raise KeyError("a fault in the program")
+
+        monkeypatch.setattr(cli, "tower_instance", broken)
+        spec = normalize_instance(
+            {"params": {"r": 2, "s": 2, "a": 9, "b": 9}, "checks": ["nu"]}, 0
+        )[0]
+        result = run_instance(spec)["results"]["nu"]
+        assert result["status"] == "error:internal:KeyError"
+
+    @pytest.mark.parametrize(
+        "chi,chi_prime,h2", [(-1, 0, 15), (0, -1, 14), (4, 5, -10)]
+    )
+    def test_single_point_theta_relation(self, chi, chi_prime, h2):
+        # an odd or non-positive H^2 is outside the relation's domain
+        params = {"r": 2, "s": 3, "chi": chi, "chi_prime": chi_prime}
+        spec = normalize_instance({"params": params, "checks": ["theta-relation"]}, 0)[0]
+        result = run_instance(spec)["results"]["theta-relation"]
+        if h2 > 0 and h2 % 2 == 0:
+            assert (result["status"], result["h_squared"]) == ("pass", h2)
+        else:
+            assert result["status"] == "error:invalid"
+            assert result["reason"] == f"induced H^2 = {h2} is not a positive even integer"
 
     def test_suitability_check(self):
         spec = normalize_instance(
@@ -297,13 +336,13 @@ class TestExclusionSweepGrid:
     def test_non_orthogonal_point_does_not_pass(self, monkeypatch):
         # k3_tower_row is the sweep's orthogonality check; break it at one point
         _, bad_v, bad_w = duality.k3_tower_row(2, 3, 13, 14)
-        original = duality._k3_chi_product
+        original = duality._chi_product
 
-        def broken(v, w):
-            value = original(v, w)
+        def broken(gram, v, w):
+            value = original(gram, v, w)
             return value + 1 if (v, w) == (bad_v, bad_w) else value
 
-        monkeypatch.setattr(duality, "_k3_chi_product", broken)
+        monkeypatch.setattr(duality, "_chi_product", broken)
         spec = normalize_instance({"checks": ["exclusion-sweep"]}, 0)[0]
         result = run_instance(spec)["results"]["exclusion-sweep"]
         assert result["status"] != "pass"
@@ -344,7 +383,7 @@ class TestGeneralConsistency:
             for r in range(2, 7):
                 for s in range(2, 7):
                     expected = _reference_minimal_valid_total(r, s, model)
-                    assert cli._minimal_valid_total(r, s, model) == expected, (chi_o, r, s)
+                    assert duality.minimal_valid_total(r, s, chi_o) == expected, (chi_o, r, s)
 
 
 class TestStrataAuditWork:
@@ -495,8 +534,12 @@ class TestStrataWallEntries:
             spec = normalize_instance(
                 {"params": {"v": text}, "checks": ["strata-audit"], "bounds": bounds}, 0
             )[0]
-            assert run_instance(spec)["results"]["strata-audit"]["status"] == "pass"
+            result = run_instance(spec)["results"]["strata-audit"]
+            assert result["status"] == "pass"
             assert max(counts.values(), default=1) == 1, (text, parts, oracle)
+            # only the shown strata: the hidden part counts feed the bound alone
+            shown = sum(entry["strata"] for entry in result["vectors"][0]["walls"])
+            assert len(counts) == shown, (text, parts, oracle)
             audited += len(counts)
         assert audited > 0
 
@@ -733,8 +776,26 @@ def _table_rows_from_checks():
     return rows
 
 
+README_ERROR_HEADER = "| status | means |"
+
+
 class TestCheckTable:
     """Every check reads its params and bounds as ``cli.CHECKS`` declares them."""
+
+    def test_readme_lists_every_error_kind(self):
+        lines = README.read_text(encoding="utf-8").splitlines()
+        start = lines.index(README_ERROR_HEADER) + 2
+        listed = set()
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            status = line.strip("|").split("|")[0].strip().strip("`")
+            listed.add(status.removesuffix(":<Type>"))
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        # "error:internal:{...}" is the f-string of error:internal:<Type>
+        emitted = set(re.findall(r'"(error:[a-z-]+)', source))
+        assert emitted == listed
+        assert "error:parameters" not in emitted
 
     def test_readme_table_matches_the_checks(self):
         lines = README.read_text(encoding="utf-8").splitlines()

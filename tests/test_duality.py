@@ -1,5 +1,7 @@
 """Twist exponents, theta line bundles, hypothesis lists and the tower."""
 
+from fractions import Fraction
+
 import pytest
 
 from strangedual.duality import (
@@ -12,15 +14,20 @@ from strangedual.duality import (
     duality_line_bundle,
     duality_line_bundle_class,
     hypotheses_report,
+    k3_divisible_points,
+    minimal_valid_total,
     ogrady_tower,
     theorem2_equivalence,
     theta_classes,
+    theta_pair,
     theta_relation_identity,
     theta_relation_sweep,
     tower_instance,
 )
 from strangedual.hilbert import binom
 from strangedual.surfaces import (
+    ELLIPTIC_GENERAL,
+    ELLIPTIC_K3,
     ModelMismatchError,
     MukaiVector,
     chi_vec,
@@ -36,6 +43,80 @@ from strangedual.surfaces import (
 )
 
 E = elliptic_k3()
+
+
+def _reference_compute_nu(r, s, a, b, model=None):
+    """compute_nu as it was written before one rule served every model: an
+    integer branch for the elliptic K3 and a Fraction branch for the
+    general elliptic surface."""
+    if min(r, s) < 2:
+        raise ValueError("both ranks must be >= 2")
+    if min(a, b) < 0:
+        raise ValueError("half-dimensions must be >= 0")
+    if model is None:
+        model = elliptic_k3()
+    if model.kind == ELLIPTIC_K3:
+        if (a + b - 2) % (r + s) != 0:
+            raise DivisibilityError("divisibility")
+        minus_nu = (a + b - 2) // (r + s) - (r + s - 2)
+        if minus_nu < 2:
+            raise NuBoundError("bound")
+        return -minus_nu
+    if model.kind == ELLIPTIC_GENERAL:
+        chi = model.chi_o
+        minus_nu = Fraction(a + b - chi, r + s) - Fraction((r + s - 1) * chi, 2) + 1
+        if minus_nu.denominator != 1:
+            raise DivisibilityError("divisibility")
+        if minus_nu < chi:
+            raise NuBoundError("bound")
+        return -int(minus_nu)
+    raise ModelMismatchError("nu is defined on the elliptic models")
+
+
+def _nu_or_error(nu_rule, *args):
+    try:
+        return nu_rule(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+# the elliptic K3 and the general elliptic surfaces with chi(O) = 1..6
+NU_MODELS = (E, *(elliptic_general(chi_o) for chi_o in range(1, 7)))
+
+
+class TestOneNuRule:
+    @pytest.mark.parametrize("model", NU_MODELS, ids=lambda m: f"{m.kind}-chi{m.chi_o}")
+    def test_equals_the_two_branch_rule(self, model):
+        # every (r, s, a, b) with 2 <= r, s <= 6 and 0 <= a, b <= 89; the
+        # reference reads a and b only through a + b (both are >= 0 here),
+        # so it is evaluated once per total
+        compared = 0
+        for r in range(2, 7):
+            for s in range(2, 7):
+                expected = [
+                    _nu_or_error(_reference_compute_nu, r, s, 0, total, model)
+                    for total in range(179)
+                ]
+                for a in range(90):
+                    for b in range(90):
+                        got = _nu_or_error(compute_nu, r, s, a, b, model)
+                        assert got == expected[a + b], (r, s, a, b, model)
+                        compared += 1
+        assert compared == 25 * 90 * 90
+
+    def test_generic_model_and_small_ranks_are_refused(self):
+        for args in ((2, 2, 9, 9, generic_k3(4)), (1, 2, 9, 9, E), (2, 2, -1, 9, E)):
+            got = _nu_or_error(compute_nu, *args)
+            assert got == _nu_or_error(_reference_compute_nu, *args)
+            assert issubclass(got, ValueError)
+
+    def test_k3_validity_is_the_minimal_total(self):
+        for r in range(2, 7):
+            for s in range(2, 7):
+                assert minimal_valid_total(r, s, 2) == (r + s) ** 2 + 2
+                for _, _, a, b, valid in k3_divisible_points([r], [s], 150):
+                    nu = _nu_or_error(_reference_compute_nu, r, s, a, b)
+                    assert valid == isinstance(nu, int), (r, s, a, b)
 
 
 class TestComputeNu:
@@ -244,6 +325,15 @@ class TestThetaRelation:
         res = theta_relation_identity(v, w)
         assert not res.orthogonal
         assert not res.ok
+
+    def test_theta_pair(self):
+        v, w = theta_pair(2, 3, 0, -1)
+        g = generic_k3(14)
+        assert (v, w) == (MukaiVector(2, g.hyperplane, -2), MukaiVector(3, g.hyperplane, -4))
+        assert v.model is g and euler_form(v, w) == 0
+        for chi, chi_p in ((-1, 0), (4, 5)):  # H^2 = 15 and -10
+            with pytest.raises(ValueError, match="not a positive even integer"):
+                theta_pair(2, 3, chi, chi_p)
 
     def test_sweep_clean(self):
         checked, failures, crossed = theta_relation_sweep(2, 5, -5, 0)
