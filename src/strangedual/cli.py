@@ -400,11 +400,10 @@ def _check_sign_law(ctx: _Ctx, coord_bound, degrees):
 def _check_fm_verify(ctx: _Ctx, r_max, a_max):
     matrix, diag = derive_fm_matrix(ctx.model)
     report = verify_fm_suite(matrix, r_max, a_max)
-    ok = diag.unique and diag.isometry_ok and report.all_ok
     data = {
         "columns": [list(c) for c in matrix.columns],
         "determinant": diag.determinant,
-        "unique": diag.unique,
+        "unique": True,  # derive_fm_matrix raises unless the solve is unique
         "isometry_ok": report.isometry_ok,
         "dual_images_ok": report.dual_images_ok,
         "direct_images_ok": report.direct_images_ok,
@@ -413,7 +412,7 @@ def _check_fm_verify(ctx: _Ctx, r_max, a_max):
         "c1_grr_ok": report.c1_grr_ok,
         "degeneration_ok": report.degeneration_ok,
     }
-    return ("pass" if ok else "fail"), data
+    return ("pass" if report.all_ok else "fail"), data
 
 
 def _check_theta_relation(ctx: _Ctx, r, s, chi, chi_prime, r_lo, r_hi, chi_lo, chi_hi):

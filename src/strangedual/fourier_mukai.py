@@ -8,7 +8,7 @@ these statements pin down a linear map on vector coordinates
     (rank, x, y, s)    with c1 = x.sigma + y.f.
 
 The map is never hard-coded: :func:`derive_fm_matrix` solves the linear
-constraint system exactly (Fraction arithmetic), reports whether it was
+constraint system exactly (Fraction arithmetic), raises unless it is
 uniquely solvable, and re-checks every remaining constraint on a grid.  The
 matrix for the elliptic K3 acts on Mukai coordinates (s = v4); the general
 elliptic model has no integral v4 and its matrix acts on (rank, x, y, chi)
@@ -167,11 +167,8 @@ def _normalization_pair(model: SurfaceModel) -> tuple[MukaiVector, MukaiVector]:
 
 @dataclass(frozen=True)
 class FMDiagnostics:
-    unique: bool
     defining_constraints: tuple[tuple[int, int], ...]
     checked_constraints: int
-    residual_failures: tuple[tuple[int, int], ...]
-    isometry_ok: bool
     determinant: int
 
 
@@ -190,8 +187,10 @@ def derive_fm_matrix(model: SurfaceModel | None = None) -> tuple[FMMatrix, FMDia
 
     The defining system uses the dual-tower images at (r, a) in
     {(1,0), (1,1), (2,0)} plus the structure-sheaf normalization; every
-    further grid point with r <= 4 and a <= 6 is then re-checked and any
-    residual is a hard error (the constraints are never silently pruned).
+    further grid point with r <= 4 and a <= 6 is then re-checked.  A
+    dependent system or any residual raises ``FMDerivationError`` (the
+    constraints are never silently pruned), so a returned matrix is the
+    unique solution and satisfies every checked constraint.
     """
     if model is None:
         model = elliptic_k3()
@@ -214,11 +213,8 @@ def derive_fm_matrix(model: SurfaceModel | None = None) -> tuple[FMMatrix, FMDia
         raise FMDerivationError(f"constraints conflict with the solved matrix at {failures}")
 
     diag = FMDiagnostics(
-        unique=True,
         defining_constraints=_DEFINING,
         checked_constraints=4 * 7 + 1,  # the grid points and the normalization
-        residual_failures=tuple(failures),
-        isometry_ok=_isometry_ok(matrix),
         determinant=matrix.determinant(),
     )
     return matrix, diag

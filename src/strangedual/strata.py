@@ -22,6 +22,10 @@ combined with the per-part bound <v_i^2> >= -2 r_i^2: both the multiples of
 the wall class and the degree-4 components then range over provably finite
 sets, and an independent box brute force must (and, in the tests, does)
 recover the same stratum list.
+
+The pairing-sum chain audited per stratum (``chain_audit``) runs on
+integers: each of its lines is a sum of terms over 2 r_i, 2 r_i r_j and 2r,
+so with N = 2 r prod(r_i) each integer line is the typed line times N.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .surfaces import (
     ELLIPTIC_K3,
@@ -216,14 +220,6 @@ class Stratum:
     parts: tuple[MukaiVector, ...]
     dims: tuple[int, ...]
     total_dim: int
-
-    @property
-    def pair_sum(self) -> int:
-        total = 0
-        for i in range(len(self.parts)):
-            for j in range(i + 1, len(self.parts)):
-                total += mukai_pair(self.parts[i], self.parts[j])
-        return total
 
 
 def _compositions(total: int, parts: int):
@@ -508,60 +504,81 @@ class ChainAudit:
 
 
 def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
-    """Verify every step of the pairing-sum estimate on one stratum, exactly."""
-    r = v.r
-    q_v = mukai_pair(v, v)
-    parts = stratum.parts
-    k = len(parts)
-    squares = [mukai_pair(p, p) for p in parts]
-    pair_sum = stratum.pair_sum
+    """Verify every step of the pairing-sum estimate on one stratum, exactly.
 
-    cross = Fraction(0)
+    Each line of the chain is a sum of terms over 2 r_i, 2 r_i r_j and 2r.
+    With P = prod r_i and N = 2 r P, every line times N is an integer, so
+    each integer line here is the typed line times N and each comparison
+    is the typed comparison; N > 0 because every rank is positive.  The
+    squares, the pairwise pairings and the cross-class squares
+    (r_i xi_j - r_j xi_i)^2 all come from the intersection numbers
+    xi_i.xi_j on the model's Gram matrix:
+
+        cross . N   = r sum_{i<j} sq_ij P/(r_i r_j)
+        split . N   = r sum_i (r - r_i) <v_i^2> P/r_i - cross . N
+        dropped . N = r sum_i <v_i^2> P/r_i + N sum_i (r_i - (r - r_i) r_i) - cross . N
+        collect . N = <v^2> P + sum_{i<j} sq_ij P/(r_i r_j) + N (r - r^2 + sum_i r_i^2) - cross . N
+        final . N   = <v^2> P + N (r - r^2 + sum_i r_i^2)
+    """
+    model = v.model
+    if not model.is_k3:
+        raise ModelMismatchError("the chain uses the Mukai pairing of the K3 models")
+    parts = stratum.parts
+    if any(p.model is not model and p.model != model for p in parts):
+        raise ModelMismatchError("stratum parts live on a different surface model")
+    r = v.r
+    ranks = [p.r for p in parts]
+    if r < 1 or min(ranks) < 1:
+        raise ValueError("the chain runs over vectors of positive rank")
+    slots = [p.s for p in parts]
+    # c1.c1' for the parts' c1 and v's (last), unrolled by NS rank as NSClass.dot is
+    gram = model.gram
+    c1s = [p.c1.coeffs for p in parts] + [v.c1.coeffs]
+    if len(gram) == 1:
+        dots = [[gram[0][0] * a * b for (b,) in c1s] for (a,) in c1s]
+    else:
+        (g00, g01), (_, g11) = gram
+        dots = [
+            [g00 * a0 * b0 + g01 * (a0 * b1 + a1 * b0) + g11 * a1 * b1 for b0, b1 in c1s]
+            for a0, a1 in c1s
+        ]
+    k = len(parts)
+    q_v = dots[k][k] - 2 * r * v.s
+    squares = [dots[i][i] - 2 * ranks[i] * slots[i] for i in range(k)]
+
+    rank_prod = prod(ranks)  # P
+    n = 2 * r * rank_prod
+    pair_sum = 0
+    cross_over_r = 0  # cross . N / r
     hodge_ok = True
     for i in range(k):
+        ri, si = ranks[i], slots[i]
         for j in range(i + 1, k):
-            cls = parts[i].r * parts[j].c1 - parts[j].r * parts[i].c1
-            sq = ns_pair(cls, cls)
+            rj = ranks[j]
+            pair_sum += dots[i][j] - ri * slots[j] - si * rj
+            sq = rj * rj * dots[i][i] - 2 * ri * rj * dots[i][j] + ri * ri * dots[j][j]
             if sq > 0:
                 hodge_ok = False
-            cross += Fraction(sq, 2 * parts[i].r * parts[j].r)
+            cross_over_r += sq * (rank_prod // (ri * rj))
+    cross = r * cross_over_r
 
-    line_split = sum(
-        Fraction((r - p.r) * qi, 2 * p.r) for p, qi in zip(parts, squares)
-    ) - cross
-    split_ok = line_split == pair_sum
-
-    bogomolov_ok = all(qi + 2 * p.r * p.r >= 0 for p, qi in zip(parts, squares))
-
+    weighted = [qi * (rank_prod // ri) for qi, ri in zip(squares, ranks)]  # <v_i^2> P/r_i
+    line_split = r * sum((r - ri) * wi for ri, wi in zip(ranks, weighted)) - cross
+    bogomolov_ok = all(qi + 2 * ri * ri >= 0 for qi, ri in zip(squares, ranks))
     line_dropped = (
-        sum(Fraction(qi, 2 * p.r) + p.r for p, qi in zip(parts, squares))
-        - sum((r - p.r) * p.r for p in parts)
-        - cross
+        r * sum(weighted) + n * sum(ri - (r - ri) * ri for ri in ranks) - cross
     )
-    drop_ok = line_split >= line_dropped
-
-    rank_sq = sum(p.r * p.r for p in parts)
-    line_collect = (
-        Fraction(q_v, 2 * r)
-        + cross / r
-        + r
-        - r * r
-        + rank_sq
-        - cross
-    )
-    collect_ok = line_dropped == line_collect
-
-    final = Fraction(q_v, 2 * r) + r - r * r + rank_sq
-    final_ok = pair_sum >= final
+    final = q_v * rank_prod + n * (r - r * r + sum(ri * ri for ri in ranks))
+    line_collect = final + cross_over_r - cross
 
     return ChainAudit(
         pair_sum=pair_sum,
-        split_identity_ok=split_ok,
+        split_identity_ok=line_split == pair_sum * n,
         bogomolov_ok=bogomolov_ok,
         hodge_ok=hodge_ok,
-        drop_rank_weights_ok=drop_ok,
-        collect_identity_ok=collect_ok,
-        final_bound_ok=final_ok,
+        drop_rank_weights_ok=line_split >= line_dropped,
+        collect_identity_ok=line_dropped == line_collect,
+        final_bound_ok=pair_sum * n >= final,
     )
 
 

@@ -32,6 +32,7 @@ from strangedual.surfaces import (
     mukai_dual,
     mukai_pair,
     normalized_vector,
+    point_vector,
     structure_vector,
     twist,
 )
@@ -90,8 +91,7 @@ def _defining_pairs(model):
 class TestDerivation:
     def test_unique_solve_matches_frozen_columns(self):
         matrix, diag = derive_fm_matrix(E)
-        assert diag.unique
-        assert not diag.residual_failures
+        assert diag.checked_constraints == 4 * 7 + 1
         assert matrix.columns == EXPECTED_COLUMNS
 
     def test_defining_inputs_are_independent(self):
@@ -110,8 +110,8 @@ class TestDerivation:
         assert matrix.determinant() == diag.determinant
 
     def test_isometry_all_basis_pairs(self):
-        matrix, diag = derive_fm_matrix(E)
-        assert diag.isometry_ok
+        matrix, _ = derive_fm_matrix(E)
+        assert fourier_mukai._isometry_ok(matrix)
         basis = [coords_vector(E, tuple(int(i == j) for j in range(4))) for i in range(4)]
         for ei in basis:
             for ej in basis:
@@ -235,9 +235,9 @@ class TestSuite:
     def test_general_model(self, chi_o):
         model = elliptic_general(chi_o)
         matrix, diag = derive_fm_matrix(model)
-        assert diag.unique and diag.isometry_ok
         assert diag.determinant in (-1, 1)
         report = verify_fm_suite(matrix, 5, 12)
+        assert report.isometry_ok
         assert report.all_ok
 
     def test_chi2_degeneration_matches_k3(self):
@@ -315,6 +315,18 @@ class TestLinalg:
         repeat = fourier_mukai._dual_tower_pair(1, 0, E)
         monkeypatch.setattr(fourier_mukai, "_normalization_pair", lambda model: repeat)
         with pytest.raises(FMDerivationError, match="linearly dependent"):
+            derive_fm_matrix(E)
+
+    def test_residual_is_rejected(self, monkeypatch):
+        # a wrong image at one grid point outside the defining system
+        original = fourier_mukai._dual_tower_pair
+
+        def perturbed(r, a, model):
+            u, o = original(r, a, model)
+            return (u, o + point_vector(model)) if (r, a) == (3, 2) else (u, o)
+
+        monkeypatch.setattr(fourier_mukai, "_dual_tower_pair", perturbed)
+        with pytest.raises(FMDerivationError, match=r"conflict with the solved matrix at \[\(3, 2\)\]"):
             derive_fm_matrix(E)
 
     @pytest.mark.parametrize("a", [1, 2, 9])

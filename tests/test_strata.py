@@ -1,6 +1,7 @@
 """Walls, stratum enumeration, and the codimension-estimate audits."""
 
 import json
+import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import isqrt
@@ -10,6 +11,7 @@ import pytest
 import strangedual.strata as strata
 from strangedual.cli import main, normalize_instance, run_instance
 from strangedual.strata import (
+    ChainAudit,
     Stratum,
     Wall,
     _ceil_div,
@@ -413,6 +415,109 @@ class TestOracle:
             strata_box_oracle(vec(2, 1, 0, -2), Wall(E.sigma, Fraction(2), ()))
 
 
+def _k_part_box_oracle(v, wall, k):
+    """Brute-force k-part strata: a box over the first k - 1 parts, the last the complement.
+
+    Each part p_i = (r_i, xi_i, s_i) of the first k - 1 runs over a box sized
+    from v alone; the last part is v minus their sum.  The filters are the raw
+    constraints: slope equality on the wall, nonemptiness of every part
+    (typed ``stack_dim``) and strictly decreasing Gieseker keys (fibre degree
+    over rank, then s over rank) from each part to the next.  Neither the
+    wall class nor the t-multiples of the pruned enumerator are used.
+
+    The box.  For parts summing to v, with E_ij = r_i xi_j - r_j xi_i,
+
+        sum_i (r/r_i) <p_i^2> = <v^2> + sum_{i<j} E_ij^2 / (r_i r_j).
+
+    Slope equality on the wall gives E_ij.H = 0, and on this lattice
+    E_ij^2 = -2(m - 1) e_ij^2 for e_ij the sigma-coefficient of E_ij.  With
+    Bogomolov, <p_i^2> >= -2 r_i^2, the identity gives
+
+        2(m - 1) sum_{i<j} e_ij^2 / (r_i r_j) <= B = <v^2> + 2r^2.
+
+    The sigma-coefficient of r.xi_i - r_i.xi is e_i = sum_{j != i} +-e_ij, so
+    by Cauchy-Schwarz e_i^2 <= r_i (r - r_i) . sum_{j != i} e_ij^2 / (r_i r_j),
+    and 2(m - 1) e_i^2 <= r_i (r - r_i) B: x_i lies within
+    (r_i x +- e_max)/r.  Slope equality then fixes the fibre coefficient.
+    The same identity on the parts other than p_i shows that their sum
+    v - p_i satisfies Bogomolov as well (its E-terms are <= 0), so s_i lies
+    between the Bogomolov bounds of p_i and of v - p_i.
+    """
+    r, x, s = v.r, v.c1.coeffs[0], v.s
+    budget = mukai_pair(v, v) + 2 * r * r
+    if budget < 0 or not 2 <= k <= r:
+        return []
+    h = E.cls(wall.m_value.denominator, wall.m_value.numerator)
+    num, den = wall.m_value.numerator, wall.m_value.denominator
+    xi_h, sigma_h, fiber_h = ns_pair(v.c1, h), ns_pair(E.sigma, h), ns_pair(E.fiber, h)
+
+    def box(ri):
+        """Every nonempty part of rank ri the box allows."""
+        rest_rank = r - ri
+        e_max = isqrt(den * ri * rest_rank * budget // (2 * (num - den)))
+        found = []
+        for xi in range(_ceil_div(ri * x - e_max, r), (ri * x + e_max) // r + 1):
+            y_num = ri * xi_h - r * xi * sigma_h
+            if y_num % (r * fiber_h):
+                continue
+            c1 = E.cls(xi, y_num // (r * fiber_h))
+            rest = v.c1 - c1
+            s_hi = (ns_pair(c1, c1) + 2 * ri * ri) // (2 * ri)
+            s_lo = s - (ns_pair(rest, rest) + 2 * rest_rank * rest_rank) // (2 * rest_rank)
+            for si in range(s_lo, s_hi + 1):
+                part = MukaiVector(ri, c1, si)
+                if _reference_stack_dim(part) is not None:
+                    found.append(part)
+        return found
+
+    boxes = {ri: box(ri) for ri in range(1, r - k + 2)}
+
+    def falls(p, q):
+        # Gieseker keys (xi.f/r, s/r) strictly decrease from p to q
+        return (p.c1.coeffs[0] * q.r, p.s * q.r) > (q.c1.coeffs[0] * p.r, q.s * p.r)
+
+    out = []
+
+    def rec(chosen, rest):
+        if len(chosen) == k - 1:
+            last = v - sum(chosen, start=MukaiVector(0, E.zero, 0))
+            if _reference_stack_dim(last) is None or not falls(chosen[-1], last):
+                return
+            parts = tuple(chosen) + (last,)
+            dims = tuple(_reference_stack_dim(p) for p in parts)
+            pairs = sum(mukai_pair(parts[i], parts[j]) for i in range(k) for j in range(i + 1, k))
+            out.append(Stratum(parts, dims, sum(dims) + pairs))
+            return
+        # leave every later part a rank of at least 1
+        for ri in range(1, rest - (k - 1 - len(chosen)) + 1):
+            for part in boxes[ri]:
+                if not chosen or falls(chosen[-1], part):
+                    rec(chosen + [part], rest - ri)
+
+    rec([], r)
+    return out
+
+
+class TestKPartOracle:
+    @pytest.mark.parametrize("r,y,s", [(3, 0, -4), (4, 0, -6)] + ORACLE_PROBES)
+    def test_matches_enumeration_for_every_part_count(self, r, y, s):
+        v = vec(r, 1, y, s)
+        compared = 0
+        for wall in wall_enumerate(v, 4):
+            for k in range(2, r + 1):
+                listed = strata_enumerate(v, wall, k)
+                found = _k_part_box_oracle(v, wall, k)
+                assert len(found) == len(set(found))
+                assert set(found) == set(listed), (wall.d, k)
+                compared += len(listed)
+        assert compared > 0
+
+    def test_two_parts_match_the_two_part_oracle(self):
+        v = vec(3, 1, 0, -4)
+        for wall in wall_enumerate(v, 4):
+            assert set(_k_part_box_oracle(v, wall, 2)) == set(strata_box_oracle(v, wall))
+
+
 class TestFibreTwist:
     """Twisting by k fibres is an isometry r:1,y:s -> r:1,(y+rk):(s+k) that
     keeps the walls and maps every stratum part p to twist(p, k.f)."""
@@ -573,6 +678,166 @@ class TestAudits:
                     assert audit.min_codim >= audit.bound
                 if audit.remark_applicable and audit.min_codim is not None:
                     assert audit.min_codim >= 2
+
+
+def _reference_pair_sum(parts):
+    """sum_{i<j} <v_i, v_j> through the typed Mukai pairing."""
+    return sum(
+        mukai_pair(parts[i], parts[j]) for i in range(len(parts)) for j in range(i + 1, len(parts))
+    )
+
+
+def _reference_chain_audit(v, stratum):
+    """The typed chain audit: every line of the chain as a ``Fraction``."""
+    r = v.r
+    q_v = mukai_pair(v, v)
+    parts = stratum.parts
+    k = len(parts)
+    squares = [mukai_pair(p, p) for p in parts]
+    pair_sum = _reference_pair_sum(parts)
+
+    cross = Fraction(0)
+    hodge_ok = True
+    for i in range(k):
+        for j in range(i + 1, k):
+            cls = parts[i].r * parts[j].c1 - parts[j].r * parts[i].c1
+            sq = ns_pair(cls, cls)
+            if sq > 0:
+                hodge_ok = False
+            cross += Fraction(sq, 2 * parts[i].r * parts[j].r)
+
+    line_split = sum(
+        Fraction((r - p.r) * qi, 2 * p.r) for p, qi in zip(parts, squares)
+    ) - cross
+    split_ok = line_split == pair_sum
+
+    bogomolov_ok = all(qi + 2 * p.r * p.r >= 0 for p, qi in zip(parts, squares))
+
+    line_dropped = (
+        sum(Fraction(qi, 2 * p.r) + p.r for p, qi in zip(parts, squares))
+        - sum((r - p.r) * p.r for p in parts)
+        - cross
+    )
+    drop_ok = line_split >= line_dropped
+
+    rank_sq = sum(p.r * p.r for p in parts)
+    line_collect = (
+        Fraction(q_v, 2 * r)
+        + cross / r
+        + r
+        - r * r
+        + rank_sq
+        - cross
+    )
+    collect_ok = line_dropped == line_collect
+
+    final = Fraction(q_v, 2 * r) + r - r * r + rank_sq
+    final_ok = pair_sum >= final
+
+    return ChainAudit(
+        pair_sum=pair_sum,
+        split_identity_ok=split_ok,
+        bogomolov_ok=bogomolov_ok,
+        hodge_ok=hodge_ok,
+        drop_rank_weights_ok=drop_ok,
+        collect_identity_ok=collect_ok,
+        final_bound_ok=final_ok,
+    )
+
+
+_FLAGS = (
+    "split_identity_ok",
+    "bogomolov_ok",
+    "hodge_ok",
+    "drop_rank_weights_ok",
+    "collect_identity_ok",
+    "final_bound_ok",
+)
+G4 = generic_k3(4)
+
+
+def _hand_built(v, *parts):
+    return v, Stratum(tuple(parts), (), 0)
+
+
+# strata the enumerators never produce; between them the reference sets each
+# of the six flags to False at least once
+HAND_BUILT = [
+    # ranks 1 + 1 do not sum to 3: split and collect fail (and Bogomolov)
+    _hand_built(vec(3, 1, 0, -4), vec(1, 1, -2, -1), vec(1, 0, 2, -1)),
+    # c1 and ranks sum to v, s does not: collect fails (and Bogomolov)
+    _hand_built(vec(2, 1, 0, -2), vec(1, 1, -2, -1), vec(1, 0, 2, -3)),
+    # a rank-1 part below Bogomolov in rank 3: drop-rank and final fail
+    _hand_built(vec(3, 1, 0, -4), vec(1, 0, 0, 5), vec(2, 1, 0, -9)),
+    # cross class sigma + 3f of square 4 > 0: Hodge and final fail
+    _hand_built(vec(2, 1, 3, -2), vec(1, 0, 0, -1), vec(1, 1, 3, -1)),
+    # the same on the generic K3, cross class -H of square 4
+    _hand_built(
+        MukaiVector(2, G4.cls(1), -1), MukaiVector(1, G4.cls(1), 0), MukaiVector(1, G4.zero, -1)
+    ),
+    # three parts, cross class sigma + 2f of square 2 > 0, s off by one
+    _hand_built(vec(3, 1, 1, -3), vec(1, 1, 2, -1), vec(1, 0, 0, -1), vec(1, 0, -1, 0)),
+]
+
+
+class TestIntegerChain:
+    """``chain_audit`` on integers against the typed ``_reference_chain_audit``."""
+
+    @pytest.mark.parametrize("r,y,s", BENCH_VECTORS)
+    def test_matches_reference_on_every_benchmark_stratum(self, r, y, s):
+        v = vec(r, 1, y, s)
+        compared = 0
+        for _, listed in _all_strata(v):
+            for st in listed:
+                assert chain_audit(v, st) == _reference_chain_audit(v, st), st
+                compared += 1
+        assert compared > 0
+
+    @pytest.mark.parametrize("v,st", HAND_BUILT)
+    def test_matches_reference_on_hand_built_strata(self, v, st):
+        assert chain_audit(v, st) == _reference_chain_audit(v, st)
+
+    def test_hand_built_strata_fail_every_step(self):
+        audits = [_reference_chain_audit(v, st) for v, st in HAND_BUILT]
+        for flag in _FLAGS:
+            assert not all(getattr(a, flag) for a in audits), flag
+
+    def test_matches_reference_on_random_part_lists(self):
+        rng = random.Random(4)
+        for _ in range(600):
+            model = rng.choice((E, G4))
+            k = rng.randint(2, 4)
+
+            def draw(rank):
+                c1 = model.cls(*(rng.randint(-4, 4) for _ in range(model.ns_rank)))
+                return MukaiVector(rank, c1, rng.randint(-8, 4))
+
+            parts = tuple(draw(rng.randint(1, 3)) for _ in range(k))
+            v = draw(rng.randint(1, 8))
+            st = Stratum(parts, (), 0)
+            assert chain_audit(v, st) == _reference_chain_audit(v, st), (v, parts)
+
+    def test_needs_a_k3_model(self):
+        m3 = elliptic_general(3)
+        p = MukaiVector(1, m3.cls(1, 0), -1)
+        with pytest.raises(ModelMismatchError):
+            chain_audit(MukaiVector(2, m3.cls(1, 0), -2), Stratum((p, p), (), 0))
+        with pytest.raises(ModelMismatchError):
+            chain_audit(vec(2, 1, 0, -2), Stratum((p, vec(1, 0, 0, -1)), (), 0))
+
+    def test_parts_on_another_model_are_refused(self):
+        g = MukaiVector(1, G4.cls(1), 0)
+        with pytest.raises(ModelMismatchError):
+            chain_audit(vec(2, 1, 0, -2), Stratum((g, g), (), 0))
+
+    def test_ranks_must_be_positive(self):
+        for v, parts in (
+            (vec(2, 1, 0, -2), (vec(2, 1, 0, -2), vec(0, 0, 0, 1))),
+            (vec(1, 1, 0, -2), (vec(2, 1, 0, -2), vec(-1, 0, 0, 1))),
+            (vec(0, 1, 0, -2), (vec(1, 1, 0, -2), vec(1, 0, 0, 1))),
+        ):
+            with pytest.raises(ValueError):
+                chain_audit(v, Stratum(parts, (), 0))
 
 
 class TestHodge:
