@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hilbert import binom, taut_det_sections
+from .hilbert import taut_det_sections
 from .surfaces import (
     ELLIPTIC_K3,
     GENERIC_K3,
@@ -206,29 +206,36 @@ class LineBundleCheck:
     line_bundle: NSClass
     chi: int
     chi_matches: bool
-    h0: int | None
-    h0_matches: bool | None
+    h0: int
+    h0_matches: bool
     alternative_form_matches: bool
     ok: bool
 
 
-def duality_line_bundle(inst: DualityInstance) -> LineBundleCheck:
-    """Build L for an instance and verify chi(L) = a + b (and h0 where pinned)."""
+def _theta_line(inst: DualityInstance) -> NSClass:
+    """The theta line bundle L of an instance built from (r, s, a, b)."""
     if inst.nu is None or inst.line_bundle is None:
         raise ValueError("instance carries no twist data; build it from (r, s, a, b)")
-    line = inst.line_bundle
+    return inst.line_bundle
+
+
+def duality_line_bundle(inst: DualityInstance) -> LineBundleCheck:
+    """Build L for an instance and verify chi(L) = h0(L) = a + b.
+
+    Also checks L against its alternative form t.sigma + ((t(t-1)chi +
+    2(a+b-chi))/2t + chi - 1)f with t = r+s and chi = chi(O), which on the
+    elliptic K3 reads t.sigma + (t + (a+b-2)/t)f.
+    """
+    line = _theta_line(inst)
     total = inst.a + inst.b
     chi = chi_rr(line)
     chi_ok = chi == total
-    h0, alt_ok = None, True
-    if inst.surface.kind == ELLIPTIC_K3:
-        h0 = h0_surface(line)
-        alt = inst.surface.cls(
-            inst.r + inst.s, (inst.r + inst.s) + (total - 2) // (inst.r + inst.s)
-        )
-        alt_ok = alt == line
-    h0_ok = None if h0 is None else h0 == total
-    ok = chi_ok and alt_ok and (h0_ok is not False)
+    h0 = h0_surface(line)
+    h0_ok = h0 == total
+    t, chi_o = inst.r + inst.s, inst.surface.chi_o
+    alt = inst.surface.cls(t, (t * (t - 1) * chi_o + 2 * (total - chi_o)) // (2 * t) + chi_o - 1)
+    alt_ok = alt == line
+    ok = chi_ok and alt_ok and h0_ok
     if not ok:
         raise AssertionError(
             f"theta line bundle checks failed on {inst}: chi={chi}, h0={h0}"
@@ -313,20 +320,14 @@ def hypotheses_report(
 
 
 def dimension_match(inst: DualityInstance) -> tuple[int, int, bool]:
-    """Theta-section counts on the two factors: C(a+b, a) against C(a+b, b).
+    """Theta-section counts on the two factors: C(h0(L), a) against C(h0(L), b).
 
-    On the elliptic K3 the left count is computed honestly from the surface
-    section count of L through the determinant formula; on the general model
-    chi(L) = a + b stands in for h0 (no higher cohomology).
+    Both come from the surface section count h0(L) of ``h0_surface`` through
+    the determinant formula, on every elliptic model.
     """
-    total = inst.a + inst.b
-    if inst.surface.kind == ELLIPTIC_K3 and inst.line_bundle is not None:
-        left = taut_det_sections(inst.line_bundle, inst.a)
-        right = taut_det_sections(inst.line_bundle, inst.b)
-        assert left is not None and right is not None
-    else:
-        left = binom(total, inst.a)
-        right = binom(total, inst.b)
+    line = _theta_line(inst)
+    left = taut_det_sections(line, inst.a)
+    right = taut_det_sections(line, inst.b)
     return left, right, left == right
 
 

@@ -8,8 +8,8 @@ binomial formulas
     h0(X^[a], L_(a))  = C(h0(X, L) + a - 1, a)
     h0(X^[a], L^[a])  = C(h0(X, L), a)
 
-and are defined exactly where the surface-level count is pinned; elsewhere
-they answer None.  Divisor classes are tracked as Picard elements, never as
+with h0(X, L) from ``h0_surface``, the section-count rule of the elliptic
+models.  Divisor classes are tracked as Picard elements, never as
 effective divisors: effectivity statements are section-count statements.
 """
 
@@ -24,6 +24,7 @@ from .surfaces import (
     ModelMismatchError,
     NSClass,
     SurfaceModel,
+    elliptic_k3,
     h0_coeffs,
     h0_surface,
 )
@@ -131,20 +132,14 @@ def is_tau_pullback(p: ProductClass) -> bool:
     return p.left.base == p.right.base and p.left.m == p.right.m
 
 
-def taut_sym_sections(base: NSClass, a: int) -> int | None:
-    """h0(X^[a], L_(a)) = C(h0(L) + a - 1, a); None when h0(L) is unknown."""
-    h0 = h0_surface(base)
-    if h0 is None:
-        return None
-    return binom(h0 + a - 1, a)
+def taut_sym_sections(base: NSClass, a: int) -> int:
+    """h0(X^[a], L_(a)) = C(h0(L) + a - 1, a)."""
+    return binom(h0_surface(base) + a - 1, a)
 
 
-def taut_det_sections(base: NSClass, a: int) -> int | None:
-    """h0(X^[a], L^[a]) = C(h0(L), a); None when h0(L) is unknown."""
-    h0 = h0_surface(base)
-    if h0 is None:
-        return None
-    return binom(h0, a)
+def taut_det_sections(base: NSClass, a: int) -> int:
+    """h0(X^[a], L^[a]) = C(h0(L), a)."""
+    return binom(h0_surface(base), a)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +205,6 @@ def solve_gamma_constraints(r: int, s: int, a: int, b: int) -> GammaSolution:
         raise AssertionError(f"unexpected relation set {relations}; this is a bug")
 
     # any coefficients obeying the relations must actually give a pullback
-    from .surfaces import elliptic_k3
-
     model = elliptic_k3()
     for r1, s1 in ((0, 0), (1, 0), (0, 1), (2, -3)):
         if not is_tau_pullback(gamma_product_class(model, a, b, 0, r1, r1, s1, s1)):
@@ -249,15 +242,15 @@ class ExclusionReport:
     b: int
     nu: int
     line_bundle: NSClass
-    h0_l_minus_bf: int | None
-    h0_l_minus_af: int | None
-    h0_l_a1f: int | None  # h0(L((-a+1)f))
-    h0_l_b1f: int | None
-    h0_l_minus_sigma: int | None
-    q3_left_count: int | None  # C(h0(L(-bf)), a)
-    q3_right_count: int | None
-    q1q2_left_count: int | None  # C(h0(L((-a+1)f)) + a - 1, a)
-    q1q2_right_count: int | None
+    h0_l_minus_bf: int
+    h0_l_minus_af: int
+    h0_l_a1f: int  # h0(L((-a+1)f))
+    h0_l_b1f: int
+    h0_l_minus_sigma: int
+    q3_left_count: int  # C(h0(L(-bf)), a)
+    q3_right_count: int
+    q1q2_left_count: int  # C(h0(L((-a+1)f)) + a - 1, a)
+    q1q2_right_count: int
     s_count: int  # C(h0(L(-sigma)), a+b)
     q_count: int  # sym count of L((-a-b+1)f) on X^[a+b]
     q3_excluded: bool
@@ -273,29 +266,23 @@ def exclusion_report(r: int, s: int, a: int, b: int) -> ExclusionReport:
     Requires (r, s, a, b) to pass the divisibility/bound conditions; the
     theta line bundle is L = O((r+s)sigma + (2(r+s) - 2 - nu)f) on the
     elliptic K3.  Every count is ``h0_coeffs`` of L shifted by a multiple of
-    f or by -sigma, taken on L's coefficients (m, n).
+    f or by -sigma, taken on L's coefficients (m, n) at the K3's chi(O) = 2.
     """
     from .duality import compute_nu, duality_line_bundle_class
 
     model_nu = compute_nu(r, s, a, b)
     line = duality_line_bundle_class(r, s, model_nu)
     m, n = line.coeffs
+    chi = line.model.chi_o
 
-    h0_mbf = h0_coeffs(m, n - b)
-    h0_maf = h0_coeffs(m, n - a)
-    h0_a1 = h0_coeffs(m, n + 1 - a)
-    h0_b1 = h0_coeffs(m, n + 1 - b)
-    h0_msig = h0_coeffs(m - 1, n)
-    # L(-sigma) sits in the big-and-nef range for every valid parameter set
-    assert h0_msig is not None
-
-    q3_left = None if h0_mbf is None else binom(h0_mbf, a)
-    q3_right = None if h0_maf is None else binom(h0_maf, b)
-    q1q2_left = None if h0_a1 is None else binom(h0_a1 + a - 1, a)
-    q1q2_right = None if h0_b1 is None else binom(h0_b1 + b - 1, b)
+    h0_mbf = h0_coeffs(m, n - b, chi)
+    h0_maf = h0_coeffs(m, n - a, chi)
+    h0_a1 = h0_coeffs(m, n + 1 - a, chi)
+    h0_b1 = h0_coeffs(m, n + 1 - b, chi)
+    h0_msig = h0_coeffs(m - 1, n, chi)
     s_count = binom(h0_msig, a + b)
 
-    h0_q = h0_coeffs(m, n + 1 - a - b)
+    h0_q = h0_coeffs(m, n + 1 - a - b, chi)
     assert h0_q == 0  # fiber coefficient is negative for every valid parameter set
     q_count = binom(h0_q + (a + b) - 1, a + b)
 
@@ -313,10 +300,10 @@ def exclusion_report(r: int, s: int, a: int, b: int) -> ExclusionReport:
         h0_l_a1f=h0_a1,
         h0_l_b1f=h0_b1,
         h0_l_minus_sigma=h0_msig,
-        q3_left_count=q3_left,
-        q3_right_count=q3_right,
-        q1q2_left_count=q1q2_left,
-        q1q2_right_count=q1q2_right,
+        q3_left_count=binom(h0_mbf, a),
+        q3_right_count=binom(h0_maf, b),
+        q1q2_left_count=binom(h0_a1 + a - 1, a),
+        q1q2_right_count=binom(h0_b1 + b - 1, b),
         s_count=s_count,
         q_count=q_count,
         q3_excluded=q3_excluded,

@@ -211,30 +211,28 @@ def chi_rr(d: NSClass) -> int:
     return num // 2 + model.chi_o
 
 
-def h0_coeffs(m: int, n: int) -> int | None:
-    """Global-section count of O(m.sigma + n.f) on the elliptic K3.
+def h0_coeffs(m: int, n: int, chi_o: int) -> int:
+    """Global-section count of O(m.sigma + n.f) on an elliptic surface with chi(O) = chi_o.
 
-    Returns None ("unknown") outside the ranges where the count is pinned:
-    0 for m >= 0, n < 0; 2 + m(n - m) in the big-and-nef range m > 0,
-    n >= 2m; 1 for multiples of the section (n = 0, m >= 0); n + 1 for
-    pure fiber classes (m = 0, n >= 0).
+    pi_*O(m.sigma) = O + L^-2 + ... + L^-m with deg L = chi_o (Miranda, *The
+    Basic Theory of Elliptic Surfaces*), so h0 = (n+1) + sum_{i=2..j} (n+1 -
+    i.chi_o) with j = min(m, n // chi_o), summed here in closed form.  It is
+    0 for m < 0 or n < 0, where the class meets the nef class f or
+    sigma + chi_o.f negatively.
     """
-    if m >= 0 and n < 0:
+    if m < 0 or n < 0:
         return 0
-    if m > 0 and n >= 2 * m:
-        return 2 + m * (n - m)
-    if n == 0 and m >= 0:
-        return 1
-    if m == 0 and n >= 0:
+    j = min(m, n // chi_o)
+    if j < 2:
         return n + 1
-    return None
+    return j * (n + 1) - chi_o * (j - 1) * (j + 2) // 2
 
 
-def h0_surface(d: NSClass) -> int | None:
-    """``h0_coeffs`` of the class d = m.sigma + n.f of the elliptic K3."""
-    if d.model.kind != ELLIPTIC_K3:
-        raise ModelMismatchError("section counts are pinned on the elliptic K3 only")
-    return h0_coeffs(*d.coeffs)
+def h0_surface(d: NSClass) -> int:
+    """``h0_coeffs`` of the class d = m.sigma + n.f of an elliptic model."""
+    if d.model.ns_rank != 2:
+        raise ModelMismatchError("section counts are defined on the elliptic models")
+    return h0_coeffs(*d.coeffs, d.model.chi_o)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import inspect
 import json
 import re
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import yaml
 import strangedual.cli as cli
 import strangedual.duality as duality
 import strangedual.strata as strata
+import strangedual.surfaces as surfaces
 from strangedual.cli import (
     CliConfigError,
     document_exit_code,
@@ -614,6 +616,37 @@ class TestBatch:
         path.write_text("instances: [}{")
         with pytest.raises(CliConfigError):
             load_batch(str(path))
+
+
+class TestGeneralModelSections:
+    """line-bundle and dimension-match read h0(L) on the general elliptic model."""
+
+    ARGV = ["check", "--surface", "elliptic-general", "--chi-o", "3",
+            "--r", "2", "--s", "2", "--a", "14", "--b", "15", "--quiet"]
+
+    def _results(self, tmp_path, checks):
+        out = tmp_path / "r.json"
+        code = main([*self.ARGV, "--checks", checks, "--out", str(out)])
+        return code, json.loads(out.read_text())["instances"][0]["results"]
+
+    def test_counts_come_from_h0(self, tmp_path):
+        code, results = self._results(tmp_path, "nu,line-bundle,dimension-match")
+        assert code == 0
+        assert results["line-bundle"]["h0"] == 29
+        match = results["dimension-match"]
+        assert match["status"] == "pass"
+        assert (match["left"], match["right"]) == (comb(29, 14), comb(29, 15))
+
+    def test_h0_off_by_one_fails_dimension_match(self, tmp_path, monkeypatch):
+        real = surfaces.h0_coeffs
+        monkeypatch.setattr(
+            surfaces, "h0_coeffs", lambda m, n, chi_o: real(m, n, chi_o) + (chi_o == 3)
+        )
+        code, results = self._results(tmp_path, "nu,dimension-match")
+        assert code == 1
+        match = results["dimension-match"]
+        assert match["status"] == "fail"
+        assert (match["left"], match["right"]) == (comb(30, 14), comb(30, 15))
 
 
 class TestMainExitCodes:

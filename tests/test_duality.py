@@ -30,12 +30,14 @@ from strangedual.surfaces import (
     ELLIPTIC_K3,
     ModelMismatchError,
     MukaiVector,
+    chi_rr,
     chi_vec,
     elliptic_general,
     elliptic_k3,
     euler_form,
     euler_pair_hom,
     generic_k3,
+    h0_surface,
     mukai_pair,
     normalized_vector,
     structure_vector,
@@ -177,6 +179,31 @@ class TestLineBundle:
         check = duality_line_bundle(inst)
         assert check.chi == 29 and check.chi_matches
 
+    def test_theta_bundle_on_every_model(self):
+        """h0(L) = chi(L) = a+b, and L has its general-chi alternative form,
+        on every valid instance with chi(O) 1..6, ranks 2..5 and a+b < 200."""
+        checked = 0
+        for chi_o in range(1, 7):
+            model = elliptic_general(chi_o)
+            for r in range(2, 6):
+                for s in range(2, 6):
+                    t = r + s
+                    for total in range(200):
+                        try:
+                            inst = tower_instance(r, s, total // 2, total - total // 2, model)
+                        except (DivisibilityError, NuBoundError):
+                            continue
+                        checked += 1
+                        line = inst.line_bundle
+                        assert h0_surface(line) == chi_rr(line) == total, (chi_o, r, s, total)
+                        f_coeff = Fraction(t * (t - 1) * chi_o + 2 * (total - chi_o), 2 * t)
+                        assert f_coeff.denominator == 1
+                        assert line == model.cls(t, int(f_coeff) + chi_o - 1)
+                        check = duality_line_bundle(inst)
+                        assert check.h0 == total and check.h0_matches
+                        assert check.alternative_form_matches
+        assert checked == 1684
+
     def test_bundle_class_includes_canonical_twist(self):
         gen4 = elliptic_general(4)
         line = duality_line_bundle_class(2, 2, -4, gen4)
@@ -258,6 +285,14 @@ class TestDimensionMatch:
     def test_degenerate_split(self):
         left, right, equal = dimension_match(tower_instance(2, 2, 18, 0))
         assert (left, right, equal) == (1, 1, True)
+
+    def test_general_model_counts_from_h0(self):
+        inst = tower_instance(2, 2, 14, 15, elliptic_general(3))
+        assert dimension_match(inst) == (binom(29, 14), binom(29, 15), True)
+
+    def test_instance_without_theta_bundle(self):
+        with pytest.raises(ValueError, match="no twist data"):
+            dimension_match(deformation_setup(2, 3, 0, -1).generic)
 
     def test_swap_symmetry(self):
         for (r, s, a, b) in [(2, 3, 13, 14), (2, 2, 10, 8), (3, 3, 19, 19)]:

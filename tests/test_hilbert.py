@@ -25,7 +25,7 @@ from strangedual.hilbert import (
     taut_sym_sections,
     tau_pullback,
 )
-from strangedual.surfaces import ModelMismatchError, elliptic_k3, h0_coeffs
+from strangedual.surfaces import ModelMismatchError, elliptic_k3, h0_coeffs, h0_surface
 
 E = elliptic_k3()
 
@@ -127,8 +127,9 @@ class TestSectionCounts:
         assert taut_det_sections(line, 9) == binom(18, 9)
 
     def test_unknown_propagates(self):
-        assert taut_sym_sections(E.cls(2, 3), 2) is None
-        assert taut_det_sections(E.cls(2, 3), 2) is None
+        # h0(2 sigma + 3f) = 4, a class the pinned ranges left unknown
+        assert taut_sym_sections(E.cls(2, 3), 2) == 10
+        assert taut_det_sections(E.cls(2, 3), 2) == 6
 
 
 class TestGammaSolve:
@@ -225,17 +226,23 @@ def _reference_h0_surface(d):
     return None
 
 
+def _reference_count(d):
+    """The pinned rule where it pins a value, ``h0_surface`` elsewhere."""
+    pinned = _reference_h0_surface(d)
+    return h0_surface(d) if pinned is None else pinned
+
+
 def _reference_exclusion_report(r, s, a, b):
     """The exclusion counts through NSClass arithmetic on L, as fields of the report."""
     nu = compute_nu(r, s, a, b)
     line = duality_line_bundle_class(r, s, nu)
     fib, sig = E.fiber, E.sigma
-    h0_mbf = _reference_h0_surface(line - b * fib)
-    h0_maf = _reference_h0_surface(line - a * fib)
-    h0_a1 = _reference_h0_surface(line + (1 - a) * fib)
-    h0_b1 = _reference_h0_surface(line + (1 - b) * fib)
-    h0_msig = _reference_h0_surface(line - sig)
-    h0_q = _reference_h0_surface(line + (1 - a - b) * fib)
+    h0_mbf = _reference_count(line - b * fib)
+    h0_maf = _reference_count(line - a * fib)
+    h0_a1 = _reference_count(line + (1 - a) * fib)
+    h0_b1 = _reference_count(line + (1 - b) * fib)
+    h0_msig = _reference_count(line - sig)
+    h0_q = _reference_count(line + (1 - a - b) * fib)
     q1q2_excluded = h0_a1 == 0 or h0_b1 == 0
     s_count = binom(h0_msig, a + b)
     q_count = binom(h0_q + (a + b) - 1, a + b)
@@ -246,10 +253,10 @@ def _reference_exclusion_report(r, s, a, b):
         h0_l_a1f=h0_a1,
         h0_l_b1f=h0_b1,
         h0_l_minus_sigma=h0_msig,
-        q3_left_count=None if h0_mbf is None else binom(h0_mbf, a),
-        q3_right_count=None if h0_maf is None else binom(h0_maf, b),
-        q1q2_left_count=None if h0_a1 is None else binom(h0_a1 + a - 1, a),
-        q1q2_right_count=None if h0_b1 is None else binom(h0_b1 + b - 1, b),
+        q3_left_count=binom(h0_mbf, a),
+        q3_right_count=binom(h0_maf, b),
+        q1q2_left_count=binom(h0_a1 + a - 1, a),
+        q1q2_right_count=binom(h0_b1 + b - 1, b),
         s_count=s_count,
         q_count=q_count,
         q3_excluded=h0_mbf == 0 or h0_maf == 0,
@@ -266,9 +273,15 @@ EXCLUSION_BOXES = [(range(2, 5), range(2, 5), 60), (range(2, 7), range(2, 7), 12
 
 class TestIntegerExclusionRoute:
     def test_h0_coeffs_matches_the_typed_rule(self):
+        pinned = 0
         for m in range(-6, 13):
-            for n in range(-6, 30):
-                assert h0_coeffs(m, n) == _reference_h0_surface(E.cls(m, n)), (m, n)
+            for n in range(-6, 60):
+                expected = _reference_h0_surface(E.cls(m, n))
+                if expected is not None:
+                    pinned += 1
+                    assert h0_coeffs(m, n, 2) == expected, (m, n)
+        # 78 with n < 0, 564 big and nef, 13 multiples of sigma, 59 of f
+        assert pinned == 714
 
     @pytest.mark.parametrize("r_rng,s_rng,ab_max", EXCLUSION_BOXES)
     def test_reports_and_rows_match_the_typed_route(self, r_rng, s_rng, ab_max):

@@ -132,12 +132,56 @@ class TestSectionCounts:
         assert h0_surface(ediv(0, -5)) == 0
 
     def test_unknown_window(self):
-        assert h0_surface(ediv(2, 3)) is None
-        assert h0_surface(ediv(-1, 5)) is None
+        # classes the pinned ranges left unknown, now counted by the one rule
+        assert h0_surface(ediv(2, 3)) == 4
+        assert h0_surface(ediv(-1, 5)) == 0
 
     def test_model_guard(self):
         with pytest.raises(ModelMismatchError):
             h0_surface(G2.hyperplane)
+
+    def test_general_model_counts(self):
+        # pi_*O(3 sigma) = O + O(-6) + O(-9) on chi(O) = 3: h0(3 sigma + 10 f) = 11 + 5 + 2
+        assert h0_surface(GEN3.cls(3, 10)) == 18
+        assert h0_surface(GEN3.cls(3, 8)) == 9 + 3
+        assert h0_surface(GEN3.cls(0, 4)) == 5
+        assert h0_surface(GEN3.cls(2, -1)) == 0
+
+    @pytest.mark.parametrize("chi_o", range(1, 7))
+    def test_rule_matches_the_vanishing_oracle(self, chi_o):
+        """Kawamata-Viehweg and the fixed section, with no use of pi_*O(k.sigma).
+
+        f and sigma + chi.f are nef, so a class meeting one of them negatively
+        has no sections.  h0(nf) = n + 1.  Where D - K is nef and big,
+        h0(D) = chi(D).  Where D.sigma < 0, sigma is a fixed component and
+        h0(D) = h0(D - sigma).  The classes left over step down into the band
+        k.chi <= n <= k.chi + chi - 3, where D - K is not nef.
+        """
+        model = elliptic_general(chi_o)
+        nefs = (model.fiber, model.sigma + chi_o * model.fiber)
+
+        def oracle(d):
+            k, n = d.coeffs
+            if any(ns_pair(d, nef) < 0 for nef in nefs):
+                return 0
+            if k == 0:
+                return n + 1
+            adj = d - model.canonical
+            if min(ns_pair(adj, model.fiber), ns_pair(adj, model.sigma)) >= 0 < ns_pair(adj, adj):
+                return chi_rr(d)
+            if ns_pair(d, model.sigma) < 0:
+                return oracle(d - model.sigma)
+            return None
+
+        decided = 0
+        for k in range(-4, 12):
+            for n in range(-8, 80):
+                expected = oracle(model.cls(k, n))
+                if expected is not None:
+                    decided += 1
+                    assert surfaces.h0_coeffs(k, n, chi_o) == expected, (chi_o, k, n)
+        # 16 * 88 classes, less 66 left over for each of the chi - 2 residues of the band
+        assert decided == 16 * 88 - 66 * max(0, chi_o - 2)
 
 
 class TestMukaiPairing:
