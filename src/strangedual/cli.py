@@ -646,7 +646,7 @@ CHECKS = {
     "chi-vanishing": Check(_check_chi_vanishing, ("nu",), RSAB),
     "dimension-match": Check(_check_dimension_match, ("nu",), RSAB),
     "exclusions": Check(_check_exclusions, ("nu",), RSAB, models=(ELLIPTIC_K3,),
-                        model_reason="exclusion counts are pinned on the elliptic K3"),
+                        model_reason="the classes Q, R and S are defined on the elliptic K3"),
     "tower": Check(_check_tower, params=("a",), examined="a_checked", bounds={
         "r_max": Bound(int, 10, lo=1),
         "a_max": Bound(int, lo=0),

@@ -23,6 +23,12 @@ the wall class and the degree-4 components then range over provably finite
 sets, and an independent box brute force must (and, in the tests, does)
 recover the same stratum list.
 
+The three enumerators (``wall_enumerate``, ``strata_enumerate`` and the
+oracle ``strata_box_oracle``) walk plain c1 coefficient tuples and pair them
+through the model's Gram matrix.  ``NSClass``, ``Fraction``, ``Wall``,
+``MukaiVector`` and ``Stratum`` are built only for the walls and strata they
+return, so a ``Wall`` still validates itself on every kept wall.
+
 The pairing-sum chain audited per stratum (``chain_audit``) runs on
 integers: each of its lines is a sum of terms over 2 r_i, 2 r_i r_j and 2r,
 so with N = 2 r prod(r_i) each integer line is the typed line times N.
@@ -78,10 +84,18 @@ def _stack_dim(r: int, c1sq: int, c1_content: int, s: int) -> int | None:
     return -el * el
 
 
-def _nonempty_slots(r: int, c1: NSClass, slots: range) -> list[tuple[int, int]]:
-    """(s, stack dimension) for each slot s whose class (r, c1, s) is nonempty."""
-    c1sq = ns_pair(c1, c1)
-    content = gcd(*c1.coeffs)
+def _gram_dot(gram, a: tuple[int, int], b: tuple[int, int]) -> int:
+    """a.b for c1 coefficient tuples on an elliptic model with Gram matrix gram."""
+    (g00, g01), (_, g11) = gram
+    return g00 * a[0] * b[0] + g01 * (a[0] * b[1] + a[1] * b[0]) + g11 * a[1] * b[1]
+
+
+def _nonempty_slots(r: int, c1: tuple[int, ...], c1sq: int, slots: range) -> list[tuple[int, int]]:
+    """(s, stack dimension) for each slot s whose class (r, c1, s) is nonempty.
+
+    ``c1`` is a coefficient tuple and ``c1sq`` its square.
+    """
+    content = gcd(*c1)
     out = []
     for s in slots:
         dim = _stack_dim(r, c1sq, content, s)
@@ -113,31 +127,20 @@ def _ample_ray_class(model: SurfaceModel, m: Fraction) -> NSClass:
     return model.cls(m.denominator, m.numerator)
 
 
-def _primitive(d: NSClass) -> NSClass:
-    g = 0
-    for c in d.coeffs:
-        g = gcd(g, abs(c))
-    prim = NSClass(d.model, tuple(c // g for c in d.coeffs))
-    if prim.coeffs[0] < 0:
-        prim = -prim
-    return prim
-
-
-def _witnesses_for(v: MukaiVector, d: NSClass) -> tuple[tuple[int, NSClass], ...]:
-    """Lower-rank classes xi_1 with r.xi_1 - r_1.xi a multiple of d.
+def _witnesses_for(r: int, xi: tuple[int, ...], d: tuple[int, ...]):
+    """Lower-rank classes xi_1 with r.xi_1 - r_1.xi a multiple of d, as (r_1, coefficients).
 
     For each sub-rank the smallest positive multiple with integral xi_1 is
     recorded; walls with no witness at all are not walls for v.
     """
-    r = v.r
     found = []
     for r1 in range(1, r):
         for t in range(1, r + 1):
-            coeffs = tuple(r1 * x + t * dc for x, dc in zip(v.c1.coeffs, d.coeffs))
+            coeffs = tuple(r1 * x + t * dc for x, dc in zip(xi, d))
             if all(c % r == 0 for c in coeffs):
-                found.append((r1, NSClass(v.model, tuple(c // r for c in coeffs))))
+                found.append((r1, tuple(c // r for c in coeffs)))
                 break
-    return tuple(found)
+    return found
 
 
 def wall_enumerate(v: MukaiVector, coeff_bound: int) -> list[Wall]:
@@ -149,29 +152,27 @@ def wall_enumerate(v: MukaiVector, coeff_bound: int) -> list[Wall]:
     generated as r.xi_1 - r_1.xi by an integral lower-rank witness.  Walls
     outside the box exist in general: certifications quoting this
     enumeration are relative to the bound.
+
+    A wall is listed by its primitive class, with d_s >= 1.  There
+    D^2 = 2 d_s (d_f - d_s) and m > 2 both read d_f < 0, and the primitive
+    class of every candidate lies in the box, so the walk runs over the
+    primitive pairs (d_s, d_f) with d_f < 0 alone.
     """
     if v.model.kind != ELLIPTIC_K3:
         raise ModelMismatchError("walls are enumerated on the elliptic K3 model")
     if v.r < 2:
         raise ValueError("wall enumeration needs rank >= 2")
-    walls: dict[NSClass, Wall] = {}
+    model, xi = v.model, v.c1.coeffs
+    walls = []
     for ds in range(1, coeff_bound + 1):
-        for df in range(-coeff_bound, coeff_bound + 1):
-            d = v.model.cls(ds, df)
-            if ns_pair(d, d) >= 0:
+        for df in range(-coeff_bound, 0):
+            if gcd(ds, df) != 1:
                 continue
-            prim = _primitive(d)
-            if prim in walls:
-                continue
-            ps, pf = prim.coeffs
-            m = Fraction(2 * ps - pf, ps)
-            if m <= 2:
-                continue
-            witnesses = _witnesses_for(v, prim)
-            if not witnesses:
-                continue
-            walls[prim] = Wall(prim, m, witnesses)
-    return sorted(walls.values(), key=lambda w: (w.m_value, w.d.coeffs))
+            witnesses = _witnesses_for(v.r, xi, (ds, df))
+            if witnesses:
+                classes = tuple((r1, NSClass(model, c)) for r1, c in witnesses)
+                walls.append(Wall(NSClass(model, (ds, df)), Fraction(2 * ds - df, ds), classes))
+    return sorted(walls, key=lambda w: (w.m_value, w.d.coeffs))
 
 
 @dataclass(frozen=True)
@@ -242,37 +243,35 @@ def strata_enumerate(v: MukaiVector, wall: Wall, s_parts: int) -> list[Stratum]:
     Parts are ordered by strictly decreasing Gieseker keys for a polarization
     just beyond the wall: first by the slope direction t_i/r_i (where
     r.xi_i - r_i.xi = t_i.D), then by chi_i/r_i.  Ties in both keys admit no
-    filtration and are excluded.
+    filtration and are excluded.  Each part's c1 stays a coefficient tuple
+    until a stratum that holds it is kept.
     """
     if v.model.kind != ELLIPTIC_K3:
         raise ModelMismatchError("strata are enumerated on the elliptic K3 model")
     r = v.r
     if not 2 <= s_parts <= r:
         return []
-    xi = v.c1
-    q_v = mukai_pair(v, v)
-    dsq = -ns_pair(wall.d, wall.d)  # |D^2| > 0
+    gram, xi, d = v.model.gram, v.c1.coeffs, wall.d.coeffs
+    q_v = _gram_dot(gram, xi, xi) - 2 * r * v.s
+    dsq = -_gram_dot(gram, d, d)  # |D^2| > 0
     budget = q_v + 2 * r * r
     if budget < 0:
         return []
 
-    h1 = _ample_ray_class(v.model, wall.m_value)
-    mu_num = ns_pair(xi, h1)
+    h1 = (wall.m_value.denominator, wall.m_value.numerator)  # on the ray sigma + m.f
+    mu_num = _gram_dot(gram, xi, h1)
 
     out: list[Stratum] = []
     for ranks in _compositions(r, s_parts):
         t_bounds = [isqrt((ri * ri * budget * r * r) // dsq) + 1 for ri in ranks]
-        for ts in _t_tuples(ranks, t_bounds, budget, dsq, r, xi.coeffs, wall.d.coeffs):
+        for ts in _t_tuples(ranks, t_bounds, budget, dsq, r, xi, d):
             parts_c1 = [
-                NSClass(
-                    v.model,
-                    tuple((ri * x + ti * dc) // r for x, dc in zip(xi.coeffs, wall.d.coeffs)),
-                )
+                tuple((ri * x + ti * dc) // r for x, dc in zip(xi, d))
                 for ri, ti in zip(ranks, ts)
             ]
             # slope equality on the wall is built in; assert it anyway
             assert all(
-                r * ns_pair(c1, h1) == ri * mu_num for ri, c1 in zip(ranks, parts_c1)
+                r * _gram_dot(gram, c1, h1) == ri * mu_num for ri, c1 in zip(ranks, parts_c1)
             )
             out.extend(_fill_degree_components(v, ranks, ts, parts_c1, q_v))
     return out
@@ -283,22 +282,34 @@ def _t_tuples(ranks, t_bounds, budget, dsq, r, xi_coeffs, d_coeffs):
 
     Yields, in lexicographic order, the integer tuples with |t_i| <= t_bounds[i]
     and sum 0 such that every pair obeys
-    (r_i t_j - r_j t_i)^2 |D^2| <= budget r_i r_j r^2 and every part class
-    (r_i xi + t_i D)/r is integral.  Integrality depends on t_i mod r only,
-    so each t_i runs over its admissible residues from the start, the last
-    entry -sum(prefix) is tested against the same residues, and appending
-    t_j checks only the new pairs (i, j) against precomputed limits.
+    (r_i t_j - r_j t_i)^2 |D^2| <= budget r_i r_j r^2, every part class
+    (r_i xi + t_i D)/r is integral, and the first Gieseker keys t_i/r_i do
+    not rise: t_i r_{i+1} >= t_{i+1} r_i.
+
+    Integrality holds on one residue class of t_i modulo r / gcd(r, d_s, d_f), so
+    each t_i runs over an arithmetic progression, and the last entry
+    -sum(prefix) is tested against its own.  Each t_j is capped by the
+    previous key, t_j <= t_{j-1} r_j / r_{j-1}, and bounded below because
+    the later parts, whose keys do not exceed t_j/r_j, must bring the sum
+    back to 0: t_j (r_j + R) >= -sum(prefix) r_j for R the rank left after
+    part j.  Appending t_j checks only the new pairs (i, j) against
+    precomputed limits.
     """
     k = len(ranks)
+    step = r // gcd(r, *d_coeffs)
     candidates = []
     for ri, bound in zip(ranks, t_bounds):
-        residues = {
+        residue = [
             t
-            for t in range(r)
+            for t in range(step)
             if all((ri * x + t * dc) % r == 0 for x, dc in zip(xi_coeffs, d_coeffs))
-        }
-        candidates.append([t for t in range(-bound, bound + 1) if t % r in residues])
+        ]
+        if not residue:
+            return
+        first = residue[0] - (residue[0] + bound) // step * step  # the least one >= -bound
+        candidates.append(range(first, bound + 1, step))
     limits = [[budget * ri * rj * r * r for rj in ranks] for ri in ranks]
+    rest = [r - sum(ranks[: j + 1]) for j in range(k)]  # the rank after part j
 
     def fits(prefix, j, tj):
         rj = ranks[j]
@@ -307,83 +318,87 @@ def _t_tuples(ranks, t_bounds, budget, dsq, r, xi_coeffs, d_coeffs):
                 return False
         return True
 
-    last_ok = set(candidates[k - 1])
-
-    def rec(prefix):
+    def rec(prefix, total):
         j = len(prefix)
+        rj, cands = ranks[j], candidates[j]
         if j == k - 1:
-            last = -sum(prefix)
-            if last in last_ok and fits(prefix, j, last):
+            last = -total
+            if last in cands and last * ranks[j - 1] <= prefix[-1] * rj and fits(prefix, j, last):
                 yield prefix + (last,)
             return
-        for t in candidates[j]:
+        lo = bisect_left(cands, _ceil_div(-total * rj, rj + rest[j]))
+        hi = bisect_right(cands, prefix[-1] * rj // ranks[j - 1]) if j else len(cands)
+        for t in cands[lo:hi]:
             if fits(prefix, j, t):
-                yield from rec(prefix + (t,))
+                yield from rec(prefix + (t,), total + t)
 
-    yield from rec(())
+    yield from rec((), 0)
 
 
 def _fill_degree_components(v, ranks, ts, parts_c1, q_v):
     """Enumerate degree-4 slots within the Bogomolov/complement window.
 
-    Parts come in strictly decreasing Gieseker keys (t_i/r_i, then
-    chi_i/r_i), so a t-tuple whose first keys rise anywhere gives nothing.
-    Each part's window first drops the slots whose class admits no
-    semistable sheaf, tested on integers.  The slot tuples summing to v.s
-    are then taken from the product of the windows in lexicographic order,
-    skipping every slot that leaves the later parts no reachable sum; a
-    ``MukaiVector`` is built only for the parts of a stratum that is kept.
+    ``parts_c1`` holds each part's c1 as a coefficient tuple.  Parts come in
+    strictly decreasing Gieseker keys (t_i/r_i, then chi_i/r_i); the
+    t-tuples never let the first keys rise, so only where two neighbours tie
+    in them must chi_i/r_i = s_i/r_i + 1 fall.  Each part's window first
+    drops the slots whose class admits no semistable sheaf, tested on
+    integers.  The slot tuples summing to v.s are then taken from the
+    product of the windows in lexicographic order, skipping every slot that
+    leaves the later parts no reachable sum or fails a tie; ``NSClass`` and
+    ``MukaiVector`` are built only for the parts of a stratum that is kept.
     """
     r = v.r
     k = len(ranks)
+    gram = v.model.gram
     ties = []  # per neighbour pair: equal first keys, so chi_i/r_i decides
     for i in range(k - 1):
         left, right = ts[i] * ranks[i + 1], ts[i + 1] * ranks[i]
-        if left < right:
-            return
+        assert left >= right
         ties.append(left == right)
+    squares = []  # c1_i^2
     windows = []  # per part: (s, stack dimension) for the nonempty slots
     for ri, c1 in zip(ranks, parts_c1):
-        c1sq = ns_pair(c1, c1)
+        c1sq = _gram_dot(gram, c1, c1)
         hi = (c1sq + 2 * ri * ri) // (2 * ri)  # <v_i^2> >= -2 r_i^2
-        # complement bound: <v_i^2> <= r_i q_v / r + 2 r_i (r - r_i)
-        cap = Fraction(ri * q_v, r) + 2 * ri * (r - ri)
-        lo_frac = (Fraction(c1sq) - cap) / (2 * ri)
-        lo = _ceil_div(lo_frac.numerator, lo_frac.denominator)
-        window = _nonempty_slots(ri, c1, range(lo, hi + 1))
+        # complement bound <v_i^2> <= r_i q_v / r + 2 r_i (r - r_i), times r
+        lo = _ceil_div(r * c1sq - ri * q_v - 2 * r * ri * (r - ri), 2 * r * ri)
+        window = _nonempty_slots(ri, c1, c1sq, range(lo, hi + 1))
         if not window:
             return
+        squares.append(c1sq)
         windows.append(window)
     last_window = dict(windows[k - 1])
     slots = [[s for s, _ in window] for window in windows]
     # the slots of parts i, i+1, .. sum to between rest_lo[i] and rest_hi[i]
     rest_lo = [sum(w[0] for w in slots[i:]) for i in range(k)]
     rest_hi = [sum(w[-1] for w in slots[i:]) for i in range(k)]
-    dots = [[ns_pair(a, b) for b in parts_c1] for a in parts_c1]
 
     def rec(i, chosen, rest):
+        # on a tie with part i - 1 the slot must fall: s_i r_{i-1} < s_{i-1} r_i
+        tied = i and ties[i - 1]
         if i == k - 1:
             dim = last_window.get(rest)
-            if dim is not None:
+            if dim is not None and not (tied and rest * ranks[i - 1] >= chosen[-1][0] * ranks[i]):
                 yield chosen + ((rest, dim),)
             return
         # only slots that leave the later parts a reachable sum
         lo = bisect_left(slots[i], rest - rest_hi[i + 1])
         hi = bisect_right(slots[i], rest - rest_lo[i + 1])
+        if tied:
+            hi = min(hi, bisect_left(slots[i], _ceil_div(chosen[-1][0] * ranks[i], ranks[i - 1])))
         for entry in windows[i][lo:hi]:
             yield from rec(i + 1, chosen + (entry,), rest - entry[0])
 
+    classes = None  # the parts' NSClasses, once a stratum is kept
     for chosen in rec(0, (), v.s):
         ss = [s for s, _ in chosen]
-        # chi_i/r_i = s_i/r_i + 1 on the K3 must fall strictly on a tie
-        if any(tie and ss[i] * ranks[i + 1] <= ss[i + 1] * ranks[i] for i, tie in enumerate(ties)):
-            continue
-        pair_sum = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                pair_sum += dots[i][j] - ranks[i] * ss[j] - ss[i] * ranks[j]
         dims = tuple(dim for _, dim in chosen)
-        parts = tuple(MukaiVector(ri, c1, s) for ri, c1, s in zip(ranks, parts_c1, ss))
+        # sum_{i<j} <v_i, v_j> = (<v^2> - sum_i <v_i^2>)/2 as the parts sum to v
+        pair_sum = (q_v - sum(sq - 2 * ri * si for sq, ri, si in zip(squares, ranks, ss))) // 2
+        if classes is None:
+            classes = [NSClass(v.model, c1) for c1 in parts_c1]
+        parts = tuple(MukaiVector(ri, c1, s) for ri, c1, s in zip(ranks, classes, ss))
         yield Stratum(parts, dims, sum(dims) + pair_sum)
 
 
@@ -431,14 +446,15 @@ def strata_box_oracle(v: MukaiVector, wall: Wall) -> list[Stratum]:
         raise ModelMismatchError("strata are enumerated on the elliptic K3 model")
     if wall.m_value <= 2:
         raise ValueError("the ample range is m > 2")
-    model = v.model
-    r, x, s = v.r, v.c1.coeffs[0], v.s
-    q_v = mukai_pair(v, v)
-    h1 = _ample_ray_class(model, wall.m_value)  # den.sigma + num.f
-    den, num = h1.coeffs
-    xi_h = ns_pair(v.c1, h1)
-    sigma_h = ns_pair(model.sigma, h1)
-    fiber_h = ns_pair(model.fiber, h1)  # = den > 0
+    model, gram = v.model, v.model.gram
+    r, s = v.r, v.s
+    xi = x, y = v.c1.coeffs
+    q_v = _gram_dot(gram, xi, xi) - 2 * r * s
+    den, num = wall.m_value.denominator, wall.m_value.numerator
+    h1 = (den, num)  # den.sigma + num.f on the ray sigma + m.f
+    xi_h = _gram_dot(gram, xi, h1)
+    sigma_h = _gram_dot(gram, (1, 0), h1)
+    fiber_h = _gram_dot(gram, (0, 1), h1)  # = den > 0
     out = []
     for r1 in range(1, r):
         r2 = r - r1
@@ -452,14 +468,15 @@ def strata_box_oracle(v: MukaiVector, wall: Wall) -> list[Stratum]:
             y_num = r1 * xi_h - r * x1 * sigma_h
             if y_num % (r * fiber_h):
                 continue
-            c1 = model.cls(x1, y_num // (r * fiber_h))
-            c2 = v.c1 - c1
+            y1 = y_num // (r * fiber_h)
             x2 = x - x1
-            s_hi = (ns_pair(c1, c1) + 2 * r1 * r1) // (2 * r1)
-            s_lo = s - (ns_pair(c2, c2) + 2 * r2 * r2) // (2 * r2)
-            dims2 = dict(_nonempty_slots(r2, c2, range(s - s_hi, s - s_lo + 1)))
-            cross = ns_pair(c1, c2)
-            for s1, d1 in _nonempty_slots(r1, c1, range(s_lo, s_hi + 1)):
+            c1, c2 = (x1, y1), (x2, y - y1)
+            c1sq, c2sq = _gram_dot(gram, c1, c1), _gram_dot(gram, c2, c2)
+            s_hi = (c1sq + 2 * r1 * r1) // (2 * r1)
+            s_lo = s - (c2sq + 2 * r2 * r2) // (2 * r2)
+            dims2 = dict(_nonempty_slots(r2, c2, c2sq, range(s - s_hi, s - s_lo + 1)))
+            cross = _gram_dot(gram, c1, c2)
+            for s1, d1 in _nonempty_slots(r1, c1, c1sq, range(s_lo, s_hi + 1)):
                 s2 = s - s1
                 d2 = dims2.get(s2)
                 if d2 is None:
@@ -468,7 +485,10 @@ def strata_box_oracle(v: MukaiVector, wall: Wall) -> list[Stratum]:
                 # chi_i/r_i = s_i/r_i + 1, compared times r1 r2
                 if (x1 * r2, s1 * r2) <= (x2 * r1, s2 * r1):
                     continue
-                parts = (MukaiVector(r1, c1, s1), MukaiVector(r2, c2, s2))
+                parts = (
+                    MukaiVector(r1, NSClass(model, c1), s1),
+                    MukaiVector(r2, NSClass(model, c2), s2),
+                )
                 total = d1 + d2 + cross - r1 * s2 - s1 * r2
                 out.append(Stratum(parts, (d1, d2), total))
     return out

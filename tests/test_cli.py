@@ -611,6 +611,14 @@ class TestBatch:
         golden = (data / "acceptance_report.json").read_text()
         assert _strip_timing(out.read_text()) == _strip_timing(golden)
 
+    def test_strata_report_matches_the_golden_file(self, tmp_path):
+        # the seed-1 batch of the benchmark's strata workload
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "report.json"
+        assert main(["batch", str(data / "strata_batch.yaml"), "--out", str(out), "--quiet"]) == 0
+        golden = (data / "strata_report.json").read_text()
+        assert _strip_timing(out.read_text()) == _strip_timing(golden)
+
     def test_yaml_parse_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("instances: [}{")
@@ -969,8 +977,8 @@ class TestCheckTable:
     @pytest.mark.parametrize(
         "surface,check,reason",
         [
-            ("{kind: generic-k3, degree: 8}", "exclusions", "pinned on the elliptic K3"),
-            ("{kind: elliptic-general, chi_o: 3}", "exclusions", "pinned on the elliptic K3"),
+            ("{kind: generic-k3, degree: 8}", "exclusions", "Q, R and S are defined"),
+            ("{kind: elliptic-general, chi_o: 3}", "exclusions", "Q, R and S are defined"),
             ("{kind: generic-k3, degree: 8}", "fm-verify", "the elliptic models"),
             ("{kind: generic-k3, degree: 8}", "strata-audit", "enumerated on the elliptic K3"),
             ("{kind: elliptic-general, chi_o: 3}", "strata-audit", "enumerated on the elliptic K3"),

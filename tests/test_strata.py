@@ -4,7 +4,7 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -31,6 +31,7 @@ from strangedual.strata import (
 from strangedual.surfaces import (
     ModelMismatchError,
     MukaiVector,
+    NSClass,
     chi_vec,
     elliptic_general,
     elliptic_k3,
@@ -283,7 +284,7 @@ def _reference_fill_degree_components(v, ranks, ts, parts_c1, q_v):
         yield Stratum(parts, dims, sum(dims) + pair_sum)
 
 
-def _reference_strata_box_oracle(v, wall, coeff_bound, s_bound):
+def _fixed_box_oracle(v, wall, coeff_bound, s_bound):
     """The oracle with a fixed box |x1|, |y1| <= coeff_bound, |s1| <= s_bound."""
     h1 = E.cls(wall.m_value.denominator, wall.m_value.numerator)
     out = []
@@ -307,6 +308,173 @@ def _reference_strata_box_oracle(v, wall, coeff_bound, s_bound):
                     if key1 <= key2:
                         continue
                     out.append(Stratum((p1, p2), (d1, d2), d1 + d2 + mukai_pair(p1, p2)))
+    return out
+
+
+# The typed enumerators the integer ones replaced: NSClass and Fraction
+# arithmetic on every candidate, the t-tuples without the ordering prune, and
+# the typed filler above.
+
+
+def _reference_primitive(d):
+    g = 0
+    for c in d.coeffs:
+        g = gcd(g, abs(c))
+    prim = NSClass(d.model, tuple(c // g for c in d.coeffs))
+    if prim.coeffs[0] < 0:
+        prim = -prim
+    return prim
+
+
+def _reference_witnesses_for(v, d):
+    r = v.r
+    found = []
+    for r1 in range(1, r):
+        for t in range(1, r + 1):
+            coeffs = tuple(r1 * x + t * dc for x, dc in zip(v.c1.coeffs, d.coeffs))
+            if all(c % r == 0 for c in coeffs):
+                found.append((r1, NSClass(v.model, tuple(c // r for c in coeffs))))
+                break
+    return tuple(found)
+
+
+def _reference_wall_enumerate(v, coeff_bound):
+    walls = {}
+    for ds in range(1, coeff_bound + 1):
+        for df in range(-coeff_bound, coeff_bound + 1):
+            d = v.model.cls(ds, df)
+            if ns_pair(d, d) >= 0:
+                continue
+            prim = _reference_primitive(d)
+            if prim in walls:
+                continue
+            ps, pf = prim.coeffs
+            m = Fraction(2 * ps - pf, ps)
+            if m <= 2:
+                continue
+            witnesses = _reference_witnesses_for(v, prim)
+            if not witnesses:
+                continue
+            walls[prim] = Wall(prim, m, witnesses)
+    return sorted(walls.values(), key=lambda w: (w.m_value, w.d.coeffs))
+
+
+def _reference_unpruned_t_tuples(ranks, t_bounds, budget, dsq, r, xi_coeffs, d_coeffs):
+    """Zero-sum t-tuples within the slope budget with integral parts, in any key order."""
+    k = len(ranks)
+    candidates = []
+    for ri, bound in zip(ranks, t_bounds):
+        residues = {
+            t
+            for t in range(r)
+            if all((ri * x + t * dc) % r == 0 for x, dc in zip(xi_coeffs, d_coeffs))
+        }
+        candidates.append([t for t in range(-bound, bound + 1) if t % r in residues])
+    limits = [[budget * ri * rj * r * r for rj in ranks] for ri in ranks]
+
+    def fits(prefix, j, tj):
+        rj = ranks[j]
+        for i, ti in enumerate(prefix):
+            if (ranks[i] * tj - rj * ti) ** 2 * dsq > limits[i][j]:
+                return False
+        return True
+
+    last_ok = set(candidates[k - 1])
+
+    def rec(prefix):
+        j = len(prefix)
+        if j == k - 1:
+            last = -sum(prefix)
+            if last in last_ok and fits(prefix, j, last):
+                yield prefix + (last,)
+            return
+        for t in candidates[j]:
+            if fits(prefix, j, t):
+                yield from rec(prefix + (t,))
+
+    yield from rec(())
+
+
+def _t_bounds(ranks, budget, dsq, r):
+    return [isqrt((ri * ri * budget * r * r) // dsq) + 1 for ri in ranks]
+
+
+def _reference_strata_enumerate(v, wall, s_parts):
+    r = v.r
+    if not 2 <= s_parts <= r:
+        return []
+    xi = v.c1
+    q_v = mukai_pair(v, v)
+    dsq = -ns_pair(wall.d, wall.d)
+    budget = q_v + 2 * r * r
+    if budget < 0:
+        return []
+    h1 = E.cls(wall.m_value.denominator, wall.m_value.numerator)
+    mu_num = ns_pair(xi, h1)
+    out = []
+    for ranks in _compositions(r, s_parts):
+        t_bounds = _t_bounds(ranks, budget, dsq, r)
+        for ts in _reference_unpruned_t_tuples(
+            ranks, t_bounds, budget, dsq, r, xi.coeffs, wall.d.coeffs
+        ):
+            parts_c1 = [
+                NSClass(
+                    v.model,
+                    tuple((ri * x + ti * dc) // r for x, dc in zip(xi.coeffs, wall.d.coeffs)),
+                )
+                for ri, ti in zip(ranks, ts)
+            ]
+            assert all(r * ns_pair(c1, h1) == ri * mu_num for ri, c1 in zip(ranks, parts_c1))
+            out.extend(_reference_fill_degree_components(v, ranks, ts, parts_c1, q_v))
+    return out
+
+
+def _reference_nonempty_slots(r, c1, slots):
+    out = []
+    for s in slots:
+        dim = _reference_stack_dim(MukaiVector(r, c1, s))
+        if dim is not None:
+            out.append((s, dim))
+    return out
+
+
+def _reference_strata_box_oracle(v, wall):
+    model = v.model
+    r, x, s = v.r, v.c1.coeffs[0], v.s
+    q_v = mukai_pair(v, v)
+    h1 = E.cls(wall.m_value.denominator, wall.m_value.numerator)
+    den, num = h1.coeffs
+    xi_h = ns_pair(v.c1, h1)
+    sigma_h = ns_pair(model.sigma, h1)
+    fiber_h = ns_pair(model.fiber, h1)
+    out = []
+    for r1 in range(1, r):
+        r2 = r - r1
+        budget = r1 * r2 * (q_v + 2 * r * r)
+        if budget < 0:
+            continue
+        e_max = isqrt(den * budget // (2 * (num - den)))
+        for x1 in range(_ceil_div(r1 * x - e_max, r), (r1 * x + e_max) // r + 1):
+            y_num = r1 * xi_h - r * x1 * sigma_h
+            if y_num % (r * fiber_h):
+                continue
+            c1 = model.cls(x1, y_num // (r * fiber_h))
+            c2 = v.c1 - c1
+            x2 = x - x1
+            s_hi = (ns_pair(c1, c1) + 2 * r1 * r1) // (2 * r1)
+            s_lo = s - (ns_pair(c2, c2) + 2 * r2 * r2) // (2 * r2)
+            dims2 = dict(_reference_nonempty_slots(r2, c2, range(s - s_hi, s - s_lo + 1)))
+            cross = ns_pair(c1, c2)
+            for s1, d1 in _reference_nonempty_slots(r1, c1, range(s_lo, s_hi + 1)):
+                s2 = s - s1
+                d2 = dims2.get(s2)
+                if d2 is None:
+                    continue
+                if (x1 * r2, s1 * r2) <= (x2 * r1, s2 * r1):
+                    continue
+                parts = (MukaiVector(r1, c1, s1), MukaiVector(r2, c2, s2))
+                total = d1 + d2 + cross - r1 * s2 - s1 * r2
+                out.append(Stratum(parts, (d1, d2), total))
     return out
 
 
@@ -340,7 +508,12 @@ class TestIntegerSlots:
     def test_enumeration_matches_reference_filler(self, monkeypatch, r, y, s):
         v = vec(r, 1, y, s)
         got = _all_strata(v)
-        monkeypatch.setattr(strata, "_fill_degree_components", _reference_fill_degree_components)
+
+        def typed_filler(v, ranks, ts, parts_c1, q_v):
+            classes = [NSClass(v.model, c1) for c1 in parts_c1]
+            return _reference_fill_degree_components(v, ranks, ts, classes, q_v)
+
+        monkeypatch.setattr(strata, "_fill_degree_components", typed_filler)
         assert got == _all_strata(v)
 
     def test_core_matches_typed_route_on_every_slot(self, monkeypatch):
@@ -348,14 +521,11 @@ class TestIntegerSlots:
         original = strata._nonempty_slots
         seen = []
 
-        def checked(r, c1, slots):
-            got = original(r, c1, slots)
-            expected = []
-            for s in slots:
-                dim = _reference_stack_dim(MukaiVector(r, c1, s))
-                if dim is not None:
-                    expected.append((s, dim))
-            assert got == expected, (r, c1, slots)
+        def checked(r, c1, c1sq, slots):
+            got = original(r, c1, c1sq, slots)
+            cls = NSClass(E, c1)
+            assert c1sq == ns_pair(cls, cls), c1
+            assert got == _reference_nonempty_slots(r, cls, slots), (r, c1, slots)
             seen.append(len(slots))
             return got
 
@@ -407,7 +577,7 @@ class TestOracle:
         missed = Stratum((vec(2, 2, -6, -6), vec(2, -1, 6, -3)), None, None)
         found = strata_box_oracle(v, wall)
         assert missed.parts in {st.parts for st in found}
-        assert set(found) == set(_reference_strata_box_oracle(v, wall, 8, 40))
+        assert set(found) == set(_fixed_box_oracle(v, wall, 8, 40))
 
     def test_wall_outside_the_ample_range(self):
         # sigma is orthogonal to the nef class sigma + 2f, where the box has no bound
@@ -576,11 +746,16 @@ def _reference_t_tuples(ranks, t_bounds, budget, dsq, r):
     yield from rec(())
 
 
+def _keys_fall(ranks, ts):
+    """The first Gieseker keys t_i/r_i do not rise: t_i r_{i+1} >= t_{i+1} r_i."""
+    return all(ts[i] * ranks[i + 1] >= ts[i + 1] * ranks[i] for i in range(len(ts) - 1))
+
+
 class TestTTuples:
     @pytest.mark.parametrize("r", range(2, 6))
     @pytest.mark.parametrize("y, s", [(0, -4), (1, -4), (2, -2)])
     def test_matches_reference_recursion(self, r, y, s):
-        # the reference tuples that give integral parts, in the same order
+        # the reference tuples that give integral parts with falling keys, in the same order
         v = vec(r, 1, y, s)
         budget = mukai_pair(v, v) + 2 * r * r
         assert budget > 0
@@ -590,7 +765,7 @@ class TestTTuples:
             dsq = -ns_pair(wall.d, wall.d)
             for k in range(2, r + 1):
                 for ranks in _compositions(r, k):
-                    t_bounds = [isqrt((ri * ri * budget * r * r) // dsq) + 1 for ri in ranks]
+                    t_bounds = _t_bounds(ranks, budget, dsq, r)
                     expected = [
                         ts
                         for ts in _reference_t_tuples(ranks, t_bounds, budget, dsq, r)
@@ -599,6 +774,7 @@ class TestTTuples:
                             for ri, ti in zip(ranks, ts)
                             for x, dc in zip(v.c1.coeffs, wall.d.coeffs)
                         )
+                        and _keys_fall(ranks, ts)
                     ]
                     got = list(
                         _t_tuples(ranks, t_bounds, budget, dsq, r, v.c1.coeffs, wall.d.coeffs)
@@ -606,6 +782,94 @@ class TestTTuples:
                     assert got == expected, (wall.d, ranks)
                     compared += len(got)
         assert compared > 0 or not walls
+
+
+class TestTypedReferences:
+    """The integer enumerators against their typed references, list for list."""
+
+    @pytest.mark.parametrize("r,y,s", BENCH_VECTORS + ORACLE_PROBES[1:])
+    def test_walls_match_at_every_bound(self, r, y, s):
+        v = vec(r, 1, y, s)
+        for bound in range(1, 9):
+            assert wall_enumerate(v, bound) == _reference_wall_enumerate(v, bound), bound
+
+    @pytest.mark.parametrize("r,y,s", BENCH_VECTORS + ORACLE_PROBES[1:])
+    def test_strata_and_oracle_match_on_every_wall(self, r, y, s):
+        v = vec(r, 1, y, s)
+        compared = 0
+        for wall in wall_enumerate(v, 4):
+            for k in range(2, r + 1):
+                listed = strata_enumerate(v, wall, k)
+                assert listed == _reference_strata_enumerate(v, wall, k), (wall.d, k)
+                compared += len(listed)
+            assert strata_box_oracle(v, wall) == _reference_strata_box_oracle(v, wall), wall.d
+        assert compared > 0
+
+    @pytest.mark.parametrize("r,y,s", BENCH_VECTORS + ORACLE_PROBES[1:])
+    def test_t_tuples_are_the_unpruned_ones_with_falling_keys(self, r, y, s):
+        v = vec(r, 1, y, s)
+        budget = mukai_pair(v, v) + 2 * r * r
+        compared = 0
+        for wall in wall_enumerate(v, 4):
+            dsq = -ns_pair(wall.d, wall.d)
+            args = (budget, dsq, r, v.c1.coeffs, wall.d.coeffs)
+            for k in range(2, r + 1):
+                for ranks in _compositions(r, k):
+                    t_bounds = _t_bounds(ranks, budget, dsq, r)
+                    expected = [
+                        ts
+                        for ts in _reference_unpruned_t_tuples(ranks, t_bounds, *args)
+                        if _keys_fall(ranks, ts)
+                    ]
+                    assert list(_t_tuples(ranks, t_bounds, *args)) == expected, (wall.d, ranks)
+                    compared += len(expected)
+        assert compared > 0 or budget < 0
+
+    def test_typed_objects_only_for_kept_walls_and_strata(self, monkeypatch):
+        built = {"NSClass": 0, "MukaiVector": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                built[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name, original in (("NSClass", NSClass), ("MukaiVector", MukaiVector)):
+            monkeypatch.setattr(strata, name, counted(name, original))
+        walls = witnesses = parts = 0
+        for r, y, s in BENCH_VECTORS:
+            v = vec(r, 1, y, s)
+            for wall in wall_enumerate(v, 4):
+                walls += 1
+                witnesses += len(wall.witnesses)
+                for k in range(2, r + 1):
+                    parts += sum(len(st.parts) for st in strata_enumerate(v, wall, k))
+                parts += sum(len(st.parts) for st in strata_box_oracle(v, wall))
+        assert walls > 0 and parts > 0
+        # a wall class and its witnesses per wall, at most one class per part of a kept stratum
+        assert built["NSClass"] <= walls + witnesses + parts
+        assert built["MukaiVector"] == parts
+
+    def test_ns_pair_calls_per_wall_of_the_strata_audits(self, monkeypatch):
+        calls = []
+        original = strata.ns_pair
+        monkeypatch.setattr(strata, "ns_pair", lambda a, b: calls.append(1) or original(a, b))
+        walls = 0
+        for r, y, s in BENCH_VECTORS:
+            spec = normalize_instance(
+                {
+                    "params": {"v": f"{r}:1,{y}:{s}"},
+                    "checks": ["strata-audit"],
+                    "bounds": {"coeff_bound": 4},
+                },
+                0,
+            )[0]
+            result = run_instance(spec)["results"]["strata-audit"]
+            assert result["status"] == "pass"
+            walls += len(result["vectors"][0]["walls"])
+        assert walls > 0
+        assert len(calls) <= 2 * walls
 
 
 class TestAudits:
