@@ -39,10 +39,12 @@ from . import __version__
 from .duality import (
     DivisibilityError,
     NuBoundError,
+    compute_nu,
     deformation_setup,
     delta_bound,
     dimension_match,
     duality_line_bundle,
+    duality_line_bundle_class,
     hypotheses_report,
     k3_divisible_points,
     k3_tower_row,
@@ -55,8 +57,15 @@ from .duality import (
     tower_instance,
 )
 from .fourier_mukai import derive_fm_matrix, verify_fm_suite
-from .hilbert import exclusion_report
-from .strata import codim_audit, is_suitable, strata_box_oracle, strata_enumerate, wall_enumerate
+from .hilbert import exclusion_flags, exclusion_report
+from .strata import (
+    codim_audit,
+    is_suitable,
+    strata_box_oracle,
+    strata_enumerate,
+    stratum_key,
+    wall_enumerate,
+)
 from .surfaces import (
     ELLIPTIC_GENERAL,
     ELLIPTIC_K3,
@@ -466,6 +475,7 @@ def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
     h00_exceptions = []
     bound_disagreements = []
     grid = k3_divisible_points(range(r_lo, r_hi + 1), range(s_lo, s_hi + 1), ab_max)
+    group = None
     for r, s, a, b, valid in grid:
         # both directions of the bound equivalence: valid and too-small twists
         if theorem2_equivalence(r, s, a, b) is False:
@@ -473,10 +483,15 @@ def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
         if not valid:
             continue
         points += 1
-        rep = exclusion_report(r, s, a, b)
-        if not (rep.q3_excluded and rep.s_proper and rep.q_proper):
+        # nu and L depend on a+b alone, and the grid runs in (r, s, a+b, a) order
+        if group != (r, s, a + b):
+            group = (r, s, a + b)
+            line = duality_line_bundle_class(r, s, compute_nu(r, s, a, b))
+            (m, n), chi = line.coeffs, line.model.chi_o
+        q3_excluded, q1q2_excluded, s_proper, q_proper = exclusion_flags(m, n, a, b, chi)
+        if not (q3_excluded and s_proper and q_proper):
             h0_violations.append((r, s, a, b))
-        if rep.exceptional_case:
+        if not q1q2_excluded:
             h00_exceptions.append((r, s, a, b))
         # raises unless chi(v . w) = 0, so a violation is an error, never a list entry
         k3_tower_row(r, s, a, b)
@@ -522,7 +537,7 @@ def _audit_one_vector(v: MukaiVector, coeff_bound: int, parts_arg, with_oracle: 
         if with_oracle and (parts_arg in (None, 2)):
             two_part = [st for st in shown if len(st.parts) == 2]
             oracle = strata_box_oracle(v, wall)
-            oracle_ok = set(two_part) == set(oracle)
+            oracle_ok = set(map(stratum_key, two_part)) == set(map(stratum_key, oracle))
         entry = {
             "wall_d": wall.d,
             "m_value": wall.m_value,
@@ -805,6 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser("batch", parents=[common], help="run every instance of a YAML spec file")
     p_batch.add_argument("path")
+    for p in (p_check, p_batch):
+        p.add_argument("--profile", metavar="PATH", help="write cProfile stats of the run to this path")
 
     p_fm = sub.add_parser("fm-verify", parents=[common], help="derive and verify the transform matrix")
     p_fm.add_argument("--rmax", type=int, default=_default("fm-verify", "r_max"))
@@ -873,7 +890,19 @@ def main(argv: list[str] | None = None) -> int:
     except CliConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = run_batch(instances)
+    profile_path = getattr(args, "profile", None)
+    if profile_path is None:
+        doc = run_batch(instances)
+    else:
+        import cProfile  # only on request, so a plain run does not pay for the import
+
+        profiler = cProfile.Profile()
+        doc = profiler.runcall(run_batch, instances)
+        try:
+            profiler.dump_stats(profile_path)
+        except OSError as exc:
+            print(f"error: cannot write profile {profile_path}: {exc}", file=sys.stderr)
+            return 2
     _emit(doc, args.out, args.quiet)
     return document_exit_code(doc)
 

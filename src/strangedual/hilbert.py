@@ -260,13 +260,32 @@ class ExclusionReport:
     q_proper: bool
 
 
+def exclusion_flags(m: int, n: int, a: int, b: int, chi: int) -> tuple[bool, bool, bool, bool]:
+    """The exclusion verdicts on L = m.sigma + n.f, as plain integers.
+
+    Returns (q3_excluded, q1q2_excluded, s_proper, q_proper): Q3 is excluded
+    when L(-bf) or L(-af) has no section, Q1/Q2 when L((-a+1)f) or L((-b+1)f)
+    has none, S is proper when C(h0(L(-sigma)), a+b) = 0 and Q when the sym
+    count of L((-a-b+1)f) on X^[a+b] is 0.  Every count is ``h0_coeffs`` at
+    chi(O) = chi.  ``exclusion_report`` takes its flags from here.
+    """
+    q3_excluded = h0_coeffs(m, n - b, chi) == 0 or h0_coeffs(m, n - a, chi) == 0
+    q1q2_excluded = h0_coeffs(m, n + 1 - a, chi) == 0 or h0_coeffs(m, n + 1 - b, chi) == 0
+    s_proper = binom(h0_coeffs(m - 1, n, chi), a + b) == 0
+    h0_q = h0_coeffs(m, n + 1 - a - b, chi)
+    assert h0_q == 0  # fiber coefficient is negative for every valid parameter set
+    q_proper = binom(h0_q + (a + b) - 1, a + b) == 0
+    return q3_excluded, q1q2_excluded, s_proper, q_proper
+
+
 def exclusion_report(r: int, s: int, a: int, b: int) -> ExclusionReport:
     """Run the section-count exclusions for valid duality parameters.
 
     Requires (r, s, a, b) to pass the divisibility/bound conditions; the
     theta line bundle is L = O((r+s)sigma + (2(r+s) - 2 - nu)f) on the
     elliptic K3.  Every count is ``h0_coeffs`` of L shifted by a multiple of
-    f or by -sigma, taken on L's coefficients (m, n) at the K3's chi(O) = 2.
+    f or by -sigma, taken on L's coefficients (m, n) at the K3's chi(O) = 2;
+    the four verdicts are ``exclusion_flags`` on the same (m, n).
     """
     from .duality import compute_nu, duality_line_bundle_class
 
@@ -274,20 +293,13 @@ def exclusion_report(r: int, s: int, a: int, b: int) -> ExclusionReport:
     line = duality_line_bundle_class(r, s, model_nu)
     m, n = line.coeffs
     chi = line.model.chi_o
+    q3_excluded, q1q2_excluded, s_proper, q_proper = exclusion_flags(m, n, a, b, chi)
 
     h0_mbf = h0_coeffs(m, n - b, chi)
     h0_maf = h0_coeffs(m, n - a, chi)
     h0_a1 = h0_coeffs(m, n + 1 - a, chi)
     h0_b1 = h0_coeffs(m, n + 1 - b, chi)
     h0_msig = h0_coeffs(m - 1, n, chi)
-    s_count = binom(h0_msig, a + b)
-
-    h0_q = h0_coeffs(m, n + 1 - a - b, chi)
-    assert h0_q == 0  # fiber coefficient is negative for every valid parameter set
-    q_count = binom(h0_q + (a + b) - 1, a + b)
-
-    q3_excluded = h0_mbf == 0 or h0_maf == 0
-    q1q2_excluded = h0_a1 == 0 or h0_b1 == 0
     return ExclusionReport(
         r=r,
         s=s,
@@ -304,11 +316,11 @@ def exclusion_report(r: int, s: int, a: int, b: int) -> ExclusionReport:
         q3_right_count=binom(h0_maf, b),
         q1q2_left_count=binom(h0_a1 + a - 1, a),
         q1q2_right_count=binom(h0_b1 + b - 1, b),
-        s_count=s_count,
-        q_count=q_count,
+        s_count=binom(h0_msig, a + b),
+        q_count=binom(h0_coeffs(m, n + 1 - a - b, chi) + (a + b) - 1, a + b),
         q3_excluded=q3_excluded,
         q1q2_excluded=q1q2_excluded,
         exceptional_case=not q1q2_excluded,
-        s_proper=s_count == 0,
-        q_proper=q_count == 0,
+        s_proper=s_proper,
+        q_proper=q_proper,
     )

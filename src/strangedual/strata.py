@@ -402,12 +402,23 @@ def _fill_degree_components(v, ranks, ts, parts_c1, q_v):
         yield Stratum(parts, dims, sum(dims) + pair_sum)
 
 
+def stratum_key(st: Stratum) -> tuple:
+    """``st`` as integer tuples: ((rank, c1 coefficients, s) per part, dims, total_dim).
+
+    Two strata on one model are equal exactly when their keys are; hashing
+    the key skips the nested dataclasses (``Stratum``, ``MukaiVector``,
+    ``NSClass``, ``SurfaceModel``), whose hashes are not cached.
+    """
+    return tuple((p.r, p.c1.coeffs, p.s) for p in st.parts), st.dims, st.total_dim
+
+
 def unordered_count(strata: list[Stratum]) -> int:
-    """Number of distinct part multisets among the enumerated filtration types."""
-    seen = set()
-    for st in strata:
-        seen.add(frozenset((p, st.parts.count(p)) for p in st.parts))
-    return len(seen)
+    """Number of distinct part multisets among the enumerated filtration types.
+
+    The strata of one wall live on one model, so a multiset is keyed on the
+    sorted part tuples of ``stratum_key``.
+    """
+    return len({tuple(sorted(stratum_key(st)[0])) for st in strata})
 
 
 def strata_box_oracle(v: MukaiVector, wall: Wall) -> list[Stratum]:
@@ -712,6 +723,7 @@ __all__ = [
     "wall_enumerate",
     "is_suitable",
     "strata_enumerate",
+    "stratum_key",
     "unordered_count",
     "chain_audit",
     "stratum_codim_ok",

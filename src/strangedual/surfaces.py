@@ -29,6 +29,11 @@ written because K = 0 there.
 All arithmetic is exact: plain Python integers throughout, with
 fractions.Fraction for the few half-integer intermediates.  No floats.
 Every value is immutable, every operation a pure function.
+
+The class algebra is unrolled by NS rank (1 or 2): ``NSClass`` addition,
+subtraction, negation, integer scaling and ``dot`` write out each
+coefficient, and ``twist`` and ``mukai_tensor`` build their one result class
+from coefficients, with no generator and no intermediate class.
 """
 
 from __future__ import annotations
@@ -104,11 +109,11 @@ class SurfaceModel:
     # -- named classes ----------------------------------------------------
 
     def cls(self, *coeffs: int) -> "NSClass":
-        if len(coeffs) != self.ns_rank:
+        if len(coeffs) != len(self.labels):
             raise ValueError(
                 f"{self.kind} expects {self.ns_rank} coefficient(s), got {len(coeffs)}"
             )
-        return NSClass(self, tuple(int(c) for c in coeffs))
+        return NSClass(self, tuple(map(int, coeffs)))
 
     @property
     def zero(self) -> "NSClass":
@@ -164,19 +169,31 @@ class NSClass:
 
     def __add__(self, other: "NSClass") -> "NSClass":
         self._require_same(other)
-        return NSClass(self.model, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        x, y = self.coeffs, other.coeffs
+        if len(x) == 1:
+            return NSClass(self.model, (x[0] + y[0],))
+        return NSClass(self.model, (x[0] + y[0], x[1] + y[1]))
 
     def __sub__(self, other: "NSClass") -> "NSClass":
         self._require_same(other)
-        return NSClass(self.model, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        x, y = self.coeffs, other.coeffs
+        if len(x) == 1:
+            return NSClass(self.model, (x[0] - y[0],))
+        return NSClass(self.model, (x[0] - y[0], x[1] - y[1]))
 
     def __neg__(self) -> "NSClass":
-        return NSClass(self.model, tuple(-a for a in self.coeffs))
+        x = self.coeffs
+        if len(x) == 1:
+            return NSClass(self.model, (-x[0],))
+        return NSClass(self.model, (-x[0], -x[1]))
 
     def __rmul__(self, k: int) -> "NSClass":
         if not isinstance(k, int):
             raise TypeError("NS classes only scale by integers")
-        return NSClass(self.model, tuple(k * a for a in self.coeffs))
+        x = self.coeffs
+        if len(x) == 1:
+            return NSClass(self.model, (k * x[0],))
+        return NSClass(self.model, (k * x[0], k * x[1]))
 
     __mul__ = __rmul__
 
@@ -344,10 +361,15 @@ def mukai_tensor(v: MukaiVector, w: MukaiVector) -> MukaiVector:
     """
     v._require_same(w)
     model = v.model
-    rank = v.r * w.r
-    c1 = v.r * w.c1 + w.r * v.c1
-    chi = v.r * chi_vec(w) + w.r * chi_vec(v) + v.c1.dot(w.c1) - rank * model.chi_o
-    return MukaiVector(rank, c1, chi - model.s_shift * rank)
+    r1, r2, e = v.r, w.r, model.s_shift
+    rank = r1 * r2
+    x, y = v.c1.coeffs, w.c1.coeffs
+    if len(x) == 1:
+        c1 = (r1 * y[0] + r2 * x[0],)
+    else:
+        c1 = (r1 * y[0] + r2 * x[0], r1 * y[1] + r2 * x[1])
+    chi = r1 * (w.s + e * r2) + r2 * (v.s + e * r1) + v.c1.dot(w.c1) - rank * model.chi_o
+    return MukaiVector(rank, NSClass(model, c1), chi - e * rank)
 
 
 def structure_vector(model: SurfaceModel) -> MukaiVector:
@@ -380,9 +402,14 @@ def twist(v: MukaiVector, d: NSClass) -> MukaiVector:
     model = v.model
     if model is not d.model and model != d.model:
         raise ModelMismatchError("twisting class lives on a different model")
-    num = v.r * (d.dot(d) - d.dot(model.canonical))
+    r, x, z = v.r, v.c1.coeffs, d.coeffs
+    num = r * (d.dot(d) - d.dot(model.canonical))
     assert num % 2 == 0  # D.(D-K) is even
-    return MukaiVector(v.r, v.c1 + v.r * d, v.s + v.c1.dot(d) + num // 2)
+    if len(x) == 1:
+        c1 = (x[0] + r * z[0],)
+    else:
+        c1 = (x[0] + r * z[0], x[1] + r * z[1])
+    return MukaiVector(r, NSClass(model, c1), v.s + v.c1.dot(d) + num // 2)
 
 
 def euler_form(v: MukaiVector, w: MukaiVector) -> int:

@@ -15,6 +15,7 @@ from strangedual.hilbert import (
     HilbPicClass,
     ProductClass,
     binom,
+    exclusion_flags,
     exclusion_report,
     gamma_product_class,
     is_tau_pullback,
@@ -299,3 +300,24 @@ class TestIntegerExclusionRoute:
             assert w == (inst.w.r, *inst.w.c1.coeffs, inst.w.s), (r, s, a, b)
         if ab_max == 60:
             assert len(points) == 1829
+
+    @pytest.mark.parametrize("r_rng,s_rng,ab_max", EXCLUSION_BOXES)
+    def test_hoisted_flags_match_the_report(self, r_rng, s_rng, ab_max):
+        # the sweep takes (m, n) from L once per (r, s, a+b) and calls exclusion_flags
+        lines = {}
+        points = [p[:4] for p in k3_divisible_points(r_rng, s_rng, ab_max) if p[4]]
+        for r, s, a, b in points:
+            if (r, s, a + b) not in lines:
+                lines[r, s, a + b] = duality_line_bundle_class(r, s, compute_nu(r, s, a, b))
+            m, n = lines[r, s, a + b].coeffs
+            rep = exclusion_report(r, s, a, b)
+            flags = (rep.q3_excluded, rep.q1q2_excluded, rep.s_proper, rep.q_proper)
+            assert exclusion_flags(m, n, a, b, 2) == flags, (r, s, a, b)
+            # and the flags are the verdicts on the record's own counts
+            assert flags == (
+                rep.h0_l_minus_bf == 0 or rep.h0_l_minus_af == 0,
+                rep.h0_l_a1f == 0 or rep.h0_l_b1f == 0,
+                rep.s_count == 0,
+                rep.q_count == 0,
+            ), (r, s, a, b)
+        assert len(lines) < len(points)

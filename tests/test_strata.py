@@ -8,6 +8,7 @@ from math import gcd, isqrt
 
 import pytest
 
+import strangedual.cli as cli
 import strangedual.strata as strata
 from strangedual.cli import main, normalize_instance, run_instance
 from strangedual.strata import (
@@ -25,6 +26,7 @@ from strangedual.strata import (
     strata_box_oracle,
     strata_enumerate,
     stratum_codim_ok,
+    stratum_key,
     unordered_count,
     wall_enumerate,
 )
@@ -870,6 +872,58 @@ class TestTypedReferences:
             walls += len(result["vectors"][0]["walls"])
         assert walls > 0
         assert len(calls) <= 2 * walls
+
+
+def _reference_unordered_count(strata):
+    """Distinct part multisets, keyed on the typed parts and their multiplicities."""
+    seen = set()
+    for st in strata:
+        seen.add(frozenset((p, st.parts.count(p)) for p in st.parts))
+    return len(seen)
+
+
+class TestIntegerStratumKeys:
+    @pytest.mark.parametrize("r,y,s", BENCH_VECTORS)
+    def test_unordered_count_matches_the_typed_reference(self, r, y, s):
+        v = vec(r, 1, y, s)
+        for wall, listed in _all_strata(v):
+            for k in range(2, r + 1):
+                some = [st for st in listed if len(st.parts) == k]
+                assert unordered_count(some) == _reference_unordered_count(some), (wall.d, k)
+            assert unordered_count(listed) == _reference_unordered_count(listed), wall.d
+            for a in listed:
+                for b in listed:
+                    assert (stratum_key(a) == stratum_key(b)) == (a == b)
+
+    def test_unordered_count_merges_reorderings_only(self):
+        p, q = vec(1, 1, -2, -1), vec(1, 0, 2, 0)
+        strata_list = [Stratum((p, q), (0, 0), 1), Stratum((q, p), (0, 0), 1),
+                       Stratum((p, p), (0, 0), 1), Stratum((p, q, q), (0, 0, 0), 2),
+                       Stratum((q, p, p), (0, 0, 0), 2)]
+        assert unordered_count(strata_list) == _reference_unordered_count(strata_list) == 4
+
+    @pytest.mark.parametrize("r,y,s", BENCH_VECTORS)
+    def test_oracle_match_equals_the_typed_comparison(self, r, y, s):
+        v = vec(r, 1, y, s)
+        _, entries = cli._audit_one_vector(v, 4, None, True)
+        walls = _all_strata(v)
+        assert len(entries) == len(walls)
+        for entry, (wall, listed) in zip(entries, walls):
+            two_part = [st for st in listed if len(st.parts) == 2]
+            assert entry["oracle_match"] == (set(two_part) == set(strata_box_oracle(v, wall)))
+
+    def test_a_stratum_missing_from_the_oracle_is_caught(self, monkeypatch):
+        v = vec(2, 1, 0, -2)
+
+        def dropping(v, wall):
+            return strata_box_oracle(v, wall)[1:]
+
+        monkeypatch.setattr(cli, "strata_box_oracle", dropping)
+        ok, entries = cli._audit_one_vector(v, 3, None, True)
+        with_strata = [e for e in entries if e["strata"] > 0]
+        assert with_strata and not ok
+        assert all(e["oracle_match"] is False for e in with_strata)
+        assert all(e["oracle_match"] is True for e in entries if e["strata"] == 0)
 
 
 class TestAudits:

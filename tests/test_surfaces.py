@@ -1,5 +1,6 @@
 """Lattice arithmetic, Riemann-Roch counts and Mukai-vector algebra."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -663,3 +664,125 @@ class TestModelsAreBuiltOnce:
         gen2 = elliptic_general(2)
         with pytest.raises(ModelMismatchError):
             E.cls(1, 0).dot(gen2.cls(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# The generator-based class algebra the models used before it was unrolled by
+# NS rank, kept as the typed reference for the unrolled one.
+# ---------------------------------------------------------------------------
+
+L0_MODELS = [elliptic_k3(), *(generic_k3(d) for d in (2, 4, 6, 8)),
+             *(elliptic_general(c) for c in (1, 2, 3, 4))]
+
+
+def _reference_add(d1, d2):
+    d1._require_same(d2)
+    return surfaces.NSClass(d1.model, tuple(a + b for a, b in zip(d1.coeffs, d2.coeffs)))
+
+
+def _reference_sub(d1, d2):
+    d1._require_same(d2)
+    return surfaces.NSClass(d1.model, tuple(a - b for a, b in zip(d1.coeffs, d2.coeffs)))
+
+
+def _reference_neg(d):
+    return surfaces.NSClass(d.model, tuple(-a for a in d.coeffs))
+
+
+def _reference_rmul(k, d):
+    if not isinstance(k, int):
+        raise TypeError("NS classes only scale by integers")
+    return surfaces.NSClass(d.model, tuple(k * a for a in d.coeffs))
+
+
+def _reference_cls(model, *coeffs):
+    if len(coeffs) != model.ns_rank:
+        raise ValueError(f"{model.kind} expects {model.ns_rank} coefficient(s), got {len(coeffs)}")
+    return surfaces.NSClass(model, tuple(int(c) for c in coeffs))
+
+
+def _reference_typed_twist(v, d):
+    model = v.model
+    if model is not d.model and model != d.model:
+        raise ModelMismatchError("twisting class lives on a different model")
+    num = v.r * (d.dot(d) - d.dot(model.canonical))
+    assert num % 2 == 0
+    c1 = _reference_add(v.c1, _reference_rmul(v.r, d))
+    return MukaiVector(v.r, c1, v.s + v.c1.dot(d) + num // 2)
+
+
+def _reference_typed_mukai_tensor(v, w):
+    v._require_same(w)
+    model = v.model
+    rank = v.r * w.r
+    c1 = _reference_add(_reference_rmul(v.r, w.c1), _reference_rmul(w.r, v.c1))
+    chi = v.r * chi_vec(w) + w.r * chi_vec(v) + v.c1.dot(w.c1) - rank * model.chi_o
+    return MukaiVector(rank, c1, chi - model.s_shift * rank)
+
+
+def _l0_draws(n, seed=13):
+    """n seeded draws (model, coefficient tuples, scalar, ranks and slots)."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        model = rng.choice(L0_MODELS)
+        c1, c2 = ([rng.randint(-60, 60) for _ in range(model.ns_rank)] for _ in range(2))
+        yield model, c1, c2, rng.randint(-12, 12), [rng.randint(-9, 9) for _ in range(4)]
+
+
+class TestUnrolledAlgebraMatchesTypedReference:
+    def test_class_algebra_twist_and_tensor(self):
+        seen = set()
+        for model, c1, c2, k, (r1, s1, r2, s2) in _l0_draws(2400):
+            seen.add(model)
+            d1, d2 = model.cls(*c1), model.cls(*c2)
+            assert d1 == _reference_cls(model, *c1) and d1.coeffs == tuple(c1)
+            assert d1 + d2 == _reference_add(d1, d2)
+            assert d1 - d2 == _reference_sub(d1, d2)
+            assert -d1 == _reference_neg(d1)
+            assert k * d1 == _reference_rmul(k, d1) == d1 * k
+            v, w = MukaiVector(r1, d1, s1), MukaiVector(r2, d2, s2)
+            assert twist(v, d2) == _reference_typed_twist(v, d2)
+            assert mukai_tensor(v, w) == _reference_typed_mukai_tensor(v, w)
+        assert seen == set(L0_MODELS)
+
+    def test_cls_converts_like_the_reference(self):
+        for model in L0_MODELS:
+            coeffs = ("3", 2.0, True)[: model.ns_rank]
+            got, expected = model.cls(*coeffs), _reference_cls(model, *coeffs)
+            assert got == expected
+            assert [type(c) for c in got.coeffs] == [type(c) for c in expected.coeffs]
+
+    @pytest.mark.parametrize("other", [G2.hyperplane, GEN3.cls(1, 0), elliptic_general(2).cls(0, 1)])
+    def test_mixed_model_operand(self, other):
+        d = E.cls(1, -2)
+        cases = [
+            (lambda: d + other, lambda: _reference_add(d, other)),
+            (lambda: d - other, lambda: _reference_sub(d, other)),
+            (lambda: twist(evec(2, 1, 0, -1), other),
+             lambda: _reference_typed_twist(evec(2, 1, 0, -1), other)),
+            (lambda: mukai_tensor(evec(2, 1, 0, -1), MukaiVector(1, other, 0)),
+             lambda: _reference_typed_mukai_tensor(evec(2, 1, 0, -1), MukaiVector(1, other, 0))),
+        ]
+        for got, expected in cases:
+            with pytest.raises(ModelMismatchError):
+                got()
+            with pytest.raises(ModelMismatchError):
+                expected()
+
+    @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(2), 1.5, 2.0, "2"])
+    def test_non_int_scalar(self, k):
+        for model in L0_MODELS:
+            d = model.cls(*([1] * model.ns_rank))
+            for op in (lambda: k * d, lambda: d * k, lambda: _reference_rmul(k, d)):
+                with pytest.raises(TypeError):
+                    op()
+
+    @pytest.mark.parametrize("model", L0_MODELS, ids=lambda m: f"{m.kind}-{m.degree}-{m.chi_o}")
+    def test_wrong_coefficient_count(self, model):
+        for n in (0, 1, 2, 3):
+            if n == model.ns_rank:
+                continue
+            with pytest.raises(ValueError, match="coefficient"):
+                model.cls(*range(n))
+            with pytest.raises(ValueError, match="coefficient"):
+                _reference_cls(model, *range(n))
