@@ -39,7 +39,6 @@ from . import __version__
 from .duality import (
     DivisibilityError,
     NuBoundError,
-    compute_nu,
     deformation_setup,
     delta_bound,
     dimension_match,
@@ -475,7 +474,6 @@ def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
     h00_exceptions = []
     bound_disagreements = []
     grid = k3_divisible_points(range(r_lo, r_hi + 1), range(s_lo, s_hi + 1), ab_max)
-    group = None
     for r, s, a, b, valid in grid:
         # both directions of the bound equivalence: valid and too-small twists
         if theorem2_equivalence(r, s, a, b) is False:
@@ -483,18 +481,15 @@ def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
         if not valid:
             continue
         points += 1
-        # nu and L depend on a+b alone, and the grid runs in (r, s, a+b, a) order
-        if group != (r, s, a + b):
-            group = (r, s, a + b)
-            line = duality_line_bundle_class(r, s, compute_nu(r, s, a, b))
-            (m, n), chi = line.coeffs, line.model.chi_o
+        # raises unless chi(v . w) = 0, so a violation is an error, never a list entry
+        nu, _, _ = k3_tower_row(r, s, a, b)
+        line = duality_line_bundle_class(r, s, nu)
+        (m, n), chi = line.coeffs, line.model.chi_o
         q3_excluded, q1q2_excluded, s_proper, q_proper = exclusion_flags(m, n, a, b, chi)
         if not (q3_excluded and s_proper and q_proper):
             h0_violations.append((r, s, a, b))
         if not q1q2_excluded:
             h00_exceptions.append((r, s, a, b))
-        # raises unless chi(v . w) = 0, so a violation is an error, never a list entry
-        k3_tower_row(r, s, a, b)
     er, es, ea, eb = DOCUMENTED_H00_EXCEPTION
     expected_exceptions = (
         [DOCUMENTED_H00_EXCEPTION]
@@ -820,8 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser("batch", parents=[common], help="run every instance of a YAML spec file")
     p_batch.add_argument("path")
-    for p in (p_check, p_batch):
-        p.add_argument("--profile", metavar="PATH", help="write cProfile stats of the run to this path")
 
     p_fm = sub.add_parser("fm-verify", parents=[common], help="derive and verify the transform matrix")
     p_fm.add_argument("--rmax", type=int, default=_default("fm-verify", "r_max"))
@@ -890,19 +883,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    profile_path = getattr(args, "profile", None)
-    if profile_path is None:
-        doc = run_batch(instances)
-    else:
-        import cProfile  # only on request, so a plain run does not pay for the import
-
-        profiler = cProfile.Profile()
-        doc = profiler.runcall(run_batch, instances)
-        try:
-            profiler.dump_stats(profile_path)
-        except OSError as exc:
-            print(f"error: cannot write profile {profile_path}: {exc}", file=sys.stderr)
-            return 2
+    doc = run_batch(instances)
     _emit(doc, args.out, args.quiet)
     return document_exit_code(doc)
 

@@ -368,7 +368,7 @@ def mukai_tensor(v: MukaiVector, w: MukaiVector) -> MukaiVector:
         c1 = (r1 * y[0] + r2 * x[0],)
     else:
         c1 = (r1 * y[0] + r2 * x[0], r1 * y[1] + r2 * x[1])
-    chi = r1 * (w.s + e * r2) + r2 * (v.s + e * r1) + v.c1.dot(w.c1) - rank * model.chi_o
+    chi = r1 * chi_vec(w) + r2 * chi_vec(v) + v.c1.dot(w.c1) - rank * model.chi_o
     return MukaiVector(rank, NSClass(model, c1), chi - e * rank)
 
 

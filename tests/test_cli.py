@@ -2,11 +2,7 @@
 
 import inspect
 import json
-import os
-import pstats
 import re
-import subprocess
-import sys
 from math import comb
 from pathlib import Path
 
@@ -330,18 +326,14 @@ class TestExclusionSweepGrid:
             calls.append(args[:4])
             return original(*args)
 
-        # the sweep reads compute_nu from cli, the tower row and the bound comparison from duality
         monkeypatch.setattr(duality, "compute_nu", counting)
-        monkeypatch.setattr(cli, "compute_nu", counting)
         spec = normalize_instance({"checks": ["exclusion-sweep"]}, 0)[0]
         result = run_instance(spec)["results"]["exclusion-sweep"]
         assert result["status"] == "pass"
         assert result["points_checked"] == 1829
-        valid = [p for p in k3_divisible_points(range(2, 5), range(2, 5), 60) if p[4]]
-        groups = {(r, s, a + b) for r, s, a, b, _ in valid}
-        # one nu per valid (r, s, a+b) for the theta bundle, k3_tower_row on
-        # each valid point and theorem2_equivalence on all 2903 divisible points
-        assert len(calls) == len(groups) + 1829 + 2903
+        # k3_tower_row on each valid point, whose nu also gives the theta
+        # bundle, and theorem2_equivalence on all 2903 divisible points
+        assert len(calls) == 1829 + 2903
 
     def test_one_flipped_flag_fails_the_sweep(self, monkeypatch):
         original = cli.exclusion_flags
@@ -798,48 +790,6 @@ class TestMainExitCodes:
         assert main(["batch", str(spec), "--out", str(out1), "--quiet"]) == 0
         assert main(["batch", str(spec), "--out", str(out2), "--quiet"]) == 0
         assert _strip_timing(out1.read_text()) == _strip_timing(out2.read_text())
-
-
-class TestProfile:
-    BATCH = Path(__file__).parent / "data" / "acceptance_batch.yaml"
-
-    def test_report_is_unchanged_and_stats_load(self, tmp_path, capsys):
-        plain, profiled, stats = tmp_path / "plain.json", tmp_path / "profiled.json", tmp_path / "run.prof"
-        assert main(["batch", str(self.BATCH), "--out", str(plain), "--quiet"]) == 0
-        capsys.readouterr()
-        code = main(["batch", str(self.BATCH), "--out", str(profiled), "--quiet", "--profile", str(stats)])
-        assert code == 0
-        assert capsys.readouterr().out == ""
-        assert _strip_timing(profiled.read_text()) == _strip_timing(plain.read_text())
-        names = {func[2] for func in pstats.Stats(str(stats)).stats}
-        assert "_check_exclusion_sweep" in names
-        assert "chain_audit" in names
-
-    def test_check_takes_the_flag(self, tmp_path, capsys):
-        stats = tmp_path / "check.prof"
-        code = main(["check", "--r", "2", "--s", "2", "--a", "9", "--b", "9",
-                     "--checks", "nu,exclusions", "--quiet", "--profile", str(stats)])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["instances"][0]["results"]["exclusions"]["status"] == "pass"
-        assert "_check_exclusions" in {func[2] for func in pstats.Stats(str(stats)).stats}
-
-    def test_unwritable_path_is_a_config_error(self, tmp_path, capsys):
-        code = main(["check", "--r", "2", "--s", "2", "--a", "9", "--b", "9", "--checks", "nu",
-                     "--quiet", "--profile", str(tmp_path / "missing" / "p.prof")])
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: cannot write profile")
-
-    def test_other_subcommands_do_not_take_the_flag(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--profile", str(tmp_path / "p.prof")])
-
-    def test_cli_does_not_import_cprofile_at_load(self):
-        code = "import sys, strangedual.cli; print('cProfile' in sys.modules)"
-        env_path = str(Path(cli.__file__).parents[1])
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": env_path}, check=True)
-        assert done.stdout.strip() == "False"
 
 
 def _run_batch_text(tmp_path, text, capsys):

@@ -302,14 +302,12 @@ class TestIntegerExclusionRoute:
             assert len(points) == 1829
 
     @pytest.mark.parametrize("r_rng,s_rng,ab_max", EXCLUSION_BOXES)
-    def test_hoisted_flags_match_the_report(self, r_rng, s_rng, ab_max):
-        # the sweep takes (m, n) from L once per (r, s, a+b) and calls exclusion_flags
-        lines = {}
+    def test_sweep_flags_match_the_report(self, r_rng, s_rng, ab_max):
+        # the sweep takes (m, n) from L on the tower row's nu and calls exclusion_flags
         points = [p[:4] for p in k3_divisible_points(r_rng, s_rng, ab_max) if p[4]]
         for r, s, a, b in points:
-            if (r, s, a + b) not in lines:
-                lines[r, s, a + b] = duality_line_bundle_class(r, s, compute_nu(r, s, a, b))
-            m, n = lines[r, s, a + b].coeffs
+            nu, _, _ = k3_tower_row(r, s, a, b)
+            m, n = duality_line_bundle_class(r, s, nu).coeffs
             rep = exclusion_report(r, s, a, b)
             flags = (rep.q3_excluded, rep.q1q2_excluded, rep.s_proper, rep.q_proper)
             assert exclusion_flags(m, n, a, b, 2) == flags, (r, s, a, b)
@@ -320,4 +318,3 @@ class TestIntegerExclusionRoute:
                 rep.s_count == 0,
                 rep.q_count == 0,
             ), (r, s, a, b)
-        assert len(lines) < len(points)
