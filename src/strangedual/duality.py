@@ -145,8 +145,9 @@ class DualityInstance:
 def tower_instance(r: int, s: int, a: int, b: int, model: SurfaceModel | None = None) -> DualityInstance:
     """Build the normalized instance (v_{r,a}, v_{s,b} twisted by nu fibers).
 
-    The twisted second vector is the class that pairs to zero with the first,
-    so the orthogonality invariant holds on the nose.
+    The twist by nu fibers is meant to make the second vector pair to zero
+    with the first, and both vectors to have moduli of dimensions 2a and 2b;
+    the checks that own those facts compare them, this builder does not.
     """
     if model is None:
         model = elliptic_k3()
@@ -154,10 +155,6 @@ def tower_instance(r: int, s: int, a: int, b: int, model: SurfaceModel | None = 
     v = normalized_vector(r, a, model)
     w = twist(normalized_vector(s, b, model), nu * model.fiber)
     line = duality_line_bundle_class(r, s, nu, model)
-    if euler_form(v, w) != 0:
-        raise AssertionError("chi(v . w) != 0 on a valid instance; this is a bug")
-    if moduli_dim(v) != 2 * a or moduli_dim(w) != 2 * b:
-        raise AssertionError("half-dimension bookkeeping failed; this is a bug")
     return DualityInstance(model, v, w, r, s, a, b, nu, line)
 
 
@@ -176,29 +173,27 @@ def _chi_product(gram, v: tuple[int, ...], w: tuple[int, ...]) -> int:
     return c1c1 + r1 * s2 + s1 * r2
 
 
-def k3_tower_row(r: int, s: int, a: int, b: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+def k3_tower_row(
+    r: int, s: int, a: int, b: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[int, int]]:
     """``tower_instance`` on the elliptic K3 in plain integers.
 
-    Returns nu and the coordinates (rank, sigma, f, s) of
+    Returns nu, the coordinates (rank, sigma, f, s) of
 
         v = v_{r,a}                 = (r, sigma + (a - r(r-1))f, 1 - r),
         w = twist(v_{s,b}, nu.f)    = (s, sigma + (b - s(s-1) + s.nu)f, 1 - s + nu),
 
-    and raises AssertionError, as ``tower_instance`` does, unless
-    chi(v . w) = 0, dim M(v) = 2a and dim M(w) = 2b.  The dimension is
-    <u, u> + 2 = 2 - chi(u . u*), with u* = (r, -c1, s) the dual.
+    chi(v . w) and (dim M(v), dim M(w)), for the caller to compare with 0
+    and (2a, 2b).  The dimension is <u, u> + 2 = 2 - chi(u . u*), with
+    u* = (r, -c1, s) the dual.
     """
     nu = compute_nu(r, s, a, b)
     gram = elliptic_k3().gram
     v = (r, 1, a - r * (r - 1), 1 - r)
     w = (s, 1, b - s * (s - 1) + s * nu, 1 - s + nu)
-    if _chi_product(gram, v, w) != 0:
-        raise AssertionError("chi(v . w) != 0 on a valid instance; this is a bug")
-    for u, half in ((v, a), (w, b)):
-        rank, x, y, slot = u
-        if 2 - _chi_product(gram, u, (rank, -x, -y, slot)) != 2 * half:
-            raise AssertionError("half-dimension bookkeeping failed; this is a bug")
-    return nu, v, w
+    dim_v = 2 - _chi_product(gram, v, (r, -v[1], -v[2], v[3]))
+    dim_w = 2 - _chi_product(gram, w, (s, -w[1], -w[2], w[3]))
+    return nu, v, w, _chi_product(gram, v, w), (dim_v, dim_w)
 
 
 @dataclass(frozen=True)
@@ -209,7 +204,10 @@ class LineBundleCheck:
     h0: int
     h0_matches: bool
     alternative_form_matches: bool
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.chi_matches and self.h0_matches and self.alternative_form_matches
 
 
 def _theta_line(inst: DualityInstance) -> NSClass:
@@ -220,27 +218,19 @@ def _theta_line(inst: DualityInstance) -> NSClass:
 
 
 def duality_line_bundle(inst: DualityInstance) -> LineBundleCheck:
-    """Build L for an instance and verify chi(L) = h0(L) = a + b.
+    """chi(L) and h0(L) of an instance's L, each compared with a + b.
 
-    Also checks L against its alternative form t.sigma + ((t(t-1)chi +
+    Also compares L with its alternative form t.sigma + ((t(t-1)chi +
     2(a+b-chi))/2t + chi - 1)f with t = r+s and chi = chi(O), which on the
     elliptic K3 reads t.sigma + (t + (a+b-2)/t)f.
     """
     line = _theta_line(inst)
     total = inst.a + inst.b
     chi = chi_rr(line)
-    chi_ok = chi == total
     h0 = h0_surface(line)
-    h0_ok = h0 == total
     t, chi_o = inst.r + inst.s, inst.surface.chi_o
     alt = inst.surface.cls(t, (t * (t - 1) * chi_o + 2 * (total - chi_o)) // (2 * t) + chi_o - 1)
-    alt_ok = alt == line
-    ok = chi_ok and alt_ok and h0_ok
-    if not ok:
-        raise AssertionError(
-            f"theta line bundle checks failed on {inst}: chi={chi}, h0={h0}"
-        )
-    return LineBundleCheck(line, chi, chi_ok, h0, h0_ok, alt_ok, ok)
+    return LineBundleCheck(line, chi, chi == total, h0, h0 == total, alt == line)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +362,13 @@ def ogrady_tower(r_max: int, a: int, model: SurfaceModel | None = None) -> Tower
     vectors = tuple(normalized_vector(r, a, model) for r in range(1, r_max + 1))
     o = structure_vector(model)
     down = -chi_o * model.fiber
+    downs = tuple(twist(v, down) for v in vectors)
 
-    recursion_ok = all(
-        vectors[i + 1] == o + twist(vectors[i], down) for i in range(len(vectors) - 1)
-    )
+    recursion_ok = all(nxt == o + u for nxt, u in zip(vectors[1:], downs))
     chi_one_ok = all(chi_vec(v) == 1 for v in vectors)
     dim_ok = all(moduli_dim(v) == 2 * a for v in vectors)
-    h_shadow_ok = all(chi_vec(twist(v, down)) == 1 - chi_o for v in vectors)
-    ext_shadow_ok = all(euler_pair_hom(twist(v, down), o) == -1 for v in vectors)
+    h_shadow_ok = all(chi_vec(u) == 1 - chi_o for u in downs)
+    ext_shadow_ok = all(euler_pair_hom(u, o) == -1 for u in downs)
     return TowerResult(vectors, recursion_ok, chi_one_ok, dim_ok, h_shadow_ok, ext_shadow_ok)
 
 

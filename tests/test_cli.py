@@ -159,6 +159,19 @@ class TestRunInstance:
         result = run_instance(spec)["results"]["nu"]
         assert result["status"] == "error:internal:KeyError"
 
+    def test_assertion_error_in_a_check_is_internal(self, monkeypatch):
+        # a failed assertion marks a fault in the program, not a bad input
+        def broken(*args):
+            raise AssertionError("a fault in the program")
+
+        monkeypatch.setattr(cli, "tower_instance", broken)
+        spec = normalize_instance(
+            {"params": {"r": 2, "s": 2, "a": 9, "b": 9}, "checks": ["nu"]}, 0
+        )[0]
+        result = run_instance(spec)["results"]["nu"]
+        assert result["status"] == "error:internal:AssertionError"
+        assert result["reason"] == "a fault in the program"
+
     @pytest.mark.parametrize(
         "chi,chi_prime,h2", [(-1, 0, 15), (0, -1, 14), (4, 5, -10)]
     )
@@ -196,6 +209,60 @@ class TestRunInstance:
         )[0]
         report = run_instance(spec)
         assert report["results"]["hypotheses-T2"]["status"] == "pass"
+
+
+RSAB_9 = {"r": 2, "s": 2, "a": 9, "b": 9}
+
+
+class TestChecksGiveTheVerdict:
+    """A broken rule is a fail on the check that owns the fact it breaks."""
+
+    def test_nu_off_by_one(self, monkeypatch):
+        original = duality.compute_nu
+        monkeypatch.setattr(duality, "compute_nu", lambda *args: original(*args) - 1)
+        checks = ["nu", "line-bundle", "chi-vanishing", "dimension-match"]
+        spec = normalize_instance({"params": RSAB_9, "checks": checks}, 0)[0]
+        results = run_instance(spec)["results"]
+        # twisting w by fibers keeps both dimensions, so nu itself passes
+        assert (results["nu"]["status"], results["nu"]["nu"]) == ("pass", -3)
+        chi = results["chi-vanishing"]
+        assert (chi["status"], chi["chi_product"]) == ("fail", -4)
+        line = results["line-bundle"]
+        assert (line["status"], line["chi"], line["h0"]) == ("fail", 22, 22)
+        assert line["alternative_form_matches"] is False
+        assert results["dimension-match"]["status"] == "pass"
+        assert not any(r["status"].startswith("error") for r in results.values())
+
+    def test_nu_off_by_one_fails_the_sweep(self, monkeypatch):
+        original = duality.compute_nu
+        monkeypatch.setattr(duality, "compute_nu", lambda *args: original(*args) - 1)
+        bounds = {"r_hi": 2, "s_lo": 3, "s_hi": 3, "ab_max": 40}
+        spec = normalize_instance({"checks": ["exclusion-sweep"], "bounds": bounds}, 0)[0]
+        result = run_instance(spec)["results"]["exclusion-sweep"]
+        # every valid point: a + b = 27, 32 and 37
+        valid = [list(p[:4]) for p in k3_divisible_points([2], [3], 40) if p[4]]
+        assert len(valid) == 28 + 33 + 38
+        assert result["status"] == "fail"
+        assert result["chi_vanishing_violations"] == valid
+
+    def test_wrong_dimension_fails_nu(self, monkeypatch):
+        original = duality.normalized_vector
+        monkeypatch.setattr(
+            duality, "normalized_vector", lambda r, a, model: original(r, a + 1, model)
+        )
+        spec = normalize_instance({"params": RSAB_9, "checks": ["nu", "chi-vanishing"]}, 0)[0]
+        results = run_instance(spec)["results"]
+        assert results["nu"]["status"] == "fail"
+        assert results["chi-vanishing"]["status"] == "skipped"
+
+    def test_broken_euler_form_fails_general_consistency(self, monkeypatch):
+        monkeypatch.setattr(cli, "euler_form", lambda v, w: 1)
+        bounds = {"chi_list": [3], "ranks": [2]}
+        spec = normalize_instance({"checks": ["general-consistency"], "bounds": bounds}, 0)[0]
+        result = run_instance(spec)["results"]["general-consistency"]
+        assert result["status"] == "fail"
+        assert [case["instance_ok"] for case in result["cases"]] == [False]
+        assert result["cases"][0]["chi_matches"] and result["cases"][0]["tower_ok"]
 
 
 class TestNoVacuousPass:
@@ -350,8 +417,8 @@ class TestExclusionSweepGrid:
         assert result["h0_violations"] == [[2, 3, 13, 14]]
 
     def test_non_orthogonal_point_does_not_pass(self, monkeypatch):
-        # k3_tower_row is the sweep's orthogonality check; break it at one point
-        _, bad_v, bad_w = duality.k3_tower_row(2, 3, 13, 14)
+        # k3_tower_row gives the sweep its chi(v . w); break it at one point
+        _, bad_v, bad_w, _, _ = duality.k3_tower_row(2, 3, 13, 14)
         original = duality._chi_product
 
         def broken(gram, v, w):
@@ -361,9 +428,25 @@ class TestExclusionSweepGrid:
         monkeypatch.setattr(duality, "_chi_product", broken)
         spec = normalize_instance({"checks": ["exclusion-sweep"]}, 0)[0]
         result = run_instance(spec)["results"]["exclusion-sweep"]
-        assert result["status"] != "pass"
-        assert result["status"] == "error:invalid"
-        assert "chi(v . w) != 0" in result["reason"]
+        assert result["status"] == "fail"
+        assert result["chi_vanishing_violations"] == [[2, 3, 13, 14]]
+
+    def test_wrong_dimension_point_fails(self, monkeypatch):
+        # dim M(w) = 2 - chi(w . w*); break that pairing at one point
+        _, _, bad_w, _, _ = duality.k3_tower_row(2, 3, 13, 14)
+        rank, x, y, slot = bad_w
+        original = duality._chi_product
+
+        def broken(gram, v, w):
+            value = original(gram, v, w)
+            return value + 1 if (v, w) == (bad_w, (rank, -x, -y, slot)) else value
+
+        monkeypatch.setattr(duality, "_chi_product", broken)
+        bounds = {"r_hi": 2, "s_lo": 3, "s_hi": 3}
+        spec = normalize_instance({"checks": ["exclusion-sweep"], "bounds": bounds}, 0)[0]
+        result = run_instance(spec)["results"]["exclusion-sweep"]
+        assert result["status"] == "fail"
+        assert result["chi_vanishing_violations"] == [[2, 3, 13, 14]]
 
     def test_bound_comparison_sees_the_invalid_points(self, monkeypatch):
         seen = []

@@ -1,5 +1,6 @@
 """Twist exponents, theta line bundles, hypothesis lists and the tower."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from strangedual.duality import (
     DivisibilityError,
     NuBoundError,
+    TowerResult,
     compute_nu,
     deformation_setup,
     delta_bound,
@@ -38,6 +40,7 @@ from strangedual.surfaces import (
     euler_pair_hom,
     generic_k3,
     h0_surface,
+    moduli_dim,
     mukai_pair,
     normalized_vector,
     structure_vector,
@@ -75,6 +78,26 @@ def _reference_compute_nu(r, s, a, b, model=None):
     raise ModelMismatchError("nu is defined on the elliptic models")
 
 
+def _reference_ogrady_tower(r_max, a, model=None):
+    """ogrady_tower as it was written with one twist per generator: each
+    vector is twisted by -chi(O).f once each for the recursion and the two
+    shadows."""
+    if model is None:
+        model = elliptic_k3()
+    chi_o = model.chi_o
+    vectors = tuple(normalized_vector(r, a, model) for r in range(1, r_max + 1))
+    o = structure_vector(model)
+    down = -chi_o * model.fiber
+    recursion_ok = all(
+        vectors[i + 1] == o + twist(vectors[i], down) for i in range(len(vectors) - 1)
+    )
+    chi_one_ok = all(chi_vec(v) == 1 for v in vectors)
+    dim_ok = all(moduli_dim(v) == 2 * a for v in vectors)
+    h_shadow_ok = all(chi_vec(twist(v, down)) == 1 - chi_o for v in vectors)
+    ext_shadow_ok = all(euler_pair_hom(twist(v, down), o) == -1 for v in vectors)
+    return TowerResult(vectors, recursion_ok, chi_one_ok, dim_ok, h_shadow_ok, ext_shadow_ok)
+
+
 def _nu_or_error(nu_rule, *args):
     try:
         return nu_rule(*args)
@@ -84,6 +107,8 @@ def _nu_or_error(nu_rule, *args):
 
 # the elliptic K3 and the general elliptic surfaces with chi(O) = 1..6
 NU_MODELS = (E, *(elliptic_general(chi_o) for chi_o in range(1, 7)))
+# the elliptic K3 and the general elliptic surfaces with chi(O) = 1..4
+TOWER_MODELS = NU_MODELS[:5]
 
 
 class TestOneNuRule:
@@ -172,6 +197,15 @@ class TestLineBundle:
         for (r, s, a, b) in [(2, 3, 13, 14), (3, 3, 19, 19), (2, 4, 20, 18)]:
             check = duality_line_bundle(tower_instance(r, s, a, b))
             assert check.ok
+
+    def test_wrong_bundle_is_reported_not_raised(self):
+        inst = tower_instance(2, 2, 9, 9)
+        wrong = replace(inst, nu=-3, line_bundle=duality_line_bundle_class(2, 2, -3))
+        check = duality_line_bundle(wrong)
+        assert check.line_bundle == E.cls(4, 9)
+        assert (check.chi, check.h0) == (22, 22)
+        assert not (check.chi_matches or check.h0_matches or check.alternative_form_matches)
+        assert not check.ok
 
     def test_general_model_chi(self):
         gen3 = elliptic_general(3)
@@ -330,6 +364,12 @@ class TestTower:
         model = elliptic_general(chi_o)
         for a in (0, 7, 23):
             assert ogrady_tower(8, a, model).ok
+
+    @pytest.mark.parametrize("model", TOWER_MODELS, ids=lambda m: f"{m.kind}-chi{m.chi_o}")
+    def test_matches_the_reference(self, model):
+        for r_max in range(1, 11):
+            for a in range(0, 21):
+                assert ogrady_tower(r_max, a, model) == _reference_ogrady_tower(r_max, a, model)
 
 
 class TestThetaRelation:

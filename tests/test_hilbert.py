@@ -26,7 +26,14 @@ from strangedual.hilbert import (
     taut_sym_sections,
     tau_pullback,
 )
-from strangedual.surfaces import ModelMismatchError, elliptic_k3, h0_coeffs, h0_surface
+from strangedual.surfaces import (
+    ModelMismatchError,
+    elliptic_k3,
+    euler_form,
+    h0_coeffs,
+    h0_surface,
+    moduli_dim,
+)
 
 E = elliptic_k3()
 
@@ -294,10 +301,12 @@ class TestIntegerExclusionRoute:
             got = {f.name: getattr(rep, f.name) for f in fields(rep)}
             assert got == expected, (r, s, a, b)
             inst = tower_instance(r, s, a, b)
-            nu, v, w = k3_tower_row(r, s, a, b)
+            nu, v, w, chi_vw, dims = k3_tower_row(r, s, a, b)
             assert nu == inst.nu
             assert v == (inst.v.r, *inst.v.c1.coeffs, inst.v.s), (r, s, a, b)
             assert w == (inst.w.r, *inst.w.c1.coeffs, inst.w.s), (r, s, a, b)
+            assert chi_vw == euler_form(inst.v, inst.w) == 0, (r, s, a, b)
+            assert dims == (moduli_dim(inst.v), moduli_dim(inst.w)) == (2 * a, 2 * b), (r, s, a, b)
         if ab_max == 60:
             assert len(points) == 1829
 
@@ -306,7 +315,7 @@ class TestIntegerExclusionRoute:
         # the sweep takes (m, n) from L on the tower row's nu and calls exclusion_flags
         points = [p[:4] for p in k3_divisible_points(r_rng, s_rng, ab_max) if p[4]]
         for r, s, a, b in points:
-            nu, _, _ = k3_tower_row(r, s, a, b)
+            nu = k3_tower_row(r, s, a, b)[0]
             m, n = duality_line_bundle_class(r, s, nu).coeffs
             rep = exclusion_report(r, s, a, b)
             flags = (rep.q3_excluded, rep.q1q2_excluded, rep.s_proper, rep.q_proper)
