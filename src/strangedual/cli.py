@@ -601,13 +601,15 @@ def _check_general_consistency(ctx: _Ctx, chi_list, ranks):
     details = []
     ok = True
     for chi_o in chi_list:
-        model = elliptic_general(chi_o)
+        model_ctx = _Ctx(elliptic_general(chi_o))
         for r in ranks:
             for s in ranks:
                 total = minimal_valid_total(r, s, chi_o)
                 a, b = total // 2, total - total // 2
-                inst = tower_instance(r, s, a, b, model)
-                check = duality_line_bundle(inst)
+                inst = model_ctx.instance(r, s, a, b)
+                nu_status, _ = _check_nu(model_ctx, r, s, a, b)
+                chi_status, _ = _check_chi_vanishing(model_ctx, r, s, a, b)
+                line_status, line_data = _check_line_bundle(model_ctx, r, s, a, b)
                 entry = {
                     "chi_o": chi_o,
                     "r": r,
@@ -615,14 +617,12 @@ def _check_general_consistency(ctx: _Ctx, chi_list, ranks):
                     "a": a,
                     "b": b,
                     "nu": inst.nu,
-                    "chi_L": check.chi,
-                    "chi_matches": check.chi_matches,
-                    "instance_ok": euler_form(inst.v, inst.w) == 0
-                    and (moduli_dim(inst.v), moduli_dim(inst.w)) == (2 * a, 2 * b),
+                    "chi_L": line_data["chi"],
+                    "instance_ok": nu_status == chi_status == "pass",
+                    "line_bundle_ok": line_status == "pass",
+                    "tower_ok": ogrady_tower(6, a, inst.surface).ok,
                 }
-                tower_ok = ogrady_tower(6, a, model).ok
-                entry["tower_ok"] = tower_ok
-                ok = ok and check.chi_matches and entry["instance_ok"] and tower_ok
+                ok = ok and entry["instance_ok"] and entry["line_bundle_ok"] and entry["tower_ok"]
                 if chi_o == 2:
                     k3_inst = tower_instance(r, s, a, b, elliptic_k3())
                     degeneration = (

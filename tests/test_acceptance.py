@@ -49,6 +49,7 @@ from strangedual.surfaces import (
     euler_form,
     generic_k3,
     ideal_sheaf_vector,
+    moduli_dim,
     mukai_dual,
     mukai_pair,
     normalized_vector,
@@ -150,7 +151,7 @@ def test_criterion_4_case_study_2299():
     inst = tower_instance(2, 2, 9, 9)
     ok = inst.nu == -2
     check = duality_line_bundle(inst)
-    ok = ok and check.line_bundle == E.cls(4, 8) and check.chi == 18
+    ok = ok and check.line_bundle == E.cls(4, 8) and check.chi == 18 and check.ok
     left, right, equal = dimension_match(inst)
     ok = ok and (left, right, equal) == (48620, 48620, True)
     rep = exclusion_report(2, 2, 9, 9)
@@ -179,6 +180,7 @@ def test_criterion_5_exclusion_sweep():
                         exceptions.append((r, s, a, b))
                     inst = tower_instance(r, s, a, b)
                     ok = ok and euler_form(inst.v, inst.w) == 0
+                    ok = ok and (moduli_dim(inst.v), moduli_dim(inst.w)) == (2 * a, 2 * b)
     ok = ok and exceptions == [(2, 2, 9, 9)]
     _verdict(5, ok, f"{points} valid points, one documented exception, chi products vanish")
 
@@ -237,8 +239,10 @@ def test_criterion_8_general_elliptic_surfaces():
                         continue
                 a, b = total // 2, total - total // 2
                 inst = tower_instance(r, s, a, b, model)
+                ok = ok and euler_form(inst.v, inst.w) == 0
+                ok = ok and (moduli_dim(inst.v), moduli_dim(inst.w)) == (2 * a, 2 * b)
                 check = duality_line_bundle(inst)
-                ok = ok and check.chi == a + b
+                ok = ok and check.chi == a + b and check.ok
                 if chi_o == 2:
                     k3_inst = tower_instance(r, s, a, b, E)
                     ok = ok and k3_inst.nu == inst.nu

@@ -262,7 +262,18 @@ class TestChecksGiveTheVerdict:
         result = run_instance(spec)["results"]["general-consistency"]
         assert result["status"] == "fail"
         assert [case["instance_ok"] for case in result["cases"]] == [False]
-        assert result["cases"][0]["chi_matches"] and result["cases"][0]["tower_ok"]
+        assert result["cases"][0]["line_bundle_ok"] and result["cases"][0]["tower_ok"]
+
+    @pytest.mark.parametrize("name", ["h0_surface", "chi_rr"])
+    def test_broken_section_count_fails_general_consistency(self, monkeypatch, name):
+        original = getattr(duality, name)
+        monkeypatch.setattr(duality, name, lambda line: original(line) + 1)
+        bounds = {"chi_list": [3], "ranks": [2]}
+        spec = normalize_instance({"checks": ["general-consistency"], "bounds": bounds}, 0)[0]
+        result = run_instance(spec)["results"]["general-consistency"]
+        assert result["status"] == "fail"
+        assert [case["line_bundle_ok"] for case in result["cases"]] == [False]
+        assert result["cases"][0]["instance_ok"] and result["cases"][0]["tower_ok"]
 
 
 class TestNoVacuousPass:

@@ -214,8 +214,9 @@ class TestLineBundle:
         assert check.chi == 29 and check.chi_matches
 
     def test_theta_bundle_on_every_model(self):
-        """h0(L) = chi(L) = a+b, and L has its general-chi alternative form,
-        on every valid instance with chi(O) 1..6, ranks 2..5 and a+b < 200."""
+        """chi(v . w) = 0, dim M(v) = 2a, dim M(w) = 2b, h0(L) = chi(L) = a+b,
+        and L has its general-chi alternative form, on every valid instance
+        with chi(O) 1..6, ranks 2..5 and a+b < 200."""
         checked = 0
         for chi_o in range(1, 7):
             model = elliptic_general(chi_o)
@@ -228,6 +229,9 @@ class TestLineBundle:
                         except (DivisibilityError, NuBoundError):
                             continue
                         checked += 1
+                        assert euler_form(inst.v, inst.w) == 0, (chi_o, r, s, total)
+                        dims = (moduli_dim(inst.v), moduli_dim(inst.w))
+                        assert dims == (2 * inst.a, 2 * inst.b), (chi_o, r, s, total)
                         line = inst.line_bundle
                         assert h0_surface(line) == chi_rr(line) == total, (chi_o, r, s, total)
                         f_coeff = Fraction(t * (t - 1) * chi_o + 2 * (total - chi_o), 2 * t)
