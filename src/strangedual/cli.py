@@ -61,6 +61,7 @@ from .strata import (
     is_suitable,
     strata_box_oracle,
     strata_enumerate,
+    stratum_codim_ok,
     stratum_key,
     wall_enumerate,
 )
@@ -407,11 +408,11 @@ def _check_sign_law(ctx: _Ctx, coord_bound, degrees):
 
 
 def _check_fm_verify(ctx: _Ctx, r_max, a_max):
-    matrix, diag = derive_fm_matrix(ctx.model)
+    matrix = derive_fm_matrix(ctx.model)
     report = verify_fm_suite(matrix, r_max, a_max)
     data = {
         "columns": [list(c) for c in matrix.columns],
-        "determinant": diag.determinant,
+        "determinant": matrix.determinant(),
         "isometry_ok": report.isometry_ok,
         "dual_images_ok": report.dual_images_ok,
         "direct_images_ok": report.direct_images_ok,
@@ -452,7 +453,8 @@ def _check_deformation(ctx: _Ctx, r, s, chi, chi_prime):
         "nu": pair.elliptic.nu,
         "pairings_agree": pair.pairings_agree,
     }
-    return ("pass" if pair.pairings_agree else "fail"), data
+    ok = pair.pairings_agree and pair.elliptic.nu == chi + chi_prime - 2
+    return ("pass" if ok else "fail"), data
 
 
 def _check_hypotheses(ctx: _Ctx, theorem: str, v, w, r, s, a, b):
@@ -462,10 +464,7 @@ def _check_hypotheses(ctx: _Ctx, theorem: str, v, w, r, s, a, b):
         inst = ctx.instance(r, s, a, b)
         v, w = inst.v, inst.w
     rep = hypotheses_report(v, w, ctx.model, theorem)
-    return ("pass" if rep.verdict else "fail"), {
-        "conditions": rep.conditions,
-        "verdict": rep.verdict,
-    }
+    return ("pass" if rep.verdict else "fail"), rep
 
 
 def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
@@ -547,10 +546,8 @@ def _audit_one_vector(v: MukaiVector, coeff_bound: int, parts_arg, with_oracle: 
             "oracle_match": oracle_ok,
         }
         if q_v > 0:
-            # the strata --parts hides are audited here, once, for the bound
-            bound_ok = audit.bound_satisfied and (
-                not hidden or codim_audit(v, wall, hidden).bound_satisfied
-            )
+            # the strata --parts hides count for the bound alone: no chain runs on them
+            bound_ok = audit.bound_satisfied and all(stratum_codim_ok(v, st) for st in hidden)
             entry["bound"] = audit.bound
             entry["bound_satisfied"] = bound_ok
             entry["corollary_applicable"] = audit.corollary_applicable
@@ -585,13 +582,7 @@ def _check_suitability(ctx: _Ctx, v, m, coeff_bound):
     if v is None or m is None:
         raise MissingParamsError("need params v and m")
     rep = is_suitable(m, v, coeff_bound)
-    data = {
-        "suitable": rep.suitable,
-        "max_wall": rep.max_wall,
-        "coeff_bound": rep.coeff_bound,
-        "note": rep.note,
-    }
-    return ("pass" if rep.suitable else "fail"), data
+    return ("pass" if rep.suitable else "fail"), rep
 
 
 def _check_general_consistency(ctx: _Ctx, chi_list, ranks):

@@ -242,13 +242,12 @@ THEOREM_IDS = ("T1", "T1A", "T2", "T5", "Conj")
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    theorem: str
     conditions: dict[str, bool]
     verdict: bool
 
 
-def _report(theorem: str, conditions: dict[str, bool]) -> HypothesisReport:
-    return HypothesisReport(theorem, conditions, all(conditions.values()))
+def _report(conditions: dict[str, bool]) -> HypothesisReport:
+    return HypothesisReport(conditions, all(conditions.values()))
 
 
 def hypotheses_report(
@@ -280,7 +279,7 @@ def hypotheses_report(
         else:
             cond["ranks"] = r == 2 and s == 2
             cond["degree_at_least_8"] = model.degree >= 8
-        return _report(theorem_id, cond)
+        return _report(cond)
 
     if theorem_id == "T2":
         if model.kind != ELLIPTIC_K3:
@@ -293,7 +292,7 @@ def hypotheses_report(
             and ns_pair(w.c1, model.fiber) == 1,
             "ii_pairing_sum_bound": mukai_pair(v, v) + mukai_pair(w, w) >= 2 * t * t,
         }
-        return _report(theorem_id, cond)
+        return _report(cond)
 
     # T5 / Conj: any elliptic surface with a section
     if model.ns_rank != 2:
@@ -306,7 +305,7 @@ def hypotheses_report(
         "ii_dimension_sum_bound": moduli_dim(v) + moduli_dim(w)
         >= delta_bound(model.chi_o, r, s),
     }
-    return _report(theorem_id, cond)
+    return _report(cond)
 
 
 def dimension_match(inst: DualityInstance) -> tuple[int, int, bool]:
@@ -398,7 +397,6 @@ class ThetaRelationResult:
     orthogonal: bool
     lambda_perp: bool
     mu_perp: bool
-    identity_residual: MukaiVector
     identity_ok: bool
 
     @property
@@ -434,15 +432,13 @@ def theta_relation_identity(v: MukaiVector, w: MukaiVector) -> ThetaRelationResu
     chi_w = chi_vec(w)
     lhs = h2 * w
     rhs = (chi_w - s) * lam - s * mu
-    residual = lhs - rhs
     return ThetaRelationResult(
         lambda_v=lam,
         mu_v=mu,
         orthogonal=euler_form(v, w) == 0,
         lambda_perp=euler_form(v, lam) == 0,
         mu_perp=euler_form(v, mu) == 0,
-        identity_residual=residual,
-        identity_ok=residual.is_zero,
+        identity_ok=lhs == rhs,
     )
 
 
@@ -464,7 +460,9 @@ def deformation_setup(r: int, s: int, chi: int, chi_prime: int) -> DeformationPa
 
     The generic side is the ``theta_pair`` of H^2 = 2n; on the elliptic side
     H degenerates to the numerical section sigma + (n+1)f of the same square.
-    All Mukai pairings must agree across the two models.
+    All Mukai pairings must agree across the two models.  The elliptic
+    instance carries nu = ``compute_nu(r, s, a, b)`` as computed; the theory
+    says it is chi + chi' - 2, which the caller judges.
     """
     _require_ranks(r, s)
     if chi > 0 or chi_prime > 0:
@@ -487,8 +485,6 @@ def deformation_setup(r: int, s: int, chi: int, chi_prime: int) -> DeformationPa
     a = mukai_pair(v_g, v_g) // 2 + 1
     b = mukai_pair(w_g, w_g) // 2 + 1
     nu = compute_nu(r, s, a, b)
-    if nu != chi + chi_prime - 2:
-        raise AssertionError("twist exponent disagrees with chi + chi' - 2; this is a bug")
     generic_inst = DualityInstance(v_g.model, v_g, w_g, r, s, a, b)
     elliptic_inst = DualityInstance(
         ell, v_e, w_e, r, s, a, b, nu, duality_line_bundle_class(r, s, nu)

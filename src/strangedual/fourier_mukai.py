@@ -165,13 +165,6 @@ def _normalization_pair(model: SurfaceModel) -> tuple[MukaiVector, MukaiVector]:
     return u, o
 
 
-@dataclass(frozen=True)
-class FMDiagnostics:
-    defining_constraints: tuple[tuple[int, int], ...]
-    checked_constraints: int
-    determinant: int
-
-
 _DEFINING = ((1, 0), (1, 1), (2, 0))
 
 
@@ -182,7 +175,7 @@ def _defining_quads(model: SurfaceModel) -> list[tuple[Quad, Quad]]:
     return [(vector_coords(u), vector_coords(o)) for u, o in pairs]
 
 
-def derive_fm_matrix(model: SurfaceModel | None = None) -> tuple[FMMatrix, FMDiagnostics]:
+def derive_fm_matrix(model: SurfaceModel | None = None) -> FMMatrix:
     """Solve for the unique lattice map realizing the displayed transforms.
 
     The defining system uses the dual-tower images at (r, a) in
@@ -211,13 +204,7 @@ def derive_fm_matrix(model: SurfaceModel | None = None) -> tuple[FMMatrix, FMDia
                 failures.append((r, a))
     if failures:
         raise FMDerivationError(f"constraints conflict with the solved matrix at {failures}")
-
-    diag = FMDiagnostics(
-        defining_constraints=_DEFINING,
-        checked_constraints=4 * 7 + 1,  # the grid points and the normalization
-        determinant=matrix.determinant(),
-    )
-    return matrix, diag
+    return matrix
 
 
 _BASIS: tuple[Quad, ...] = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
@@ -283,9 +270,6 @@ def derive_bridge_matrix(matrix: FMMatrix) -> FMMatrix:
 
 @dataclass(frozen=True)
 class FMSuiteReport:
-    model: SurfaceModel
-    r_max: int
-    a_max: int
     dual_images_ok: bool
     direct_images_ok: bool
     twist_rule_ok: bool
@@ -378,9 +362,6 @@ def verify_fm_suite(matrix: FMMatrix, r_max: int, a_max: int) -> FMSuiteReport:
         failures["twist_rule"] = twist_fail
 
     return FMSuiteReport(
-        model=model,
-        r_max=r_max,
-        a_max=a_max,
         dual_images_ok=not dual_fail,
         direct_images_ok=not direct_fail,
         twist_rule_ok=not twist_fail,
@@ -400,7 +381,7 @@ def _degeneration_consistent(matrix: FMMatrix) -> bool:
     the coordinate basis.
     """
     k3 = elliptic_k3()
-    k3_matrix, _ = derive_fm_matrix(k3)
+    k3_matrix = derive_fm_matrix(k3)
 
     def to_chi(q: Quad) -> Quad:
         return (q[0], q[1], q[2], q[0] + q[3])
@@ -414,7 +395,6 @@ def _degeneration_consistent(matrix: FMMatrix) -> bool:
 __all__ = [
     "FiberClass",
     "FMMatrix",
-    "FMDiagnostics",
     "FMSuiteReport",
     "FMDerivationError",
     "fiber_fm",

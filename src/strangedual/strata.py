@@ -178,7 +178,6 @@ def wall_enumerate(v: MukaiVector, coeff_bound: int) -> list[Wall]:
 @dataclass(frozen=True)
 class SuitabilityReport:
     suitable: bool
-    m: Fraction
     max_wall: Fraction | None
     coeff_bound: int
     note: str
@@ -195,14 +194,13 @@ def is_suitable(m: Fraction | int, v: MukaiVector, coeff_bound: int) -> Suitabil
         raise ValueError("the ample range is m > 2")
     if v.r < 2:
         return SuitabilityReport(
-            True, m, None, coeff_bound, "rank < 2: no proper sub-ranks, vacuously suitable"
+            True, None, coeff_bound, "rank < 2: no proper sub-ranks, vacuously suitable"
         )
     walls = wall_enumerate(v, coeff_bound)
     max_wall = max((w.m_value for w in walls), default=None)
     suitable = max_wall is None or m > max_wall
     return SuitabilityReport(
         suitable,
-        m,
         max_wall,
         coeff_bound,
         f"certified relative to wall classes with coefficients <= {coeff_bound}",
@@ -622,21 +620,14 @@ def stratum_codim_ok(v: MukaiVector, stratum: Stratum) -> bool:
 
 @dataclass(frozen=True)
 class CodimAudit:
-    v: MukaiVector
-    wall: Wall
     strata_count: int
     unordered_strata_count: int
     min_codim: int | None
     bound: Fraction
     bound_satisfied: bool
+    chain_ok: bool
     corollary_applicable: bool
     remark_applicable: bool
-    strata: tuple[Stratum, ...]
-
-    @property
-    def chain_ok(self) -> bool:
-        """``chain_audit`` passes on every stratum; each read runs it again."""
-        return all(chain_audit(self.v, st).ok for st in self.strata)
 
 
 def codim_audit(
@@ -651,8 +642,9 @@ def codim_audit(
     them; without it the strata are enumerated here.  A caller may pass any
     list of strata on the wall instead, and every count and verdict then
     covers that list alone: ``bound_satisfied`` is ``stratum_codim_ok`` on
-    each of them, and reading ``chain_ok`` runs ``chain_audit`` once on each,
-    so a caller that reads only the bound runs no chain.  For
+    each of them, and ``chain_ok`` is ``chain_audit`` passing on each, run
+    once here.  A caller that needs only the bound on some strata asks
+    ``stratum_codim_ok``, which runs no chain.  For
     <v, v> <= 0 and r >= 2 the bound is below 2 and the relaxed threshold
     is positive, so neither applicability flag holds.
     """
@@ -668,16 +660,14 @@ def codim_audit(
     for c in v.c1.coeffs:
         c1_content = gcd(c1_content, abs(c))
     return CodimAudit(
-        v=v,
-        wall=wall,
         strata_count=len(strata),
         unordered_strata_count=unordered_count(strata),
         min_codim=min_codim,
         bound=bound,
         bound_satisfied=min_codim is None or min_codim >= bound,
+        chain_ok=all(chain_audit(v, st).ok for st in strata),
         corollary_applicable=bound >= 2,
         remark_applicable=c1_content == 1 and q_v >= 2 * (r - 1) * (r * r + 1),
-        strata=tuple(strata),
     )
 
 

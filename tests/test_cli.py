@@ -1,5 +1,6 @@
 """CLI behavior: parsing, exit codes, batch semantics, determinism."""
 
+import ast
 import inspect
 import json
 import re
@@ -11,6 +12,7 @@ import yaml
 
 import strangedual.cli as cli
 import strangedual.duality as duality
+import strangedual.hilbert as hilbert
 import strangedual.strata as strata
 import strangedual.surfaces as surfaces
 from strangedual.cli import (
@@ -196,8 +198,26 @@ class TestRunInstance:
             0,
         )[0]
         report = run_instance(spec)
-        assert report["results"]["suitability"]["status"] == "pass"
-        assert report["results"]["suitability"]["max_wall"] == "4/1"
+        result = report["results"]["suitability"]
+        assert result["status"] == "pass"
+        assert result["max_wall"] == "4/1"
+        # the report is the SuitabilityReport as is, with its status
+        assert set(result) == {"status", "suitable", "max_wall", "coeff_bound", "note"}
+
+    @pytest.mark.parametrize(
+        "surface,params,theorem",
+        [
+            ({"kind": "generic-k3", "degree": 8}, {"v": "2:1:-2", "w": "3:1:-3"}, "T1"),
+            ({"kind": "elliptic-k3"}, {"r": 2, "s": 3, "a": 13, "b": 14}, "T2"),
+        ],
+    )
+    def test_hypotheses_report_keys(self, surface, params, theorem):
+        name = f"hypotheses-{theorem}"
+        spec = normalize_instance({"surface": surface, "params": params, "checks": [name]}, 0)[0]
+        result = run_instance(spec)["results"][name]
+        # the report is the HypothesisReport as is, with its status
+        assert set(result) == {"status", "conditions", "verdict"}
+        assert result["status"] == ("pass" if result["verdict"] else "fail")
 
     def test_hypotheses_from_tower_params(self):
         spec = normalize_instance(
@@ -263,6 +283,35 @@ class TestChecksGiveTheVerdict:
         assert result["status"] == "fail"
         assert [case["instance_ok"] for case in result["cases"]] == [False]
         assert result["cases"][0]["line_bundle_ok"] and result["cases"][0]["tower_ok"]
+
+    def test_nu_off_by_one_fails_deformation(self, monkeypatch, tmp_path):
+        original = duality.compute_nu
+        monkeypatch.setattr(duality, "compute_nu", lambda *args: original(*args) - 1)
+        out = tmp_path / "report.json"
+        argv = ["check", "--r", "2", "--s", "3", "--chi", "0", "--chi-prime", "-1",
+                "--checks", "deformation", "--out", str(out), "--quiet"]
+        assert main(argv) == 1
+        result = json.loads(out.read_text())["instances"][0]["results"]["deformation"]
+        # the pairings still agree; nu = -4 is not chi + chi' - 2 = -3
+        assert (result["status"], result["nu"], result["pairings_agree"]) == ("fail", -4, True)
+
+    def test_section_on_a_negative_fibre_class_fails_the_exclusions(self, monkeypatch):
+        # every class with a negative fibre coefficient gets one section
+        original = hilbert.h0_coeffs
+        monkeypatch.setattr(
+            hilbert, "h0_coeffs", lambda m, n, chi: 1 if n < 0 else original(m, n, chi)
+        )
+        bounds = {"r_hi": 2, "s_lo": 3, "s_hi": 3, "ab_max": 40}
+        spec = normalize_instance(
+            {"params": RSAB_9, "checks": ["exclusions", "exclusion-sweep"], "bounds": bounds}, 0
+        )[0]
+        results = run_instance(spec)["results"]
+        exclusions = results["exclusions"]
+        assert (exclusions["status"], exclusions["report"]["q_proper"]) == ("fail", False)
+        sweep = results["exclusion-sweep"]
+        assert sweep["status"] == "fail"
+        valid = [list(p[:4]) for p in k3_divisible_points([2], [3], 40) if p[4]]
+        assert sweep["h0_violations"] == valid
 
     @pytest.mark.parametrize("name", ["h0_surface", "chi_rr"])
     def test_broken_section_count_fails_general_consistency(self, monkeypatch, name):
@@ -652,6 +701,44 @@ class TestStrataWallEntries:
             assert len(counts) == shown, (text, parts, oracle)
             audited += len(counts)
         assert audited > 0
+
+    def test_every_chain_audit_runs_inside_codim_audit(self, monkeypatch):
+        depth = [0]
+        inside, outside = [], []
+        original_chain, original_codim = strata.chain_audit, strata.codim_audit
+
+        def chain(v, stratum):
+            (inside if depth[0] else outside).append(stratum)
+            return original_chain(v, stratum)
+
+        def codim(*args):
+            depth[0] += 1
+            try:
+                return original_codim(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(strata, "chain_audit", chain)
+        monkeypatch.setattr(strata, "codim_audit", codim)
+        monkeypatch.setattr(cli, "codim_audit", codim)
+        for text, parts, oracle in _wall_entry_modes():
+            bounds = {"oracle": oracle, **({} if parts is None else {"parts": parts})}
+            spec = normalize_instance(
+                {"params": {"v": text}, "checks": ["strata-audit"], "bounds": bounds}, 0
+            )[0]
+            assert run_instance(spec)["results"]["strata-audit"]["status"] == "pass"
+        assert inside and not outside
+
+    def test_reading_chain_ok_calls_nothing(self, monkeypatch):
+        v = parse_vector("4:1,1:-4", E)
+        audits = [codim_audit(v, wall) for wall in wall_enumerate(v, 3)]
+
+        def forbidden(*args):
+            raise AssertionError("chain_audit ran after codim_audit returned")
+
+        monkeypatch.setattr(strata, "chain_audit", forbidden)
+        assert all(audit.chain_ok for audit in audits)
+        assert sum(audit.strata_count for audit in audits) > 0
 
     def test_readme_lists_the_keys_of_an_entry(self):
         lines = README.read_text(encoding="utf-8").splitlines()
@@ -1131,3 +1218,27 @@ class TestCheckTable:
         assert main(["strata", "--v", "2:1,0:-2", "--parts", "2", "--out", str(out), "--quiet"]) == 0
         walls = json.loads(out.read_text())["instances"][0]["results"]["strata-audit"]
         assert sum(w["strata"] for w in walls["vectors"][0]["walls"]) == 3
+
+
+class TestReadmeQuickSession:
+    def test_session_runs_and_gives_the_values_it_shows(self):
+        text = README.read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+        assert len(blocks) == 1
+        namespace = {}
+        compared = 0
+        for line in blocks[0].splitlines():
+            code, _, comment = line.partition("#")
+            if not code.strip():
+                continue
+            if not isinstance(ast.parse(code).body[0], ast.Expr):
+                exec(code, namespace)
+                continue
+            value = eval(code, namespace)
+            try:
+                shown = ast.literal_eval(comment.strip())
+            except (ValueError, SyntaxError):
+                continue  # the comment describes the value in words
+            assert value == shown, code
+            compared += 1
+        assert compared == 4

@@ -142,10 +142,8 @@ class TestSectionCounts:
 
 class TestGammaSolve:
     def test_relations(self):
-        sol = solve_gamma_constraints(2, 2, 9, 9)
-        assert sol.q1 == 0
-        assert sol.s1_equals_s2 and sol.r1_equals_r2
-        assert sol.gamma0 == "r1*R + s1*S"
+        # q1 = 0, r1 = r2 and s1 = s2 leave Gamma0 = r1.R + s1.S
+        assert solve_gamma_constraints(2, 2, 9, 9) == ("q1 = 0", "r1 = r2", "s1 = s2")
 
     def test_solved_coefficients_give_pullback(self):
         for r1, s1 in [(0, 0), (1, 0), (0, 2), (3, -1)]:
