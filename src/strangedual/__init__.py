@@ -16,37 +16,25 @@ from .surfaces import (
     h0_coeffs,
     h0_surface,
     ideal_sheaf_vector,
-    line_bundle_vector,
     moduli_dim,
     mukai_dual,
     mukai_pair,
     mukai_tensor,
     normalized_vector,
     ns_pair,
-    point_vector,
     structure_vector,
     twist,
 )
 from .hilbert import (
-    HilbPicClass,
-    ProductClass,
     binom,
     exclusion_flags,
     exclusion_report,
-    is_tau_pullback,
-    named_class,
-    solve_gamma_constraints,
-    taut_class,
     taut_det_sections,
-    taut_sym_sections,
-    tau_pullback,
 )
 from .fourier_mukai import (
-    FiberClass,
     FMMatrix,
     derive_bridge_matrix,
     derive_fm_matrix,
-    fiber_fm,
     fm_apply,
     fm_c1_grr,
     verify_fm_suite,
@@ -72,7 +60,6 @@ from .strata import (
     Wall,
     chain_audit,
     codim_audit,
-    hodge_check,
     is_suitable,
     stack_dim,
     strata_enumerate,

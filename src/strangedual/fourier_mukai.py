@@ -46,29 +46,6 @@ class FMDerivationError(ValueError):
     """The transform constraints are inconsistent or underdetermined."""
 
 
-@dataclass(frozen=True)
-class FiberClass:
-    """K-theory class (rank, degree) on a genus-1 fiber."""
-
-    rank: int
-    degree: int
-
-    def __add__(self, other: "FiberClass") -> "FiberClass":
-        return FiberClass(self.rank + other.rank, self.degree + other.degree)
-
-    def __neg__(self) -> "FiberClass":
-        return FiberClass(-self.rank, -self.degree)
-
-
-def fiber_fm(c: FiberClass) -> FiberClass:
-    """Fiberwise transform (r, d) -> (d, -r).
-
-    The rank-r degree-1 stable bundle goes to a degree -r line bundle; its
-    dual lands in odd degree, whence the sign.  The composite square is -1.
-    """
-    return FiberClass(c.degree, -c.rank)
-
-
 # ---------------------------------------------------------------------------
 # Matrix machinery (exact)
 # ---------------------------------------------------------------------------
@@ -393,11 +370,9 @@ def _degeneration_consistent(matrix: FMMatrix) -> bool:
 
 
 __all__ = [
-    "FiberClass",
     "FMMatrix",
     "FMSuiteReport",
     "FMDerivationError",
-    "fiber_fm",
     "vector_coords",
     "coords_vector",
     "derive_fm_matrix",

@@ -1,8 +1,8 @@
 """Exact Gauss-Jordan elimination over the rationals.
 
 The one elimination routine of the package: the transform matrix and its
-inverse direction are solved with it, matrix determinants are read off it,
-and the relations on the correction divisor Gamma are its reduced rows.
+inverse direction are solved with it, and matrix determinants are read off
+it.
 """
 
 from __future__ import annotations

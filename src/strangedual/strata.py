@@ -671,44 +671,12 @@ def codim_audit(
     )
 
 
-@dataclass(frozen=True)
-class HodgeVerdict:
-    applicable: bool
-    holds: bool
-    d_squared: int
-    strict_even: bool | None
-
-
-def hodge_check(d: NSClass, h: NSClass, primitive_c1: bool = False) -> HodgeVerdict:
-    """Hodge index: a nonzero class orthogonal to an ample class has D^2 < 0.
-
-    With a primitive class on the even K3 lattice the negativity sharpens to
-    D^2 <= -2.  The predicate is vacuous when D = 0 or D.H != 0.
-    """
-    if h.model.kind != ELLIPTIC_K3:
-        raise ModelMismatchError("the ample test is written for the elliptic K3 lattice")
-    if not (
-        ns_pair(h, h) > 0
-        and ns_pair(h, h.model.sigma) > 0
-        and ns_pair(h, h.model.fiber) > 0
-    ):
-        raise ValueError("H is not ample")
-    dsq = ns_pair(d, d)
-    applicable = not d.is_zero and ns_pair(d, h) == 0
-    if not applicable:
-        return HodgeVerdict(False, True, dsq, None)
-    holds = dsq < 0
-    strict = dsq <= -2 if primitive_c1 else None
-    return HodgeVerdict(True, holds, dsq, strict)
-
-
 __all__ = [
     "Wall",
     "Stratum",
     "SuitabilityReport",
     "ChainAudit",
     "CodimAudit",
-    "HodgeVerdict",
     "stack_dim",
     "wall_enumerate",
     "is_suitable",
@@ -718,5 +686,4 @@ __all__ = [
     "chain_audit",
     "stratum_codim_ok",
     "codim_audit",
-    "hodge_check",
 ]

@@ -26,8 +26,7 @@ below is the Riemann-Roch formula of the general model, ch2 = chi -
 rank*chi(O) + c1.K/2 with chi = s + e.rank, and holds on the K3 models as
 written because K = 0 there.
 
-All arithmetic is exact: plain Python integers throughout, with
-fractions.Fraction for the few half-integer intermediates.  No floats.
+All arithmetic is exact: plain Python integers throughout.  No floats.
 Every value is immutable, every operation a pure function.
 
 The class algebra is unrolled by NS rank (1 or 2): ``NSClass`` addition,
@@ -39,7 +38,6 @@ from coefficients, with no generator and no intermediate class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import gcd
@@ -309,21 +307,8 @@ class MukaiVector:
             g = gcd(g, abs(c))
         return g
 
-    def divide(self, k: int) -> "MukaiVector":
-        if k == 0 or self.r % k or self.s % k or any(c % k for c in self.c1.coeffs):
-            raise ValueError(f"vector is not divisible by {k}")
-        return MukaiVector(
-            self.r // k, NSClass(self.model, tuple(c // k for c in self.c1.coeffs)), self.s // k
-        )
-
     def __str__(self) -> str:
         return f"({self.r}; {self.c1}; {self.s})"
-
-
-def ch2(v: MukaiVector) -> Fraction:
-    """Degree-4 Chern character by Riemann-Roch: chi - rank*chi(O) + c1.K/2."""
-    model = v.model
-    return Fraction(2 * (chi_vec(v) - v.r * model.chi_o) + v.c1.dot(model.canonical), 2)
 
 
 def chi_vec(v: MukaiVector) -> int:
@@ -375,16 +360,6 @@ def mukai_tensor(v: MukaiVector, w: MukaiVector) -> MukaiVector:
 def structure_vector(model: SurfaceModel) -> MukaiVector:
     """v(O_X): the unit of the tensor product."""
     return MukaiVector(1, model.zero, model.chi_o - model.s_shift)
-
-
-def point_vector(model: SurfaceModel) -> MukaiVector:
-    """v(O_p) of a point sheaf."""
-    return MukaiVector(0, model.zero, 1)
-
-
-def line_bundle_vector(d: NSClass) -> MukaiVector:
-    """v(O(d))."""
-    return MukaiVector(1, d, chi_rr(d) - d.model.s_shift)
 
 
 def ideal_sheaf_vector(d: NSClass, n: int) -> MukaiVector:

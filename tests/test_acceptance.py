@@ -154,7 +154,7 @@ def test_criterion_4_case_study_2299():
     left, right, equal = dimension_match(inst)
     ok = ok and (left, right, equal) == (48620, 48620, True)
     rep = exclusion_report(2, 2, 9, 9)
-    ok = ok and rep.exceptional_case and rep.h0_l_a1f == 1
+    ok = ok and not rep.q1q2_excluded and rep.h0_l_a1f == 1
     ok = ok and rep.h0_l_minus_sigma == 17 and rep.s_count == binom(17, 18) == 0
     _verdict(4, ok, "nu=-2, L=4s+8f, chi=18, counts 48620/48620, exceptional case flagged")
 
@@ -175,7 +175,7 @@ def test_criterion_5_exclusion_sweep():
                     points += 1
                     rep = exclusion_report(r, s, a, b)
                     ok = ok and rep.q3_excluded  # eq. for the joint-fiber component
-                    if rep.exceptional_case:
+                    if not rep.q1q2_excluded:
                         exceptions.append((r, s, a, b))
                     inst = tower_instance(r, s, a, b)
                     ok = ok and euler_form(inst.v, inst.w) == 0

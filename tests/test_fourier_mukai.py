@@ -10,17 +10,14 @@ import strangedual.fourier_mukai as fourier_mukai
 from strangedual.fourier_mukai import (
     FMDerivationError,
     FMMatrix,
-    FiberClass,
     coords_vector,
     derive_bridge_matrix,
     derive_fm_matrix,
-    fiber_fm,
     fm_apply,
     fm_c1_grr,
     vector_coords,
     verify_fm_suite,
 )
-from strangedual.hilbert import solve_gamma_constraints
 from strangedual.linalg import row_reduce
 from strangedual.surfaces import (
     ModelMismatchError,
@@ -32,7 +29,6 @@ from strangedual.surfaces import (
     mukai_dual,
     mukai_pair,
     normalized_vector,
-    point_vector,
     structure_vector,
     twist,
 )
@@ -45,23 +41,9 @@ E = elliptic_k3()
 EXPECTED_COLUMNS = ((0, -1, -1, -1), (1, 0, 1, 1), (0, 0, 0, -1), (0, 0, 1, 0))
 
 
-class TestFiberTransform:
-    def test_degree_one_bundles(self):
-        for r in range(1, 6):
-            assert fiber_fm(FiberClass(r, 1)) == FiberClass(1, -r)
-
-    def test_duals_pick_up_the_shift_sign(self):
-        for r in range(1, 6):
-            assert fiber_fm(FiberClass(r, -1)) == -FiberClass(1, r)
-
-    def test_point_to_degree_zero(self):
-        assert fiber_fm(FiberClass(0, 1)) == FiberClass(1, 0)
-
-    def test_square_is_minus_identity(self):
-        for r in range(-4, 5):
-            for d in range(-4, 5):
-                c = FiberClass(r, d)
-                assert fiber_fm(fiber_fm(c)) == -c
+def _point_vector(model):
+    """v(O_p) of a point sheaf: rank 0, c1 = 0, chi = 1."""
+    return MukaiVector(0, model.zero, 1)
 
 
 def _det4(rows):
@@ -120,8 +102,6 @@ class TestDerivation:
         point = coords_vector(E, (0, 0, 0, 1))
         image = fm_apply(matrix, point)
         assert vector_coords(image) == (0, 0, 1, 0)
-        # matches the fiberwise transform of a point: (0, 1) -> (1, 0)
-        assert fiber_fm(FiberClass(0, 1)) == FiberClass(1, 0)
 
     def test_rejects_non_elliptic_model(self):
         with pytest.raises(ModelMismatchError):
@@ -321,7 +301,7 @@ class TestLinalg:
 
         def perturbed(r, a, model):
             u, o = original(r, a, model)
-            return (u, o + point_vector(model)) if (r, a) == (3, 2) else (u, o)
+            return (u, o + _point_vector(model)) if (r, a) == (3, 2) else (u, o)
 
         monkeypatch.setattr(fourier_mukai, "_dual_tower_pair", perturbed)
         with pytest.raises(FMDerivationError, match=r"conflict with the solved matrix at \[\(3, 2\)\]"):
@@ -329,7 +309,8 @@ class TestLinalg:
 
     @pytest.mark.parametrize("a", [1, 2, 9])
     def test_gamma_relations_unchanged(self, a):
-        assert solve_gamma_constraints(2, 3, a, 4) == ("q1 = 0", "r1 = r2", "s1 = s2")
+        # a rectangular system: the diagonal conditions on the correction
+        # divisor's coefficients (q1, r1, r2, s1, s2)
         q1 = a - 1 if a > 1 else 1
         reduced, pivots, _ = row_reduce([[q1, 0, 0, 0, 0], [0, 0, 0, 1, -1], [1, -2, 2, 0, 0]])
         assert pivots == (0, 1, 3)

@@ -12,19 +12,10 @@ from strangedual.duality import (
     tower_instance,
 )
 from strangedual.hilbert import (
-    HilbPicClass,
-    ProductClass,
     binom,
     exclusion_flags,
     exclusion_report,
-    gamma_product_class,
-    is_tau_pullback,
-    named_class,
-    solve_gamma_constraints,
-    taut_class,
     taut_det_sections,
-    taut_sym_sections,
-    tau_pullback,
 )
 from strangedual.surfaces import (
     ModelMismatchError,
@@ -48,83 +39,7 @@ def test_binom_conventions():
     assert binom(18, 9) == 48620
 
 
-class TestNamedClasses:
-    def test_q_is_tautological_fiber_class(self):
-        q = named_class("Q", 5, E)
-        assert q == HilbPicClass(5, E.cls(0, 4), 1)
-
-    def test_s_is_symmetrized_section(self):
-        s = named_class("S", 7, E)
-        assert s == HilbPicClass(7, E.sigma, 0)
-
-    def test_r_is_minus_two_m(self):
-        r = named_class("R", 4, E)
-        assert r == HilbPicClass(4, E.zero, -2)
-
-    def test_q3_product(self):
-        q3 = named_class("Q3", 9, E, b=9)
-        assert q3.left == HilbPicClass(9, E.cls(0, 9), 0)
-        assert q3.right == HilbPicClass(9, E.cls(0, 9), 0)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            named_class("T", 3, E)
-
-    def test_q_decomposition_under_pullback(self):
-        # tau*Q minus the two one-sided Q components is Q3
-        a, b = 9, 9
-        q_total = named_class("Q", a + b, E)
-        q1 = ProductClass(named_class("Q", a, E), HilbPicClass(b, E.zero, 0))
-        q2 = ProductClass(HilbPicClass(a, E.zero, 0), named_class("Q", b, E))
-        q3 = named_class("Q3", a, E, b=b)
-        assert tau_pullback(q_total, a, b) - q1 - q2 == q3
-
-
-class TestTauPullback:
-    def test_tautological_splits(self):
-        line = E.cls(4, 8)
-        pulled = tau_pullback(taut_class(line, 18), 9, 9)
-        assert pulled.left == taut_class(line, 9)
-        assert pulled.right == taut_class(line, 9)
-
-    def test_trivial_class(self):
-        o = HilbPicClass(10, E.zero, 0)
-        pulled = tau_pullback(o, 4, 6)
-        assert is_tau_pullback(pulled)
-
-    def test_round_trip_is_diagonal(self):
-        c = HilbPicClass(12, E.cls(2, -3), 5)
-        assert is_tau_pullback(tau_pullback(c, 5, 7))
-
-    def test_additivity(self):
-        c1 = HilbPicClass(10, E.cls(1, 2), 3)
-        c2 = HilbPicClass(10, E.cls(-2, 1), -1)
-        lhs = tau_pullback(c1 + c2, 4, 6)
-        rhs = tau_pullback(c1, 4, 6) + tau_pullback(c2, 4, 6)
-        assert lhs == rhs
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            tau_pullback(HilbPicClass(10, E.zero, 0), 4, 5)
-
-    def test_off_diagonal_detected(self):
-        p = ProductClass(HilbPicClass(4, E.sigma, 0), HilbPicClass(6, E.zero, 0))
-        assert not is_tau_pullback(p)
-
-
 class TestSectionCounts:
-    def test_section_multiple_gives_single_section(self):
-        # h0(O(4 sigma)) = 1, so the symmetrized count C(1+a-1, a) is 1 for every a
-        for a in range(1, 12):
-            assert taut_sym_sections(E.cls(4, 0), a) == 1
-
-    def test_no_sections_downstairs(self):
-        assert taut_sym_sections(E.cls(2, -1), 3) == 0
-
-    def test_symmetric_count(self):
-        # h0(sigma + 2f) = 3, so the a = 2 count is C(4, 2)
-        assert taut_sym_sections(E.cls(1, 2), 2) == 6
-
     def test_det_count_fiber_classes(self):
         for a in range(1, 10):
             assert taut_det_sections(E.cls(0, a - 1), a) == 1
@@ -136,29 +51,7 @@ class TestSectionCounts:
 
     def test_unknown_propagates(self):
         # h0(2 sigma + 3f) = 4, a class the pinned ranges left unknown
-        assert taut_sym_sections(E.cls(2, 3), 2) == 10
         assert taut_det_sections(E.cls(2, 3), 2) == 6
-
-
-class TestGammaSolve:
-    def test_relations(self):
-        # q1 = 0, r1 = r2 and s1 = s2 leave Gamma0 = r1.R + s1.S
-        assert solve_gamma_constraints(2, 2, 9, 9) == ("q1 = 0", "r1 = r2", "s1 = s2")
-
-    def test_solved_coefficients_give_pullback(self):
-        for r1, s1 in [(0, 0), (1, 0), (0, 2), (3, -1)]:
-            p = gamma_product_class(E, 9, 9, q1=0, r1=r1, r2=r1, s1=s1, s2=s1)
-            assert is_tau_pullback(p)
-
-    def test_violated_relations_are_not_pullbacks(self):
-        assert not is_tau_pullback(gamma_product_class(E, 9, 9, 1, 1, 1, 0, 0))
-        assert not is_tau_pullback(gamma_product_class(E, 9, 9, 0, 1, 2, 0, 0))
-        assert not is_tau_pullback(gamma_product_class(E, 9, 9, 0, 1, 1, 1, 0))
-
-    def test_zero_coefficients(self):
-        p = gamma_product_class(E, 9, 9, 0, 0, 0, 0, 0)
-        assert is_tau_pullback(p)
-        assert p.left == HilbPicClass(9, E.zero, 0)
 
 
 class TestExclusionReport:
@@ -172,7 +65,6 @@ class TestExclusionReport:
         # section divisors, so the Q1/Q2 exclusion fails here and only here
         assert rep.h0_l_a1f == 1 and rep.h0_l_b1f == 1
         assert not rep.q1q2_excluded
-        assert rep.exceptional_case
         assert rep.h0_l_minus_sigma == 17
         assert rep.s_count == binom(17, 18) == 0
         assert rep.s_proper and rep.q_proper
@@ -181,7 +73,6 @@ class TestExclusionReport:
         rep = exclusion_report(2, 2, 10, 8)
         assert rep.q3_excluded
         assert rep.q1q2_excluded
-        assert not rep.exceptional_case
 
     def test_h0_l_minus_sigma_formula(self):
         # h0(L(-sigma)) = a + b + 1 + nu in the big-and-nef range
@@ -210,7 +101,7 @@ class TestExclusionReport:
                         rep = exclusion_report(r, s, a, b)
                         assert rep.q3_excluded, (r, s, a, b)
                         assert rep.s_proper and rep.q_proper, (r, s, a, b)
-                        if rep.exceptional_case:
+                        if not rep.q1q2_excluded:
                             exceptional.append((r, s, a, b))
         assert points > 100
         assert exceptional == [(2, 2, 9, 9)]
@@ -253,7 +144,7 @@ def _reference_exclusion_report(r, s, a, b):
     s_count = binom(h0_msig, a + b)
     q_count = binom(h0_q + (a + b) - 1, a + b)
     return dict(
-        r=r, s=s, a=a, b=b, nu=nu, line_bundle=line,
+        nu=nu, line_bundle=line,
         h0_l_minus_bf=h0_mbf,
         h0_l_minus_af=h0_maf,
         h0_l_a1f=h0_a1,
@@ -267,7 +158,6 @@ def _reference_exclusion_report(r, s, a, b):
         q_count=q_count,
         q3_excluded=h0_mbf == 0 or h0_maf == 0,
         q1q2_excluded=q1q2_excluded,
-        exceptional_case=not q1q2_excluded,
         s_proper=s_count == 0,
         q_proper=q_count == 0,
     )

@@ -20,7 +20,6 @@ from strangedual.strata import (
     _t_tuples,
     chain_audit,
     codim_audit,
-    hodge_check,
     is_suitable,
     stack_dim,
     strata_box_oracle,
@@ -1156,38 +1155,6 @@ class TestIntegerChain:
         ):
             with pytest.raises(ValueError):
                 chain_audit(v, Stratum(parts, (), 0))
-
-
-class TestHodge:
-    def test_worked_instance(self):
-        verdict = hodge_check(E.cls(1, -2), E.cls(1, 4))
-        assert verdict.applicable and verdict.holds
-        assert verdict.d_squared == -6
-
-    def test_zero_class_vacuous(self):
-        verdict = hodge_check(E.zero, E.cls(1, 4))
-        assert not verdict.applicable and verdict.holds
-
-    def test_nonorthogonal_vacuous(self):
-        verdict = hodge_check(E.fiber, E.cls(1, 4))
-        assert not verdict.applicable
-
-    def test_primitive_strictness(self):
-        verdict = hodge_check(E.cls(1, -2), E.cls(1, 4), primitive_c1=True)
-        assert verdict.strict_even
-
-    def test_ample_guard(self):
-        with pytest.raises(ValueError):
-            hodge_check(E.cls(1, -2), E.cls(1, 1))  # H.sigma = -1
-
-    def test_orthogonal_classes_all_negative(self):
-        h = E.cls(1, 4)
-        rng = range(-6, 7)
-        for x in rng:
-            for y in rng:
-                d = E.cls(x, y)
-                verdict = hodge_check(d, h)
-                assert verdict.holds
 
 
 def test_normalized_vectors_have_expected_walls():
