@@ -219,6 +219,13 @@ class TestRunInstance:
         assert set(result) == {"status", "conditions", "verdict"}
         assert result["status"] == ("pass" if result["verdict"] else "fail")
 
+    def test_exclusions_report_keys(self):
+        spec = normalize_instance({"params": {"r": 2, "s": 2, "a": 9, "b": 9}, "checks": ["exclusions"]}, 0)[0]
+        report = run_instance(spec)["results"]["exclusions"]["report"]
+        # the inputs stay in the instance's params; the exceptional case is not q1q2_excluded
+        assert not {"r", "s", "a", "b", "exceptional_case"} & set(report)
+        assert (report["nu"], report["q1q2_excluded"], report["q3_excluded"]) == (-2, False, True)
+
     def test_hypotheses_from_tower_params(self):
         spec = normalize_instance(
             {

@@ -46,6 +46,56 @@ def _point_vector(model):
     return MukaiVector(0, model.zero, 1)
 
 
+# On a fibre the transform sends a class of rank r and degree d to (d, -r).
+# A sheaf of rank r and degree d on a fibre has coordinates (0, 0, r, d) on
+# every elliptic model: rank 0, c1 = r.f and chi = d in the last slot.
+ELLIPTIC_MODELS = [E, elliptic_general(1), elliptic_general(3)]
+
+
+def _on_fiber(r, d):
+    return (0, 0, r, d)
+
+
+def _fiber_class(q):
+    """(rank, degree) on the fibre of fibre-supported coordinates."""
+    assert q[:2] == (0, 0), q
+    return q[2], q[3]
+
+
+@pytest.mark.parametrize("model", ELLIPTIC_MODELS, ids=lambda m: f"{m.kind}-{m.chi_o}")
+class TestFiberTransform:
+    def test_degree_one_bundles(self, model):
+        matrix = derive_fm_matrix(model)
+        for r in range(1, 6):
+            assert _fiber_class(matrix.apply(_on_fiber(r, 1))) == (1, -r)
+
+    def test_duals_pick_up_the_shift_sign(self, model):
+        matrix = derive_fm_matrix(model)
+        for r in range(1, 6):
+            assert _fiber_class(matrix.apply(_on_fiber(r, -1))) == (-1, -r)
+
+    def test_point_to_degree_zero(self, model):
+        matrix = derive_fm_matrix(model)
+        image = fm_apply(matrix, _point_vector(model))
+        assert image == MukaiVector(0, model.fiber, 0)
+        assert _fiber_class(vector_coords(image)) == (1, 0)
+
+    def test_square_is_minus_identity(self, model):
+        matrix = derive_fm_matrix(model)
+        for r in range(-4, 5):
+            for d in range(-4, 5):
+                q = _on_fiber(r, d)
+                assert matrix.apply(matrix.apply(q)) == tuple(-c for c in q)
+
+    def test_rank_and_fiber_degree_follow_the_fiber_law(self, model):
+        # the relative transform restricts to every fibre: (r, c1.f) -> (c1.f, -r)
+        matrix = derive_fm_matrix(model)
+        rng = range(-3, 4)
+        for q in [(r, x, y, s) for r in rng for x in rng for y in rng for s in rng]:
+            v, image = coords_vector(model, q), coords_vector(model, matrix.apply(q))
+            assert (image.r, image.c1.dot(model.fiber)) == (v.c1.dot(model.fiber), -v.r), q
+
+
 def _det4(rows):
     """Independent 4x4 determinant by cofactor expansion."""
     if len(rows) == 1:

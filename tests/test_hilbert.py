@@ -19,8 +19,10 @@ from strangedual.hilbert import (
 )
 from strangedual.surfaces import (
     ModelMismatchError,
+    elliptic_general,
     elliptic_k3,
     euler_form,
+    generic_k3,
     h0_coeffs,
     h0_surface,
     moduli_dim,
@@ -52,6 +54,26 @@ class TestSectionCounts:
     def test_unknown_propagates(self):
         # h0(2 sigma + 3f) = 4, a class the pinned ranges left unknown
         assert taut_det_sections(E.cls(2, 3), 2) == 6
+
+    def test_section_multiple_has_one_section(self):
+        # h0(O(4 sigma)) = 1: one point takes it, two or more points none
+        assert taut_det_sections(E.cls(4, 0), 1) == 1
+        for a in range(2, 12):
+            assert taut_det_sections(E.cls(4, 0), a) == 0
+
+    def test_no_sections_downstairs(self):
+        for a in range(1, 5):
+            assert taut_det_sections(E.cls(2, -1), a) == 0
+
+    def test_sigma_plus_two_fibers(self):
+        # h0(sigma + 2f) = 3
+        assert [taut_det_sections(E.cls(1, 2), a) for a in range(5)] == [1, 3, 3, 1, 0]
+
+    def test_general_model_and_guard(self):
+        # h0(O(4f)) = 5 on every elliptic model
+        assert taut_det_sections(elliptic_general(3).cls(0, 4), 2) == binom(5, 2)
+        with pytest.raises(ModelMismatchError):
+            taut_det_sections(generic_k3(4).cls(1), 1)
 
 
 class TestExclusionReport:

@@ -1157,6 +1157,69 @@ class TestIntegerChain:
                 chain_audit(v, Stratum(parts, (), 0))
 
 
+def _ray(model, m):
+    """The integral class proportional to sigma + m.f."""
+    return model.cls(m.denominator, m.numerator)
+
+
+class TestHodgeIndex:
+    """A nonzero class orthogonal to an ample class has negative square.
+
+    ``Wall`` relies on it: its class is orthogonal to sigma + m.f and must
+    have negative square.
+    """
+
+    def test_worked_instance(self):
+        d, h = E.cls(1, -2), E.cls(1, 4)
+        assert ns_pair(d, h) == 0 and ns_pair(h, h) > 0
+        assert ns_pair(d, d) == -6
+        assert Wall(d, Fraction(4), ()).m_value == 4
+
+    def test_zero_class_is_not_a_wall(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            Wall(E.zero, Fraction(4), ())
+
+    def test_value_off_the_wall_is_rejected(self):
+        # (sigma - 2f).(sigma + 5f) = 1
+        with pytest.raises(ValueError, match="does not lie on the wall"):
+            Wall(E.cls(1, -2), Fraction(5), ())
+
+    def test_class_of_non_negative_square_is_rejected(self):
+        for d in (E.fiber, E.cls(1, 3), E.cls(2, 5)):
+            assert ns_pair(d, d) >= 0
+            with pytest.raises(ValueError, match="negative square"):
+                Wall(d, Fraction(3), ())
+
+    @pytest.mark.parametrize("model", [E, elliptic_general(1), elliptic_general(3)],
+                             ids=lambda m: f"{m.kind}-{m.chi_o}")
+    def test_orthogonal_classes_all_negative(self, model):
+        # sigma + m.f is ample for m > chi(O); the lattice is even on the K3
+        found = 0
+        for m in range(model.chi_o + 1, model.chi_o + 7):
+            h = model.cls(1, m)
+            assert ns_pair(h, h) > 0
+            for x in range(-6, 7):
+                for y in range(-6, 7):
+                    d = model.cls(x, y)
+                    if d.is_zero or ns_pair(d, h) != 0:
+                        continue
+                    found += 1
+                    assert ns_pair(d, d) < 0, (m, x, y)
+                    if model.is_k3:
+                        assert ns_pair(d, d) % 2 == 0 and ns_pair(d, d) <= -2
+        assert found > 0
+
+    @pytest.mark.parametrize("v", [normalized_vector(2, 9, E), vec(4, 1, 1, -4), vec(3, 1, 0, -5)],
+                             ids=str)
+    def test_every_enumerated_wall_obeys_hodge_index(self, v):
+        walls = wall_enumerate(v, 5)
+        assert walls
+        for wall in walls:
+            h = _ray(E, wall.m_value)
+            assert ns_pair(h, h) > 0 and ns_pair(wall.d, h) == 0
+            assert ns_pair(wall.d, wall.d) <= -2
+
+
 def test_normalized_vectors_have_expected_walls():
     # normalized tower vectors keep their fiber-degree, so walls exist
     v = normalized_vector(2, 9, E)

@@ -327,6 +327,23 @@ class TestChiAndDimensions:
         assert euler_form(o, o) == 2
         assert euler_form(o, _point_vector(E)) == 1
 
+    def test_points_form_the_surface(self):
+        # v(O_p) is isotropic, so its moduli space has dimension 2: the K3 itself
+        p = _point_vector(E)
+        assert mukai_pair(p, p) == 0
+        assert mukai_pair(structure_vector(E), p) == -1
+        assert moduli_dim(p) == 2
+
+    def test_line_bundles_are_rigid(self):
+        # <v, v> = -2 for every line bundle, so its moduli space is a point
+        for x in range(-3, 4):
+            for y in range(-3, 4):
+                d = E.cls(x, y)
+                v = twist(structure_vector(E), d)
+                assert v == _reference_line_bundle_vector(d)
+                assert mukai_pair(v, v) == -2
+                assert moduli_dim(v) == 0
+
     def test_euler_form_deformation_orthogonality(self):
         # H^2 = 2rs - r chi' - s chi makes the pair orthogonal
         g = generic_k3(14)
