@@ -24,14 +24,15 @@ bound that nothing reads.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from typing import Callable
+from types import MappingProxyType
+from typing import NamedTuple
 
 import yaml
 
@@ -111,8 +112,8 @@ def to_jsonable(obj):
         return {"basis": obj.model.basis, "coeffs": list(obj.coeffs)}
     if isinstance(obj, MukaiVector):
         return {"r": obj.r, "c1": to_jsonable(obj.c1), "s": obj.s}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):  # a NamedTuple record
+        return {name: to_jsonable(value) for name, value in obj._asdict().items()}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -195,8 +196,7 @@ def _config_int(value, what: str) -> int:
         raise CliConfigError(f"{what} is not an integer: {value!r}") from None
 
 
-@dataclasses.dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     """One bound a check reads: its type, its default and, where the check
     has nothing to examine below some value, that lower bound."""
 
@@ -479,9 +479,16 @@ def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
     chi_violations = []
     bound_disagreements = []
     grid = k3_divisible_points(range(r_lo, r_hi + 1), range(s_lo, s_hi + 1), ab_max)
+    group = None
     for r, s, a, b, valid in grid:
-        # both directions of the bound equivalence: valid and too-small twists
-        if theorem2_equivalence(r, s, a, b) is False:
+        # the bound comparison, nu and L depend on (r, s, a+b) alone, and the
+        # grid yields the points of each such group one after another
+        if group != (r, s, a + b):
+            group = (r, s, a + b)
+            # both directions of the bound equivalence: valid and too-small twists
+            disagrees = theorem2_equivalence(r, s, a, b) is False
+            line = None
+        if disagrees:
             bound_disagreements.append((r, s, a, b))
         if not valid:
             continue
@@ -489,8 +496,9 @@ def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
         nu, _, _, chi_vw, dims = k3_tower_row(r, s, a, b)
         if chi_vw != 0 or dims != (2 * a, 2 * b):
             chi_violations.append((r, s, a, b))
-        line = duality_line_bundle_class(r, s, nu)
-        (m, n), chi = line.coeffs, line.model.chi_o
+        if line is None:
+            line = duality_line_bundle_class(r, s, nu)
+            (m, n), chi = line.coeffs, line.model.chi_o
         q3_excluded, q1q2_excluded, s_proper, q_proper = exclusion_flags(m, n, a, b, chi)
         if not (q3_excluded and s_proper and q_proper):
             h0_violations.append((r, s, a, b))
@@ -614,8 +622,7 @@ def _check_general_consistency(ctx: _Ctx, chi_list, ranks):
     return ("pass" if ok else "fail"), {"cases": details}
 
 
-@dataclasses.dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A check and all it reads: ``run(ctx, **args)`` gets its params (None when
     not given) and bounds as typed keyword arguments and returns (status, data).
     ``examined`` names the count an ``error:empty`` report sets to 0."""
@@ -623,7 +630,7 @@ class Check:
     run: Callable
     requires: tuple[str, ...] = ()  # checks that must pass first
     params: tuple[str, ...] = ()
-    bounds: dict[str, Bound] = dataclasses.field(default_factory=dict)
+    bounds: Mapping[str, Bound] = MappingProxyType({})
     models: tuple[str, ...] = ()  # the model kinds it runs on; empty: every kind
     model_reason: str = ""
     examined: str | None = None
@@ -713,8 +720,10 @@ def run_instance(spec: dict) -> dict:
             results[name] = {
                 "status": "skipped",
                 "reason": f"requires {blocked[0]} which did not pass",
+                "timing_ms": 0,
             }
             continue
+        check_started = time.perf_counter()
         try:
             status, data = _unmet(check, model, args[name]) or check.run(ctx, **args[name])
         except DivisibilityError as exc:
@@ -728,7 +737,8 @@ def run_instance(spec: dict) -> dict:
         except Exception as exc:  # one broken check must not sink the batch
             status, data = f"error:internal:{type(exc).__name__}", {"reason": str(exc)}
         statuses[name] = status
-        results[name] = {"status": status, **to_jsonable(data)}
+        timing_ms = int((time.perf_counter() - check_started) * 1000)
+        results[name] = {"status": status, **to_jsonable(data), "timing_ms": timing_ms}
     return {
         "spec": spec,
         "results": results,

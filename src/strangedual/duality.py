@@ -19,7 +19,7 @@ deformation argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hilbert import taut_det_sections
 from .surfaces import (
@@ -127,8 +127,7 @@ def delta_bound(chi_o: int, r: int, s: int) -> int:
     return chi_o * (t * t + t + 2) - 2 * t
 
 
-@dataclass(frozen=True)
-class DualityInstance:
+class DualityInstance(NamedTuple):
     """A pair of orthogonal vectors with the derived duality parameters."""
 
     surface: SurfaceModel
@@ -196,8 +195,7 @@ def k3_tower_row(
     return nu, v, w, _chi_product(gram, v, w), (dim_v, dim_w)
 
 
-@dataclass(frozen=True)
-class LineBundleCheck:
+class LineBundleCheck(NamedTuple):
     line_bundle: NSClass
     chi: int
     chi_matches: bool
@@ -240,8 +238,7 @@ def duality_line_bundle(inst: DualityInstance) -> LineBundleCheck:
 THEOREM_IDS = ("T1", "T1A", "T2", "T5", "Conj")
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     conditions: dict[str, bool]
     verdict: bool
 
@@ -325,8 +322,7 @@ def dimension_match(inst: DualityInstance) -> tuple[int, int, bool]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TowerResult:
+class TowerResult(NamedTuple):
     vectors: tuple[MukaiVector, ...]
     recursion_ok: bool
     chi_one_ok: bool
@@ -390,8 +386,7 @@ def theta_pair(r: int, s: int, chi: int, chi_prime: int) -> tuple[MukaiVector, M
     return MukaiVector(r, h, chi - r), MukaiVector(s, h, chi_prime - s)
 
 
-@dataclass(frozen=True)
-class ThetaRelationResult:
+class ThetaRelationResult(NamedTuple):
     lambda_v: MukaiVector
     mu_v: MukaiVector
     orthogonal: bool
@@ -447,8 +442,7 @@ def theta_relation_identity(v: MukaiVector, w: MukaiVector) -> ThetaRelationResu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeformationPair:
+class DeformationPair(NamedTuple):
     generic: DualityInstance
     elliptic: DualityInstance
     pairings_agree: bool

@@ -18,7 +18,7 @@ change chi = rank + s, and the suite checks that identification exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .linalg import row_reduce
 from .surfaces import (
@@ -62,8 +62,7 @@ def coords_vector(model: SurfaceModel, q: Quad) -> MukaiVector:
     return MukaiVector(q[0], model.cls(q[1], q[2]), q[3])
 
 
-@dataclass(frozen=True)
-class FMMatrix:
+class FMMatrix(NamedTuple):
     """A 4x4 integer matrix acting on (rank, x, y, s) coordinates."""
 
     model: SurfaceModel
@@ -245,8 +244,7 @@ def derive_bridge_matrix(matrix: FMMatrix) -> FMMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FMSuiteReport:
+class FMSuiteReport(NamedTuple):
     dual_images_ok: bool
     direct_images_ok: bool
     twist_rule_ok: bool
@@ -254,7 +252,7 @@ class FMSuiteReport:
     c1_grr_ok: bool | None
     isometry_ok: bool
     degeneration_ok: bool | None
-    failures: dict = field(default_factory=dict)
+    failures: dict
 
     @property
     def all_ok(self) -> bool:

@@ -13,8 +13,8 @@ counting sections of L shifted by fiber and section classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .surfaces import NSClass, h0_coeffs, h0_surface
 
@@ -36,8 +36,7 @@ def taut_det_sections(base: NSClass, a: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
+class ExclusionReport(NamedTuple):
     """Section counts ruling divisor components in or out of the theta locus."""
 
     nu: int

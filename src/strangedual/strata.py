@@ -37,9 +37,9 @@ so with N = 2 r prod(r_i) each integer line is the typed line times N.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 from .surfaces import (
     ELLIPTIC_K3,
@@ -104,22 +104,33 @@ def _nonempty_slots(r: int, c1: tuple[int, ...], c1sq: int, slots: range) -> lis
     return out
 
 
-@dataclass(frozen=True)
-class Wall:
-    """A wall crossed by H = sigma + m.f at the exact rational m_value."""
-
+class _WallFields(NamedTuple):
     d: NSClass
     m_value: Fraction
     witnesses: tuple[tuple[int, NSClass], ...]
 
-    def __post_init__(self) -> None:
-        if self.d.is_zero:
+
+class Wall(_WallFields):
+    """A wall crossed by H = sigma + m.f at the exact rational m_value.
+
+    Every construction checks the wall: ``_make``, and with it ``_replace``,
+    goes through ``__new__`` as a direct call does.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d: NSClass, m_value: Fraction, witnesses: tuple[tuple[int, NSClass], ...]):
+        if d.is_zero:
             raise ValueError("a wall class is nonzero")
-        if ns_pair(self.d, self.d) >= 0:
+        if ns_pair(d, d) >= 0:
             raise ValueError("a wall class has negative square")
-        h = _ample_ray_class(self.d.model, self.m_value)
-        if ns_pair(self.d, h) != 0:
+        if ns_pair(d, _ample_ray_class(d.model, m_value)) != 0:
             raise ValueError("m_value does not lie on the wall")
+        return super().__new__(cls, d, m_value, witnesses)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _ample_ray_class(model: SurfaceModel, m: Fraction) -> NSClass:
@@ -175,8 +186,7 @@ def wall_enumerate(v: MukaiVector, coeff_bound: int) -> list[Wall]:
     return sorted(walls, key=lambda w: (w.m_value, w.d.coeffs))
 
 
-@dataclass(frozen=True)
-class SuitabilityReport:
+class SuitabilityReport(NamedTuple):
     suitable: bool
     max_wall: Fraction | None
     coeff_bound: int
@@ -212,8 +222,7 @@ def is_suitable(m: Fraction | int, v: MukaiVector, coeff_bound: int) -> Suitabil
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """An ordered filtration type: slope-equal parts summing to v."""
 
     parts: tuple[MukaiVector, ...]
@@ -404,7 +413,7 @@ def stratum_key(st: Stratum) -> tuple:
     """``st`` as integer tuples: ((rank, c1 coefficients, s) per part, dims, total_dim).
 
     Two strata on one model are equal exactly when their keys are; hashing
-    the key skips the nested dataclasses (``Stratum``, ``MukaiVector``,
+    the key skips the nested records (``Stratum``, ``MukaiVector``,
     ``NSClass``, ``SurfaceModel``), whose hashes are not cached.
     """
     return tuple((p.r, p.c1.coeffs, p.s) for p in st.parts), st.dims, st.total_dim
@@ -508,8 +517,7 @@ def strata_box_oracle(v: MukaiVector, wall: Wall) -> list[Stratum]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainAudit:
+class ChainAudit(NamedTuple):
     """Term-by-term record of the pairing-sum inequality chain."""
 
     pair_sum: int
@@ -611,8 +619,7 @@ def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
     )
 
 
-@dataclass(frozen=True)
-class CodimAudit:
+class CodimAudit(NamedTuple):
     strata_count: int
     unordered_strata_count: int
     min_codim: int | None

@@ -37,10 +37,10 @@ from coefficients, with no generator and no intermediate class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 GENERIC_K3 = "generic_k3"
 ELLIPTIC_K3 = "elliptic_k3"
@@ -51,48 +51,60 @@ class ModelMismatchError(ValueError):
     """Lattice elements from different surface models were combined."""
 
 
-@dataclass(frozen=True, slots=True)
 class SurfaceModel:
     """An intersection lattice together with chi(O) and the canonical class.
 
-    Only ``kind``, ``degree`` and ``chi_o`` are given; the lattice
-    description is derived from them once, and equality compares only them.
+    Only ``kind``, ``degree`` (H^2, generic K3 only) and ``chi_o`` are
+    given; the lattice description is derived from them once, and equality
+    compares only them.  A model is immutable.  It is not a tuple: its
+    ``canonical`` class holds the model, so comparing or hashing it as a
+    tuple would recurse.
     """
 
-    kind: str
-    degree: int = 0  # H^2, generic K3 only
-    chi_o: int = 2
-    gram: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    canonical: NSClass = field(init=False, repr=False, compare=False)
-    s_shift: int = field(init=False, repr=False, compare=False)
-    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    basis: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "degree", "chi_o", "gram", "canonical", "s_shift", "labels", "basis")
 
-    def __post_init__(self) -> None:
-        if self.kind == GENERIC_K3:
-            if self.degree <= 0 or self.degree % 2 != 0:
+    def __init__(self, kind: str, degree: int = 0, chi_o: int = 2) -> None:
+        if kind == GENERIC_K3:
+            if degree <= 0 or degree % 2 != 0:
                 raise ValueError("generic K3 degree must be a positive even integer")
-            if self.chi_o != 2:
+            if chi_o != 2:
                 raise ValueError("a K3 surface has chi(O) = 2")
-            gram, k, e, labels, basis = ((self.degree,),), (0,), 1, ("H",), "H"
-        elif self.kind == ELLIPTIC_K3:
-            if self.degree != 0:
+            gram, k, e, labels, basis = ((degree,),), (0,), 1, ("H",), "H"
+        elif kind == ELLIPTIC_K3:
+            if degree != 0:
                 raise ValueError("elliptic K3 model takes no degree")
-            if self.chi_o != 2:
+            if chi_o != 2:
                 raise ValueError("a K3 surface has chi(O) = 2")
             gram, k, e, labels, basis = ((-2, 1), (1, 0)), (0, 0), 1, ("s", "f"), "sigma_f"
-        elif self.kind == ELLIPTIC_GENERAL:
-            if self.degree != 0:
+        elif kind == ELLIPTIC_GENERAL:
+            if degree != 0:
                 raise ValueError("general elliptic model takes no degree")
-            if self.chi_o < 1:
+            if chi_o < 1:
                 raise ValueError("chi(O) must be >= 1")
-            gram = ((-self.chi_o, 1), (1, 0))
-            k, e, labels, basis = (0, self.chi_o - 2), 0, ("s", "f"), "sigma_f"
+            gram = ((-chi_o, 1), (1, 0))
+            k, e, labels, basis = (0, chi_o - 2), 0, ("s", "f"), "sigma_f"
         else:
-            raise ValueError(f"unknown surface kind {self.kind!r}")
-        for name, value in (("gram", gram), ("s_shift", e), ("labels", labels), ("basis", basis)):
+            raise ValueError(f"unknown surface kind {kind!r}")
+        values = (kind, degree, chi_o, gram, NSClass(self, k), e, labels, basis)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "canonical", NSClass(self, k))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a surface model")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a surface model")
+
+    def __eq__(self, other):
+        if not isinstance(other, SurfaceModel):
+            return NotImplemented
+        return (self.kind, self.degree, self.chi_o) == (other.kind, other.degree, other.chi_o)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.degree, self.chi_o))
+
+    def __repr__(self) -> str:
+        return f"SurfaceModel(kind={self.kind!r}, degree={self.degree!r}, chi_o={self.chi_o!r})"
 
     # -- basic shape ------------------------------------------------------
 
@@ -151,8 +163,7 @@ def elliptic_general(chi_o: int) -> SurfaceModel:
     return SurfaceModel(ELLIPTIC_GENERAL, chi_o=chi_o)
 
 
-@dataclass(frozen=True, slots=True)
-class NSClass:
+class NSClass(NamedTuple):
     """An integer divisor class in the Neron-Severi lattice of a model."""
 
     model: SurfaceModel
@@ -255,8 +266,7 @@ def h0_surface(d: NSClass) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class MukaiVector:
+class MukaiVector(NamedTuple):
     """A lattice vector (rank, c1, s).
 
     ``s`` is the degree-4 Mukai component on K3 models and the Euler

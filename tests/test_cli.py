@@ -3,8 +3,12 @@
 import ast
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -202,8 +206,8 @@ class TestRunInstance:
         result = report["results"]["suitability"]
         assert result["status"] == "pass"
         assert result["max_wall"] == "4/1"
-        # the report is the SuitabilityReport as is, with its status
-        assert set(result) == {"status", "suitable", "max_wall", "coeff_bound", "note"}
+        # the report is the SuitabilityReport as is, with its status and timing
+        assert set(result) == {"status", "suitable", "max_wall", "coeff_bound", "note", "timing_ms"}
 
     @pytest.mark.parametrize(
         "surface,params,theorem",
@@ -216,8 +220,8 @@ class TestRunInstance:
         name = f"hypotheses-{theorem}"
         spec = normalize_instance({"surface": surface, "params": params, "checks": [name]}, 0)[0]
         result = run_instance(spec)["results"][name]
-        # the report is the HypothesisReport as is, with its status
-        assert set(result) == {"status", "conditions", "verdict"}
+        # the report is the HypothesisReport as is, with its status and timing
+        assert set(result) == {"status", "conditions", "verdict", "timing_ms"}
         assert result["status"] == ("pass" if result["verdict"] else "fail")
 
     def test_exclusions_report_keys(self):
@@ -467,8 +471,9 @@ class TestExclusionSweepGrid:
         assert result["status"] == "pass"
         assert result["points_checked"] == 1829
         # k3_tower_row on each valid point, whose nu also gives the theta
-        # bundle, and theorem2_equivalence on all 2903 divisible points
-        assert len(calls) == 1829 + 2903
+        # bundle, and theorem2_equivalence once on each of the 95 (r, s, a+b)
+        # groups of the 2903 divisible points
+        assert len(calls) == 1829 + 95
 
     def test_one_flipped_flag_fails_the_sweep(self, monkeypatch):
         original = cli.exclusion_flags
@@ -526,9 +531,11 @@ class TestExclusionSweepGrid:
         monkeypatch.setattr(cli, "theorem2_equivalence", recording)
         spec = normalize_instance({"checks": ["exclusion-sweep"]}, 0)[0]
         result = run_instance(spec)["results"]["exclusion-sweep"]
-        assert len(seen) == 2903
+        # once per (r, s, a+b) group, on its first point; a disagreement
+        # holds on every point of the group
+        assert len(seen) == 95
         assert result["status"] == "fail"
-        assert result["bound_equivalence_disagreements"] == [[2, 2, 0, 2]]
+        assert result["bound_equivalence_disagreements"] == [[2, 2, 0, 2], [2, 2, 1, 1], [2, 2, 2, 0]]
 
 
 def _reference_minimal_valid_total(r, s, model):
@@ -1252,3 +1259,49 @@ class TestReadmeQuickSession:
             assert value == shown, code
             compared += 1
         assert compared == 4
+
+
+class TestPerCheckTiming:
+    def test_every_result_carries_its_own_timing(self, monkeypatch):
+        original = cli.CHECKS["line-bundle"].run
+
+        def slow(*args, **kwargs):
+            time.sleep(0.035)
+            return original(*args, **kwargs)
+
+        monkeypatch.setitem(cli.CHECKS, "line-bundle", cli.CHECKS["line-bundle"]._replace(run=slow))
+        # (2, 2, 9, 10) fails divisibility, so its line-bundle is skipped
+        for params, slow_check in ((RSAB_9, "line-bundle"), ({**RSAB_9, "b": 10}, None)):
+            checks = ["nu", "line-bundle", "exclusions"]
+            spec = normalize_instance({"params": params, "checks": checks}, 0)[0]
+            report = run_instance(spec)
+            timings = {name: result["timing_ms"] for name, result in report["results"].items()}
+            assert set(timings) == set(checks)
+            assert all(type(t) is int and t >= 0 for t in timings.values())
+            assert sum(timings.values()) <= report["timing_ms"]
+            if slow_check:
+                assert timings[slow_check] >= 30
+            else:
+                assert report["results"]["line-bundle"]["status"] == "skipped"
+                assert timings["line-bundle"] == 0
+
+
+class TestStartUp:
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # both are costly to import and nothing in the program needs them:
+        # inspect alone pulls in ast, dis and tokenize
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import strangedual.cli\n"
+            "print(strangedual.cli.__file__)\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        path, loaded = proc.stdout.splitlines()
+        assert Path(path).resolve() == Path(cli.__file__).resolve()
+        assert loaded == "[]"

@@ -1,6 +1,5 @@
 """Twist exponents, theta line bundles, hypothesis lists and the tower."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -200,7 +199,7 @@ class TestLineBundle:
 
     def test_wrong_bundle_is_reported_not_raised(self):
         inst = tower_instance(2, 2, 9, 9)
-        wrong = replace(inst, nu=-3, line_bundle=duality_line_bundle_class(2, 2, -3))
+        wrong = inst._replace(nu=-3, line_bundle=duality_line_bundle_class(2, 2, -3))
         check = duality_line_bundle(wrong)
         assert check.line_bundle == E.cls(4, 9)
         assert (check.chi, check.h0) == (22, 22)

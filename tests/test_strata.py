@@ -1196,6 +1196,18 @@ class TestHodgeIndex:
             with pytest.raises(ValueError, match="negative square"):
                 Wall(d, Fraction(3), ())
 
+    def test_every_construction_path_checks_the_wall(self):
+        wall = Wall(E.cls(1, -2), Fraction(4), ())
+        with pytest.raises(ValueError, match="does not lie on the wall"):
+            wall._replace(m_value=Fraction(5))
+        with pytest.raises(ValueError, match="does not lie on the wall"):
+            Wall._make((E.cls(1, -2), Fraction(5), ()))
+        with pytest.raises(ValueError, match="nonzero"):
+            wall._replace(d=E.zero)
+        witnesses = ((1, E.cls(0, -1)),)
+        assert wall._replace(witnesses=witnesses) == Wall(wall.d, wall.m_value, witnesses)
+        assert type(Wall._make(wall)) is Wall and Wall._make(wall) == wall
+
     @pytest.mark.parametrize("model", [E, elliptic_general(1), elliptic_general(3)],
                              ids=lambda m: f"{m.kind}-{m.chi_o}")
     def test_orthogonal_classes_all_negative(self, model):

@@ -675,6 +675,15 @@ class TestModelsAreBuiltOnce:
         assert MukaiVector(1, d, 0) + evec(1, 0, 0, 0) == evec(2, 1, 2, 0)
         assert twist(evec(1, 0, 0, 0), d) == twist(evec(1, 0, 0, 0), E.cls(1, 2))
 
+    def test_models_are_immutable_and_compare_by_their_parameters(self):
+        with pytest.raises(AttributeError):
+            E.chi_o = 3
+        with pytest.raises(AttributeError):
+            del E.gram
+        assert E.chi_o == 2 and E.gram == ((-2, 1), (1, 0))
+        assert hash(surfaces.SurfaceModel(surfaces.ELLIPTIC_K3)) == hash(E)
+        assert elliptic_general(2) != E and generic_k3(8) != generic_k3(10)
+
     def test_general_model_at_chi_two_is_not_the_k3(self):
         gen2 = elliptic_general(2)
         with pytest.raises(ModelMismatchError):
