@@ -57,14 +57,7 @@ from .duality import (
 )
 from .fourier_mukai import derive_fm_matrix, verify_fm_suite
 from .hilbert import exclusion_flags, exclusion_report
-from .strata import (
-    codim_audit,
-    is_suitable,
-    strata_box_oracle,
-    strata_enumerate,
-    stratum_key,
-    wall_enumerate,
-)
+from .strata import codim_audit, is_suitable, wall_enumerate
 from .surfaces import (
     ELLIPTIC_GENERAL,
     ELLIPTIC_K3,
@@ -77,7 +70,7 @@ from .surfaces import (
     euler_form,
     generic_k3,
     moduli_dim,
-    mukai_pair,
+    mukai_pair,  # unused here; perfbench/tests/test_perfbench.py reads cli.mukai_pair
     sign_law_sweep,
 )
 
@@ -415,17 +408,7 @@ def _check_sign_law(ctx: _Ctx, coord_bound, degrees):
 def _check_fm_verify(ctx: _Ctx, r_max, a_max):
     matrix = derive_fm_matrix(ctx.model)
     report = verify_fm_suite(matrix, r_max, a_max)
-    data = {
-        "columns": [list(c) for c in matrix.columns],
-        "determinant": matrix.determinant(),
-        "isometry_ok": report.isometry_ok,
-        "dual_images_ok": report.dual_images_ok,
-        "direct_images_ok": report.direct_images_ok,
-        "twist_rule_ok": report.twist_rule_ok,
-        "bridge_ok": report.bridge_ok,
-        "c1_grr_ok": report.c1_grr_ok,
-        "degeneration_ok": report.degeneration_ok,
-    }
+    data = {"columns": matrix.columns, "determinant": matrix.determinant(), **report._asdict()}
     return ("pass" if report.all_ok else "fail"), data
 
 
@@ -531,29 +514,10 @@ def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
 def _audit_one_vector(v: MukaiVector, coeff_bound: int):
     walls_data = []
     all_ok = True
-    q_v = mukai_pair(v, v)
     for wall in wall_enumerate(v, coeff_bound):
-        strata = [st for k in range(2, v.r + 1) for st in strata_enumerate(v, wall, k)]
-        audit = codim_audit(v, wall, strata)
-        two_part = {stratum_key(st) for st in strata if len(st.parts) == 2}
-        oracle_ok = two_part == set(map(stratum_key, strata_box_oracle(v, wall)))
-        entry = {
-            "wall_d": wall.d,
-            "m_value": wall.m_value,
-            "strata": audit.strata_count,
-            "unordered": audit.unordered_strata_count,
-            "min_codim": audit.min_codim,
-            "chain_ok": audit.chain_ok,
-            "codim_bound_ok": audit.bound_satisfied,
-            "oracle_match": oracle_ok,
-        }
-        if q_v > 0:
-            entry["bound"] = audit.bound
-            entry["bound_satisfied"] = audit.bound_satisfied
-            entry["corollary_applicable"] = audit.corollary_applicable
-            entry["remark_applicable"] = audit.remark_applicable
-        walls_data.append(entry)
-        all_ok = all_ok and audit.chain_ok and audit.bound_satisfied and oracle_ok
+        audit = codim_audit(v, wall)
+        walls_data.append({"wall_d": wall.d, "m_value": wall.m_value, **audit._asdict()})
+        all_ok = all_ok and audit.chain_ok and audit.codim_bound_ok and audit.oracle_match
     return all_ok, walls_data
 
 

@@ -620,50 +620,45 @@ def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
 
 
 class CodimAudit(NamedTuple):
-    strata_count: int
-    unordered_strata_count: int
+    strata: int
+    unordered: int
     min_codim: int | None
-    bound: Fraction
-    bound_satisfied: bool
     chain_ok: bool
+    codim_bound_ok: bool
+    oracle_match: bool
+    bound: Fraction
     corollary_applicable: bool
     remark_applicable: bool
 
 
-def codim_audit(
-    v: MukaiVector, wall: Wall, strata: list[Stratum] | None = None
-) -> CodimAudit:
-    """Compare the worst stratum codimension on a wall against the bound.
+def codim_audit(v: MukaiVector, wall: Wall) -> CodimAudit:
+    """Audit every HN stratum on a wall: its codimension, chain and oracle.
 
-    The codimension bound is <v^2>/(2r) + r - r^2 + 1; the polarization
-    independence criterion asks for it to be >= 2, relaxed to
-    <v, v> >= 2(r-1)(r^2+1) when c1 is primitive.  ``strata`` is every
-    stratum on the wall, with 2..r parts, as ``strata_enumerate`` lists
-    them; without it the strata are enumerated here.  ``chain_ok`` is
-    ``chain_audit`` passing on each stratum, run once here.  For
-    <v, v> <= 0 and r >= 2 the bound is below 2 and the relaxed threshold
-    is positive, so neither applicability flag holds.
+    The strata are those with 2..r parts, as ``strata_enumerate`` lists
+    them.  The codimension bound is <v^2>/(2r) + r - r^2 + 1; the
+    polarization independence criterion asks for it to be >= 2, relaxed to
+    <v, v> >= 2(r-1)(r^2+1) when c1 is primitive.  ``chain_ok`` is
+    ``chain_audit`` passing on each stratum, and ``oracle_match`` is the
+    two-part strata agreeing with ``strata_box_oracle`` on ``stratum_key``.
+    For <v, v> <= 0 and r >= 2 the bound is below 2 and the relaxed
+    threshold is positive, so neither applicability flag holds.
     """
-    q_v = mukai_pair(v, v)
-    if strata is None:
-        strata = []
-        for k in range(2, v.r + 1):
-            strata.extend(strata_enumerate(v, wall, k))
-    min_codim = min(((q_v + 1) - st.total_dim for st in strata), default=None)
-    bound = Fraction(q_v, 2 * v.r) + v.r - v.r * v.r + 1
     r = v.r
-    c1_content = 0
-    for c in v.c1.coeffs:
-        c1_content = gcd(c1_content, abs(c))
+    q_v = mukai_pair(v, v)
+    strata = [st for k in range(2, r + 1) for st in strata_enumerate(v, wall, k)]
+    two_part = {stratum_key(st) for st in strata if len(st.parts) == 2}
+    min_codim = min(((q_v + 1) - st.total_dim for st in strata), default=None)
+    bound = Fraction(q_v, 2 * r) + r - r * r + 1
     return CodimAudit(
-        strata_count=len(strata),
-        unordered_strata_count=unordered_count(strata),
+        strata=len(strata),
+        unordered=unordered_count(strata),
         min_codim=min_codim,
-        bound=bound,
-        bound_satisfied=min_codim is None or min_codim >= bound,
         chain_ok=all(chain_audit(v, st).ok for st in strata),
+        codim_bound_ok=min_codim is None or min_codim >= bound,
+        oracle_match=two_part == set(map(stratum_key, strata_box_oracle(v, wall))),
+        bound=bound,
         corollary_applicable=bound >= 2,
-        remark_applicable=c1_content == 1 and q_v >= 2 * (r - 1) * (r * r + 1),
+        remark_applicable=gcd(*v.c1.coeffs) == 1 and q_v >= 2 * (r - 1) * (r * r + 1),
     )
 
 

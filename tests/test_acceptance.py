@@ -195,7 +195,7 @@ def test_criterion_6_hn_strata():
     ok = ok and {st.parts[0].s for st in strata} == {-1, -2, -3}
     ok = ok and all(st.total_dim == 5 for st in strata)
     audit = codim_audit(v, wall)
-    ok = ok and audit.min_codim == 2 and audit.bound == Fraction(1, 2) and audit.bound_satisfied
+    ok = ok and audit.min_codim == 2 and audit.bound == Fraction(1, 2) and audit.codim_bound_ok
     ok = ok and set(strata) == set(strata_box_oracle(v, wall))
 
     audited = 0

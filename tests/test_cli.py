@@ -9,7 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -38,6 +38,7 @@ from strangedual.duality import (
     compute_nu,
     k3_divisible_points,
 )
+from strangedual.fourier_mukai import derive_fm_matrix
 from strangedual.strata import (
     chain_audit,
     codim_audit,
@@ -569,7 +570,6 @@ class TestStrataAuditWork:
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(cli, "strata_enumerate", counting)
         monkeypatch.setattr(strata, "strata_enumerate", counting)
         spec = normalize_instance(
             {"params": {"v": "4:1,1:-4"}, "checks": ["strata-audit"]}, 0
@@ -583,21 +583,25 @@ class TestStrataAuditWork:
 
 def _reference_audit_one_vector(v, coeff_bound):
     """The wall entries as they were built before each came from one
-    ``codim_audit``: the CLI's own count, minimum, bound loop, chain loop
-    and oracle comparison over the strata of every part count, and the
-    audit of every stratum for the bound fields."""
+    ``codim_audit``: the CLI's own count, minimum, bound, chain loop,
+    per-stratum bound loop, oracle comparison on whole strata and
+    applicability thresholds over the strata of every part count."""
     walls_data = []
     all_ok = True
-    q_v = mukai_pair(v, v)
+    r, q_v = v.r, mukai_pair(v, v)
+    bound = Fraction(q_v, 2 * r) + r - r * r + 1
+    c1_content = 0
+    for c in v.c1.coeffs:
+        c1_content = gcd(c1_content, abs(c))
     for wall in wall_enumerate(v, coeff_bound):
         strata = []
-        for k in range(2, v.r + 1):
+        for k in range(2, r + 1):
             strata.extend(strata_enumerate(v, wall, k))
         chain_ok = all(chain_audit(v, st).ok for st in strata)
         codim_ok = all(_reference_stratum_codim_ok(v, st) for st in strata)
         two_part = [st for st in strata if len(st.parts) == 2]
         oracle_ok = set(two_part) == set(strata_box_oracle(v, wall))
-        entry = {
+        walls_data.append({
             "wall_d": wall.d,
             "m_value": wall.m_value,
             "strata": len(strata),
@@ -606,15 +610,10 @@ def _reference_audit_one_vector(v, coeff_bound):
             "chain_ok": chain_ok,
             "codim_bound_ok": codim_ok,
             "oracle_match": oracle_ok,
-        }
-        if q_v > 0:
-            audit = codim_audit(v, wall, strata)
-            entry["bound"] = audit.bound
-            entry["bound_satisfied"] = audit.bound_satisfied
-            entry["corollary_applicable"] = audit.corollary_applicable
-            entry["remark_applicable"] = audit.remark_applicable
-            all_ok = all_ok and audit.bound_satisfied
-        walls_data.append(entry)
+            "bound": bound,
+            "corollary_applicable": bound >= 2,
+            "remark_applicable": c1_content == 1 and q_v >= 2 * (r - 1) * (r * r + 1),
+        })
         all_ok = all_ok and chain_ok and codim_ok and oracle_ok
     return all_ok, walls_data
 
@@ -658,7 +657,7 @@ class TestStrataWallEntries:
             calls.append(wall)
             return strata_box_oracle(v, wall)[1:]
 
-        monkeypatch.setattr(cli, "strata_box_oracle", missing_one)
+        monkeypatch.setattr(strata, "strata_box_oracle", missing_one)
         v = parse_vector("4:1,-1:0", E)  # one of its three walls has two-part strata
         result = _strata_audit("4:1,-1:0")
         assert result["status"] == "fail"
@@ -693,13 +692,21 @@ class TestStrataWallEntries:
         assert audited > 0
 
     def test_every_chain_audit_runs_inside_codim_audit(self, monkeypatch):
+        # so do the enumeration of the strata and the oracle
         depth = [0]
-        inside, outside = [], []
-        original_chain, original_codim = strata.chain_audit, strata.codim_audit
+        names = ("chain_audit", "strata_enumerate", "strata_box_oracle")
+        inside, outside = {name: 0 for name in names}, {name: 0 for name in names}
 
-        def chain(v, stratum):
-            (inside if depth[0] else outside).append(stratum)
-            return original_chain(v, stratum)
+        def counted(name):
+            original = getattr(strata, name)
+
+            def run(*args):
+                (inside if depth[0] else outside)[name] += 1
+                return original(*args)
+
+            return run
+
+        original_codim = strata.codim_audit
 
         def codim(*args):
             depth[0] += 1
@@ -708,12 +715,13 @@ class TestStrataWallEntries:
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(strata, "chain_audit", chain)
+        for name in names:
+            monkeypatch.setattr(strata, name, counted(name))
         monkeypatch.setattr(strata, "codim_audit", codim)
         monkeypatch.setattr(cli, "codim_audit", codim)
         for text in WALL_ENTRY_VECTORS:
             assert _strata_audit(text)["status"] == "pass"
-        assert inside and not outside
+        assert all(inside.values()) and not any(outside.values())
 
     def test_reading_chain_ok_calls_nothing(self, monkeypatch):
         v = parse_vector("4:1,1:-4", E)
@@ -724,7 +732,7 @@ class TestStrataWallEntries:
 
         monkeypatch.setattr(strata, "chain_audit", forbidden)
         assert all(audit.chain_ok for audit in audits)
-        assert sum(audit.strata_count for audit in audits) > 0
+        assert sum(audit.strata for audit in audits) > 0
 
     def test_readme_lists_the_keys_of_an_entry(self):
         lines = README.read_text(encoding="utf-8").splitlines()
@@ -733,12 +741,11 @@ class TestStrataWallEntries:
         for line in lines[start:]:
             if not line.startswith("|"):
                 break
-            key, covers = (cell.strip() for cell in line.strip().strip("|").split("|", 1))
-            rows.append((key.strip("`"), covers.startswith("only when <v, v> > 0")))
-        for text, has_bound in (("4:1,1:-4", True), ("3:1,1:0", False), ("2:1,0:0", False)):
+            key = line.strip().strip("|").split("|", 1)[0].strip()
+            rows.append(key.strip("`"))
+        for text in ("4:1,1:-4", "3:1,1:0", "2:1,0:0"):  # <v, v> > 0, = 0 and < 0
             _, walls = cli._audit_one_vector(parse_vector(text, E), 3)
-            expected = [key for key, bound_only in rows if has_bound or not bound_only]
-            assert [list(entry) for entry in walls] == [expected] * len(walls), text
+            assert [list(entry) for entry in walls] == [rows] * len(walls), text
 
 
 class TestBatch:
@@ -963,6 +970,20 @@ class TestMainExitCodes:
         out = tmp_path / "fm.json"
         assert main(["fm-verify", "--rmax", "4", "--amax", "8",
                      "--out", str(out), "--quiet"]) == 0
+
+    def test_fm_verify_reports_where_a_perturbed_matrix_fails(self, tmp_path, monkeypatch):
+        def perturbed(model):
+            matrix = derive_fm_matrix(model)
+            rows = [list(row) for row in matrix.rows]
+            rows[3][0] += 1
+            return matrix._replace(rows=tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(cli, "derive_fm_matrix", perturbed)
+        out = tmp_path / "fm.json"
+        assert main(["fm-verify", "--rmax", "2", "--amax", "2", "--out", str(out), "--quiet"]) == 1
+        result = json.loads(out.read_text())["instances"][0]["results"]["fm-verify"]
+        assert result["status"] == "fail"
+        assert result["failures"]
 
     def test_determinism_modulo_timing(self, tmp_path):
         spec = tmp_path / "d.yaml"

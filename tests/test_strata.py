@@ -923,7 +923,7 @@ class TestIntegerStratumKeys:
         def dropping(v, wall):
             return strata_box_oracle(v, wall)[1:]
 
-        monkeypatch.setattr(cli, "strata_box_oracle", dropping)
+        monkeypatch.setattr(strata, "strata_box_oracle", dropping)
         ok, entries = cli._audit_one_vector(v, 3)
         with_strata = [e for e in entries if e["strata"] > 0]
         assert with_strata and not ok
@@ -935,10 +935,10 @@ class TestAudits:
     def test_worked_codim_audit(self):
         v = vec(2, 1, 0, -2)
         audit = codim_audit(v, _wall_at_4(v))
-        assert audit.strata_count == 3
+        assert audit.strata == 3
         assert audit.min_codim == 2
         assert audit.bound == Fraction(1, 2)
-        assert audit.bound_satisfied
+        assert audit.codim_bound_ok
         assert audit.chain_ok
         assert not audit.corollary_applicable
 
@@ -961,12 +961,6 @@ class TestAudits:
         assert audit.remark_applicable
         assert audit.min_codim is None or audit.min_codim >= 2
 
-    def test_precomputed_strata(self):
-        v = vec(3, 1, 1, -4)
-        for wall in wall_enumerate(v, 3):
-            strata = [st for k in (2, 3) for st in strata_enumerate(v, wall, k)]
-            assert codim_audit(v, wall, strata) == codim_audit(v, wall)
-
     def test_bound_at_nonpositive_square(self):
         # <v,v> = -2, -4 and 0: no guard, the bound verdict is the per-stratum one
         audited = 0
@@ -975,8 +969,8 @@ class TestAudits:
             for wall in wall_enumerate(v, 3):
                 strata = [st for k in range(2, v.r + 1) for st in strata_enumerate(v, wall, k)]
                 audit = codim_audit(v, wall)
-                assert audit.strata_count == len(strata)
-                assert audit.bound_satisfied == all(_reference_stratum_codim_ok(v, st) for st in strata)
+                assert audit.strata == len(strata)
+                assert audit.codim_bound_ok == all(_reference_stratum_codim_ok(v, st) for st in strata)
                 assert not audit.corollary_applicable and not audit.remark_applicable
                 audited += len(strata)
         assert audited > 0
