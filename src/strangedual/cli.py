@@ -56,12 +56,13 @@ from .duality import (
     tower_instance,
 )
 from .fourier_mukai import derive_fm_matrix, verify_fm_suite
-from .hilbert import exclusion_flags, exclusion_report
+from .hilbert import exclusion_flags, exclusion_report, require_exclusion_model
 from .strata import codim_audit, is_suitable, wall_enumerate
 from .surfaces import (
     ELLIPTIC_GENERAL,
     ELLIPTIC_K3,
     GENERIC_K3,
+    ModelMismatchError,
     MukaiVector,
     NSClass,
     SurfaceModel,
@@ -365,9 +366,9 @@ def _check_dimension_match(ctx: _Ctx, r, s, a, b):
 
 
 def _check_exclusions(ctx: _Ctx, r, s, a, b):
-    inst = ctx.instance(r, s, a, b)
-    rep = exclusion_report(inst.r, inst.s, inst.a, inst.b)
-    documented_exception = (inst.r, inst.s, inst.a, inst.b) == DOCUMENTED_H00_EXCEPTION
+    require_exclusion_model(ctx.model)
+    rep = exclusion_report(ctx.instance(r, s, a, b))
+    documented_exception = (r, s, a, b) == DOCUMENTED_H00_EXCEPTION
     ok = (
         rep.q3_excluded
         and rep.s_proper
@@ -451,11 +452,12 @@ def _check_hypotheses(ctx: _Ctx, theorem: str, v, w, r, s, a, b):
             raise MissingParamsError("need vectors v/w or (r, s, a, b)")
         inst = ctx.instance(r, s, a, b)
         v, w = inst.v, inst.w
-    rep = hypotheses_report(v, w, ctx.model, theorem)
+    rep = hypotheses_report(v, w, theorem)
     return ("pass" if rep.verdict else "fail"), rep
 
 
 def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
+    require_exclusion_model(ctx.model)
     points = 0
     h0_violations = []
     h00_exceptions = []
@@ -595,8 +597,6 @@ class Check(NamedTuple):
     requires: tuple[str, ...] = ()  # checks that must pass first
     params: tuple[str, ...] = ()
     bounds: Mapping[str, Bound] = MappingProxyType({})
-    models: tuple[str, ...] = ()  # the model kinds it runs on; empty: every kind
-    model_reason: str = ""
     examined: str | None = None
 
 
@@ -607,8 +607,7 @@ CHECKS = {
     "line-bundle": Check(_check_line_bundle, ("nu",), RSAB),
     "chi-vanishing": Check(_check_chi_vanishing, ("nu",), RSAB),
     "dimension-match": Check(_check_dimension_match, ("nu",), RSAB),
-    "exclusions": Check(_check_exclusions, ("nu",), RSAB, models=(ELLIPTIC_K3,),
-                        model_reason="the classes Q, R and S are defined on the elliptic K3"),
+    "exclusions": Check(_check_exclusions, ("nu",), RSAB),
     "tower": Check(_check_tower, params=("a",), examined="a_checked", bounds={
         "r_max": Bound(int, 10, lo=1),
         "a_max": Bound(int, lo=0),
@@ -617,8 +616,7 @@ CHECKS = {
         "coord_bound": Bound(int, 3, lo=0),
         "degrees": Bound(list, (2, 4, 6, 8)),
     }),
-    "fm-verify": Check(_check_fm_verify, models=(ELLIPTIC_K3, ELLIPTIC_GENERAL),
-                       model_reason="the transform lives on the elliptic models", bounds={
+    "fm-verify": Check(_check_fm_verify, bounds={
         "r_max": Bound(int, 6, lo=1),
         "a_max": Bound(int, 20, lo=0),
     }),
@@ -640,8 +638,7 @@ CHECKS = {
         "s_hi": Bound(int, 4),
         "ab_max": Bound(int, 60),
     }),
-    "strata-audit": Check(_check_strata_audit, params=("v",), models=(ELLIPTIC_K3,),
-                          model_reason="strata are enumerated on the elliptic K3", bounds={
+    "strata-audit": Check(_check_strata_audit, params=("v",), bounds={
         "coeff_bound": Bound(int, 3, lo=1),
         "s4_lo": Bound(int, -4),
         "s4_hi": Bound(int, 0),
@@ -656,10 +653,8 @@ CHECKS = {
 }
 
 
-def _unmet(check: Check, model: SurfaceModel, args: dict):
-    """The error:model or error:empty result the table gives before a run, if any."""
-    if check.models and model.kind not in check.models:
-        return "error:model", {"reason": check.model_reason}
+def _unmet(check: Check, args: dict):
+    """The error:empty result a lower bound gives before a run, if any."""
     for key, bound in check.bounds.items():
         if bound.lo is not None and args[key] is not None and args[key] < bound.lo:
             data = {"reason": f"nothing to examine: need {key} >= {bound.lo}", key: args[key]}
@@ -689,13 +684,15 @@ def run_instance(spec: dict) -> dict:
             continue
         check_started = time.perf_counter()
         try:
-            status, data = _unmet(check, model, args[name]) or check.run(ctx, **args[name])
+            status, data = _unmet(check, args[name]) or check.run(ctx, **args[name])
         except DivisibilityError as exc:
             status, data = "error:divisibility", {"reason": str(exc)}
         except NuBoundError as exc:
             status, data = "error:nu-bound", {"reason": str(exc)}
         except MissingParamsError as exc:
             status, data = "error:missing-params", {"reason": str(exc)}
+        except ModelMismatchError as exc:  # the library judges where each check runs
+            status, data = "error:model", {"reason": str(exc)}
         except ValueError as exc:
             status, data = "error:invalid", {"reason": str(exc)}
         except Exception as exc:  # one broken check must not sink the batch

@@ -247,14 +247,14 @@ def _report(conditions: dict[str, bool]) -> HypothesisReport:
     return HypothesisReport(conditions, all(conditions.values()))
 
 
-def hypotheses_report(
-    v: MukaiVector, w: MukaiVector, model: SurfaceModel, theorem_id: str
-) -> HypothesisReport:
-    """Per-condition verdicts for the hypotheses of a duality statement."""
+def hypotheses_report(v: MukaiVector, w: MukaiVector, theorem_id: str) -> HypothesisReport:
+    """Per-condition verdicts for the hypotheses of a duality statement on
+    the surface model that v and w live on."""
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    if v.model != model or w.model != model:
-        raise ModelMismatchError("vectors live on a different model than stated")
+    model = v.model
+    if w.model != model:
+        raise ModelMismatchError("v and w live on different surface models")
     r, s = v.r, w.r
     orth = euler_form(v, w) == 0
 

@@ -18,6 +18,7 @@ change chi = rank + s, and the suite checks that identification exactly.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from .linalg import row_reduce
@@ -89,10 +90,6 @@ class FMMatrix(NamedTuple):
         _, _, det = row_reduce(self.rows)
         assert det.denominator == 1
         return int(det)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(self.rows[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4))
 
 
 def _fit_matrix(model: SurfaceModel, pairs: list[tuple[Quad, Quad]]) -> FMMatrix | None:
@@ -183,11 +180,13 @@ def derive_fm_matrix(model: SurfaceModel | None = None) -> FMMatrix:
     return matrix
 
 
+# the coordinate basis, which is also the rows of the identity matrix
 _BASIS: tuple[Quad, ...] = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+_PAIRS = tuple(product(range(4), repeat=2))  # the 16 index pairs (i, j)
 
 
-def _isometry_ok(matrix: FMMatrix) -> bool:
-    """Pairing preservation on all 16 basis pairs.
+def _isometry_failures(matrix: FMMatrix) -> list[tuple[int, int]]:
+    """The basis pairs (i, j), of all 16, whose pairing the matrix does not preserve.
 
     On the K3 model both the Mukai pairing and the Hom-Euler pairing are
     checked; the general model has only the latter.
@@ -195,13 +194,12 @@ def _isometry_ok(matrix: FMMatrix) -> bool:
     model = matrix.model
     basis = [coords_vector(model, e) for e in _BASIS]
     images = [fm_apply(matrix, e) for e in basis]
-    for i in range(4):
-        for j in range(4):
-            if euler_pair_hom(images[i], images[j]) != euler_pair_hom(basis[i], basis[j]):
-                return False
-            if model.is_k3 and mukai_pair(images[i], images[j]) != mukai_pair(basis[i], basis[j]):
-                return False
-    return True
+    return [
+        (i, j)
+        for i, j in _PAIRS
+        if euler_pair_hom(images[i], images[j]) != euler_pair_hom(basis[i], basis[j])
+        or (model.is_k3 and mukai_pair(images[i], images[j]) != mukai_pair(basis[i], basis[j]))
+    ]
 
 
 def fm_apply(matrix: FMMatrix, v: MukaiVector) -> MukaiVector:
@@ -252,22 +250,11 @@ class FMSuiteReport(NamedTuple):
     c1_grr_ok: bool | None
     isometry_ok: bool
     degeneration_ok: bool | None
-    failures: dict
+    failures: dict  # where each failing fact fails; empty exactly when every fact holds
 
     @property
     def all_ok(self) -> bool:
-        checks = [
-            self.dual_images_ok,
-            self.direct_images_ok,
-            self.twist_rule_ok,
-            self.bridge_ok,
-            self.isometry_ok,
-        ]
-        if self.c1_grr_ok is not None:
-            checks.append(self.c1_grr_ok)
-        if self.degeneration_ok is not None:
-            checks.append(self.degeneration_ok)
-        return all(checks)
+        return not self.failures
 
 
 def _direct_image_expected(r: int, a: int, model: SurfaceModel) -> MukaiVector:
@@ -282,10 +269,12 @@ def _direct_image_expected(r: int, a: int, model: SurfaceModel) -> MukaiVector:
 
 
 def verify_fm_suite(matrix: FMMatrix, r_max: int, a_max: int) -> FMSuiteReport:
-    """Assert every displayed transform identity on the (r, a) grid."""
-    model = matrix.model
-    failures: dict = {}
+    """Assert every displayed transform identity on the (r, a) grid.
 
+    Each fact that fails lists in ``failures`` where it fails: grid points,
+    twists, missed identity entries, basis pairs or basis vectors.
+    """
+    model = matrix.model
     dual_fail = []
     direct_fail = []
     for r in range(1, r_max + 1):
@@ -313,43 +302,38 @@ def verify_fm_suite(matrix: FMMatrix, r_max: int, a_max: int) -> FMSuiteReport:
                     twist_fail.append((r, a, n))
 
     bridge = derive_bridge_matrix(matrix)
-    bridge_ok = bridge.matmul(matrix).is_identity and matrix.matmul(bridge).is_identity
+    products = (bridge.matmul(matrix), matrix.matmul(bridge))
+    # the identity entries (i, j) that either product misses
+    bridge_fail = [(i, j) for i, j in _PAIRS if any(p.rows[i][j] != _BASIS[i][j] for p in products)]
 
-    c1_ok: bool | None = None
+    c1_fail = None  # None where a fact does not apply to the model
     if model.kind == ELLIPTIC_K3:
         # both sides are linear in v, so they agree everywhere iff on a basis
-        c1_ok = True
-        for quad in _BASIS:
-            v = coords_vector(model, quad)
-            if fm_c1_grr(v) != fm_apply(matrix, v).c1:
-                c1_ok = False
-                failures.setdefault("c1_grr", []).append(quad)
-
-    degeneration_ok: bool | None = None
+        basis = [coords_vector(model, quad) for quad in _BASIS]
+        c1_fail = [vector_coords(v) for v in basis if fm_c1_grr(v) != fm_apply(matrix, v).c1]
+    degeneration_fail = None
     if model.kind == ELLIPTIC_GENERAL and model.chi_o == 2:
-        degeneration_ok = _degeneration_consistent(matrix)
+        degeneration_fail = _degeneration_failures(matrix)
 
-    if dual_fail:
-        failures["dual_images"] = dual_fail
-    if direct_fail:
-        failures["direct_images"] = direct_fail
-    if twist_fail:
-        failures["twist_rule"] = twist_fail
-
+    found = {
+        "dual_images": dual_fail,
+        "direct_images": direct_fail,
+        "twist_rule": twist_fail,
+        "bridge": bridge_fail,
+        "c1_grr": c1_fail,
+        "isometry": _isometry_failures(matrix),
+        "degeneration": degeneration_fail,
+    }
+    # each fact's flag and its failures entry come from the same list
     return FMSuiteReport(
-        dual_images_ok=not dual_fail,
-        direct_images_ok=not direct_fail,
-        twist_rule_ok=not twist_fail,
-        bridge_ok=bridge_ok,
-        c1_grr_ok=c1_ok,
-        isometry_ok=_isometry_ok(matrix),
-        degeneration_ok=degeneration_ok,
-        failures=failures,
+        **{f"{key}_ok": None if where is None else not where for key, where in found.items()},
+        failures={key: where for key, where in found.items() if where},
     )
 
 
-def _degeneration_consistent(matrix: FMMatrix) -> bool:
-    """chi(O) = 2 must reproduce the elliptic-K3 matrix exactly.
+def _degeneration_failures(matrix: FMMatrix) -> list[Quad]:
+    """The basis vectors on which chi(O) = 2 does not reproduce the
+    elliptic-K3 matrix; it must reproduce it exactly.
 
     The general model stores chi where the K3 stores s = chi - rank; under
     that base change the two linear actions must agree, which is to say on
@@ -364,7 +348,7 @@ def _degeneration_consistent(matrix: FMMatrix) -> bool:
     def to_s(q: Quad) -> Quad:
         return (q[0], q[1], q[2], q[3] - q[0])
 
-    return all(to_s(matrix.apply(to_chi(e))) == k3_matrix.apply(e) for e in _BASIS)
+    return [e for e in _BASIS if to_s(matrix.apply(to_chi(e))) != k3_matrix.apply(e)]
 
 
 __all__ = [

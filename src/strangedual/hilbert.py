@@ -14,9 +14,12 @@ counting sections of L shifted by fiber and section classes.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .surfaces import NSClass, h0_coeffs, h0_surface
+from .surfaces import ModelMismatchError, NSClass, SurfaceModel, elliptic_k3, h0_coeffs, h0_surface
+
+if TYPE_CHECKING:  # duality imports this module
+    from .duality import DualityInstance
 
 
 def binom(n: int, k: int) -> int:
@@ -58,6 +61,13 @@ class ExclusionReport(NamedTuple):
     q_proper: bool
 
 
+def require_exclusion_model(model: SurfaceModel) -> None:
+    """Raise ModelMismatchError unless ``model`` is the elliptic K3, where the
+    exclusion argument's classes live."""
+    if model != elliptic_k3():
+        raise ModelMismatchError("the classes Q, R and S are defined on the elliptic K3")
+
+
 def exclusion_flags(m: int, n: int, a: int, b: int, chi: int) -> tuple[bool, bool, bool, bool]:
     """The exclusion verdicts on L = m.sigma + n.f, as plain integers.
 
@@ -74,21 +84,18 @@ def exclusion_flags(m: int, n: int, a: int, b: int, chi: int) -> tuple[bool, boo
     return q3_excluded, q1q2_excluded, s_proper, q_proper
 
 
-def exclusion_report(r: int, s: int, a: int, b: int) -> ExclusionReport:
-    """Run the section-count exclusions for valid duality parameters.
+def exclusion_report(inst: DualityInstance) -> ExclusionReport:
+    """Run the section-count exclusions on an elliptic-K3 instance.
 
-    Requires (r, s, a, b) to pass the divisibility/bound conditions; the
-    theta line bundle is L = O((r+s)sigma + (2(r+s) - 2 - nu)f) on the
-    elliptic K3.  Every count is ``h0_coeffs`` of L shifted by a multiple of
-    f or by -sigma, taken on L's coefficients (m, n) at the K3's chi(O) = 2;
-    the four verdicts are ``exclusion_flags`` on the same (m, n).
+    The instance is built from valid duality parameters (r, s, a, b) and
+    carries nu and the theta line bundle L = O((r+s)sigma + (2(r+s) - 2 -
+    nu)f).  Every count is ``h0_coeffs`` of L shifted by a multiple of f or
+    by -sigma, taken on L's coefficients (m, n) at the K3's chi(O) = 2; the
+    four verdicts are ``exclusion_flags`` on the same (m, n).
     """
-    from .duality import compute_nu, duality_line_bundle_class
-
-    model_nu = compute_nu(r, s, a, b)
-    line = duality_line_bundle_class(r, s, model_nu)
-    m, n = line.coeffs
-    chi = line.model.chi_o
+    require_exclusion_model(inst.surface)
+    a, b, line = inst.a, inst.b, inst.line_bundle
+    (m, n), chi = line.coeffs, inst.surface.chi_o
     q3_excluded, q1q2_excluded, s_proper, q_proper = exclusion_flags(m, n, a, b, chi)
 
     h0_mbf = h0_coeffs(m, n - b, chi)
@@ -97,7 +104,7 @@ def exclusion_report(r: int, s: int, a: int, b: int) -> ExclusionReport:
     h0_b1 = h0_coeffs(m, n + 1 - b, chi)
     h0_msig = h0_coeffs(m - 1, n, chi)
     return ExclusionReport(
-        nu=model_nu,
+        nu=inst.nu,
         line_bundle=line,
         h0_l_minus_bf=h0_mbf,
         h0_l_minus_af=h0_maf,

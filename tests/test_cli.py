@@ -458,6 +458,22 @@ class TestExclusionSweepGrid:
         result = run_instance(spec)["results"]["exclusion-sweep"]
         assert result["status"] == "error:invalid"
 
+    @pytest.mark.parametrize(
+        "surface", ["{kind: elliptic-general, chi_o: 3}", "{kind: generic-k3, degree: 8}"]
+    )
+    def test_off_the_elliptic_k3_is_a_model_error(self, tmp_path, capsys, surface):
+        # the sweep's numbers are the elliptic K3's: another surface must not pass
+        # on them (TestSurfaceMatrix), and a rank below 2 must not hide that
+        text = (
+            f"instances:\n  - surface: {surface}\n"
+            "    checks: [exclusion-sweep]\n    bounds: {r_lo: 1, r_hi: 2}\n"
+        )
+        code, _, doc = _run_batch_text(tmp_path, text, capsys)
+        result = doc["instances"][0]["results"]["exclusion-sweep"]
+        assert code == 1
+        assert result["status"] == "error:model"
+        assert result["reason"] == "the classes Q, R and S are defined on the elliptic K3"
+
     def test_nu_calls_per_valid_and_divisible_point(self, monkeypatch):
         calls = []
         original = duality.compute_nu
@@ -983,7 +999,14 @@ class TestMainExitCodes:
         assert main(["fm-verify", "--rmax", "2", "--amax", "2", "--out", str(out), "--quiet"]) == 1
         result = json.loads(out.read_text())["instances"][0]["results"]["fm-verify"]
         assert result["status"] == "fail"
-        assert result["failures"]
+        # every fact that fails says where: the bridge and isometry facts too
+        failing = {
+            key.removesuffix("_ok") for key, ok in result.items() if key.endswith("_ok") and ok is False
+        }
+        assert failing == {"dual_images", "direct_images", "bridge", "isometry"}
+        assert set(result["failures"]) == failing
+        assert result["failures"]["bridge"] == [[2, 0], [3, 1]]
+        assert result["failures"]["isometry"] == [[0, 1], [1, 0]]
 
     def test_determinism_modulo_timing(self, tmp_path):
         spec = tmp_path / "d.yaml"
@@ -1012,7 +1035,7 @@ def _run_batch_text(tmp_path, text, capsys):
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-README_TABLE_HEADER = "| check | params | runs on | bound | type | default | lower bound |"
+README_TABLE_HEADER = "| check | params | bound | type | default | lower bound |"
 TYPE_NAMES = {int: "int", list: "list of int"}
 
 
@@ -1025,13 +1048,11 @@ def _default_text(default) -> str:
 
 
 def _table_rows_from_checks():
-    kinds = {kind: name for name, kind in cli.SURFACE_KINDS.items()}
     rows = []
     for name, check in cli.CHECKS.items():
         params = ", ".join(f"`{p}`" for p in check.params) or "—"
-        runs_on = ", ".join(kinds[k] for k in check.models) or "any"
         for i, (key, bound) in enumerate(check.bounds.items() or [(None, None)]):
-            cells = [f"`{name}`", params, runs_on] if i == 0 else [f"`{name}`", "", ""]
+            cells = [f"`{name}`", params if i == 0 else ""]
             if bound is None:
                 cells += ["—"] * 4
             else:
@@ -1202,7 +1223,8 @@ class TestCheckTable:
             ("{kind: generic-k3, degree: 8}", "exclusions", "Q, R and S are defined"),
             ("{kind: elliptic-general, chi_o: 3}", "exclusions", "Q, R and S are defined"),
             ("{kind: generic-k3, degree: 8}", "fm-verify", "the elliptic models"),
-            ("{kind: generic-k3, degree: 8}", "strata-audit", "enumerated on the elliptic K3"),
+            # without a vector the audit builds (2, sigma, s4), and sigma says no first
+            ("{kind: generic-k3, degree: 8}", "strata-audit", "sigma lives on the elliptic models"),
             ("{kind: elliptic-general, chi_o: 3}", "strata-audit", "enumerated on the elliptic K3"),
         ],
     )
@@ -1240,6 +1262,73 @@ class TestCheckTable:
         assert code == 2 and doc is None
         assert err.startswith("error: ") and "read by none of its checks" in err
         assert len(err.strip().splitlines()) == 1
+
+
+# one surface of each kind, and the params the matrix below gives every
+# check that reads them; v is written for each surface's NS rank
+MATRIX_SURFACES = {
+    "elliptic-k3": {"kind": "elliptic-k3"},
+    "elliptic-general": {"kind": "elliptic-general", "chi_o": 3},
+    "generic-k3": {"kind": "generic-k3", "degree": 8},
+}
+MATRIX_PARAMS = {"r": 2, "s": 2, "a": 9, "b": 9, "chi": -1, "chi_prime": -1, "m": 9}
+MATRIX_V = {"elliptic-k3": "2:1,0:-2", "elliptic-general": "2:1,0:-2", "generic-k3": "2:1:-2"}
+
+PASS = ("pass", None)
+NOT_INTEGRAL = ("error:divisibility", "-nu = 2/8 is not an integer")  # (2, 2, 9, 9) at chi(O) = 3
+NU_MODEL = ("error:model", "nu is defined on the elliptic models")
+QRS_MODEL = ("error:model", "the classes Q, R and S are defined on the elliptic K3")
+WALLS_MODEL = ("error:model", "walls are enumerated on the elliptic K3 model")
+RSAB_CELLS = (PASS, NOT_INTEGRAL, NU_MODEL)
+# (status, reason) of each check alone on elliptic-k3, elliptic-general and
+# generic-k3; every error:model reason is the library's ModelMismatchError
+SURFACE_MATRIX = {
+    "nu": RSAB_CELLS,
+    "line-bundle": RSAB_CELLS,
+    "chi-vanishing": RSAB_CELLS,
+    "dimension-match": RSAB_CELLS,
+    "exclusions": (PASS, QRS_MODEL, QRS_MODEL),
+    "tower": (PASS, PASS, ("error:model", "the tower lives on the elliptic models")),
+    "sign-law": (PASS, PASS, PASS),
+    "fm-verify": (PASS, PASS, ("error:model", "the transform is defined on the elliptic models")),
+    "theta-relation": (PASS, PASS, PASS),
+    "deformation": (PASS, PASS, PASS),
+    "hypotheses-T1": (("error:model", "T1 concerns the generic K3 model"), NOT_INTEGRAL, NU_MODEL),
+    "hypotheses-T1A": (("error:model", "T1A concerns the generic K3 model"), NOT_INTEGRAL, NU_MODEL),
+    "hypotheses-T2": RSAB_CELLS,
+    "hypotheses-T5": RSAB_CELLS,
+    "hypotheses-Conj": RSAB_CELLS,
+    "exclusion-sweep": (PASS, QRS_MODEL, QRS_MODEL),
+    "strata-audit": (PASS, WALLS_MODEL, WALLS_MODEL),
+    "suitability": (PASS, WALLS_MODEL, WALLS_MODEL),
+    "general-consistency": (PASS, PASS, PASS),
+}
+
+
+class TestSurfaceMatrix:
+    """The library alone judges which surface kinds a check runs on."""
+
+    def test_the_matrix_covers_every_check(self):
+        assert list(SURFACE_MATRIX) == list(cli.CHECKS)
+
+    @pytest.mark.parametrize("kind", list(MATRIX_SURFACES))
+    @pytest.mark.parametrize("check", list(SURFACE_MATRIX))
+    def test_each_check_on_each_surface_kind(self, check, kind):
+        given = {**MATRIX_PARAMS, "v": MATRIX_V[kind]}
+        params = {key: given[key] for key in cli.CHECKS[check].params if key in given}
+        raw = {"surface": MATRIX_SURFACES[kind], "params": params, "checks": [check]}
+        result = run_instance(normalize_instance(raw, 0)[0])["results"][check]
+        status, reason = SURFACE_MATRIX[check][list(MATRIX_SURFACES).index(kind)]
+        assert (result["status"], result.get("reason")) == (status, reason)
+
+    def test_a_model_error_is_the_library_message(self, monkeypatch):
+        def refuse(*args):
+            raise surfaces.ModelMismatchError("no such surface here")
+
+        monkeypatch.setattr(cli, "sign_law_sweep", refuse)
+        result = run_instance(normalize_instance({"checks": ["sign-law"]}, 0)[0])["results"]
+        assert result["sign-law"]["status"] == "error:model"
+        assert result["sign-law"]["reason"] == "no such surface here"
 
 
 def _readme_cli_commands():

@@ -267,7 +267,7 @@ class TestHypotheses:
         # <v,v> = 10 - 2*2*(chi-2): chi = 0 gives <v,v> = 18... pick s-slots
         v = MukaiVector(2, h, -2)  # chi = 0, <v,v> = 10 + 8 = 18? no: 10 - 2*2*(-2) = 18
         w = MukaiVector(3, h, -3)  # chi = 0
-        rep = hypotheses_report(v, w, g, "T1")
+        rep = hypotheses_report(v, w, "T1")
         assert rep.conditions["i_c1_equals_H"]
         assert rep.conditions["ii_chi_nonpositive"]
         # threshold 2(r-1)(r^2+1) = 10 for r = 2, 2*2*10 = 40 for s = 3
@@ -285,12 +285,12 @@ class TestHypotheses:
             w = MukaiVector(2, h, chi_p - 2)
             if euler_form(v, w) != 0:
                 continue
-            rep = hypotheses_report(v, w, g, "T1A")
+            rep = hypotheses_report(v, w, "T1A")
             assert rep.conditions["degree_at_least_8"] == expected
 
     def test_t2_sum_bound(self):
         inst = tower_instance(2, 3, 13, 14)
-        rep = hypotheses_report(inst.v, inst.w, E, "T2")
+        rep = hypotheses_report(inst.v, inst.w, "T2")
         assert rep.verdict
         assert rep.conditions["ii_pairing_sum_bound"]
         assert rep.conditions["i_fiber_degree_one"]
@@ -299,7 +299,7 @@ class TestHypotheses:
         assert delta_bound(2, 2, 2) == 36
         gen2 = elliptic_general(2)
         inst = tower_instance(2, 2, 9, 9, gen2)
-        rep = hypotheses_report(inst.v, inst.w, gen2, "T5")
+        rep = hypotheses_report(inst.v, inst.w, "T5")
         # dim sum = 36 >= Delta = 36
         assert rep.conditions["ii_dimension_sum_bound"]
         assert rep.verdict
@@ -307,12 +307,20 @@ class TestHypotheses:
     def test_wrong_model_raises(self):
         inst = tower_instance(2, 2, 9, 9)
         with pytest.raises(ModelMismatchError):
-            hypotheses_report(inst.v, inst.w, E, "T1")
+            hypotheses_report(inst.v, inst.w, "T1")
+
+    def test_vectors_on_two_models_raise(self):
+        # the report runs on the model v lives on; w must live there too
+        inst = tower_instance(2, 2, 9, 9)
+        other = tower_instance(2, 2, 9, 9, elliptic_general(2))
+        for theorem in ("T2", "T5"):
+            with pytest.raises(ModelMismatchError):
+                hypotheses_report(inst.v, other.w, theorem)
 
     def test_unknown_theorem(self):
         inst = tower_instance(2, 2, 9, 9)
         with pytest.raises(ValueError):
-            hypotheses_report(inst.v, inst.w, E, "T9")
+            hypotheses_report(inst.v, inst.w, "T9")
 
 
 class TestDimensionMatch:
@@ -477,7 +485,7 @@ def test_t1_threshold_instance():
     assert mukai_pair(v, v) == 10
     w = MukaiVector(3, g.hyperplane, -6)  # chi = -3, <w,w> = 2 + 36 = 38
     if euler_form(v, w) == 0:
-        rep = hypotheses_report(v, w, g, "T1")
+        rep = hypotheses_report(v, w, "T1")
         assert rep.conditions["iii_pairing_bound"] == (38 >= 40)
     bound_v = 2 * (2 - 1) * (2 * 2 + 1)
     assert mukai_pair(v, v) >= bound_v

@@ -7,12 +7,14 @@ from strangedual.duality import (
     duality_line_bundle_class,
     k3_divisible_points,
     k3_tower_row,
+    minimal_valid_total,
     tower_instance,
 )
 from strangedual.hilbert import (
     binom,
     exclusion_flags,
     exclusion_report,
+    require_exclusion_model,
     taut_det_sections,
 )
 from strangedual.surfaces import (
@@ -76,7 +78,7 @@ class TestSectionCounts:
 
 class TestExclusionReport:
     def test_case_study(self):
-        rep = exclusion_report(2, 2, 9, 9)
+        rep = exclusion_report(tower_instance(2, 2, 9, 9))
         assert rep.nu == -2
         assert rep.line_bundle == E.cls(4, 8)
         assert rep.h0_l_minus_bf == 0 and rep.h0_l_minus_af == 0
@@ -90,20 +92,33 @@ class TestExclusionReport:
         assert rep.s_proper and rep.q_proper
 
     def test_asymmetric_point_is_excluded(self):
-        rep = exclusion_report(2, 2, 10, 8)
+        rep = exclusion_report(tower_instance(2, 2, 10, 8))
         assert rep.q3_excluded
         assert rep.q1q2_excluded
 
     def test_h0_l_minus_sigma_formula(self):
         # h0(L(-sigma)) = a + b + 1 + nu in the big-and-nef range
         for (r, s, a, b) in [(2, 2, 9, 9), (2, 3, 13, 14), (3, 3, 20, 18), (2, 4, 20, 18)]:
-            rep = exclusion_report(r, s, a, b)
+            rep = exclusion_report(tower_instance(r, s, a, b))
             assert rep.h0_l_minus_sigma == a + b + 1 + rep.nu
             assert rep.s_count == 0
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
-            exclusion_report(2, 2, 5, 5)
+            exclusion_report(tower_instance(2, 2, 5, 5))
+
+    @pytest.mark.parametrize("model", [elliptic_general(2), elliptic_general(3)])
+    def test_refused_off_the_elliptic_k3(self, model):
+        # the general model at chi(O) = 2 has the K3's numbers, but not its Q, R and S
+        total = minimal_valid_total(2, 2, model.chi_o)
+        inst = tower_instance(2, 2, total // 2, total - total // 2, model)
+        with pytest.raises(ModelMismatchError, match="Q, R and S are defined on the elliptic K3"):
+            exclusion_report(inst)
+        with pytest.raises(ModelMismatchError, match="Q, R and S are defined on the elliptic K3"):
+            require_exclusion_model(model)
+        require_exclusion_model(E)
+        with pytest.raises(ModelMismatchError):
+            require_exclusion_model(generic_k3(8))
 
     def test_sweep_invariants_small_grid(self):
         exceptional = []
@@ -118,7 +133,7 @@ class TestExclusionReport:
                         except ValueError:
                             continue
                         points += 1
-                        rep = exclusion_report(r, s, a, b)
+                        rep = exclusion_report(tower_instance(r, s, a, b))
                         assert rep.q3_excluded, (r, s, a, b)
                         assert rep.s_proper and rep.q_proper, (r, s, a, b)
                         if not rep.q1q2_excluded:
@@ -204,11 +219,9 @@ class TestIntegerExclusionRoute:
         points = [p[:4] for p in k3_divisible_points(r_rng, s_rng, ab_max) if p[4]]
         assert (2, 2, 9, 9) in points
         for r, s, a, b in points:
-            rep = exclusion_report(r, s, a, b)
-            expected = _reference_exclusion_report(r, s, a, b)
-            got = rep._asdict()
-            assert got == expected, (r, s, a, b)
             inst = tower_instance(r, s, a, b)
+            got = exclusion_report(inst)._asdict()
+            assert got == _reference_exclusion_report(r, s, a, b), (r, s, a, b)
             nu, v, w, chi_vw, dims = k3_tower_row(r, s, a, b)
             assert nu == inst.nu
             assert v == (inst.v.r, *inst.v.c1.coeffs, inst.v.s), (r, s, a, b)
@@ -225,7 +238,7 @@ class TestIntegerExclusionRoute:
         for r, s, a, b in points:
             nu = k3_tower_row(r, s, a, b)[0]
             m, n = duality_line_bundle_class(r, s, nu).coeffs
-            rep = exclusion_report(r, s, a, b)
+            rep = exclusion_report(tower_instance(r, s, a, b))
             flags = (rep.q3_excluded, rep.q1q2_excluded, rep.s_proper, rep.q_proper)
             assert exclusion_flags(m, n, a, b, 2) == flags, (r, s, a, b)
             # and the flags are the verdicts on the record's own counts
