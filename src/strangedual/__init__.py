@@ -61,7 +61,6 @@ from .strata import (
     chain_audit,
     codim_audit,
     is_suitable,
-    stack_dim,
     strata_enumerate,
     wall_enumerate,
 )

@@ -34,8 +34,6 @@ from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
-import yaml
-
 from . import __version__
 from .duality import (
     DivisibilityError,
@@ -80,8 +78,6 @@ from .surfaces import (
 DOCUMENTED_H00_EXCEPTION = (2, 2, 9, 9)
 # the batch-file format this reader takes; a file may omit its version
 BATCH_VERSION = 1
-# libyaml's parser when the installed PyYAML has it; both build the same specs
-YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class CliConfigError(ValueError):
@@ -289,9 +285,14 @@ def normalize_instance(raw: dict, index: int) -> list[dict]:
 
 
 def load_batch(path: str) -> list[dict]:
+    # imported here, so only a batch file pays for it; libyaml's parser when
+    # the installed PyYAML has it, and both build the same specs
+    import yaml
+
+    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.load(fh, Loader=YAML_LOADER)
+            doc = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise CliConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .hilbert import taut_det_sections
+from .hilbert import binom, taut_det_sections
 from .surfaces import (
     ELLIPTIC_K3,
     GENERIC_K3,
@@ -309,12 +309,15 @@ def dimension_match(inst: DualityInstance) -> tuple[int, int, bool]:
     """Theta-section counts on the two factors: C(h0(L), a) against C(h0(L), b).
 
     Both come from the surface section count h0(L) of ``h0_surface`` through
-    the determinant formula, on every elliptic model.
+    the determinant formula, on every elliptic model, so an error there
+    would cancel between them.  They match when both also equal C(chi(L), a),
+    with chi(L) by Riemann-Roch (``chi_rr``), which does not pass through
+    ``h0_surface``.
     """
     line = _theta_line(inst)
     left = taut_det_sections(line, inst.a)
     right = taut_det_sections(line, inst.b)
-    return left, right, left == right
+    return left, right, left == right == binom(chi_rr(line), inst.a)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,13 @@ recover the same stratum list.
 
 The three enumerators (``wall_enumerate``, ``strata_enumerate`` and the
 oracle ``strata_box_oracle``) walk plain c1 coefficient tuples and pair them
-through the model's Gram matrix.  ``NSClass``, ``Fraction``, ``Wall``,
-``MukaiVector`` and ``Stratum`` are built only for the walls and strata they
-return, so a ``Wall`` still validates itself on every kept wall.
+through the model's Gram matrix.  ``NSClass``, ``Fraction`` and ``Wall`` are
+built only for the walls returned, so a ``Wall`` still validates itself on
+every kept wall.  A ``Stratum`` stays on integers: each part is the triple
+(rank, c1 coefficients, s), so a stratum is its own key.
 
-The pairing-sum chain audited per stratum (``chain_audit``) runs on
-integers: each of its lines is a sum of terms over 2 r_i, 2 r_i r_j and 2r,
+The pairing-sum chain audited per stratum (``chain_audit``) reads those
+triples: each of its lines is a sum of terms over 2 r_i, 2 r_i r_j and 2r,
 so with N = 2 r prod(r_i) each integer line is the typed line times N.
 """
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, isqrt, prod
+from operator import mul
 from typing import NamedTuple
 
 from .surfaces import (
@@ -52,23 +54,12 @@ from .surfaces import (
 )
 
 
-def stack_dim(v: MukaiVector) -> int | None:
-    """Dimension of the stack of semistable sheaves of class v (generic H).
-
-    None means the class admits no semistable sheaf at all.
-    """
-    if v.r < 1:
-        raise ValueError("stack dimension needs rank >= 1")
-    if not v.model.is_k3:
-        raise ModelMismatchError("stack dimensions use the Mukai pairing of the K3 models")
-    return _stack_dim(v.r, ns_pair(v.c1, v.c1), gcd(*v.c1.coeffs), v.s)
-
-
 def _stack_dim(r: int, c1sq: int, c1_content: int, s: int) -> int | None:
-    """``stack_dim`` of (r, c1, s) on a K3 model, from c1^2 and gcd(c1).
+    """Dimension of the stack of semistable sheaves of class (r, c1, s) on a K3 (generic H).
 
-    On a K3 <v, v> = c1^2 - 2rs, and the gcd of v's coordinates is
-    gcd(r, gcd of c1's coefficients, s).
+    It reads c1^2 and gcd(c1): <v, v> = c1^2 - 2rs, and the gcd of v's
+    coordinates is gcd(r, gcd of c1's coefficients, s).  None means the
+    class admits no semistable sheaf at all.
     """
     q = c1sq - 2 * r * s
     if q > 0:
@@ -223,9 +214,13 @@ def is_suitable(m: Fraction | int, v: MukaiVector, coeff_bound: int) -> Suitabil
 
 
 class Stratum(NamedTuple):
-    """An ordered filtration type: slope-equal parts summing to v."""
+    """An ordered filtration type: slope-equal parts summing to v.
 
-    parts: tuple[MukaiVector, ...]
+    Each part is (rank, c1 coefficients, s) on v's model, so two strata of
+    one wall are equal exactly when they are the same filtration type.
+    """
+
+    parts: tuple[tuple[int, tuple[int, ...], int], ...]
     dims: tuple[int, ...]
     total_dim: int
 
@@ -250,8 +245,7 @@ def strata_enumerate(v: MukaiVector, wall: Wall, s_parts: int) -> list[Stratum]:
     Parts are ordered by strictly decreasing Gieseker keys for a polarization
     just beyond the wall: first by the slope direction t_i/r_i (where
     r.xi_i - r_i.xi = t_i.D), then by chi_i/r_i.  Ties in both keys admit no
-    filtration and are excluded.  Each part's c1 stays a coefficient tuple
-    until a stratum that holds it is kept.
+    filtration and are excluded.
     """
     if v.model.kind != ELLIPTIC_K3:
         raise ModelMismatchError("strata are enumerated on the elliptic K3 model")
@@ -259,6 +253,7 @@ def strata_enumerate(v: MukaiVector, wall: Wall, s_parts: int) -> list[Stratum]:
     if not 2 <= s_parts <= r:
         return []
     gram, xi, d = v.model.gram, v.c1.coeffs, wall.d.coeffs
+    (x0, x1), (d0, d1) = xi, d
     q_v = _gram_dot(gram, xi, xi) - 2 * r * v.s
     dsq = -_gram_dot(gram, d, d)  # |D^2| > 0
     budget = q_v + 2 * r * r
@@ -273,8 +268,7 @@ def strata_enumerate(v: MukaiVector, wall: Wall, s_parts: int) -> list[Stratum]:
         t_bounds = [isqrt((ri * ri * budget * r * r) // dsq) + 1 for ri in ranks]
         for ts in _t_tuples(ranks, t_bounds, budget, dsq, r, xi, d):
             parts_c1 = [
-                tuple((ri * x + ti * dc) // r for x, dc in zip(xi, d))
-                for ri, ti in zip(ranks, ts)
+                ((ri * x0 + ti * d0) // r, (ri * x1 + ti * d1) // r) for ri, ti in zip(ranks, ts)
             ]
             # slope equality on the wall is built in; assert it anyway
             assert all(
@@ -303,17 +297,16 @@ def _t_tuples(ranks, t_bounds, budget, dsq, r, xi_coeffs, d_coeffs):
     precomputed limits.
     """
     k = len(ranks)
-    step = r // gcd(r, *d_coeffs)
+    (x0, x1), (d0, d1) = xi_coeffs, d_coeffs
+    step = r // gcd(r, d0, d1)
     candidates = []
     for ri, bound in zip(ranks, t_bounds):
-        residue = [
-            t
-            for t in range(step)
-            if all((ri * x + t * dc) % r == 0 for x, dc in zip(xi_coeffs, d_coeffs))
-        ]
-        if not residue:
+        for residue in range(step):
+            if (ri * x0 + residue * d0) % r == 0 and (ri * x1 + residue * d1) % r == 0:
+                break
+        else:
             return
-        first = residue[0] - (residue[0] + bound) // step * step  # the least one >= -bound
+        first = residue - (residue + bound) // step * step  # the least one >= -bound
         candidates.append(range(first, bound + 1, step))
     limits = [[budget * ri * rj * r * r for rj in ranks] for ri in ranks]
     rest = [r - sum(ranks[: j + 1]) for j in range(k)]  # the rank after part j
@@ -352,8 +345,7 @@ def _fill_degree_components(v, ranks, ts, parts_c1, q_v):
     drops the slots whose class admits no semistable sheaf, tested on
     integers.  The slot tuples summing to v.s are then taken from the
     product of the windows in lexicographic order, skipping every slot that
-    leaves the later parts no reachable sum or fails a tie; ``NSClass`` and
-    ``MukaiVector`` are built only for the parts of a stratum that is kept.
+    leaves the later parts no reachable sum or fails a tie.
     """
     r = v.r
     k = len(ranks)
@@ -378,8 +370,9 @@ def _fill_degree_components(v, ranks, ts, parts_c1, q_v):
     last_window = dict(windows[k - 1])
     slots = [[s for s, _ in window] for window in windows]
     # the slots of parts i, i+1, .. sum to between rest_lo[i] and rest_hi[i]
-    rest_lo = [sum(w[0] for w in slots[i:]) for i in range(k)]
-    rest_hi = [sum(w[-1] for w in slots[i:]) for i in range(k)]
+    firsts, lasts = [w[0] for w in slots], [w[-1] for w in slots]
+    rest_lo = [sum(firsts[i:]) for i in range(k)]
+    rest_hi = [sum(lasts[i:]) for i in range(k)]
 
     def rec(i, chosen, rest):
         # on a tie with part i - 1 the slot must fall: s_i r_{i-1} < s_{i-1} r_i
@@ -397,35 +390,22 @@ def _fill_degree_components(v, ranks, ts, parts_c1, q_v):
         for entry in windows[i][lo:hi]:
             yield from rec(i + 1, chosen + (entry,), rest - entry[0])
 
-    classes = None  # the parts' NSClasses, once a stratum is kept
+    # sum_{i<j} <v_i, v_j> = (<v^2> - sum_i <v_i^2>)/2 as the parts sum to v,
+    # with sum_i <v_i^2> = sum_i c1_i^2 - 2 sum_i r_i s_i
+    q_rest = q_v - sum(squares)
     for chosen in rec(0, (), v.s):
-        ss = [s for s, _ in chosen]
-        dims = tuple(dim for _, dim in chosen)
-        # sum_{i<j} <v_i, v_j> = (<v^2> - sum_i <v_i^2>)/2 as the parts sum to v
-        pair_sum = (q_v - sum(sq - 2 * ri * si for sq, ri, si in zip(squares, ranks, ss))) // 2
-        if classes is None:
-            classes = [NSClass(v.model, c1) for c1 in parts_c1]
-        parts = tuple(MukaiVector(ri, c1, s) for ri, c1, s in zip(ranks, classes, ss))
-        yield Stratum(parts, dims, sum(dims) + pair_sum)
-
-
-def stratum_key(st: Stratum) -> tuple:
-    """``st`` as integer tuples: ((rank, c1 coefficients, s) per part, dims, total_dim).
-
-    Two strata on one model are equal exactly when their keys are; hashing
-    the key skips the nested records (``Stratum``, ``MukaiVector``,
-    ``NSClass``, ``SurfaceModel``), whose hashes are not cached.
-    """
-    return tuple((p.r, p.c1.coeffs, p.s) for p in st.parts), st.dims, st.total_dim
+        ss, dims = zip(*chosen)
+        pair_sum = (q_rest + 2 * sum(map(mul, ranks, ss))) // 2
+        yield Stratum(tuple(zip(ranks, parts_c1, ss)), dims, sum(dims) + pair_sum)
 
 
 def unordered_count(strata: list[Stratum]) -> int:
     """Number of distinct part multisets among the enumerated filtration types.
 
     The strata of one wall live on one model, so a multiset is keyed on the
-    sorted part tuples of ``stratum_key``.
+    sorted parts.
     """
-    return len({tuple(sorted(stratum_key(st)[0])) for st in strata})
+    return len({tuple(sorted(st.parts)) for st in strata})
 
 
 def strata_box_oracle(v: MukaiVector, wall: Wall) -> list[Stratum]:
@@ -458,13 +438,13 @@ def strata_box_oracle(v: MukaiVector, wall: Wall) -> list[Stratum]:
     Bogomolov on each part then bounds s1 from both sides:
     s1 <= (xi1^2 + 2r1^2)/(2r1) and s2 <= (xi2^2 + 2r2^2)/(2r2).  A class
     outside these bounds has <p^2> < -2r^2 <= -2l^2 for l its content, so
-    ``stack_dim`` rejects it: the box drops no stratum.
+    ``_stack_dim`` rejects it: the box drops no stratum.
     """
     if v.model.kind != ELLIPTIC_K3:
         raise ModelMismatchError("strata are enumerated on the elliptic K3 model")
     if wall.m_value <= 2:
         raise ValueError("the ample range is m > 2")
-    model, gram = v.model, v.model.gram
+    gram = v.model.gram
     r, s = v.r, v.s
     xi = x, y = v.c1.coeffs
     q_v = _gram_dot(gram, xi, xi) - 2 * r * s
@@ -503,12 +483,8 @@ def strata_box_oracle(v: MukaiVector, wall: Wall) -> list[Stratum]:
                 # chi_i/r_i = s_i/r_i + 1, compared times r1 r2
                 if (x1 * r2, s1 * r2) <= (x2 * r1, s2 * r1):
                     continue
-                parts = (
-                    MukaiVector(r1, NSClass(model, c1), s1),
-                    MukaiVector(r2, NSClass(model, c2), s2),
-                )
                 total = d1 + d2 + cross - r1 * s2 - s1 * r2
-                out.append(Stratum(parts, (d1, d2), total))
+                out.append(Stratum(((r1, c1, s1), (r2, c2, s2)), (d1, d2), total))
     return out
 
 
@@ -549,7 +525,8 @@ def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
     is the typed comparison; N > 0 because every rank is positive.  The
     squares, the pairwise pairings and the cross-class squares
     (r_i xi_j - r_j xi_i)^2 all come from the intersection numbers
-    xi_i.xi_j on the model's Gram matrix:
+    xi_i.xi_j on the model's Gram matrix, read from each part's
+    (rank, c1 coefficients, s):
 
         cross . N   = r sum_{i<j} sq_ij P/(r_i r_j)
         split . N   = r sum_i (r - r_i) <v_i^2> P/r_i - cross . N
@@ -560,52 +537,56 @@ def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
     model = v.model
     if not model.is_k3:
         raise ModelMismatchError("the chain uses the Mukai pairing of the K3 models")
-    parts = stratum.parts
-    if any(p.model is not model and p.model != model for p in parts):
-        raise ModelMismatchError("stratum parts live on a different surface model")
     r = v.r
-    ranks = [p.r for p in parts]
+    ranks, c1s, slots = zip(*stratum.parts)
     if r < 1 or min(ranks) < 1:
         raise ValueError("the chain runs over vectors of positive rank")
-    slots = [p.s for p in parts]
-    # c1.c1' for the parts' c1 and v's (last), unrolled by NS rank as NSClass.dot is
+    # c1.c1' for the parts' c1 and v's (last), unrolled by NS rank as NSClass.dot
+    # is; unpacking refuses a c1 with the wrong number of coefficients
     gram = model.gram
-    c1s = [p.c1.coeffs for p in parts] + [v.c1.coeffs]
-    if len(gram) == 1:
-        dots = [[gram[0][0] * a * b for (b,) in c1s] for (a,) in c1s]
-    else:
-        (g00, g01), (_, g11) = gram
-        dots = [
-            [g00 * a0 * b0 + g01 * (a0 * b1 + a1 * b0) + g11 * a1 * b1 for b0, b1 in c1s]
-            for a0, a1 in c1s
-        ]
-    k = len(parts)
-    q_v = dots[k][k] - 2 * r * v.s
-    squares = [dots[i][i] - 2 * ranks[i] * slots[i] for i in range(k)]
+    c1s += (v.c1.coeffs,)
+    try:
+        if len(gram) == 1:
+            dots = [[gram[0][0] * a * b for (b,) in c1s] for (a,) in c1s]
+        else:
+            (g00, g01), (_, g11) = gram
+            dots = [
+                [(g00 * a0 + g01 * a1) * b0 + (g01 * a0 + g11 * a1) * b1 for b0, b1 in c1s]
+                for a0, a1 in c1s
+            ]
+    except ValueError:
+        raise ValueError("a part's c1 needs one coefficient per class of the lattice") from None
 
+    k = len(ranks)
     rank_prod = prod(ranks)  # P
     n = 2 * r * rank_prod
     pair_sum = 0
     cross_over_r = 0  # cross . N / r
-    hodge_ok = True
+    weighted = split = 0  # sum_i <v_i^2> P/r_i, and each term times r - r_i
+    rank_sum = rank_sq = 0
+    hodge_ok = bogomolov_ok = True
     for i in range(k):
-        ri, si = ranks[i], slots[i]
+        ri, si, row = ranks[i], slots[i], dots[i]
+        qi = row[i] - 2 * ri * si  # <v_i^2>
+        if qi + 2 * ri * ri < 0:
+            bogomolov_ok = False
+        wi = qi * (rank_prod // ri)
+        weighted += wi
+        split += (r - ri) * wi
+        rank_sum += ri
+        rank_sq += ri * ri
         for j in range(i + 1, k):
-            rj = ranks[j]
-            pair_sum += dots[i][j] - ri * slots[j] - si * rj
-            sq = rj * rj * dots[i][i] - 2 * ri * rj * dots[i][j] + ri * ri * dots[j][j]
+            rj, dij = ranks[j], row[j]
+            pair_sum += dij - ri * slots[j] - si * rj
+            sq = rj * rj * row[i] - 2 * ri * rj * dij + ri * ri * dots[j][j]
             if sq > 0:
                 hodge_ok = False
             cross_over_r += sq * (rank_prod // (ri * rj))
     cross = r * cross_over_r
 
-    weighted = [qi * (rank_prod // ri) for qi, ri in zip(squares, ranks)]  # <v_i^2> P/r_i
-    line_split = r * sum((r - ri) * wi for ri, wi in zip(ranks, weighted)) - cross
-    bogomolov_ok = all(qi + 2 * ri * ri >= 0 for qi, ri in zip(squares, ranks))
-    line_dropped = (
-        r * sum(weighted) + n * sum(ri - (r - ri) * ri for ri in ranks) - cross
-    )
-    final = q_v * rank_prod + n * (r - r * r + sum(ri * ri for ri in ranks))
+    line_split = r * split - cross
+    line_dropped = r * weighted + n * (rank_sum - r * rank_sum + rank_sq) - cross
+    final = (dots[k][k] - 2 * r * v.s) * rank_prod + n * (r - r * r + rank_sq)
     line_collect = final + cross_over_r - cross
 
     return ChainAudit(
@@ -639,14 +620,14 @@ def codim_audit(v: MukaiVector, wall: Wall) -> CodimAudit:
     polarization independence criterion asks for it to be >= 2, relaxed to
     <v, v> >= 2(r-1)(r^2+1) when c1 is primitive.  ``chain_ok`` is
     ``chain_audit`` passing on each stratum, and ``oracle_match`` is the
-    two-part strata agreeing with ``strata_box_oracle`` on ``stratum_key``.
+    two-part strata agreeing with ``strata_box_oracle`` as a set.
     For <v, v> <= 0 and r >= 2 the bound is below 2 and the relaxed
     threshold is positive, so neither applicability flag holds.
     """
     r = v.r
     q_v = mukai_pair(v, v)
     strata = [st for k in range(2, r + 1) for st in strata_enumerate(v, wall, k)]
-    two_part = {stratum_key(st) for st in strata if len(st.parts) == 2}
+    two_part = {st for st in strata if len(st.parts) == 2}
     min_codim = min(((q_v + 1) - st.total_dim for st in strata), default=None)
     bound = Fraction(q_v, 2 * r) + r - r * r + 1
     return CodimAudit(
@@ -655,7 +636,7 @@ def codim_audit(v: MukaiVector, wall: Wall) -> CodimAudit:
         min_codim=min_codim,
         chain_ok=all(chain_audit(v, st).ok for st in strata),
         codim_bound_ok=min_codim is None or min_codim >= bound,
-        oracle_match=two_part == set(map(stratum_key, strata_box_oracle(v, wall))),
+        oracle_match=two_part == set(strata_box_oracle(v, wall)),
         bound=bound,
         corollary_applicable=bound >= 2,
         remark_applicable=gcd(*v.c1.coeffs) == 1 and q_v >= 2 * (r - 1) * (r * r + 1),
@@ -668,11 +649,9 @@ __all__ = [
     "SuitabilityReport",
     "ChainAudit",
     "CodimAudit",
-    "stack_dim",
     "wall_enumerate",
     "is_suitable",
     "strata_enumerate",
-    "stratum_key",
     "unordered_count",
     "chain_audit",
     "codim_audit",

@@ -193,7 +193,7 @@ def test_criterion_6_hn_strata():
     ok = ok and wall.d == E.cls(1, -2)
     strata = strata_enumerate(v, wall, 2)
     ok = ok and len(strata) == 3
-    ok = ok and {st.parts[0].s for st in strata} == {-1, -2, -3}
+    ok = ok and {st.parts[0][2] for st in strata} == {-1, -2, -3}
     ok = ok and all(st.total_dim == 5 for st in strata)
     audit = codim_audit(v, wall)
     ok = ok and audit.min_codim == 2 and audit.bound == Fraction(1, 2) and audit.codim_bound_ok

@@ -801,12 +801,22 @@ class TestBatch:
     def test_both_yaml_loaders_agree(self, monkeypatch):
         if not yaml.__with_libyaml__:
             pytest.skip("PyYAML is built without libyaml")
+        # load_batch takes libyaml's loader exactly when PyYAML reports it
         path = str(Path(__file__).parent / "data" / "acceptance_batch.yaml")
-        monkeypatch.setattr(cli, "YAML_LOADER", yaml.SafeLoader)
+        loaders = []
+        original = yaml.load
+
+        def recording(stream, Loader):
+            loaders.append(Loader)
+            return original(stream, Loader=Loader)
+
+        monkeypatch.setattr(yaml, "load", recording)
+        monkeypatch.setattr(yaml, "__with_libyaml__", False)
         pure = load_batch(path)
-        monkeypatch.setattr(cli, "YAML_LOADER", yaml.CSafeLoader)
+        monkeypatch.setattr(yaml, "__with_libyaml__", True)
         assert load_batch(path) == pure
         assert pure
+        assert loaders == [yaml.SafeLoader, yaml.CSafeLoader]
 
     def test_report_matches_the_golden_file(self, tmp_path):
         data = Path(__file__).parent / "data"
@@ -881,6 +891,23 @@ class TestGeneralModelSections:
         match = results["dimension-match"]
         assert match["status"] == "fail"
         assert (match["left"], match["right"]) == (comb(30, 14), comb(30, 15))
+
+
+class TestDimensionMatchSecondJudge:
+    """dimension-match also requires C(chi(L), a), which does not read h0(L)."""
+
+    def _case_study(self):
+        path = Path(__file__).parent / "data" / "acceptance_batch.yaml"
+        (spec,) = [s for s in load_batch(str(path)) if s["name"] == "case-study-2299"]
+        return run_instance(spec)["results"]["dimension-match"]
+
+    def test_a_section_count_error_both_sides_share_fails(self, monkeypatch):
+        assert self._case_study()["status"] == "pass"
+        real = duality.taut_det_sections
+        monkeypatch.setattr(duality, "taut_det_sections", lambda base, a: real(base, a) + 1)
+        match = self._case_study()
+        assert match["status"] == "fail"
+        assert (match["left"], match["right"], match["equal"]) == (48621, 48621, False)
 
 
 class TestMainExitCodes:
@@ -1398,14 +1425,15 @@ class TestPerCheckTiming:
 
 class TestStartUp:
     def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
-        # both are costly to import and nothing in the program needs them:
-        # inspect alone pulls in ast, dis and tokenize
+        # all three are costly to import: nothing in the program needs the
+        # first two (inspect alone pulls in ast, dis and tokenize), and only
+        # load_batch reads YAML
         code = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import strangedual.cli\n"
             "print(strangedual.cli.__file__)\n"
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+            "print(sorted({'dataclasses', 'inspect', 'yaml'} & (set(sys.modules) - before)))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run(

@@ -5,6 +5,7 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import pytest
 
@@ -17,14 +18,13 @@ from strangedual.strata import (
     Wall,
     _ceil_div,
     _compositions,
+    _stack_dim,
     _t_tuples,
     chain_audit,
     codim_audit,
     is_suitable,
-    stack_dim,
     strata_box_oracle,
     strata_enumerate,
-    stratum_key,
     unordered_count,
     wall_enumerate,
 )
@@ -69,6 +69,34 @@ def _reference_stack_dim(v):
     return -el * el
 
 
+def _integer_stack_dim(v):
+    """The library's ``_stack_dim`` of v, from c1^2 and the content of c1."""
+    return _stack_dim(v.r, ns_pair(v.c1, v.c1), gcd(*v.c1.coeffs), v.s)
+
+
+class TypedStratum(NamedTuple):
+    """A stratum whose parts are ``MukaiVector``s, as the typed references build it."""
+
+    parts: tuple
+    dims: tuple
+    total_dim: int
+
+
+def _record(parts):
+    """Typed parts as the library's parts: (rank, c1 coefficients, s) each."""
+    return tuple((p.r, p.c1.coeffs, p.s) for p in parts)
+
+
+def _as_record(st):
+    """A ``TypedStratum`` as the library's integer ``Stratum``."""
+    return Stratum(_record(st.parts), st.dims, st.total_dim)
+
+
+def _typed(parts, model=E):
+    """The library's integer parts as ``MukaiVector``s on model."""
+    return tuple(MukaiVector(r, NSClass(model, c1), s) for r, c1, s in parts)
+
+
 # every vector the benchmark's seeded strata batches can draw (each class
 # r:1,y0:s0 twisted by k = -1 or 0 fibres), so both seed 1 and seed 7, plus
 # its fixed 4:1,0:-9; all audited at coeff_bound 4
@@ -88,36 +116,34 @@ ORACLE_PROBES = [(4, 0, -9), (4, 0, -10), (4, -1, -9), (2, -4, -14), (4, -8, -6)
 
 
 class TestStackDim:
+    """The library's ``_stack_dim`` against the typed ``_reference_stack_dim``."""
+
     def test_positive_square(self):
         v = vec(2, 1, 0, -2)  # <v,v> = 6
         assert mukai_pair(v, v) == 6
-        assert stack_dim(v) == 7
+        assert _integer_stack_dim(v) == _reference_stack_dim(v) == 7
 
     def test_isotropic_primitive(self):
         v = vec(1, 0, 1, 0)
         assert mukai_pair(v, v) == 0
-        assert stack_dim(v) == 1
+        assert _integer_stack_dim(v) == _reference_stack_dim(v) == 1
 
     def test_isotropic_imprimitive(self):
         v = vec(2, 0, 2, 0)
-        assert stack_dim(v) == 2
+        assert _integer_stack_dim(v) == _reference_stack_dim(v) == 2
 
     def test_rigid(self):
         v = vec(1, 0, 0, 1)  # <v,v> = -2
-        assert stack_dim(v) == -1
+        assert _integer_stack_dim(v) == _reference_stack_dim(v) == -1
 
     def test_rigid_multiple(self):
         v = 2 * vec(1, 0, 0, 1)  # <v,v> = -8 = -2 l^2
-        assert stack_dim(v) == -4
+        assert _integer_stack_dim(v) == _reference_stack_dim(v) == -4
 
     def test_empty(self):
         v = vec(1, 1, 0, 1)  # <v,v> = -4 with l = 1
         assert mukai_pair(v, v) == -4
-        assert stack_dim(v) is None
-
-    def test_rank_guard(self):
-        with pytest.raises(ValueError):
-            stack_dim(vec(0, 0, 1, 0))
+        assert _integer_stack_dim(v) is _reference_stack_dim(v) is None
 
     def test_upper_bound(self):
         # dim <= <v^2> + r^2 wherever nonempty
@@ -127,7 +153,7 @@ class TestStackDim:
                 for y in rng:
                     for s in rng:
                         v = vec(r, x, y, s)
-                        d = stack_dim(v)
+                        d = _integer_stack_dim(v)
                         if d is not None:
                             assert d <= mukai_pair(v, v) + r * r
 
@@ -198,22 +224,20 @@ class TestStrataEnumeration:
         expected_parts = {
             (vec(1, 1, -1, s1), vec(1, 0, 1, -2 - s1)) for s1 in (-1, -2, -3)
         }
-        assert {st.parts for st in strata} == expected_parts
+        assert {st.parts for st in strata} == set(map(_record, expected_parts))
         assert all(st.total_dim == 5 for st in strata)
         assert {st.dims for st in strata} == {(-1, 3), (1, 1), (3, -1)}
         for st in strata:
-            assert mukai_pair(st.parts[0], st.parts[1]) == 3
+            assert mukai_pair(*_typed(st.parts)) == 3
 
     def test_parts_sum_and_slope_equality(self):
         v = vec(2, 1, 0, -2)
         wall = _wall_at_4(v)
         h1 = E.cls(wall.m_value.denominator, wall.m_value.numerator)
         for st in strata_enumerate(v, wall, 2):
-            total = st.parts[0]
-            for p in st.parts[1:]:
-                total = total + p
-            assert total == v
-            for p in st.parts:
+            parts = _typed(st.parts)
+            assert sum(parts[1:], start=parts[0]) == v
+            for p in parts:
                 assert v.r * ns_pair(p.c1, h1) == p.r * ns_pair(v.c1, h1)
 
     def test_ordering_is_filtration_order(self):
@@ -221,7 +245,7 @@ class TestStrataEnumeration:
         v = vec(2, 1, 0, -2)
         strata = strata_enumerate(v, _wall_at_4(v), 2)
         for st in strata:
-            assert st.parts[0].c1 == E.cls(1, -1)
+            assert st.parts[0][1] == (1, -1)
 
     def test_too_many_parts(self):
         v = vec(2, 1, 0, -2)
@@ -232,11 +256,9 @@ class TestStrataEnumeration:
         for wall in wall_enumerate(v, 2):
             for k in (2, 3):
                 for st in strata_enumerate(v, wall, k):
-                    total = st.parts[0]
-                    for p in st.parts[1:]:
-                        total = total + p
-                    assert total == v
-                    assert all(p.r >= 1 for p in st.parts)
+                    parts = _typed(st.parts)
+                    assert sum(parts[1:], start=parts[0]) == v
+                    assert all(p.r >= 1 for p in parts)
                     assert chain_audit(v, st).ok
                     assert _reference_stratum_codim_ok(v, st)
 
@@ -288,7 +310,7 @@ def _reference_fill_degree_components(v, ranks, ts, parts_c1, q_v):
         for i in range(k):
             for j in range(i + 1, k):
                 pair_sum += mukai_pair(parts[i], parts[j])
-        yield Stratum(parts, dims, sum(dims) + pair_sum)
+        yield TypedStratum(parts, dims, sum(dims) + pair_sum)
 
 
 def _fixed_box_oracle(v, wall, coeff_bound, s_bound):
@@ -314,7 +336,7 @@ def _fixed_box_oracle(v, wall, coeff_bound, s_bound):
                     key2 = (Fraction(ns_pair(c2, E.fiber), r2), Fraction(chi_vec(p2), r2))
                     if key1 <= key2:
                         continue
-                    out.append(Stratum((p1, p2), (d1, d2), d1 + d2 + mukai_pair(p1, p2)))
+                    out.append(TypedStratum((p1, p2), (d1, d2), d1 + d2 + mukai_pair(p1, p2)))
     return out
 
 
@@ -481,7 +503,7 @@ def _reference_strata_box_oracle(v, wall):
                     continue
                 parts = (MukaiVector(r1, c1, s1), MukaiVector(r2, c2, s2))
                 total = d1 + d2 + cross - r1 * s2 - s1 * r2
-                out.append(Stratum(parts, (d1, d2), total))
+                out.append(TypedStratum(parts, (d1, d2), total))
     return out
 
 
@@ -501,15 +523,11 @@ class TestIntegerSlots:
                 for y in rng:
                     for s in range(-12, 13):
                         v = vec(r, x, y, s)
-                        assert stack_dim(v) == _reference_stack_dim(v), v
+                        assert _integer_stack_dim(v) == _reference_stack_dim(v), v
         for x in range(-3, 4):
             for s in range(-6, 7):
                 v = MukaiVector(2, generic_k3(4).cls(x), s)
-                assert stack_dim(v) == _reference_stack_dim(v), v
-
-    def test_stack_dim_needs_a_k3_model(self):
-        with pytest.raises(ModelMismatchError):
-            stack_dim(MukaiVector(2, elliptic_general(3).cls(1, 0), -1))
+                assert _integer_stack_dim(v) == _reference_stack_dim(v), v
 
     @pytest.mark.parametrize("r,y,s", BENCH_VECTORS + ORACLE_PROBES[1:])
     def test_enumeration_matches_reference_filler(self, monkeypatch, r, y, s):
@@ -518,7 +536,7 @@ class TestIntegerSlots:
 
         def typed_filler(v, ranks, ts, parts_c1, q_v):
             classes = [NSClass(v.model, c1) for c1 in parts_c1]
-            return _reference_fill_degree_components(v, ranks, ts, classes, q_v)
+            return map(_as_record, _reference_fill_degree_components(v, ranks, ts, classes, q_v))
 
         monkeypatch.setattr(strata, "_fill_degree_components", typed_filler)
         assert got == _all_strata(v)
@@ -581,10 +599,10 @@ class TestOracle:
         # the stratum the former 3/20 box missed lies on sigma - 4f (m = 6)
         v = vec(4, 1, 0, -9)
         wall = [w for w in wall_enumerate(v, 4) if w.m_value == 6][0]
-        missed = Stratum((vec(2, 2, -6, -6), vec(2, -1, 6, -3)), None, None)
+        missed = _record((vec(2, 2, -6, -6), vec(2, -1, 6, -3)))
         found = strata_box_oracle(v, wall)
-        assert missed.parts in {st.parts for st in found}
-        assert set(found) == set(_fixed_box_oracle(v, wall, 8, 40))
+        assert missed in {st.parts for st in found}
+        assert set(found) == set(map(_as_record, _fixed_box_oracle(v, wall, 8, 40)))
 
     def test_wall_outside_the_ample_range(self):
         # sigma is orthogonal to the nef class sigma + 2f, where the box has no bound
@@ -663,7 +681,7 @@ def _k_part_box_oracle(v, wall, k):
             parts = tuple(chosen) + (last,)
             dims = tuple(_reference_stack_dim(p) for p in parts)
             pairs = sum(mukai_pair(parts[i], parts[j]) for i in range(k) for j in range(i + 1, k))
-            out.append(Stratum(parts, dims, sum(dims) + pairs))
+            out.append(TypedStratum(parts, dims, sum(dims) + pairs))
             return
         # leave every later part a rank of at least 1
         for ri in range(1, rest - (k - 1 - len(chosen)) + 1):
@@ -685,14 +703,15 @@ class TestKPartOracle:
                 listed = strata_enumerate(v, wall, k)
                 found = _k_part_box_oracle(v, wall, k)
                 assert len(found) == len(set(found))
-                assert set(found) == set(listed), (wall.d, k)
+                assert set(map(_as_record, found)) == set(listed), (wall.d, k)
                 compared += len(listed)
         assert compared > 0
 
     def test_two_parts_match_the_two_part_oracle(self):
         v = vec(3, 1, 0, -4)
         for wall in wall_enumerate(v, 4):
-            assert set(_k_part_box_oracle(v, wall, 2)) == set(strata_box_oracle(v, wall))
+            found = _k_part_box_oracle(v, wall, 2)
+            assert set(map(_as_record, found)) == set(strata_box_oracle(v, wall))
 
 
 class TestFibreTwist:
@@ -709,7 +728,7 @@ class TestFibreTwist:
         assert sum(len(listed) for _, listed in before) > 0
         for (_, listed), (_, twisted) in zip(before, after):
             assert twisted == [
-                Stratum(tuple(twist(p, k * E.fiber) for p in st.parts), st.dims, st.total_dim)
+                st._replace(parts=_record(twist(p, k * E.fiber) for p in _typed(st.parts)))
                 for st in listed
             ]
 
@@ -807,9 +826,11 @@ class TestTypedReferences:
         for wall in wall_enumerate(v, 4):
             for k in range(2, r + 1):
                 listed = strata_enumerate(v, wall, k)
-                assert listed == _reference_strata_enumerate(v, wall, k), (wall.d, k)
+                expected = list(map(_as_record, _reference_strata_enumerate(v, wall, k)))
+                assert listed == expected, (wall.d, k)
                 compared += len(listed)
-            assert strata_box_oracle(v, wall) == _reference_strata_box_oracle(v, wall), wall.d
+            expected = list(map(_as_record, _reference_strata_box_oracle(v, wall)))
+            assert strata_box_oracle(v, wall) == expected, wall.d
         assert compared > 0
 
     @pytest.mark.parametrize("r,y,s", BENCH_VECTORS + ORACLE_PROBES[1:])
@@ -844,19 +865,18 @@ class TestTypedReferences:
 
         for name, original in (("NSClass", NSClass), ("MukaiVector", MukaiVector)):
             monkeypatch.setattr(strata, name, counted(name, original))
-        walls = witnesses = parts = 0
+        walls = witnesses = audited = 0
         for r, y, s in BENCH_VECTORS:
             v = vec(r, 1, y, s)
             for wall in wall_enumerate(v, 4):
                 walls += 1
                 witnesses += len(wall.witnesses)
-                for k in range(2, r + 1):
-                    parts += sum(len(st.parts) for st in strata_enumerate(v, wall, k))
-                parts += sum(len(st.parts) for st in strata_box_oracle(v, wall))
-        assert walls > 0 and parts > 0
-        # a wall class and its witnesses per wall, at most one class per part of a kept stratum
-        assert built["NSClass"] <= walls + witnesses + parts
-        assert built["MukaiVector"] == parts
+                # the enumerator, the oracle and the chain of every stratum
+                audited += codim_audit(v, wall).strata
+        assert walls > 0 and audited > 0
+        # a wall class and its witnesses per wall, nothing per stratum
+        assert built["NSClass"] <= walls + witnesses
+        assert built["MukaiVector"] == 0
 
     def test_ns_pair_calls_per_wall_of_the_strata_audits(self, monkeypatch):
         calls = []
@@ -883,7 +903,8 @@ def _reference_unordered_count(strata):
     """Distinct part multisets, keyed on the typed parts and their multiplicities."""
     seen = set()
     for st in strata:
-        seen.add(frozenset((p, st.parts.count(p)) for p in st.parts))
+        parts = _typed(st.parts)
+        seen.add(frozenset((p, parts.count(p)) for p in parts))
     return len(seen)
 
 
@@ -898,10 +919,22 @@ class TestIntegerStratumKeys:
             assert unordered_count(listed) == _reference_unordered_count(listed), wall.d
             for a in listed:
                 for b in listed:
-                    assert (stratum_key(a) == stratum_key(b)) == (a == b)
+                    assert (a == b) == (_typed(a.parts) == _typed(b.parts))
+
+    def test_parts_are_integer_triples(self):
+        # (rank, c1 coefficients, s) from the enumerator and the oracle alike
+        v = vec(4, 1, 0, -9)
+        found = 0
+        for wall, listed in _all_strata(v):
+            for st in listed + strata_box_oracle(v, wall):
+                for r, c1, s in st.parts:
+                    assert type(r) is type(s) is int and type(c1) is tuple, st
+                    assert [type(c) for c in c1] == [int, int], st
+                found += 1
+        assert found > 0
 
     def test_unordered_count_merges_reorderings_only(self):
-        p, q = vec(1, 1, -2, -1), vec(1, 0, 2, 0)
+        p, q = _record((vec(1, 1, -2, -1), vec(1, 0, 2, 0)))
         strata_list = [Stratum((p, q), (0, 0), 1), Stratum((q, p), (0, 0), 1),
                        Stratum((p, p), (0, 0), 1), Stratum((p, q, q), (0, 0, 0), 2),
                        Stratum((q, p, p), (0, 0, 0), 2)]
@@ -1004,11 +1037,10 @@ def _reference_pair_sum(parts):
     )
 
 
-def _reference_chain_audit(v, stratum):
-    """The typed chain audit: every line of the chain as a ``Fraction``."""
+def _reference_chain_audit(v, parts):
+    """The typed chain audit of the parts (``MukaiVector``s): every line as a ``Fraction``."""
     r = v.r
     q_v = mukai_pair(v, v)
-    parts = stratum.parts
     k = len(parts)
     squares = [mukai_pair(p, p) for p in parts]
     pair_sum = _reference_pair_sum(parts)
@@ -1073,12 +1105,17 @@ _FLAGS = (
 G4 = generic_k3(4)
 
 
+def _stratum(parts):
+    """The library's stratum of typed parts, dimensions left out as the chain ignores them."""
+    return Stratum(_record(parts), (), 0)
+
+
 def _hand_built(v, *parts):
-    return v, Stratum(tuple(parts), (), 0)
+    return v, parts
 
 
-# strata the enumerators never produce; between them the reference sets each
-# of the six flags to False at least once
+# typed part lists the enumerators never produce; between them the reference
+# sets each of the six flags to False at least once
 HAND_BUILT = [
     # ranks 1 + 1 do not sum to 3: split and collect fail (and Bogomolov)
     _hand_built(vec(3, 1, 0, -4), vec(1, 1, -2, -1), vec(1, 0, 2, -1)),
@@ -1106,16 +1143,16 @@ class TestIntegerChain:
         compared = 0
         for _, listed in _all_strata(v):
             for st in listed:
-                assert chain_audit(v, st) == _reference_chain_audit(v, st), st
+                assert chain_audit(v, st) == _reference_chain_audit(v, _typed(st.parts)), st
                 compared += 1
         assert compared > 0
 
-    @pytest.mark.parametrize("v,st", HAND_BUILT)
-    def test_matches_reference_on_hand_built_strata(self, v, st):
-        assert chain_audit(v, st) == _reference_chain_audit(v, st)
+    @pytest.mark.parametrize("v,parts", HAND_BUILT)
+    def test_matches_reference_on_hand_built_strata(self, v, parts):
+        assert chain_audit(v, _stratum(parts)) == _reference_chain_audit(v, parts)
 
     def test_hand_built_strata_fail_every_step(self):
-        audits = [_reference_chain_audit(v, st) for v, st in HAND_BUILT]
+        audits = [_reference_chain_audit(v, parts) for v, parts in HAND_BUILT]
         for flag in _FLAGS:
             assert not all(getattr(a, flag) for a in audits), flag
 
@@ -1131,21 +1168,21 @@ class TestIntegerChain:
 
             parts = tuple(draw(rng.randint(1, 3)) for _ in range(k))
             v = draw(rng.randint(1, 8))
-            st = Stratum(parts, (), 0)
-            assert chain_audit(v, st) == _reference_chain_audit(v, st), (v, parts)
+            assert chain_audit(v, _stratum(parts)) == _reference_chain_audit(v, parts), (v, parts)
 
     def test_needs_a_k3_model(self):
         m3 = elliptic_general(3)
         p = MukaiVector(1, m3.cls(1, 0), -1)
         with pytest.raises(ModelMismatchError):
-            chain_audit(MukaiVector(2, m3.cls(1, 0), -2), Stratum((p, p), (), 0))
-        with pytest.raises(ModelMismatchError):
-            chain_audit(vec(2, 1, 0, -2), Stratum((p, vec(1, 0, 0, -1)), (), 0))
+            chain_audit(MukaiVector(2, m3.cls(1, 0), -2), _stratum((p, p)))
 
-    def test_parts_on_another_model_are_refused(self):
+    def test_parts_with_the_wrong_coefficient_count_are_refused(self):
+        # one coefficient on the elliptic K3, whose lattice has two classes, and two on G4
         g = MukaiVector(1, G4.cls(1), 0)
-        with pytest.raises(ModelMismatchError):
-            chain_audit(vec(2, 1, 0, -2), Stratum((g, g), (), 0))
+        with pytest.raises(ValueError, match="one coefficient per class"):
+            chain_audit(vec(2, 1, 0, -2), _stratum((g, g)))
+        with pytest.raises(ValueError, match="one coefficient per class"):
+            chain_audit(MukaiVector(2, G4.cls(1), -1), _stratum((g, vec(1, 0, 0, -1))))
 
     def test_ranks_must_be_positive(self):
         for v, parts in (
@@ -1154,7 +1191,7 @@ class TestIntegerChain:
             (vec(0, 1, 0, -2), (vec(1, 1, 0, -2), vec(1, 0, 0, 1))),
         ):
             with pytest.raises(ValueError):
-                chain_audit(v, Stratum(parts, (), 0))
+                chain_audit(v, _stratum(parts))
 
 
 def _ray(model, m):
