@@ -410,13 +410,15 @@ def _check_sign_law(ctx: _Ctx, coord_bound, degrees):
 def _check_fm_verify(ctx: _Ctx, r_max, a_max):
     matrix = derive_fm_matrix(ctx.model)
     report = verify_fm_suite(matrix, r_max, a_max)
-    data = {"columns": matrix.columns, "determinant": matrix.determinant(), **report._asdict()}
-    return ("pass" if report.all_ok else "fail"), data
+    determinant = matrix.determinant()
+    data = {"columns": matrix.columns, "determinant": determinant, **report._asdict()}
+    # the transform is invertible on the integral lattice, so det = +-1
+    return ("pass" if report.all_ok and determinant in (-1, 1) else "fail"), data
 
 
 def _check_theta_relation(ctx: _Ctx, r, s, chi, chi_prime, r_lo, r_hi, chi_lo, chi_hi):
     if None not in (r, s, chi, chi_prime):
-        v, w = theta_pair(r, s, chi, chi_prime)
+        v, w = theta_pair(r, s, chi, chi_prime, ctx.model)
         res = theta_relation_identity(v, w)
         data = {
             "h_squared": v.model.degree,
@@ -436,7 +438,7 @@ def _check_theta_relation(ctx: _Ctx, r, s, chi, chi_prime, r_lo, r_hi, chi_lo, c
 def _check_deformation(ctx: _Ctx, r, s, chi, chi_prime):
     if None in (r, s, chi, chi_prime):
         raise MissingParamsError("need params r, s, chi and chi_prime")
-    pair = deformation_setup(r, s, chi, chi_prime)
+    pair = deformation_setup(r, s, chi, chi_prime, ctx.model)
     data = {
         "h_squared": pair.degree,
         "elliptic_c1": pair.elliptic.v.c1,

@@ -54,9 +54,12 @@ class NuBoundError(ValueError):
     """The twist bound -nu >= chi(O) fails (-nu >= 2 on the elliptic K3)."""
 
 
+_RANKS_MESSAGE = "both ranks must be >= 2"
+
+
 def _require_ranks(r: int, s: int) -> None:
-    if min(r, s) < 2:
-        raise ValueError("both ranks must be >= 2")
+    if r < 2 or s < 2:
+        raise ValueError(_RANKS_MESSAGE)
 
 
 def compute_nu(r: int, s: int, a: int, b: int, model: SurfaceModel | None = None) -> int:
@@ -67,12 +70,13 @@ def compute_nu(r: int, s: int, a: int, b: int, model: SurfaceModel | None = None
     NuBoundError separately so callers can tell an invalid grid point from a
     merely-too-small one.
     """
-    _require_ranks(r, s)
-    if min(a, b) < 0:
+    if r < 2 or s < 2:
+        raise ValueError(_RANKS_MESSAGE)
+    if a < 0 or b < 0:
         raise ValueError("half-dimensions must be >= 0")
     if model is None:
         model = elliptic_k3()
-    if model.ns_rank != 2:
+    if len(model.labels) != 2:
         raise ModelMismatchError("nu is defined on the elliptic models")
     t, chi = r + s, model.chi_o
     num = 2 * (a + b - chi) - t * (t - 1) * chi + 2 * t
@@ -375,17 +379,23 @@ def ogrady_tower(r_max: int, a: int, model: SurfaceModel | None = None) -> Tower
 # ---------------------------------------------------------------------------
 
 
-def theta_pair(r: int, s: int, chi: int, chi_prime: int) -> tuple[MukaiVector, MukaiVector]:
+def theta_pair(
+    r: int, s: int, chi: int, chi_prime: int, model: SurfaceModel | None = None
+) -> tuple[MukaiVector, MukaiVector]:
     """The theta-relation point v = (r, H, chi - r), w = (s, H, chi' - s).
 
     The two are orthogonal exactly when H^2 = 2rs - r.chi' - s.chi, so they
     live on ``generic_k3`` of that degree.  Raises ValueError unless that
-    H^2 is a positive even integer.
+    H^2 is a positive even integer, and ModelMismatchError when ``model`` is
+    given and is not that surface.
     """
     h2 = 2 * r * s - r * chi_prime - s * chi
     if h2 <= 0 or h2 % 2 != 0:
         raise ValueError(f"induced H^2 = {h2} is not a positive even integer")
-    h = generic_k3(h2).hyperplane
+    surface = generic_k3(h2)
+    if model is not None and model != surface:
+        raise ModelMismatchError(f"the theta pair lives on the generic K3 of degree {h2}")
+    h = surface.hyperplane
     return MukaiVector(r, h, chi - r), MukaiVector(s, h, chi_prime - s)
 
 
@@ -452,11 +462,14 @@ class DeformationPair(NamedTuple):
     degree: int
 
 
-def deformation_setup(r: int, s: int, chi: int, chi_prime: int) -> DeformationPair:
+def deformation_setup(
+    r: int, s: int, chi: int, chi_prime: int, model: SurfaceModel | None = None
+) -> DeformationPair:
     """Match a generic-K3 instance with its elliptic degeneration.
 
-    The generic side is the ``theta_pair`` of H^2 = 2n; on the elliptic side
-    H degenerates to the numerical section sigma + (n+1)f of the same square.
+    The generic side is the ``theta_pair`` of H^2 = 2n, which must lie on
+    ``model`` when that is given; on the elliptic side H degenerates to the
+    numerical section sigma + (n+1)f of the same square.
     All Mukai pairings must agree across the two models.  The elliptic
     instance carries nu = ``compute_nu(r, s, a, b)`` as computed; the theory
     says it is chi + chi' - 2, which the caller judges.
@@ -464,7 +477,7 @@ def deformation_setup(r: int, s: int, chi: int, chi_prime: int) -> DeformationPa
     _require_ranks(r, s)
     if chi > 0 or chi_prime > 0:
         raise ValueError("the deformation argument needs chi(v), chi(w) <= 0")
-    v_g, w_g = theta_pair(r, s, chi, chi_prime)
+    v_g, w_g = theta_pair(r, s, chi, chi_prime, model)
     h2 = v_g.model.degree
 
     ell = elliptic_k3()

@@ -53,14 +53,18 @@ class FMDerivationError(ValueError):
 
 
 def vector_coords(v: MukaiVector) -> Quad:
-    if v.model.ns_rank != 2:
+    r, (model, c), s = v
+    if len(model.labels) != 2:
         raise ModelMismatchError("transform coordinates need the elliptic lattice")
-    x, y = v.c1.coeffs
-    return (v.r, x, y, v.s)
+    x, y = c
+    return (r, x, y, s)
 
 
 def coords_vector(model: SurfaceModel, q: Quad) -> MukaiVector:
-    return MukaiVector(q[0], model.cls(q[1], q[2]), q[3])
+    if len(model.labels) != 2:
+        raise ModelMismatchError("transform coordinates need the elliptic lattice")
+    r, x, y, s = q
+    return MukaiVector(r, NSClass(model, (x, y)), s)
 
 
 class FMMatrix(NamedTuple):
@@ -70,7 +74,14 @@ class FMMatrix(NamedTuple):
     rows: tuple[Quad, Quad, Quad, Quad]
 
     def apply(self, q: Quad) -> Quad:
-        return tuple(sum(r[j] * q[j] for j in range(4)) for r in self.rows)  # type: ignore[return-value]
+        _, (m0, m1, m2, m3) = self
+        q0, q1, q2, q3 = q
+        return (
+            m0[0] * q0 + m0[1] * q1 + m0[2] * q2 + m0[3] * q3,
+            m1[0] * q0 + m1[1] * q1 + m1[2] * q2 + m1[3] * q3,
+            m2[0] * q0 + m2[1] * q1 + m2[2] * q2 + m2[3] * q3,
+            m3[0] * q0 + m3[1] * q1 + m3[2] * q2 + m3[3] * q3,
+        )
 
     def column(self, j: int) -> Quad:
         return tuple(self.rows[i][j] for i in range(4))  # type: ignore[return-value]
@@ -204,9 +215,15 @@ def _isometry_failures(matrix: FMMatrix) -> list[tuple[int, int]]:
 
 def fm_apply(matrix: FMMatrix, v: MukaiVector) -> MukaiVector:
     """Matrix-vector product in the model's transform coordinates."""
-    if v.model != matrix.model:
+    if not isinstance(v, MukaiVector):
+        raise TypeError(f"expected MukaiVector, got {type(v).__name__}")
+    model, _ = matrix
+    r, (v_model, c), s = v
+    if v_model is not model and v_model != model:
         raise ModelMismatchError("vector and transform matrix live on different models")
-    return coords_vector(matrix.model, matrix.apply(vector_coords(v)))
+    x, y = c  # the matrix's model is elliptic
+    q0, q1, q2, q3 = matrix.apply((r, x, y, s))
+    return MukaiVector(q0, NSClass(model, (q1, q2)), q3)
 
 
 def fm_c1_grr(v: MukaiVector) -> NSClass:

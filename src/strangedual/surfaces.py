@@ -33,6 +33,13 @@ The class algebra is unrolled by NS rank (1 or 2): ``NSClass`` addition,
 subtraction, negation, integer scaling and ``dot`` write out each
 coefficient, and ``twist`` and ``mukai_tensor`` build their one result class
 from coefficients, with no generator and no intermediate class.
+
+Fields are read once, by tuple unpacking (``model, x = d``; ``r, (model,
+x), s = v``), not by name: a NamedTuple field is a descriptor that Python
+3.11 does not specialise.  Each operation on two lattice elements runs its
+operand guard inline, first the operand's type (``TypeError``), then its
+model (``ModelMismatchError``), and pairs coefficient tuples through one
+unrolled Gram product.
 """
 
 from __future__ import annotations
@@ -127,25 +134,25 @@ class SurfaceModel:
 
     @property
     def zero(self) -> "NSClass":
-        return self.cls(*([0] * self.ns_rank))
+        return NSClass(self, (0,) * len(self.labels))
 
     @property
     def hyperplane(self) -> "NSClass":
-        if self.ns_rank != 1:
+        if len(self.labels) != 1:
             raise ModelMismatchError("H is the generator of the rank-1 model only")
-        return self.cls(1)
+        return NSClass(self, (1,))
 
     @property
     def sigma(self) -> "NSClass":
-        if self.ns_rank != 2:
+        if len(self.labels) != 2:
             raise ModelMismatchError("sigma lives on the elliptic models")
-        return self.cls(1, 0)
+        return NSClass(self, (1, 0))
 
     @property
     def fiber(self) -> "NSClass":
-        if self.ns_rank != 2:
+        if len(self.labels) != 2:
             raise ModelMismatchError("f lives on the elliptic models")
-        return self.cls(0, 1)
+        return NSClass(self, (0, 1))
 
 
 @cache
@@ -163,58 +170,72 @@ def elliptic_general(chi_o: int) -> SurfaceModel:
     return SurfaceModel(ELLIPTIC_GENERAL, chi_o=chi_o)
 
 
+_NS_MISMATCH = "NS classes live on different surface models"
+_MUKAI_MISMATCH = "Mukai vectors live on different surface models"
+
+
+def _form(g, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    """x.y for the coefficient tuples x, y under the Gram matrix g, unrolled by NS rank."""
+    if len(x) == 1:
+        return x[0] * y[0] * g[0][0]
+    # the Gram matrix is symmetric: g01 = g10
+    return g[0][0] * x[0] * y[0] + g[0][1] * (x[0] * y[1] + x[1] * y[0]) + g[1][1] * x[1] * y[1]
+
+
 class NSClass(NamedTuple):
     """An integer divisor class in the Neron-Severi lattice of a model."""
 
     model: SurfaceModel
     coeffs: tuple[int, ...]
 
-    def _require_same(self, other: "NSClass") -> None:
+    def __add__(self, other: "NSClass") -> "NSClass":
         if not isinstance(other, NSClass):
             raise TypeError(f"expected NSClass, got {type(other).__name__}")
+        model, x = self
+        other_model, y = other
         # models are built once per parameter; == covers an equal copy
-        if self.model is not other.model and self.model != other.model:
-            raise ModelMismatchError("NS classes live on different surface models")
-
-    def __add__(self, other: "NSClass") -> "NSClass":
-        self._require_same(other)
-        x, y = self.coeffs, other.coeffs
+        if model is not other_model and model != other_model:
+            raise ModelMismatchError(_NS_MISMATCH)
         if len(x) == 1:
-            return NSClass(self.model, (x[0] + y[0],))
-        return NSClass(self.model, (x[0] + y[0], x[1] + y[1]))
+            return NSClass(model, (x[0] + y[0],))
+        return NSClass(model, (x[0] + y[0], x[1] + y[1]))
 
     def __sub__(self, other: "NSClass") -> "NSClass":
-        self._require_same(other)
-        x, y = self.coeffs, other.coeffs
+        if not isinstance(other, NSClass):
+            raise TypeError(f"expected NSClass, got {type(other).__name__}")
+        model, x = self
+        other_model, y = other
+        if model is not other_model and model != other_model:
+            raise ModelMismatchError(_NS_MISMATCH)
         if len(x) == 1:
-            return NSClass(self.model, (x[0] - y[0],))
-        return NSClass(self.model, (x[0] - y[0], x[1] - y[1]))
+            return NSClass(model, (x[0] - y[0],))
+        return NSClass(model, (x[0] - y[0], x[1] - y[1]))
 
     def __neg__(self) -> "NSClass":
-        x = self.coeffs
+        model, x = self
         if len(x) == 1:
-            return NSClass(self.model, (-x[0],))
-        return NSClass(self.model, (-x[0], -x[1]))
+            return NSClass(model, (-x[0],))
+        return NSClass(model, (-x[0], -x[1]))
 
     def __rmul__(self, k: int) -> "NSClass":
         if not isinstance(k, int):
             raise TypeError("NS classes only scale by integers")
-        x = self.coeffs
+        model, x = self
         if len(x) == 1:
-            return NSClass(self.model, (k * x[0],))
-        return NSClass(self.model, (k * x[0], k * x[1]))
+            return NSClass(model, (k * x[0],))
+        return NSClass(model, (k * x[0], k * x[1]))
 
     __mul__ = __rmul__
 
     def dot(self, other: "NSClass") -> int:
         """Intersection pairing with ``other`` (symmetric, bilinear, exact)."""
-        self._require_same(other)
-        x, y = self.coeffs, other.coeffs
-        g = self.model.gram
-        if len(x) == 1:
-            return x[0] * y[0] * g[0][0]
-        # the Gram matrix is symmetric: g01 = g10
-        return g[0][0] * x[0] * y[0] + g[0][1] * (x[0] * y[1] + x[1] * y[0]) + g[1][1] * x[1] * y[1]
+        if not isinstance(other, NSClass):
+            raise TypeError(f"expected NSClass, got {type(other).__name__}")
+        model, x = self
+        other_model, y = other
+        if model is not other_model and model != other_model:
+            raise ModelMismatchError(_NS_MISMATCH)
+        return _form(model.gram, x, y)
 
     @property
     def is_zero(self) -> bool:
@@ -231,8 +252,9 @@ def ns_pair(d1: NSClass, d2: NSClass) -> int:
 
 def chi_rr(d: NSClass) -> int:
     """Euler characteristic chi(O(d)) = d.(d - K)/2 + chi(O) by Riemann-Roch."""
-    model = d.model
-    num = d.dot(d) - d.dot(model.canonical)
+    model, x = d
+    g, (_, k) = model.gram, model.canonical
+    num = _form(g, x, x) - _form(g, x, k)
     assert num % 2 == 0  # D.(D-K) is even on any surface
     return num // 2 + model.chi_o
 
@@ -282,27 +304,41 @@ class MukaiVector(NamedTuple):
     def model(self) -> SurfaceModel:
         return self.c1.model
 
-    def _require_same(self, other: "MukaiVector") -> None:
+    def __add__(self, other: "MukaiVector") -> "MukaiVector":
         if not isinstance(other, MukaiVector):
             raise TypeError(f"expected MukaiVector, got {type(other).__name__}")
-        if self.model is not other.model and self.model != other.model:
-            raise ModelMismatchError("Mukai vectors live on different surface models")
-
-    def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        self._require_same(other)
-        return MukaiVector(self.r + other.r, self.c1 + other.c1, self.s + other.s)
+        r1, (model, x), s1 = self
+        r2, (other_model, y), s2 = other
+        if model is not other_model and model != other_model:
+            raise ModelMismatchError(_MUKAI_MISMATCH)
+        if len(x) == 1:
+            return MukaiVector(r1 + r2, NSClass(model, (x[0] + y[0],)), s1 + s2)
+        return MukaiVector(r1 + r2, NSClass(model, (x[0] + y[0], x[1] + y[1])), s1 + s2)
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        self._require_same(other)
-        return MukaiVector(self.r - other.r, self.c1 - other.c1, self.s - other.s)
+        if not isinstance(other, MukaiVector):
+            raise TypeError(f"expected MukaiVector, got {type(other).__name__}")
+        r1, (model, x), s1 = self
+        r2, (other_model, y), s2 = other
+        if model is not other_model and model != other_model:
+            raise ModelMismatchError(_MUKAI_MISMATCH)
+        if len(x) == 1:
+            return MukaiVector(r1 - r2, NSClass(model, (x[0] - y[0],)), s1 - s2)
+        return MukaiVector(r1 - r2, NSClass(model, (x[0] - y[0], x[1] - y[1])), s1 - s2)
 
     def __neg__(self) -> "MukaiVector":
-        return MukaiVector(-self.r, -self.c1, -self.s)
+        r, (model, x), s = self
+        if len(x) == 1:
+            return MukaiVector(-r, NSClass(model, (-x[0],)), -s)
+        return MukaiVector(-r, NSClass(model, (-x[0], -x[1])), -s)
 
     def __rmul__(self, k: int) -> "MukaiVector":
         if not isinstance(k, int):
             raise TypeError("Mukai vectors only scale by integers")
-        return MukaiVector(k * self.r, k * self.c1, k * self.s)
+        r, (model, x), s = self
+        if len(x) == 1:
+            return MukaiVector(k * r, NSClass(model, (k * x[0],)), k * s)
+        return MukaiVector(k * r, NSClass(model, (k * x[0], k * x[1])), k * s)
 
     __mul__ = __rmul__
 
@@ -323,7 +359,8 @@ class MukaiVector(NamedTuple):
 
 def chi_vec(v: MukaiVector) -> int:
     """Euler characteristic chi(v) = s + e.rank (= r + s on K3 models)."""
-    return v.s + v.model.s_shift * v.r
+    r, (model, _), s = v
+    return s + model.s_shift * r
 
 
 def mukai_dual(v: MukaiVector) -> MukaiVector:
@@ -332,18 +369,26 @@ def mukai_dual(v: MukaiVector) -> MukaiVector:
     Riemann-Roch adds c1.K to the Euler characteristic, hence to the s-slot;
     on K3 models K = 0 and the s-slot is untouched.
     """
-    return MukaiVector(v.r, -v.c1, v.s + v.c1.dot(v.model.canonical))
+    r, (model, x), s = v
+    _, k = model.canonical
+    c1 = (-x[0],) if len(x) == 1 else (-x[0], -x[1])
+    return MukaiVector(r, NSClass(model, c1), s + _form(model.gram, x, k))
 
 
 def mukai_pair(v: MukaiVector, w: MukaiVector) -> int:
     """Mukai pairing <v, w> = c1(v).c1(w) - v0*w4 - v4*w0 (K3 models only)."""
-    v._require_same(w)
-    if not v.model.is_k3:
+    if not isinstance(w, MukaiVector):
+        raise TypeError(f"expected MukaiVector, got {type(w).__name__}")
+    r1, (model, x), s1 = v
+    r2, (other_model, y), s2 = w
+    if model is not other_model and model != other_model:
+        raise ModelMismatchError(_MUKAI_MISMATCH)
+    if not model.is_k3:
         raise ModelMismatchError(
             "the Mukai pairing needs integral degree-4 components; "
             "the general elliptic model stores chi instead"
         )
-    return v.c1.dot(w.c1) - v.r * w.s - v.s * w.r
+    return _form(model.gram, x, y) - r1 * s2 - s1 * r2
 
 
 def mukai_tensor(v: MukaiVector, w: MukaiVector) -> MukaiVector:
@@ -354,16 +399,20 @@ def mukai_tensor(v: MukaiVector, w: MukaiVector) -> MukaiVector:
     model's stored slots.  The chi of the product collapses to the integral
     formula r1*chi2 + r2*chi1 + c1.c2 - r1*r2*chi(O), valid on all models.
     """
-    v._require_same(w)
-    model = v.model
-    r1, r2, e = v.r, w.r, model.s_shift
+    if not isinstance(w, MukaiVector):
+        raise TypeError(f"expected MukaiVector, got {type(w).__name__}")
+    r1, (model, x), s1 = v
+    r2, (other_model, y), s2 = w
+    if model is not other_model and model != other_model:
+        raise ModelMismatchError(_MUKAI_MISMATCH)
+    e = model.s_shift
     rank = r1 * r2
-    x, y = v.c1.coeffs, w.c1.coeffs
     if len(x) == 1:
         c1 = (r1 * y[0] + r2 * x[0],)
     else:
         c1 = (r1 * y[0] + r2 * x[0], r1 * y[1] + r2 * x[1])
-    chi = r1 * chi_vec(w) + r2 * chi_vec(v) + v.c1.dot(w.c1) - rank * model.chi_o
+    # chi(w) = s2 + e.r2 and chi(v) = s1 + e.r1
+    chi = r1 * (s2 + e * r2) + r2 * (s1 + e * r1) + _form(model.gram, x, y) - rank * model.chi_o
     return MukaiVector(rank, NSClass(model, c1), chi - e * rank)
 
 
@@ -384,17 +433,20 @@ def twist(v: MukaiVector, d: NSClass) -> MukaiVector:
 
     chi, hence the s-slot, shifts by c1.d + r.d.(d - K)/2.
     """
-    model = v.model
-    if model is not d.model and model != d.model:
+    if not isinstance(d, NSClass):
+        raise TypeError(f"expected NSClass, got {type(d).__name__}")
+    r, (model, x), s = v
+    d_model, z = d
+    if model is not d_model and model != d_model:
         raise ModelMismatchError("twisting class lives on a different model")
-    r, x, z = v.r, v.c1.coeffs, d.coeffs
-    num = r * (d.dot(d) - d.dot(model.canonical))
+    g, (_, k) = model.gram, model.canonical
+    num = r * (_form(g, z, z) - _form(g, z, k))
     assert num % 2 == 0  # D.(D-K) is even
     if len(x) == 1:
         c1 = (x[0] + r * z[0],)
     else:
         c1 = (x[0] + r * z[0], x[1] + r * z[1])
-    return MukaiVector(r, NSClass(model, c1), v.s + v.c1.dot(d) + num // 2)
+    return MukaiVector(r, NSClass(model, c1), s + _form(g, x, z) + num // 2)
 
 
 def euler_form(v: MukaiVector, w: MukaiVector) -> int:
@@ -412,14 +464,20 @@ def euler_pair_hom(v: MukaiVector, w: MukaiVector) -> int:
     Equals -<v, w> on K3 models; on the general model it carries the
     antisymmetric canonical-class correction.
     """
-    v._require_same(w)
-    k = v.model.canonical
+    if not isinstance(w, MukaiVector):
+        raise TypeError(f"expected MukaiVector, got {type(w).__name__}")
+    r1, (model, x), s1 = v
+    r2, (other_model, y), s2 = w
+    if model is not other_model and model != other_model:
+        raise ModelMismatchError(_MUKAI_MISMATCH)
+    e, chi_o, g, (_, k) = model.s_shift, model.chi_o, model.gram, model.canonical
+    # chi(w) = s2 + e.r2 and chi(v) = s1 + e.r1
     return (
-        v.r * chi_vec(w)
-        + w.r * chi_vec(v)
-        - v.r * w.r * v.model.chi_o
-        - v.c1.dot(w.c1)
-        + w.r * v.c1.dot(k)
+        r1 * (s2 + e * r2)
+        + r2 * (s1 + e * r1)
+        - r1 * r2 * chi_o
+        - _form(g, x, y)
+        + r2 * _form(g, x, k)
     )
 
 
@@ -430,10 +488,11 @@ def moduli_dim(v: MukaiVector) -> int:
     which on K3 models collapses to <v, v> + 2.  2*ch2 is an integer, so
     the sum is taken over the integers.
     """
-    model = v.model
-    c1sq = v.c1.dot(v.c1)
-    twice_ch2 = 2 * (chi_vec(v) - v.r * model.chi_o) + v.c1.dot(model.canonical)
-    return c1sq - v.r * twice_ch2 - (v.r * v.r - 1) * model.chi_o
+    r, (model, x), s = v
+    chi_o, g, (_, k) = model.chi_o, model.gram, model.canonical
+    # chi(v) = s + e.r
+    twice_ch2 = 2 * (s + model.s_shift * r - r * chi_o) + _form(g, x, k)
+    return _form(g, x, x) - r * twice_ch2 - (r * r - 1) * chi_o
 
 
 def normalized_vector(r: int, a: int, model: SurfaceModel) -> MukaiVector:
@@ -446,11 +505,11 @@ def normalized_vector(r: int, a: int, model: SurfaceModel) -> MukaiVector:
         raise ValueError("rank must be >= 1")
     if a < 0:
         raise ValueError("half-dimension must be >= 0")
-    if model.ns_rank != 2:
+    if len(model.labels) != 2:
         raise ModelMismatchError("normalized vectors live on the elliptic models")
     half = r * (r - 1) * model.chi_o
     assert half % 2 == 0
-    return MukaiVector(r, model.cls(1, a - half // 2), 1 - model.s_shift * r)
+    return MukaiVector(r, NSClass(model, (1, a - half // 2)), 1 - model.s_shift * r)
 
 
 def _coordinate_vector(model: SurfaceModel, q: tuple[int, ...]) -> MukaiVector:

@@ -185,9 +185,13 @@ class TestRunInstance:
     )
     def test_single_point_theta_relation(self, chi, chi_prime, h2):
         # an odd or non-positive H^2 is outside the relation's domain
+        # the point's own surface where it has one; an invalid H^2 is refused
+        # before the stated surface is read
         params = {"r": 2, "s": 3, "chi": chi, "chi_prime": chi_prime}
-        spec = normalize_instance({"params": params, "checks": ["theta-relation"]}, 0)[0]
-        result = run_instance(spec)["results"]["theta-relation"]
+        raw = {"params": params, "checks": ["theta-relation"]}
+        if h2 > 0 and h2 % 2 == 0:
+            raw["surface"] = {"kind": "generic-k3", "degree": h2}
+        result = run_instance(normalize_instance(raw, 0)[0])["results"]["theta-relation"]
         if h2 > 0 and h2 % 2 == 0:
             assert (result["status"], result["h_squared"]) == ("pass", h2)
         else:
@@ -301,8 +305,9 @@ class TestChecksGiveTheVerdict:
         original = duality.compute_nu
         monkeypatch.setattr(duality, "compute_nu", lambda *args: original(*args) - 1)
         out = tmp_path / "report.json"
-        argv = ["check", "--r", "2", "--s", "3", "--chi", "0", "--chi-prime", "-1",
-                "--checks", "deformation", "--out", str(out), "--quiet"]
+        argv = ["check", "--surface", "generic-k3", "--degree", "14", "--r", "2", "--s", "3",
+                "--chi", "0", "--chi-prime", "-1", "--checks", "deformation", "--out", str(out),
+                "--quiet"]
         assert main(argv) == 1
         result = json.loads(out.read_text())["instances"][0]["results"]["deformation"]
         # the pairings still agree; nu = -4 is not chi + chi' - 2 = -3
@@ -1306,6 +1311,8 @@ NOT_INTEGRAL = ("error:divisibility", "-nu = 2/8 is not an integer")  # (2, 2, 9
 NU_MODEL = ("error:model", "nu is defined on the elliptic models")
 QRS_MODEL = ("error:model", "the classes Q, R and S are defined on the elliptic K3")
 WALLS_MODEL = ("error:model", "walls are enumerated on the elliptic K3 model")
+# (r, s, chi, chi') = (2, 2, -1, -1) lies on the generic K3 of degree 12, not 8
+THETA_MODEL = ("error:model", "the theta pair lives on the generic K3 of degree 12")
 RSAB_CELLS = (PASS, NOT_INTEGRAL, NU_MODEL)
 # (status, reason) of each check alone on elliptic-k3, elliptic-general and
 # generic-k3; every error:model reason is the library's ModelMismatchError
@@ -1318,8 +1325,8 @@ SURFACE_MATRIX = {
     "tower": (PASS, PASS, ("error:model", "the tower lives on the elliptic models")),
     "sign-law": (PASS, PASS, PASS),
     "fm-verify": (PASS, PASS, ("error:model", "the transform is defined on the elliptic models")),
-    "theta-relation": (PASS, PASS, PASS),
-    "deformation": (PASS, PASS, PASS),
+    "theta-relation": (THETA_MODEL, THETA_MODEL, THETA_MODEL),
+    "deformation": (THETA_MODEL, THETA_MODEL, THETA_MODEL),
     "hypotheses-T1": (("error:model", "T1 concerns the generic K3 model"), NOT_INTEGRAL, NU_MODEL),
     "hypotheses-T1A": (("error:model", "T1A concerns the generic K3 model"), NOT_INTEGRAL, NU_MODEL),
     "hypotheses-T2": RSAB_CELLS,
@@ -1347,6 +1354,19 @@ class TestSurfaceMatrix:
         result = run_instance(normalize_instance(raw, 0)[0])["results"][check]
         status, reason = SURFACE_MATRIX[check][list(MATRIX_SURFACES).index(kind)]
         assert (result["status"], result.get("reason")) == (status, reason)
+
+    @pytest.mark.parametrize("check", ["theta-relation", "deformation"])
+    @pytest.mark.parametrize("degree,status", [(8, "error:model"), (10, "error:model"), (12, "pass")])
+    def test_a_theta_point_runs_on_its_own_surface_only(self, check, degree, status):
+        params = {"r": 2, "s": 2, "chi": -1, "chi_prime": -1}
+        raw = {"surface": {"kind": "generic-k3", "degree": degree}, "params": params,
+               "checks": [check]}
+        result = run_instance(normalize_instance(raw, 0)[0])["results"][check]
+        assert result["status"] == status
+        if status == "pass":
+            assert result["h_squared"] == 12
+        else:
+            assert result["reason"] == THETA_MODEL[1]
 
     def test_a_model_error_is_the_library_message(self, monkeypatch):
         def refuse(*args):

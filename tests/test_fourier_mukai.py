@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import strangedual.fourier_mukai as fourier_mukai
 
@@ -22,6 +24,7 @@ from strangedual.linalg import row_reduce
 from strangedual.surfaces import (
     ModelMismatchError,
     MukaiVector,
+    NSClass,
     elliptic_general,
     elliptic_k3,
     generic_k3,
@@ -369,3 +372,139 @@ class TestLinalg:
         reduced, pivots, _ = row_reduce([[q1, 0, 0, 0, 0], [0, 0, 0, 1, -1], [1, -2, 2, 0, 0]])
         assert pivots == (0, 1, 3)
         assert reduced == [[1, 0, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 0, 1, -1]]
+
+
+# ---------------------------------------------------------------------------
+# The elimination over Fractions that row_reduce ran before it became
+# fraction-free, kept as its reference.
+# ---------------------------------------------------------------------------
+
+
+def _fraction_row_reduce(matrix):
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n = len(rows)
+    pivots = []
+    det = Fraction(1)
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, n) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        lead = rows[rank][col]
+        det *= lead
+        rows[rank] = [x / lead for x in rows[rank]]
+        for i in range(n):
+            if i != rank and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+    if pivots != list(range(n)):
+        det = Fraction(0)
+    return rows[: len(pivots)], tuple(pivots), det
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices of shape 4x4, 4x8 or any other up to 6x9.
+
+    One row may be replaced by a combination of two others (a singular
+    leading block), and the first row may lose its leading entry, so that
+    the first pivot needs a row swap.
+    """
+    n, m = draw(st.sampled_from([(4, 4), (4, 8)]) | st.tuples(st.integers(1, 6), st.integers(1, 9)))
+    entries = st.integers(-9, 9)
+    rows = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    if draw(st.booleans()):
+        rows[0][0] = 0
+    return rows
+
+
+class TestFractionFreeElimination:
+    @settings(max_examples=400, deadline=None)
+    @given(integer_matrices())
+    @example([[0, 3, 2, 1], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])  # a swap: det -3
+    @example([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 1, 1, 1]])  # singular
+    @example([[0, 0, 0], [0, 0, 5]])  # a zero row and a skipped column
+    def test_matches_the_fraction_reference(self, matrix):
+        reduced, pivots, det = row_reduce(matrix)
+        expected_rows, expected_pivots, expected_det = _fraction_row_reduce(matrix)
+        assert pivots == expected_pivots
+        assert reduced == expected_rows
+        assert det == expected_det
+        assert all(type(x) is Fraction for row in reduced for x in row)
+        assert type(det) is Fraction
+
+    def test_the_transform_systems_match_the_reference(self):
+        for model in ELLIPTIC_MODELS:
+            system = [list(u) + list(o) for u, o in fourier_mukai._defining_quads(model)]
+            matrix = derive_fm_matrix(model)
+            for rows in (system, [list(row) for row in matrix.rows]):
+                assert row_reduce(rows) == _fraction_row_reduce(rows)
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, "1"])
+    def test_non_integer_entries_are_refused(self, entry):
+        with pytest.raises(TypeError, match="rows of integers"):
+            row_reduce([[1, 0], [0, entry]])
+
+
+# ---------------------------------------------------------------------------
+# The operand guards of the transform: fm_apply refuses a non-vector, and a
+# vector of another model, with its own message on every surface kind.
+# ---------------------------------------------------------------------------
+
+GUARD_VECTORS = {
+    "elliptic-k3": MukaiVector(2, E.cls(1, -3), -1),
+    "elliptic-general-3": MukaiVector(2, elliptic_general(3).cls(1, -3), -1),
+    "elliptic-general-2": MukaiVector(2, elliptic_general(2).cls(1, -3), -1),
+    "generic-k3": MukaiVector(2, generic_k3(8).cls(1), -1),
+}
+
+
+class TestTransformGuards:
+    @pytest.mark.parametrize("model", [E, elliptic_general(2), elliptic_general(3)],
+                             ids=lambda m: f"{m.kind}-{m.chi_o}")
+    @pytest.mark.parametrize("kind", list(GUARD_VECTORS))
+    def test_fm_apply_on_each_surface_kind(self, model, kind):
+        matrix = derive_fm_matrix(model)
+        v = GUARD_VECTORS[kind]
+        if v.model == model:
+            image = fm_apply(matrix, v)
+            assert vector_coords(image) == matrix.apply(vector_coords(v))
+            return
+        with pytest.raises(ModelMismatchError) as info:
+            fm_apply(matrix, v)
+        assert str(info.value) == "vector and transform matrix live on different models"
+
+    @pytest.mark.parametrize("operand", [5, (2, E.cls(1, 0), -1), E.cls(1, 0), None],
+                             ids=["int", "tuple", "NSClass", "None"])
+    def test_fm_apply_refuses_a_non_vector(self, operand):
+        with pytest.raises(TypeError) as info:
+            fm_apply(derive_fm_matrix(E), operand)
+        assert str(info.value) == f"expected MukaiVector, got {type(operand).__name__}"
+
+    def test_vector_coords_needs_the_elliptic_lattice(self):
+        for kind, v in GUARD_VECTORS.items():
+            if kind == "generic-k3":
+                for call in (lambda: vector_coords(v), lambda: coords_vector(v.model, (2, 1, -3, -1))):
+                    with pytest.raises(ModelMismatchError) as info:
+                        call()
+                    assert str(info.value) == "transform coordinates need the elliptic lattice"
+            else:
+                assert vector_coords(v) == (2, 1, -3, -1)
+                assert coords_vector(v.model, vector_coords(v)) == v
+                assert type(coords_vector(v.model, (1, 2, 3, 4)).c1) is NSClass
+
+    def test_apply_is_the_matrix_product(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            rows = tuple(tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4))
+            q = tuple(rng.randint(-9, 9) for _ in range(4))
+            expected = tuple(sum(row[j] * q[j] for j in range(4)) for row in rows)
+            assert FMMatrix(E, rows).apply(q) == expected

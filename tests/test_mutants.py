@@ -1,0 +1,131 @@
+"""Mutant rows: a primitive made wrong at one input must turn a named check
+away from ``pass``.
+
+Each row patches one library function (or method) so that it is off by one
+on a single input the check reaches, in every ``strangedual`` module that
+binds it, then runs the named instance of the committed acceptance batch in
+process.  The unpatched instance passes; the patched one must not.  The
+last test does the same for ``delta_bound`` on a point of its own, which
+the acceptance batch does not run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import strangedual.duality as duality
+import strangedual.fourier_mukai as fourier_mukai
+import strangedual.linalg as linalg
+import strangedual.surfaces as surfaces
+from strangedual.cli import load_batch, normalize_instance, run_instance
+from strangedual.fourier_mukai import FMMatrix, derive_fm_matrix, vector_coords
+from strangedual.surfaces import elliptic_k3, normalized_vector
+
+E = elliptic_k3()
+ACCEPTANCE = {
+    spec["name"]: spec
+    for spec in load_batch(str(Path(__file__).parent / "data" / "acceptance_batch.yaml"))
+}
+
+
+def _patch_everywhere(monkeypatch, module, name, replacement):
+    """Patch ``name`` in every strangedual module that binds the same object."""
+    original = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("strangedual") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+    return original
+
+
+def _bump_s(v):
+    return v._replace(s=v.s + 1)
+
+
+def _twist_mutant(monkeypatch):
+    # the tower twists each v_{r,a} by -2f on the elliptic K3; break one of them
+    target = (normalized_vector(3, 7, E), -2 * E.fiber)
+    original = _patch_everywhere(
+        monkeypatch, surfaces, "twist",
+        lambda v, d: _bump_s(original(v, d)) if (v, d) == target else original(v, d),
+    )
+
+
+def _apply_mutant(monkeypatch):
+    # the direct image of the tower vector v_{4,9}, inside the suite's grid
+    target = vector_coords(normalized_vector(4, 9, E))
+    original = FMMatrix.apply
+
+    def apply(self, q):
+        out = original(self, q)
+        return (*out[:3], out[3] + 1) if self.model == E and q == target else out
+
+    monkeypatch.setattr(FMMatrix, "apply", apply)
+
+
+def _tensor_chi_mutant(monkeypatch):
+    # the typed theta pair at (r, s, chi, chi') = (2, 3, 0, -1), H^2 = 14
+    target = duality.theta_pair(2, 3, 0, -1)
+    original = _patch_everywhere(
+        monkeypatch, surfaces, "mukai_tensor",
+        lambda v, w: _bump_s(original(v, w)) if (v, w) == target else original(v, w),
+    )
+
+
+def _determinant_mutant(monkeypatch):
+    # the determinant of the elliptic-K3 transform matrix itself
+    target = derive_fm_matrix(E).rows
+
+    def row_reduce(matrix):
+        reduced, pivots, det = original(matrix)
+        return reduced, pivots, det + 1 if tuple(map(tuple, matrix)) == target else det
+
+    original = _patch_everywhere(monkeypatch, linalg, "row_reduce", row_reduce)
+    assert fourier_mukai.row_reduce is row_reduce
+
+
+# (mutant, acceptance instance, check that must leave pass, what its report must show)
+MUTANTS = {
+    "twist": (_twist_mutant, "tower-identities", "tower", lambda r: 7 in r["failures"]),
+    "FMMatrix.apply": (_apply_mutant, "fm-matrix", "fm-verify",
+                       lambda r: r["failures"]["direct_images"] == [[4, 9]]),
+    "mukai_tensor chi": (_tensor_chi_mutant, "theta-relation", "theta-relation",
+                         lambda r: r["failures"] == [[2, 3, 0, -1, "typed-route disagreement"]]),
+    "row_reduce determinant": (_determinant_mutant, "fm-matrix", "fm-verify",
+                               lambda r: r["determinant"] == 2 and r["failures"] == {}),
+}
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_mutant_leaves_pass(monkeypatch, name):
+    mutate, instance, check, shows = MUTANTS[name]
+    spec = ACCEPTANCE[instance]
+    assert run_instance(spec)["results"][check]["status"] == "pass"
+    mutate(monkeypatch)
+    result = run_instance(spec)["results"][check]
+    assert result["status"] == "fail"
+    assert shows(result)
+
+
+# An elliptic-general point exactly on the dimension bound of T5 and the
+# conjecture: dim M(v) + dim M(w) = 28 + 30 = 58 = delta_bound(3, 2, 2).
+BOUND_POINT = {
+    "surface": {"kind": "elliptic-general", "chi_o": 3},
+    "params": {"v": "2:1,11:1", "w": "2:1,6:-2"},
+    "checks": ["hypotheses-T5", "hypotheses-Conj"],
+}
+
+
+def test_delta_bound_raised_by_one_fails_the_point_on_the_bound(monkeypatch):
+    spec = normalize_instance(BOUND_POINT, 0)[0]
+    results = run_instance(spec)["results"]
+    for check in BOUND_POINT["checks"]:
+        assert results[check]["status"] == "pass"
+        assert results[check]["conditions"]["ii_dimension_sum_bound"] is True
+    assert duality.delta_bound(3, 2, 2) == 58
+    original = _patch_everywhere(monkeypatch, duality, "delta_bound",
+                                 lambda chi_o, r, s: original(chi_o, r, s) + 1)
+    results = run_instance(spec)["results"]
+    for check in BOUND_POINT["checks"]:
+        assert results[check]["status"] == "fail"
+        assert results[check]["conditions"]["ii_dimension_sum_bound"] is False

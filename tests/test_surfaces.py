@@ -1,5 +1,6 @@
 """Lattice arithmetic, Riemann-Roch counts and Mukai-vector algebra."""
 
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -691,21 +692,39 @@ class TestModelsAreBuiltOnce:
 
 
 # ---------------------------------------------------------------------------
-# The generator-based class algebra the models used before it was unrolled by
-# NS rank, kept as the typed reference for the unrolled one.
+# The generator-based lattice algebra the models used before it was unrolled
+# by NS rank and before its fields were unpacked inline, kept as the typed
+# reference for both: it reads every field by name, runs the one shared
+# operand guard and pairs classes with a double sum over the Gram matrix.
 # ---------------------------------------------------------------------------
 
 L0_MODELS = [elliptic_k3(), *(generic_k3(d) for d in (2, 4, 6, 8)),
              *(elliptic_general(c) for c in (1, 2, 3, 4))]
 
 
+def _reference_require_same(a, b):
+    """The operand guard of ``NSClass`` and ``MukaiVector``: type, then model."""
+    name = type(a).__name__
+    if not isinstance(b, type(a)):
+        raise TypeError(f"expected {name}, got {type(b).__name__}")
+    if a.model is not b.model and a.model != b.model:
+        what = "NS classes" if name == "NSClass" else "Mukai vectors"
+        raise ModelMismatchError(f"{what} live on different surface models")
+
+
+def _reference_dot(d1, d2):
+    _reference_require_same(d1, d2)
+    g = d1.model.gram
+    return sum(g[i][j] * a * b for i, a in enumerate(d1.coeffs) for j, b in enumerate(d2.coeffs))
+
+
 def _reference_add(d1, d2):
-    d1._require_same(d2)
+    _reference_require_same(d1, d2)
     return surfaces.NSClass(d1.model, tuple(a + b for a, b in zip(d1.coeffs, d2.coeffs)))
 
 
 def _reference_sub(d1, d2):
-    d1._require_same(d2)
+    _reference_require_same(d1, d2)
     return surfaces.NSClass(d1.model, tuple(a - b for a, b in zip(d1.coeffs, d2.coeffs)))
 
 
@@ -725,23 +744,87 @@ def _reference_cls(model, *coeffs):
     return surfaces.NSClass(model, tuple(int(c) for c in coeffs))
 
 
+def _reference_vector_add(v, w):
+    _reference_require_same(v, w)
+    return MukaiVector(v.r + w.r, _reference_add(v.c1, w.c1), v.s + w.s)
+
+
+def _reference_vector_sub(v, w):
+    _reference_require_same(v, w)
+    return MukaiVector(v.r - w.r, _reference_sub(v.c1, w.c1), v.s - w.s)
+
+
+def _reference_vector_neg(v):
+    return MukaiVector(-v.r, _reference_neg(v.c1), -v.s)
+
+
+def _reference_vector_rmul(k, v):
+    if not isinstance(k, int):
+        raise TypeError("Mukai vectors only scale by integers")
+    return MukaiVector(k * v.r, _reference_rmul(k, v.c1), k * v.s)
+
+
+def _reference_chi_vec(v):
+    return v.s + v.model.s_shift * v.r
+
+
+def _reference_chi_rr(d):
+    num = _reference_dot(d, d) - _reference_dot(d, d.model.canonical)
+    assert num % 2 == 0
+    return num // 2 + d.model.chi_o
+
+
+def _reference_mukai_dual(v):
+    return MukaiVector(v.r, _reference_neg(v.c1), v.s + _reference_dot(v.c1, v.model.canonical))
+
+
+def _reference_mukai_pair(v, w):
+    _reference_require_same(v, w)
+    if not v.model.is_k3:
+        raise ModelMismatchError(
+            "the Mukai pairing needs integral degree-4 components; "
+            "the general elliptic model stores chi instead"
+        )
+    return _reference_dot(v.c1, w.c1) - v.r * w.s - v.s * w.r
+
+
 def _reference_typed_twist(v, d):
     model = v.model
     if model is not d.model and model != d.model:
         raise ModelMismatchError("twisting class lives on a different model")
-    num = v.r * (d.dot(d) - d.dot(model.canonical))
+    num = v.r * (_reference_dot(d, d) - _reference_dot(d, model.canonical))
     assert num % 2 == 0
     c1 = _reference_add(v.c1, _reference_rmul(v.r, d))
-    return MukaiVector(v.r, c1, v.s + v.c1.dot(d) + num // 2)
+    return MukaiVector(v.r, c1, v.s + _reference_dot(v.c1, d) + num // 2)
 
 
 def _reference_typed_mukai_tensor(v, w):
-    v._require_same(w)
+    _reference_require_same(v, w)
     model = v.model
     rank = v.r * w.r
     c1 = _reference_add(_reference_rmul(v.r, w.c1), _reference_rmul(w.r, v.c1))
-    chi = v.r * chi_vec(w) + w.r * chi_vec(v) + v.c1.dot(w.c1) - rank * model.chi_o
+    chi = (v.r * _reference_chi_vec(w) + w.r * _reference_chi_vec(v)
+           + _reference_dot(v.c1, w.c1) - rank * model.chi_o)
     return MukaiVector(rank, c1, chi - model.s_shift * rank)
+
+
+def _reference_euler_pair_hom(v, w):
+    _reference_require_same(v, w)
+    k = v.model.canonical
+    return (
+        v.r * _reference_chi_vec(w)
+        + w.r * _reference_chi_vec(v)
+        - v.r * w.r * v.model.chi_o
+        - _reference_dot(v.c1, w.c1)
+        + w.r * _reference_dot(v.c1, k)
+    )
+
+
+def _reference_moduli_dim(v):
+    model = v.model
+    c1sq = _reference_dot(v.c1, v.c1)
+    twice_ch2 = 2 * (_reference_chi_vec(v) - v.r * model.chi_o) + _reference_dot(v.c1, model.canonical)
+    return c1sq - v.r * twice_ch2 - (v.r * v.r - 1) * model.chi_o
 
 
 def _l0_draws(n, seed=13):
@@ -764,7 +847,19 @@ class TestUnrolledAlgebraMatchesTypedReference:
             assert d1 - d2 == _reference_sub(d1, d2)
             assert -d1 == _reference_neg(d1)
             assert k * d1 == _reference_rmul(k, d1) == d1 * k
+            assert d1.dot(d2) == _reference_dot(d1, d2)
+            assert chi_rr(d1) == _reference_chi_rr(d1)
             v, w = MukaiVector(r1, d1, s1), MukaiVector(r2, d2, s2)
+            assert v + w == _reference_vector_add(v, w)
+            assert v - w == _reference_vector_sub(v, w)
+            assert -v == _reference_vector_neg(v)
+            assert k * v == _reference_vector_rmul(k, v) == v * k
+            assert chi_vec(v) == _reference_chi_vec(v)
+            assert mukai_dual(v) == _reference_mukai_dual(v)
+            assert moduli_dim(v) == _reference_moduli_dim(v)
+            assert euler_pair_hom(v, w) == _reference_euler_pair_hom(v, w)
+            if model.is_k3:
+                assert mukai_pair(v, w) == _reference_mukai_pair(v, w)
             assert twist(v, d2) == _reference_typed_twist(v, d2)
             assert mukai_tensor(v, w) == _reference_typed_mukai_tensor(v, w)
         assert seen == set(L0_MODELS)
@@ -810,3 +905,110 @@ class TestUnrolledAlgebraMatchesTypedReference:
                 model.cls(*range(n))
             with pytest.raises(ValueError, match="coefficient"):
                 _reference_cls(model, *range(n))
+
+
+# ---------------------------------------------------------------------------
+# The guard matrix: every operation that unpacks its fields and runs its
+# operand guard inline refuses a non-class operand and a class of another
+# model with the exception type and message the shared guard gave.
+# ---------------------------------------------------------------------------
+
+# one model of each kind, then a second model of two kinds with other parameters
+GUARD_MODELS = [generic_k3(8), E, GEN3, generic_k3(2), elliptic_general(2)]
+NS_MESSAGE = "NS classes live on different surface models"
+MUKAI_MESSAGE = "Mukai vectors live on different surface models"
+
+
+def _guard_class(model):
+    return model.cls(*(1, -2)[: model.ns_rank])
+
+
+def _guard_vector(model):
+    return MukaiVector(2, _guard_class(model), -1)
+
+
+# name: (operation, receiver, operand, typed reference, operand type, mismatch message)
+GUARDED = {
+    "NSClass.__add__": (operator.add, _guard_class, _guard_class, _reference_add,
+                        "NSClass", NS_MESSAGE),
+    "NSClass.__sub__": (operator.sub, _guard_class, _guard_class, _reference_sub,
+                        "NSClass", NS_MESSAGE),
+    "NSClass.dot": (lambda d1, d2: d1.dot(d2), _guard_class, _guard_class, _reference_dot,
+                    "NSClass", NS_MESSAGE),
+    "MukaiVector.__add__": (operator.add, _guard_vector, _guard_vector, _reference_vector_add,
+                            "MukaiVector", MUKAI_MESSAGE),
+    "MukaiVector.__sub__": (operator.sub, _guard_vector, _guard_vector, _reference_vector_sub,
+                            "MukaiVector", MUKAI_MESSAGE),
+    "mukai_tensor": (mukai_tensor, _guard_vector, _guard_vector, _reference_typed_mukai_tensor,
+                     "MukaiVector", MUKAI_MESSAGE),
+    "euler_form": (euler_form, _guard_vector, _guard_vector,
+                   lambda v, w: _reference_chi_vec(_reference_typed_mukai_tensor(v, w)),
+                   "MukaiVector", MUKAI_MESSAGE),
+    "euler_pair_hom": (euler_pair_hom, _guard_vector, _guard_vector, _reference_euler_pair_hom,
+                       "MukaiVector", MUKAI_MESSAGE),
+    "mukai_pair": (mukai_pair, _guard_vector, _guard_vector, _reference_mukai_pair,
+                   "MukaiVector", MUKAI_MESSAGE),
+    "twist": (twist, _guard_vector, _guard_class, _reference_typed_twist,
+              "NSClass", "twisting class lives on a different model"),
+}
+
+
+def _outcome(call):
+    """The value of call(), or the type and message of what it raised."""
+    try:
+        return call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _model_id(model):
+    return f"{model.kind}-{model.degree or model.chi_o}"
+
+
+class TestGuardMatrix:
+    @pytest.mark.parametrize("other", GUARD_MODELS, ids=_model_id)
+    @pytest.mark.parametrize("model", GUARD_MODELS, ids=_model_id)
+    @pytest.mark.parametrize("name", list(GUARDED))
+    def test_operand_of_another_model(self, name, model, other):
+        op, receiver, operand, reference, _, message = GUARDED[name]
+        a, b = receiver(model), operand(other)
+        got, expected = _outcome(lambda: op(a, b)), _outcome(lambda: reference(a, b))
+        assert got == expected
+        if other != model:
+            assert got == (ModelMismatchError, message)
+
+    @pytest.mark.parametrize("model", GUARD_MODELS[:3], ids=_model_id)
+    @pytest.mark.parametrize("name", list(GUARDED))
+    def test_non_class_operand(self, name, model):
+        op, receiver, operand, reference, expected_type, _ = GUARDED[name]
+        a = receiver(model)
+        # a plain tuple of the right shape, the other lattice type, and two non-tuples
+        wrong = [5, None, tuple(operand(model))]
+        wrong.append(_guard_vector(model) if expected_type == "NSClass" else _guard_class(model))
+        for b in wrong:
+            got = _outcome(lambda: op(a, b))
+            assert got == (TypeError, f"expected {expected_type}, got {type(b).__name__}")
+            if name != "twist":
+                # twist read d.model before it had a type guard, so a non-class
+                # operand raised AttributeError there
+                assert got == _outcome(lambda: reference(a, b))
+
+    @pytest.mark.parametrize("k", [Fraction(1, 2), 1.5, "2", None])
+    @pytest.mark.parametrize("model", GUARD_MODELS[:3], ids=_model_id)
+    def test_non_integer_scalar(self, model, k):
+        d, v = _guard_class(model), _guard_vector(model)
+        for x, reference, message in (
+            (d, _reference_rmul, "NS classes only scale by integers"),
+            (v, _reference_vector_rmul, "Mukai vectors only scale by integers"),
+        ):
+            for op in (lambda: k * x, lambda: x * k, lambda: reference(k, x)):
+                assert _outcome(op) == (TypeError, message)
+
+    @pytest.mark.parametrize("model", GUARD_MODELS, ids=_model_id)
+    def test_one_operand_operations_agree_with_the_reference(self, model):
+        d, v = _guard_class(model), _guard_vector(model)
+        assert -d == _reference_neg(d) and -v == _reference_vector_neg(v)
+        assert chi_rr(d) == _reference_chi_rr(d)
+        assert chi_vec(v) == _reference_chi_vec(v)
+        assert mukai_dual(v) == _reference_mukai_dual(v)
+        assert moduli_dim(v) == _reference_moduli_dim(v)
