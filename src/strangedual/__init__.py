@@ -27,7 +27,8 @@ from .surfaces import (
 )
 from .hilbert import (
     binom,
-    exclusion_flags,
+    exclusion_group_flags,
+    exclusion_point_flags,
     exclusion_report,
     taut_det_sections,
 )

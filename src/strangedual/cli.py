@@ -54,7 +54,12 @@ from .duality import (
     tower_instance,
 )
 from .fourier_mukai import derive_fm_matrix, verify_fm_suite
-from .hilbert import exclusion_flags, exclusion_report, require_exclusion_model
+from .hilbert import (
+    exclusion_group_flags,
+    exclusion_point_flags,
+    exclusion_report,
+    require_exclusion_model,
+)
 from .strata import codim_audit, is_suitable, wall_enumerate
 from .surfaces import (
     ELLIPTIC_GENERAL,
@@ -469,25 +474,27 @@ def _check_exclusion_sweep(ctx: _Ctx, r_lo, r_hi, s_lo, s_hi, ab_max):
     grid = k3_divisible_points(range(r_lo, r_hi + 1), range(s_lo, s_hi + 1), ab_max)
     group = None
     for r, s, a, b, valid in grid:
-        # the bound comparison, nu and L depend on (r, s, a+b) alone, and the
-        # grid yields the points of each such group one after another
+        # the bound comparison, nu, L and the S and Q verdicts depend on
+        # (r, s, a+b) alone, and the grid yields the points of each such
+        # group one after another
         if group != (r, s, a + b):
             group = (r, s, a + b)
             # both directions of the bound equivalence: valid and too-small twists
             disagrees = theorem2_equivalence(r, s, a, b) is False
-            line = None
+            nu = line = None
         if disagrees:
             bound_disagreements.append((r, s, a, b))
         if not valid:
             continue
         points += 1
-        nu, _, _, chi_vw, dims = k3_tower_row(r, s, a, b)
+        nu, _, _, chi_vw, dims = k3_tower_row(r, s, a, b, nu)
         if chi_vw != 0 or dims != (2 * a, 2 * b):
             chi_violations.append((r, s, a, b))
         if line is None:
             line = duality_line_bundle_class(r, s, nu)
             (m, n), chi = line.coeffs, line.model.chi_o
-        q3_excluded, q1q2_excluded, s_proper, q_proper = exclusion_flags(m, n, a, b, chi)
+            s_proper, q_proper = exclusion_group_flags(m, n, a + b, chi)
+        q3_excluded, q1q2_excluded = exclusion_point_flags(m, n, a, b, chi)
         if not (q3_excluded and s_proper and q_proper):
             h0_violations.append((r, s, a, b))
         if not q1q2_excluded:

@@ -177,7 +177,7 @@ def _chi_product(gram, v: tuple[int, ...], w: tuple[int, ...]) -> int:
 
 
 def k3_tower_row(
-    r: int, s: int, a: int, b: int
+    r: int, s: int, a: int, b: int, nu: int | None = None
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[int, int]]:
     """``tower_instance`` on the elliptic K3 in plain integers.
 
@@ -188,9 +188,12 @@ def k3_tower_row(
 
     chi(v . w) and (dim M(v), dim M(w)), for the caller to compare with 0
     and (2a, 2b).  The dimension is <u, u> + 2 = 2 - chi(u . u*), with
-    u* = (r, -c1, s) the dual.
+    u* = (r, -c1, s) the dual.  nu is ``compute_nu(r, s, a, b)`` unless
+    the caller passes it: it depends on r, s and a + b alone, so a walk
+    over one such group takes it from the group's first row.
     """
-    nu = compute_nu(r, s, a, b)
+    if nu is None:
+        nu = compute_nu(r, s, a, b)
     gram = elliptic_k3().gram
     v = (r, 1, a - r * (r - 1), 1 - r)
     w = (s, 1, b - s * (s - 1) + s * nu, 1 - s + nu)
@@ -396,7 +399,9 @@ def theta_pair(
     if model is not None and model != surface:
         raise ModelMismatchError(f"the theta pair lives on the generic K3 of degree {h2}")
     h = surface.hyperplane
-    return MukaiVector(r, h, chi - r), MukaiVector(s, h, chi_prime - s)
+    v = tuple.__new__(MukaiVector, (r, h, chi - r))
+    w = tuple.__new__(MukaiVector, (s, h, chi_prime - s))
+    return v, w
 
 
 class ThetaRelationResult(NamedTuple):
@@ -414,12 +419,14 @@ class ThetaRelationResult(NamedTuple):
 
 def theta_classes(v: MukaiVector) -> tuple[MukaiVector, MukaiVector]:
     """The two auxiliary classes (0, -v0.H, H.v2) and (-H.v2, v4.H, 0)."""
-    model = v.model
+    r, c1, s = v
+    model, _ = c1
     if model.kind != GENERIC_K3:
         raise ModelMismatchError("theta classes are set up on the generic K3 model")
     h = model.hyperplane
-    lam = MukaiVector(0, (-v.r) * h, ns_pair(h, v.c1))
-    mu = MukaiVector(-ns_pair(h, v.c1), v.s * h, 0)
+    h_c1 = ns_pair(h, c1)
+    lam = tuple.__new__(MukaiVector, (0, (-r) * h, h_c1))
+    mu = tuple.__new__(MukaiVector, (-h_c1, s * h, 0))
     return lam, mu
 
 
@@ -431,12 +438,13 @@ def theta_relation_identity(v: MukaiVector, w: MukaiVector) -> ThetaRelationResu
     identity itself is an exact lattice statement contingent only on the
     orthogonality of v and w.
     """
-    model = v.model
-    if model.kind != GENERIC_K3 or w.model != model:
+    _, (model, _), _ = v
+    s, (w_model, _), _ = w
+    # models are built once per parameter; != covers an equal copy
+    if model.kind != GENERIC_K3 or (w_model is not model and w_model != model):
         raise ModelMismatchError("the relation is set up on the generic K3 model")
     lam, mu = theta_classes(v)
     h2 = model.degree
-    s = w.r
     chi_w = chi_vec(w)
     lhs = h2 * w
     rhs = (chi_w - s) * lam - s * mu
@@ -531,10 +539,18 @@ def theta_relation_sweep(
                     w = (s, 1, chi_p - s)
                     lam = (0, -r, h2)
                     mu = (-h2, (chi - r), 0)
+                    (w0, w1, w2), (l0, l1, l2), (m0, m1, m2) = w, lam, mu
                     # H^2.w = (chi' - s).lambda - s.mu, and v orthogonal to w and
                     # both auxiliary classes
-                    ok = all(h2 * c == (chi_p - s) * lc - s * mc for c, lc, mc in zip(w, lam, mu))
-                    ok = ok and all(_chi_product(gram, v, u) == 0 for u in (lam, mu, w))
+                    k = chi_p - s
+                    ok = (
+                        h2 * w0 == k * l0 - s * m0
+                        and h2 * w1 == k * l1 - s * m1
+                        and h2 * w2 == k * l2 - s * m2
+                        and _chi_product(gram, v, lam) == 0
+                        and _chi_product(gram, v, mu) == 0
+                        and _chi_product(gram, v, w) == 0
+                    )
                     if not ok:
                         failures.append((r, s, chi, chi_p))
                     if h2 % 2 == 0:

@@ -64,7 +64,8 @@ def coords_vector(model: SurfaceModel, q: Quad) -> MukaiVector:
     if len(model.labels) != 2:
         raise ModelMismatchError("transform coordinates need the elliptic lattice")
     r, x, y, s = q
-    return MukaiVector(r, NSClass(model, (x, y)), s)
+    c1 = tuple.__new__(NSClass, (model, (x, y)))
+    return tuple.__new__(MukaiVector, (r, c1, s))
 
 
 class FMMatrix(NamedTuple):
@@ -223,7 +224,8 @@ def fm_apply(matrix: FMMatrix, v: MukaiVector) -> MukaiVector:
         raise ModelMismatchError("vector and transform matrix live on different models")
     x, y = c  # the matrix's model is elliptic
     q0, q1, q2, q3 = matrix.apply((r, x, y, s))
-    return MukaiVector(q0, NSClass(model, (q1, q2)), q3)
+    c1 = tuple.__new__(NSClass, (model, (q1, q2)))
+    return tuple.__new__(MukaiVector, (q0, c1, q3))
 
 
 def fm_c1_grr(v: MukaiVector) -> NSClass:

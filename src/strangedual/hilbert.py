@@ -68,20 +68,28 @@ def require_exclusion_model(model: SurfaceModel) -> None:
         raise ModelMismatchError("the classes Q, R and S are defined on the elliptic K3")
 
 
-def exclusion_flags(m: int, n: int, a: int, b: int, chi: int) -> tuple[bool, bool, bool, bool]:
-    """The exclusion verdicts on L = m.sigma + n.f, as plain integers.
+def exclusion_group_flags(m: int, n: int, total: int, chi: int) -> tuple[bool, bool]:
+    """The exclusion verdicts on L = m.sigma + n.f that depend on a + b alone.
 
-    Returns (q3_excluded, q1q2_excluded, s_proper, q_proper): Q3 is excluded
-    when L(-bf) or L(-af) has no section, Q1/Q2 when L((-a+1)f) or L((-b+1)f)
-    has none, S is proper when C(h0(L(-sigma)), a+b) = 0 and Q when
-    C(h0(L((-a-b+1)f)) + a+b-1, a+b) = 0.  Every count is ``h0_coeffs`` at
-    chi(O) = chi.  ``exclusion_report`` takes its flags from here.
+    Returns (s_proper, q_proper) for total = a + b: S is proper when
+    C(h0(L(-sigma)), a+b) = 0 and Q when C(h0(L((-a-b+1)f)) + a+b-1, a+b)
+    = 0.  Every count is ``h0_coeffs`` at chi(O) = chi.
+    """
+    s_proper = binom(h0_coeffs(m - 1, n, chi), total) == 0
+    q_proper = binom(h0_coeffs(m, n + 1 - total, chi) + total - 1, total) == 0
+    return s_proper, q_proper
+
+
+def exclusion_point_flags(m: int, n: int, a: int, b: int, chi: int) -> tuple[bool, bool]:
+    """The exclusion verdicts on L = m.sigma + n.f that depend on a and b.
+
+    Returns (q3_excluded, q1q2_excluded): Q3 is excluded when L(-bf) or
+    L(-af) has no section, Q1/Q2 when L((-a+1)f) or L((-b+1)f) has none.
+    Every count is ``h0_coeffs`` at chi(O) = chi.
     """
     q3_excluded = h0_coeffs(m, n - b, chi) == 0 or h0_coeffs(m, n - a, chi) == 0
     q1q2_excluded = h0_coeffs(m, n + 1 - a, chi) == 0 or h0_coeffs(m, n + 1 - b, chi) == 0
-    s_proper = binom(h0_coeffs(m - 1, n, chi), a + b) == 0
-    q_proper = binom(h0_coeffs(m, n + 1 - a - b, chi) + (a + b) - 1, a + b) == 0
-    return q3_excluded, q1q2_excluded, s_proper, q_proper
+    return q3_excluded, q1q2_excluded
 
 
 def exclusion_report(inst: DualityInstance) -> ExclusionReport:
@@ -91,12 +99,14 @@ def exclusion_report(inst: DualityInstance) -> ExclusionReport:
     carries nu and the theta line bundle L = O((r+s)sigma + (2(r+s) - 2 -
     nu)f).  Every count is ``h0_coeffs`` of L shifted by a multiple of f or
     by -sigma, taken on L's coefficients (m, n) at the K3's chi(O) = 2; the
-    four verdicts are ``exclusion_flags`` on the same (m, n).
+    four verdicts are ``exclusion_group_flags`` and ``exclusion_point_flags``
+    on the same (m, n).
     """
     require_exclusion_model(inst.surface)
     a, b, line = inst.a, inst.b, inst.line_bundle
     (m, n), chi = line.coeffs, inst.surface.chi_o
-    q3_excluded, q1q2_excluded, s_proper, q_proper = exclusion_flags(m, n, a, b, chi)
+    s_proper, q_proper = exclusion_group_flags(m, n, a + b, chi)
+    q3_excluded, q1q2_excluded = exclusion_point_flags(m, n, a, b, chi)
 
     h0_mbf = h0_coeffs(m, n - b, chi)
     h0_maf = h0_coeffs(m, n - a, chi)

@@ -40,6 +40,14 @@ x), s = v``), not by name: a NamedTuple field is a descriptor that Python
 operand guard inline, first the operand's type (``TypeError``), then its
 model (``ModelMismatchError``), and pairs coefficient tuples through one
 unrolled Gram product.
+
+Operations build their result records with ``tuple.__new__(NSClass,
+(model, coeffs))`` and ``tuple.__new__(MukaiVector, (r, c1, s))``, not
+through the NamedTuple's generated ``__new__``: that is one Python call
+more per record, and it checks only the argument count, which each
+operation fixes by construction.  ``model.cls`` checks the count and
+converts to ``int`` before it builds; records from outside input go
+through it or through the class constructors.
 """
 
 from __future__ import annotations
@@ -130,29 +138,29 @@ class SurfaceModel:
             raise ValueError(
                 f"{self.kind} expects {self.ns_rank} coefficient(s), got {len(coeffs)}"
             )
-        return NSClass(self, tuple(map(int, coeffs)))
+        return tuple.__new__(NSClass, (self, tuple(map(int, coeffs))))
 
     @property
     def zero(self) -> "NSClass":
-        return NSClass(self, (0,) * len(self.labels))
+        return tuple.__new__(NSClass, (self, (0,) * len(self.labels)))
 
     @property
     def hyperplane(self) -> "NSClass":
         if len(self.labels) != 1:
             raise ModelMismatchError("H is the generator of the rank-1 model only")
-        return NSClass(self, (1,))
+        return tuple.__new__(NSClass, (self, (1,)))
 
     @property
     def sigma(self) -> "NSClass":
         if len(self.labels) != 2:
             raise ModelMismatchError("sigma lives on the elliptic models")
-        return NSClass(self, (1, 0))
+        return tuple.__new__(NSClass, (self, (1, 0)))
 
     @property
     def fiber(self) -> "NSClass":
         if len(self.labels) != 2:
             raise ModelMismatchError("f lives on the elliptic models")
-        return NSClass(self, (0, 1))
+        return tuple.__new__(NSClass, (self, (0, 1)))
 
 
 @cache
@@ -197,8 +205,8 @@ class NSClass(NamedTuple):
         if model is not other_model and model != other_model:
             raise ModelMismatchError(_NS_MISMATCH)
         if len(x) == 1:
-            return NSClass(model, (x[0] + y[0],))
-        return NSClass(model, (x[0] + y[0], x[1] + y[1]))
+            return tuple.__new__(NSClass, (model, (x[0] + y[0],)))
+        return tuple.__new__(NSClass, (model, (x[0] + y[0], x[1] + y[1])))
 
     def __sub__(self, other: "NSClass") -> "NSClass":
         if not isinstance(other, NSClass):
@@ -208,22 +216,22 @@ class NSClass(NamedTuple):
         if model is not other_model and model != other_model:
             raise ModelMismatchError(_NS_MISMATCH)
         if len(x) == 1:
-            return NSClass(model, (x[0] - y[0],))
-        return NSClass(model, (x[0] - y[0], x[1] - y[1]))
+            return tuple.__new__(NSClass, (model, (x[0] - y[0],)))
+        return tuple.__new__(NSClass, (model, (x[0] - y[0], x[1] - y[1])))
 
     def __neg__(self) -> "NSClass":
         model, x = self
         if len(x) == 1:
-            return NSClass(model, (-x[0],))
-        return NSClass(model, (-x[0], -x[1]))
+            return tuple.__new__(NSClass, (model, (-x[0],)))
+        return tuple.__new__(NSClass, (model, (-x[0], -x[1])))
 
     def __rmul__(self, k: int) -> "NSClass":
         if not isinstance(k, int):
             raise TypeError("NS classes only scale by integers")
         model, x = self
         if len(x) == 1:
-            return NSClass(model, (k * x[0],))
-        return NSClass(model, (k * x[0], k * x[1]))
+            return tuple.__new__(NSClass, (model, (k * x[0],)))
+        return tuple.__new__(NSClass, (model, (k * x[0], k * x[1])))
 
     __mul__ = __rmul__
 
@@ -312,8 +320,10 @@ class MukaiVector(NamedTuple):
         if model is not other_model and model != other_model:
             raise ModelMismatchError(_MUKAI_MISMATCH)
         if len(x) == 1:
-            return MukaiVector(r1 + r2, NSClass(model, (x[0] + y[0],)), s1 + s2)
-        return MukaiVector(r1 + r2, NSClass(model, (x[0] + y[0], x[1] + y[1])), s1 + s2)
+            c1 = tuple.__new__(NSClass, (model, (x[0] + y[0],)))
+        else:
+            c1 = tuple.__new__(NSClass, (model, (x[0] + y[0], x[1] + y[1])))
+        return tuple.__new__(MukaiVector, (r1 + r2, c1, s1 + s2))
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
         if not isinstance(other, MukaiVector):
@@ -323,22 +333,28 @@ class MukaiVector(NamedTuple):
         if model is not other_model and model != other_model:
             raise ModelMismatchError(_MUKAI_MISMATCH)
         if len(x) == 1:
-            return MukaiVector(r1 - r2, NSClass(model, (x[0] - y[0],)), s1 - s2)
-        return MukaiVector(r1 - r2, NSClass(model, (x[0] - y[0], x[1] - y[1])), s1 - s2)
+            c1 = tuple.__new__(NSClass, (model, (x[0] - y[0],)))
+        else:
+            c1 = tuple.__new__(NSClass, (model, (x[0] - y[0], x[1] - y[1])))
+        return tuple.__new__(MukaiVector, (r1 - r2, c1, s1 - s2))
 
     def __neg__(self) -> "MukaiVector":
         r, (model, x), s = self
         if len(x) == 1:
-            return MukaiVector(-r, NSClass(model, (-x[0],)), -s)
-        return MukaiVector(-r, NSClass(model, (-x[0], -x[1])), -s)
+            c1 = tuple.__new__(NSClass, (model, (-x[0],)))
+        else:
+            c1 = tuple.__new__(NSClass, (model, (-x[0], -x[1])))
+        return tuple.__new__(MukaiVector, (-r, c1, -s))
 
     def __rmul__(self, k: int) -> "MukaiVector":
         if not isinstance(k, int):
             raise TypeError("Mukai vectors only scale by integers")
         r, (model, x), s = self
         if len(x) == 1:
-            return MukaiVector(k * r, NSClass(model, (k * x[0],)), k * s)
-        return MukaiVector(k * r, NSClass(model, (k * x[0], k * x[1])), k * s)
+            c1 = tuple.__new__(NSClass, (model, (k * x[0],)))
+        else:
+            c1 = tuple.__new__(NSClass, (model, (k * x[0], k * x[1])))
+        return tuple.__new__(MukaiVector, (k * r, c1, k * s))
 
     __mul__ = __rmul__
 
@@ -371,8 +387,9 @@ def mukai_dual(v: MukaiVector) -> MukaiVector:
     """
     r, (model, x), s = v
     _, k = model.canonical
-    c1 = (-x[0],) if len(x) == 1 else (-x[0], -x[1])
-    return MukaiVector(r, NSClass(model, c1), s + _form(model.gram, x, k))
+    coeffs = (-x[0],) if len(x) == 1 else (-x[0], -x[1])
+    c1 = tuple.__new__(NSClass, (model, coeffs))
+    return tuple.__new__(MukaiVector, (r, c1, s + _form(model.gram, x, k)))
 
 
 def mukai_pair(v: MukaiVector, w: MukaiVector) -> int:
@@ -408,24 +425,25 @@ def mukai_tensor(v: MukaiVector, w: MukaiVector) -> MukaiVector:
     e = model.s_shift
     rank = r1 * r2
     if len(x) == 1:
-        c1 = (r1 * y[0] + r2 * x[0],)
+        coeffs = (r1 * y[0] + r2 * x[0],)
     else:
-        c1 = (r1 * y[0] + r2 * x[0], r1 * y[1] + r2 * x[1])
+        coeffs = (r1 * y[0] + r2 * x[0], r1 * y[1] + r2 * x[1])
     # chi(w) = s2 + e.r2 and chi(v) = s1 + e.r1
     chi = r1 * (s2 + e * r2) + r2 * (s1 + e * r1) + _form(model.gram, x, y) - rank * model.chi_o
-    return MukaiVector(rank, NSClass(model, c1), chi - e * rank)
+    c1 = tuple.__new__(NSClass, (model, coeffs))
+    return tuple.__new__(MukaiVector, (rank, c1, chi - e * rank))
 
 
 def structure_vector(model: SurfaceModel) -> MukaiVector:
     """v(O_X): the unit of the tensor product."""
-    return MukaiVector(1, model.zero, model.chi_o - model.s_shift)
+    return tuple.__new__(MukaiVector, (1, model.zero, model.chi_o - model.s_shift))
 
 
 def ideal_sheaf_vector(d: NSClass, n: int) -> MukaiVector:
     """v(I_Z(d)) for a length-n subscheme Z."""
     if n < 0:
         raise ValueError("subscheme length must be >= 0")
-    return MukaiVector(1, d, chi_rr(d) - n - d.model.s_shift)
+    return tuple.__new__(MukaiVector, (1, d, chi_rr(d) - n - d.model.s_shift))
 
 
 def twist(v: MukaiVector, d: NSClass) -> MukaiVector:
@@ -443,10 +461,11 @@ def twist(v: MukaiVector, d: NSClass) -> MukaiVector:
     num = r * (_form(g, z, z) - _form(g, z, k))
     assert num % 2 == 0  # D.(D-K) is even
     if len(x) == 1:
-        c1 = (x[0] + r * z[0],)
+        coeffs = (x[0] + r * z[0],)
     else:
-        c1 = (x[0] + r * z[0], x[1] + r * z[1])
-    return MukaiVector(r, NSClass(model, c1), s + _form(g, x, z) + num // 2)
+        coeffs = (x[0] + r * z[0], x[1] + r * z[1])
+    c1 = tuple.__new__(NSClass, (model, coeffs))
+    return tuple.__new__(MukaiVector, (r, c1, s + _form(g, x, z) + num // 2))
 
 
 def euler_form(v: MukaiVector, w: MukaiVector) -> int:
@@ -509,7 +528,8 @@ def normalized_vector(r: int, a: int, model: SurfaceModel) -> MukaiVector:
         raise ModelMismatchError("normalized vectors live on the elliptic models")
     half = r * (r - 1) * model.chi_o
     assert half % 2 == 0
-    return MukaiVector(r, NSClass(model, (1, a - half // 2)), 1 - model.s_shift * r)
+    c1 = tuple.__new__(NSClass, (model, (1, a - half // 2)))
+    return tuple.__new__(MukaiVector, (r, c1, 1 - model.s_shift * r))
 
 
 def _coordinate_vector(model: SurfaceModel, q: tuple[int, ...]) -> MukaiVector:

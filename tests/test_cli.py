@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from math import comb, gcd
 from pathlib import Path
 
@@ -492,24 +493,45 @@ class TestExclusionSweepGrid:
         result = run_instance(spec)["results"]["exclusion-sweep"]
         assert result["status"] == "pass"
         assert result["points_checked"] == 1829
-        # k3_tower_row on each valid point, whose nu also gives the theta
-        # bundle, and theorem2_equivalence once on each of the 95 (r, s, a+b)
-        # groups of the 2903 divisible points
-        assert len(calls) == 1829 + 95
+        # nu depends on (r, s, a+b) alone: k3_tower_row computes it on the
+        # first valid point of each of the 41 valid groups, whose nu also
+        # gives the theta bundle, and theorem2_equivalence once on each of
+        # the 95 (r, s, a+b) groups of the 2903 divisible points
+        assert len(calls) == 41 + 95
+        per_group = Counter((r, s, a + b) for r, s, a, b in calls)
+        assert sorted(per_group.values()) == [1] * 54 + [2] * 41
 
-    def test_one_flipped_flag_fails_the_sweep(self, monkeypatch):
-        original = cli.exclusion_flags
+    def test_one_flipped_q3_flag_fails_its_point(self, monkeypatch):
+        original = cli.exclusion_point_flags
 
         def flipped(m, n, a, b, chi):
-            q3, q1q2, s_proper, q_proper = original(m, n, a, b, chi)
-            return q3, q1q2, s_proper != ((a, b) == (13, 14)), q_proper
+            q3, q1q2 = original(m, n, a, b, chi)
+            return q3 != ((a, b) == (13, 14)), q1q2
 
-        monkeypatch.setattr(cli, "exclusion_flags", flipped)
+        monkeypatch.setattr(cli, "exclusion_point_flags", flipped)
         bounds = {"r_hi": 2, "s_lo": 3, "s_hi": 3}
         spec = normalize_instance({"checks": ["exclusion-sweep"], "bounds": bounds}, 0)[0]
         result = run_instance(spec)["results"]["exclusion-sweep"]
         assert result["status"] == "fail"
         assert result["h0_violations"] == [[2, 3, 13, 14]]
+
+    def test_one_flipped_s_flag_fails_its_group(self, monkeypatch):
+        original = cli.exclusion_group_flags
+        totals = []
+
+        def flipped(m, n, total, chi):
+            totals.append(total)
+            s_proper, q_proper = original(m, n, total, chi)
+            return s_proper != (total == 27), q_proper
+
+        monkeypatch.setattr(cli, "exclusion_group_flags", flipped)
+        bounds = {"r_hi": 2, "s_lo": 3, "s_hi": 3}
+        spec = normalize_instance({"checks": ["exclusion-sweep"], "bounds": bounds}, 0)[0]
+        result = run_instance(spec)["results"]["exclusion-sweep"]
+        # once per valid (2, 3, a+b) group, a+b = 27, 32, ..., 57
+        assert totals == list(range(27, 61, 5))
+        assert result["status"] == "fail"
+        assert result["h0_violations"] == [[2, 3, a, 27 - a] for a in range(28)]
 
     def test_non_orthogonal_point_does_not_pass(self, monkeypatch):
         # k3_tower_row gives the sweep its chi(v . w); break it at one point

@@ -12,7 +12,8 @@ from strangedual.duality import (
 )
 from strangedual.hilbert import (
     binom,
-    exclusion_flags,
+    exclusion_group_flags,
+    exclusion_point_flags,
     exclusion_report,
     require_exclusion_model,
     taut_det_sections,
@@ -224,6 +225,8 @@ class TestIntegerExclusionRoute:
             assert got == _reference_exclusion_report(r, s, a, b), (r, s, a, b)
             nu, v, w, chi_vw, dims = k3_tower_row(r, s, a, b)
             assert nu == inst.nu
+            # the row a walk over one (r, s, a+b) group gets from the group's nu
+            assert k3_tower_row(r, s, a, b, nu) == (nu, v, w, chi_vw, dims)
             assert v == (inst.v.r, *inst.v.c1.coeffs, inst.v.s), (r, s, a, b)
             assert w == (inst.w.r, *inst.w.c1.coeffs, inst.w.s), (r, s, a, b)
             assert chi_vw == euler_form(inst.v, inst.w) == 0, (r, s, a, b)
@@ -233,14 +236,16 @@ class TestIntegerExclusionRoute:
 
     @pytest.mark.parametrize("r_rng,s_rng,ab_max", EXCLUSION_BOXES)
     def test_sweep_flags_match_the_report(self, r_rng, s_rng, ab_max):
-        # the sweep takes (m, n) from L on the tower row's nu and calls exclusion_flags
+        # the sweep takes (m, n) from L on the tower row's nu, the S and Q
+        # verdicts once per (r, s, a+b) and the Q3 and Q1/Q2 ones per point
         points = [p[:4] for p in k3_divisible_points(r_rng, s_rng, ab_max) if p[4]]
         for r, s, a, b in points:
             nu = k3_tower_row(r, s, a, b)[0]
             m, n = duality_line_bundle_class(r, s, nu).coeffs
             rep = exclusion_report(tower_instance(r, s, a, b))
             flags = (rep.q3_excluded, rep.q1q2_excluded, rep.s_proper, rep.q_proper)
-            assert exclusion_flags(m, n, a, b, 2) == flags, (r, s, a, b)
+            assert exclusion_group_flags(m, n, a + b, 2) == flags[2:], (r, s, a, b)
+            assert exclusion_point_flags(m, n, a, b, 2) == flags[:2], (r, s, a, b)
             # and the flags are the verdicts on the record's own counts
             assert flags == (
                 rep.h0_l_minus_bf == 0 or rep.h0_l_minus_af == 0,

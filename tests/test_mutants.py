@@ -16,6 +16,7 @@ import pytest
 
 import strangedual.duality as duality
 import strangedual.fourier_mukai as fourier_mukai
+import strangedual.hilbert as hilbert
 import strangedual.linalg as linalg
 import strangedual.surfaces as surfaces
 from strangedual.cli import load_batch, normalize_instance, run_instance
@@ -84,6 +85,27 @@ def _determinant_mutant(monkeypatch):
     assert fourier_mukai.row_reduce is row_reduce
 
 
+def _group_s_flag_mutant(monkeypatch):
+    # S made improper on the (r, s, a+b) = (2, 2, 18) group alone: r + s = 4
+    # has no other split, so L = 4.sigma + n.f and a + b pin the group
+    m, n = duality.duality_line_bundle_class(2, 2, duality.compute_nu(2, 2, 9, 9)).coeffs
+
+    def group_flags(m_, n_, total, chi):
+        s_proper, q_proper = original(m_, n_, total, chi)
+        return s_proper != ((m_, n_, total) == (m, n, 18)), q_proper
+
+    original = _patch_everywhere(monkeypatch, hilbert, "exclusion_group_flags", group_flags)
+
+
+def _theta_chi_product_mutant(monkeypatch):
+    # the integer route's chi(v . w) at (r, s, chi, chi') = (2, 3, 0, -1), H^2 = 14
+    target = (((14,),), (2, 1, -2), (3, 1, -4))
+    original = _patch_everywhere(
+        monkeypatch, duality, "_chi_product",
+        lambda gram, v, w: original(gram, v, w) + ((gram, v, w) == target),
+    )
+
+
 # (mutant, acceptance instance, check that must leave pass, what its report must show)
 MUTANTS = {
     "twist": (_twist_mutant, "tower-identities", "tower", lambda r: 7 in r["failures"]),
@@ -93,6 +115,14 @@ MUTANTS = {
                          lambda r: r["failures"] == [[2, 3, 0, -1, "typed-route disagreement"]]),
     "row_reduce determinant": (_determinant_mutant, "fm-matrix", "fm-verify",
                                lambda r: r["determinant"] == 2 and r["failures"] == {}),
+    "exclusion_group_flags S": (
+        _group_s_flag_mutant, "exclusion-sweep", "exclusion-sweep",
+        lambda r: r["h0_violations"] == [[2, 2, a, 18 - a] for a in range(19)],
+    ),
+    "_chi_product theta point": (
+        _theta_chi_product_mutant, "theta-relation", "theta-relation",
+        lambda r: r["failures"] == [[2, 3, 0, -1], [2, 3, 0, -1, "typed-route disagreement"]],
+    ),
 }
 
 

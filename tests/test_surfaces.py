@@ -6,13 +6,16 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import strangedual.surfaces as surfaces
+from strangedual.duality import theta_classes, theta_pair
+from strangedual.fourier_mukai import coords_vector, derive_fm_matrix, fm_apply
 from strangedual.surfaces import (
     ModelMismatchError,
     MukaiVector,
+    NSClass,
     chi_rr,
     chi_vec,
     elliptic_general,
@@ -1012,3 +1015,64 @@ class TestGuardMatrix:
         assert chi_vec(v) == _reference_chi_vec(v)
         assert mukai_dual(v) == _reference_mukai_dual(v)
         assert moduli_dim(v) == _reference_moduli_dim(v)
+
+
+# ---------------------------------------------------------------------------
+# Records built with tuple.__new__ skip the generated __new__ and its
+# argument check, so the arity each class declares is checked here.
+# ---------------------------------------------------------------------------
+
+ARITY_MODELS = [generic_k3(8), E, GEN3]
+
+
+def _records_built_directly(model, c1, c2, k, r1, s1, r2, s2):
+    """Every record the operations that build records directly return on ``model``."""
+    d1, d2 = model.cls(*c1), model.cls(*c2)
+    v, w = MukaiVector(r1, d1, s1), MukaiVector(r2, d2, s2)
+    records = [
+        d1, d1 + d2, d1 - d2, -d1, k * d1, d1 * k, model.zero,
+        v + w, v - w, -v, k * v, v * k, mukai_dual(v), mukai_tensor(v, w), twist(v, d2),
+        structure_vector(model), ideal_sheaf_vector(d1, abs(s2)),
+    ]
+    if model.ns_rank == 1:
+        records += [model.hyperplane, *theta_classes(v)]
+    else:
+        records += [
+            model.sigma, model.fiber, normalized_vector(abs(r1) + 1, abs(s1), model),
+            coords_vector(model, (r1, *c1, s1)), fm_apply(derive_fm_matrix(model), v),
+        ]
+    return records
+
+
+def _assert_whole_record(rec, model):
+    assert len(rec) == len(type(rec)._fields)
+    if type(rec) is MukaiVector:
+        d = rec.c1
+        assert type(d) is NSClass and len(d) == len(NSClass._fields)
+        assert rec == MukaiVector(rec.r, NSClass(d.model, d.coeffs), rec.s)
+    else:
+        assert type(rec) is NSClass
+        d = rec
+    assert d.model == model
+    assert len(d.coeffs) == len(model.labels)
+    assert d == NSClass(d.model, d.coeffs)
+
+
+class TestRecordArity:
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from(ARITY_MODELS),
+        st.tuples(small, small), st.tuples(small, small),
+        small, small, small, small, small,
+    )
+    def test_records_built_directly_have_the_declared_arity(self, model, c1, c2, k, r1, s1, r2, s2):
+        n = model.ns_rank
+        for rec in _records_built_directly(model, c1[:n], c2[:n], k, r1, s1, r2, s2):
+            _assert_whole_record(rec, model)
+
+    @given(st.integers(2, 5), st.integers(2, 5), st.integers(-5, 0), st.integers(-5, 0))
+    def test_theta_pair_records(self, r, s, chi, chi_prime):
+        h2 = 2 * r * s - r * chi_prime - s * chi
+        assume(h2 % 2 == 0)
+        for rec in theta_pair(r, s, chi, chi_prime):
+            _assert_whole_record(rec, generic_k3(h2))
