@@ -28,7 +28,10 @@ oracle ``strata_box_oracle``) walk plain c1 coefficient tuples and pair them
 through the model's Gram matrix.  ``NSClass``, ``Fraction`` and ``Wall`` are
 built only for the walls returned, so a ``Wall`` still validates itself on
 every kept wall.  A ``Stratum`` stays on integers: each part is the triple
-(rank, c1 coefficients, s), so a stratum is its own key.
+(rank, c1 coefficients, s), so a stratum is its own key.  The searches
+append to lists; ``strata_enumerate`` builds each part's slot window once
+per call, and ``Stratum``, ``ChainAudit`` and ``CodimAudit`` are built with
+``tuple.__new__``.
 
 The pairing-sum chain audited per stratum (``chain_audit``) reads those
 triples: each of its lines is a sum of terms over 2 r_i, 2 r_i r_j and 2r,
@@ -40,7 +43,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, isqrt, prod
-from operator import mul
 from typing import NamedTuple
 
 from .surfaces import (
@@ -135,12 +137,13 @@ def _witnesses_for(r: int, xi: tuple[int, ...], d: tuple[int, ...]):
     For each sub-rank the smallest positive multiple with integral xi_1 is
     recorded; walls with no witness at all are not walls for v.
     """
+    (x0, x1), (d0, d1) = xi, d
     found = []
     for r1 in range(1, r):
         for t in range(1, r + 1):
-            coeffs = tuple(r1 * x + t * dc for x, dc in zip(xi, d))
-            if all(c % r == 0 for c in coeffs):
-                found.append((r1, tuple(c // r for c in coeffs)))
+            c0, c1 = r1 * x0 + t * d0, r1 * x1 + t * d1
+            if c0 % r == 0 and c1 % r == 0:
+                found.append((r1, (c0 // r, c1 // r)))
                 break
     return found
 
@@ -246,6 +249,10 @@ def strata_enumerate(v: MukaiVector, wall: Wall, s_parts: int) -> list[Stratum]:
     just beyond the wall: first by the slope direction t_i/r_i (where
     r.xi_i - r_i.xi = t_i.D), then by chi_i/r_i.  Ties in both keys admit no
     filtration and are excluded.
+
+    A part is fixed by (r_i, t_i), and so are its c1, c1^2 and window of
+    nonempty slots: each is built once per call, on the first t-tuple that
+    holds the part, and kept only until the call returns.
     """
     if v.model.kind != ELLIPTIC_K3:
         raise ModelMismatchError("strata are enumerated on the elliptic K3 model")
@@ -264,24 +271,36 @@ def strata_enumerate(v: MukaiVector, wall: Wall, s_parts: int) -> list[Stratum]:
     mu_num = _gram_dot(gram, xi, h1)
 
     out: list[Stratum] = []
+    records = {}  # (r_i, t_i) -> (c1, c1^2, window, its slots, slot -> dimension)
     for ranks in _compositions(r, s_parts):
         t_bounds = [isqrt((ri * ri * budget * r * r) // dsq) + 1 for ri in ranks]
         for ts in _t_tuples(ranks, t_bounds, budget, dsq, r, xi, d):
-            parts_c1 = [
-                ((ri * x0 + ti * d0) // r, (ri * x1 + ti * d1) // r) for ri, ti in zip(ranks, ts)
-            ]
-            # slope equality on the wall is built in; assert it anyway
-            assert all(
-                r * _gram_dot(gram, c1, h1) == ri * mu_num for ri, c1 in zip(ranks, parts_c1)
-            )
-            out.extend(_fill_degree_components(v, ranks, ts, parts_c1, q_v))
+            parts = []
+            for key in zip(ranks, ts):
+                part = records.get(key)
+                if part is None:
+                    ri, ti = key
+                    c1 = ((ri * x0 + ti * d0) // r, (ri * x1 + ti * d1) // r)
+                    # slope equality on the wall is built in; assert it anyway
+                    assert r * _gram_dot(gram, c1, h1) == ri * mu_num
+                    c1sq = _gram_dot(gram, c1, c1)
+                    hi = (c1sq + 2 * ri * ri) // (2 * ri)  # <v_i^2> >= -2 r_i^2
+                    # complement bound <v_i^2> <= r_i q_v / r + 2 r_i (r - r_i), times r
+                    lo = _ceil_div(r * c1sq - ri * q_v - 2 * r * ri * (r - ri), 2 * r * ri)
+                    window = _nonempty_slots(ri, c1, c1sq, range(lo, hi + 1))
+                    part = records[key] = (c1, c1sq, window, [s for s, _ in window], dict(window))
+                if not part[2]:
+                    break
+                parts.append(part)
+            else:
+                _fill_degree_components(v, ranks, ts, parts, q_v, out)
     return out
 
 
 def _t_tuples(ranks, t_bounds, budget, dsq, r, xi_coeffs, d_coeffs):
     """Zero-sum tuples (t_i) within the pairwise slope budget and integral parts.
 
-    Yields, in lexicographic order, the integer tuples with |t_i| <= t_bounds[i]
+    Lists, in lexicographic order, the integer tuples with |t_i| <= t_bounds[i]
     and sum 0 such that every pair obeys
     (r_i t_j - r_j t_i)^2 |D^2| <= budget r_i r_j r^2, every part class
     (r_i xi + t_i D)/r is integral, and the first Gieseker keys t_i/r_i do
@@ -305,98 +324,103 @@ def _t_tuples(ranks, t_bounds, budget, dsq, r, xi_coeffs, d_coeffs):
             if (ri * x0 + residue * d0) % r == 0 and (ri * x1 + residue * d1) % r == 0:
                 break
         else:
-            return
+            return []
         first = residue - (residue + bound) // step * step  # the least one >= -bound
         candidates.append(range(first, bound + 1, step))
     limits = [[budget * ri * rj * r * r for rj in ranks] for ri in ranks]
     rest = [r - sum(ranks[: j + 1]) for j in range(k)]  # the rank after part j
+    rk, last_cands = ranks[-1], candidates[-1]
+    out = []
 
     def fits(prefix, j, tj):
-        rj = ranks[j]
+        rj, lim = ranks[j], limits[j]
         for i, ti in enumerate(prefix):
-            if (ranks[i] * tj - rj * ti) ** 2 * dsq > limits[i][j]:
+            if (ranks[i] * tj - rj * ti) ** 2 * dsq > lim[i]:
                 return False
         return True
 
     def rec(prefix, total):
+        # parts 0 .. j-1 are chosen and sum to total; part k-1 takes -total
         j = len(prefix)
         rj, cands = ranks[j], candidates[j]
-        if j == k - 1:
-            last = -total
-            if last in cands and last * ranks[j - 1] <= prefix[-1] * rj and fits(prefix, j, last):
-                yield prefix + (last,)
-            return
         lo = bisect_left(cands, _ceil_div(-total * rj, rj + rest[j]))
         hi = bisect_right(cands, prefix[-1] * rj // ranks[j - 1]) if j else len(cands)
         for t in cands[lo:hi]:
-            if fits(prefix, j, t):
-                yield from rec(prefix + (t,), total + t)
+            if not fits(prefix, j, t):
+                continue
+            chosen = prefix + (t,)
+            if j < k - 2:
+                rec(chosen, total + t)
+                continue
+            last = -total - t
+            if last in last_cands and last * rj <= t * rk and fits(chosen, k - 1, last):
+                out.append(chosen + (last,))
 
-    yield from rec((), 0)
+    rec((), 0)
+    return out
 
 
-def _fill_degree_components(v, ranks, ts, parts_c1, q_v):
-    """Enumerate degree-4 slots within the Bogomolov/complement window.
+def _fill_degree_components(v, ranks, ts, parts, q_v, out):
+    """Append the strata of one t-tuple to out, in lexicographic slot order.
 
-    ``parts_c1`` holds each part's c1 as a coefficient tuple.  Parts come in
-    strictly decreasing Gieseker keys (t_i/r_i, then chi_i/r_i); the
-    t-tuples never let the first keys rise, so only where two neighbours tie
-    in them must chi_i/r_i = s_i/r_i + 1 fall.  Each part's window first
-    drops the slots whose class admits no semistable sheaf, tested on
-    integers.  The slot tuples summing to v.s are then taken from the
-    product of the windows in lexicographic order, skipping every slot that
-    leaves the later parts no reachable sum or fails a tie.
+    ``parts`` holds each part's record from ``strata_enumerate``: c1 as a
+    coefficient tuple, c1^2, and its window, the slots within the
+    Bogomolov/complement bounds whose class admits a semistable sheaf (never
+    empty).  Parts come in strictly decreasing Gieseker keys (t_i/r_i, then
+    chi_i/r_i); the t-tuples never let the first keys rise, so only where two
+    neighbours tie in them must chi_i/r_i = s_i/r_i + 1 fall.  The slot
+    tuples summing to v.s are taken from the product of the windows,
+    skipping every slot that leaves the later parts no reachable sum or
+    fails a tie; the sums each stratum needs run along with the choice.
     """
-    r = v.r
     k = len(ranks)
-    gram = v.model.gram
     ties = []  # per neighbour pair: equal first keys, so chi_i/r_i decides
     for i in range(k - 1):
         left, right = ts[i] * ranks[i + 1], ts[i + 1] * ranks[i]
         assert left >= right
         ties.append(left == right)
-    squares = []  # c1_i^2
-    windows = []  # per part: (s, stack dimension) for the nonempty slots
-    for ri, c1 in zip(ranks, parts_c1):
-        c1sq = _gram_dot(gram, c1, c1)
-        hi = (c1sq + 2 * ri * ri) // (2 * ri)  # <v_i^2> >= -2 r_i^2
-        # complement bound <v_i^2> <= r_i q_v / r + 2 r_i (r - r_i), times r
-        lo = _ceil_div(r * c1sq - ri * q_v - 2 * r * ri * (r - ri), 2 * r * ri)
-        window = _nonempty_slots(ri, c1, c1sq, range(lo, hi + 1))
-        if not window:
-            return
-        squares.append(c1sq)
-        windows.append(window)
-    last_window = dict(windows[k - 1])
-    slots = [[s for s, _ in window] for window in windows]
+    c1s = [part[0] for part in parts]
+    windows = [part[2] for part in parts]
+    slots = [part[3] for part in parts]
+    last_dims = parts[-1][4]
     # the slots of parts i, i+1, .. sum to between rest_lo[i] and rest_hi[i]
-    firsts, lasts = [w[0] for w in slots], [w[-1] for w in slots]
-    rest_lo = [sum(firsts[i:]) for i in range(k)]
-    rest_hi = [sum(lasts[i:]) for i in range(k)]
+    rest_lo, rest_hi = [0] * (k + 1), [0] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        rest_lo[i] = rest_lo[i + 1] + slots[i][0]
+        rest_hi[i] = rest_hi[i + 1] + slots[i][-1]
+    rk, c1k, last_tied = ranks[-1], c1s[-1], ties[-1]
+    # sum_{i<j} <v_i, v_j> = (<v^2> - sum_i <v_i^2>)/2 as the parts sum to v,
+    # with sum_i <v_i^2> = sum_i c1_i^2 - 2 sum_i r_i s_i
+    q_rest = q_v - sum(part[1] for part in parts)
 
-    def rec(i, chosen, rest):
-        # on a tie with part i - 1 the slot must fall: s_i r_{i-1} < s_{i-1} r_i
-        tied = i and ties[i - 1]
-        if i == k - 1:
-            dim = last_window.get(rest)
-            if dim is not None and not (tied and rest * ranks[i - 1] >= chosen[-1][0] * ranks[i]):
-                yield chosen + ((rest, dim),)
-            return
+    def rec(i, chosen, dims, rest, rs, dim_sum):
+        # chosen: parts 0 .. i-1; rs = sum r_j s_j and dim_sum = sum dims over them
+        ri, c1 = ranks[i], c1s[i]
         # only slots that leave the later parts a reachable sum
         lo = bisect_left(slots[i], rest - rest_hi[i + 1])
         hi = bisect_right(slots[i], rest - rest_lo[i + 1])
-        if tied:
-            hi = min(hi, bisect_left(slots[i], _ceil_div(chosen[-1][0] * ranks[i], ranks[i - 1])))
-        for entry in windows[i][lo:hi]:
-            yield from rec(i + 1, chosen + (entry,), rest - entry[0])
+        if i and ties[i - 1]:
+            # on a tie with part i - 1 the slot must fall: s_i r_{i-1} < s_{i-1} r_i
+            hi = min(hi, bisect_left(slots[i], _ceil_div(chosen[-1][2] * ri, ranks[i - 1])))
+        if i < k - 2:
+            for s, dim in windows[i][lo:hi]:
+                rec(i + 1, chosen + ((ri, c1, s),), dims + (dim,), rest - s, rs + ri * s,
+                    dim_sum + dim)
+            return
+        # the last part takes the rest
+        for s, dim in windows[i][lo:hi]:
+            last = rest - s
+            last_dim = last_dims.get(last)
+            if last_dim is None or (last_tied and last * ri >= s * rk):
+                continue
+            pair_sum = (q_rest + 2 * (rs + ri * s + rk * last)) // 2
+            out.append(tuple.__new__(Stratum, (
+                chosen + ((ri, c1, s), (rk, c1k, last)),
+                dims + (dim, last_dim),
+                dim_sum + dim + last_dim + pair_sum,
+            )))
 
-    # sum_{i<j} <v_i, v_j> = (<v^2> - sum_i <v_i^2>)/2 as the parts sum to v,
-    # with sum_i <v_i^2> = sum_i c1_i^2 - 2 sum_i r_i s_i
-    q_rest = q_v - sum(squares)
-    for chosen in rec(0, (), v.s):
-        ss, dims = zip(*chosen)
-        pair_sum = (q_rest + 2 * sum(map(mul, ranks, ss))) // 2
-        yield Stratum(tuple(zip(ranks, parts_c1, ss)), dims, sum(dims) + pair_sum)
+    rec(0, (), (), v.s, 0, 0)
 
 
 def unordered_count(strata: list[Stratum]) -> int:
@@ -484,7 +508,7 @@ def strata_box_oracle(v: MukaiVector, wall: Wall) -> list[Stratum]:
                 if (x1 * r2, s1 * r2) <= (x2 * r1, s2 * r1):
                     continue
                 total = d1 + d2 + cross - r1 * s2 - s1 * r2
-                out.append(Stratum(((r1, c1, s1), (r2, c2, s2)), (d1, d2), total))
+                out.append(tuple.__new__(Stratum, (((r1, c1, s1), (r2, c2, s2)), (d1, d2), total)))
     return out
 
 
@@ -541,21 +565,22 @@ def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
     ranks, c1s, slots = zip(*stratum.parts)
     if r < 1 or min(ranks) < 1:
         raise ValueError("the chain runs over vectors of positive rank")
-    # c1.c1' for the parts' c1 and v's (last), unrolled by NS rank as NSClass.dot
-    # is; unpacking refuses a c1 with the wrong number of coefficients
+    # each c1, v's last, is lowered through the Gram matrix once and paired
+    # from there, unrolled by NS rank as NSClass.dot is; unpacking refuses a c1
+    # with the wrong number of coefficients
     gram = model.gram
     c1s += (v.c1.coeffs,)
     try:
         if len(gram) == 1:
-            dots = [[gram[0][0] * a * b for (b,) in c1s] for (a,) in c1s]
+            ((g,),) = gram
+            c1s = [(a, 0) for (a,) in c1s]
+            lowered = [(g * a, 0) for a, _ in c1s]
         else:
             (g00, g01), (_, g11) = gram
-            dots = [
-                [(g00 * a0 + g01 * a1) * b0 + (g01 * a0 + g11 * a1) * b1 for b0, b1 in c1s]
-                for a0, a1 in c1s
-            ]
+            lowered = [(g00 * a0 + g01 * a1, g01 * a0 + g11 * a1) for a0, a1 in c1s]
     except ValueError:
         raise ValueError("a part's c1 needs one coefficient per class of the lattice") from None
+    squares = [l0 * a0 + l1 * a1 for (l0, l1), (a0, a1) in zip(lowered, c1s)]
 
     k = len(ranks)
     rank_prod = prod(ranks)  # P
@@ -566,8 +591,8 @@ def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
     rank_sum = rank_sq = 0
     hodge_ok = bogomolov_ok = True
     for i in range(k):
-        ri, si, row = ranks[i], slots[i], dots[i]
-        qi = row[i] - 2 * ri * si  # <v_i^2>
+        ri, si, sqi = ranks[i], slots[i], squares[i]
+        qi = sqi - 2 * ri * si  # <v_i^2>
         if qi + 2 * ri * ri < 0:
             bogomolov_ok = False
         wi = qi * (rank_prod // ri)
@@ -575,10 +600,12 @@ def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
         split += (r - ri) * wi
         rank_sum += ri
         rank_sq += ri * ri
+        l0, l1 = lowered[i]
         for j in range(i + 1, k):
-            rj, dij = ranks[j], row[j]
+            rj, (b0, b1) = ranks[j], c1s[j]
+            dij = l0 * b0 + l1 * b1
             pair_sum += dij - ri * slots[j] - si * rj
-            sq = rj * rj * row[i] - 2 * ri * rj * dij + ri * ri * dots[j][j]
+            sq = rj * rj * sqi - 2 * ri * rj * dij + ri * ri * squares[j]
             if sq > 0:
                 hodge_ok = False
             cross_over_r += sq * (rank_prod // (ri * rj))
@@ -586,18 +613,18 @@ def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
 
     line_split = r * split - cross
     line_dropped = r * weighted + n * (rank_sum - r * rank_sum + rank_sq) - cross
-    final = (dots[k][k] - 2 * r * v.s) * rank_prod + n * (r - r * r + rank_sq)
+    final = (squares[k] - 2 * r * v.s) * rank_prod + n * (r - r * r + rank_sq)
     line_collect = final + cross_over_r - cross
 
-    return ChainAudit(
-        pair_sum=pair_sum,
-        split_identity_ok=line_split == pair_sum * n,
-        bogomolov_ok=bogomolov_ok,
-        hodge_ok=hodge_ok,
-        drop_rank_weights_ok=line_split >= line_dropped,
-        collect_identity_ok=line_dropped == line_collect,
-        final_bound_ok=pair_sum * n >= final,
-    )
+    return tuple.__new__(ChainAudit, (
+        pair_sum,
+        line_split == pair_sum * n,  # split_identity_ok
+        bogomolov_ok,
+        hodge_ok,
+        line_split >= line_dropped,  # drop_rank_weights_ok
+        line_dropped == line_collect,  # collect_identity_ok
+        pair_sum * n >= final,  # final_bound_ok
+    ))
 
 
 class CodimAudit(NamedTuple):
@@ -626,21 +653,23 @@ def codim_audit(v: MukaiVector, wall: Wall) -> CodimAudit:
     """
     r = v.r
     q_v = mukai_pair(v, v)
-    strata = [st for k in range(2, r + 1) for st in strata_enumerate(v, wall, k)]
-    two_part = {st for st in strata if len(st.parts) == 2}
-    min_codim = min(((q_v + 1) - st.total_dim for st in strata), default=None)
-    bound = Fraction(q_v, 2 * r) + r - r * r + 1
-    return CodimAudit(
-        strata=len(strata),
-        unordered=unordered_count(strata),
-        min_codim=min_codim,
-        chain_ok=all(chain_audit(v, st).ok for st in strata),
-        codim_bound_ok=min_codim is None or min_codim >= bound,
-        oracle_match=two_part == set(strata_box_oracle(v, wall)),
-        bound=bound,
-        corollary_applicable=bound >= 2,
-        remark_applicable=gcd(*v.c1.coeffs) == 1 and q_v >= 2 * (r - 1) * (r * r + 1),
-    )
+    by_count = [strata_enumerate(v, wall, k) for k in range(2, r + 1)]
+    strata = [st for listed in by_count for st in listed]
+    two_part = by_count[0] if by_count else []
+    # the bound is b / 2r with b = <v^2> + 2r(r - r^2 + 1), compared on integers
+    b = q_v + 2 * r * (r - r * r + 1)
+    min_codim = (q_v + 1) - max([st.total_dim for st in strata]) if strata else None
+    return tuple.__new__(CodimAudit, (
+        len(strata),
+        unordered_count(strata),
+        min_codim,
+        all(chain_audit(v, st).ok for st in strata),  # chain_ok
+        min_codim is None or 2 * r * min_codim >= b,  # codim_bound_ok: strata need r >= 2
+        set(two_part) == set(strata_box_oracle(v, wall)),  # oracle_match
+        Fraction(b, 2 * r),
+        b * r >= 4 * r * r,  # corollary_applicable: b / 2r >= 2 times (2r)^2 / 2
+        gcd(*v.c1.coeffs) == 1 and q_v >= 2 * (r - 1) * (r * r + 1),  # remark_applicable
+    ))
 
 
 __all__ = [

@@ -14,6 +14,8 @@ lattice, fixed when it is built:
 * ``gram``      the Gram matrix of NS in the basis H, or sigma and f;
 * ``chi_o``     the holomorphic Euler characteristic chi(O);
 * ``canonical`` the canonical class K, as an NS class of the model;
+* ``zero``      the zero class, and the basis classes H, or sigma and f,
+  that ``hyperplane``, ``sigma`` and ``fiber`` return;
 * ``s_shift``   the slot shift e with chi(v) = s + e.rank (see below);
 * ``labels``    the basis names used to print classes (``H``, or ``s``/``f``)
   and ``basis``, the basis tag of reports (``H`` or ``sigma_f``).
@@ -73,10 +75,14 @@ class SurfaceModel:
     given; the lattice description is derived from them once, and equality
     compares only them.  A model is immutable.  It is not a tuple: its
     ``canonical`` class holds the model, so comparing or hashing it as a
-    tuple would recurse.
+    tuple would recurse.  The named classes (``zero`` and the basis classes
+    H, or sigma and f) are built once with it, as ``canonical`` is.
     """
 
-    __slots__ = ("kind", "degree", "chi_o", "gram", "canonical", "s_shift", "labels", "basis")
+    __slots__ = (
+        "kind", "degree", "chi_o", "gram", "canonical", "s_shift", "labels", "basis", "zero",
+        "_basis_classes",
+    )
 
     def __init__(self, kind: str, degree: int = 0, chi_o: int = 2) -> None:
         if kind == GENERIC_K3:
@@ -100,7 +106,12 @@ class SurfaceModel:
             k, e, labels, basis = (0, chi_o - 2), 0, ("s", "f"), "sigma_f"
         else:
             raise ValueError(f"unknown surface kind {kind!r}")
-        values = (kind, degree, chi_o, gram, NSClass(self, k), e, labels, basis)
+        n = len(labels)
+        zero = tuple.__new__(NSClass, (self, (0,) * n))
+        units = tuple(  # the basis classes, in label order
+            tuple.__new__(NSClass, (self, tuple(int(i == j) for j in range(n)))) for i in range(n)
+        )
+        values = (kind, degree, chi_o, gram, NSClass(self, k), e, labels, basis, zero, units)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -141,26 +152,22 @@ class SurfaceModel:
         return tuple.__new__(NSClass, (self, tuple(map(int, coeffs))))
 
     @property
-    def zero(self) -> "NSClass":
-        return tuple.__new__(NSClass, (self, (0,) * len(self.labels)))
-
-    @property
     def hyperplane(self) -> "NSClass":
         if len(self.labels) != 1:
             raise ModelMismatchError("H is the generator of the rank-1 model only")
-        return tuple.__new__(NSClass, (self, (1,)))
+        return self._basis_classes[0]
 
     @property
     def sigma(self) -> "NSClass":
         if len(self.labels) != 2:
             raise ModelMismatchError("sigma lives on the elliptic models")
-        return tuple.__new__(NSClass, (self, (1, 0)))
+        return self._basis_classes[0]
 
     @property
     def fiber(self) -> "NSClass":
         if len(self.labels) != 2:
             raise ModelMismatchError("f lives on the elliptic models")
-        return tuple.__new__(NSClass, (self, (0, 1)))
+        return self._basis_classes[1]
 
 
 @cache

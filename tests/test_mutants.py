@@ -4,11 +4,14 @@ away from ``pass``.
 Each row patches one library function (or method) so that it is off by one
 on a single input the check reaches, in every ``strangedual`` module that
 binds it, then runs the named instance of the committed acceptance batch in
-process.  The unpatched instance passes; the patched one must not.  The
-last test does the same for ``delta_bound`` on a point of its own, which
-the acceptance batch does not run.
+process.  The unpatched instance passes; the patched one must not.  Two
+tests follow: ``delta_bound`` on a point of its own, which the acceptance
+batch does not run, and ``_stack_dim``, which no verdict can catch and the
+golden file does.
 """
 
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -18,16 +21,16 @@ import strangedual.duality as duality
 import strangedual.fourier_mukai as fourier_mukai
 import strangedual.hilbert as hilbert
 import strangedual.linalg as linalg
+import strangedual.strata as strata
 import strangedual.surfaces as surfaces
 from strangedual.cli import load_batch, normalize_instance, run_instance
 from strangedual.fourier_mukai import FMMatrix, derive_fm_matrix, vector_coords
-from strangedual.surfaces import elliptic_k3, normalized_vector
+from strangedual.strata import strata_enumerate, wall_enumerate
+from strangedual.surfaces import MukaiVector, elliptic_k3, normalized_vector
 
 E = elliptic_k3()
-ACCEPTANCE = {
-    spec["name"]: spec
-    for spec in load_batch(str(Path(__file__).parent / "data" / "acceptance_batch.yaml"))
-}
+DATA = Path(__file__).parent / "data"
+ACCEPTANCE = {spec["name"]: spec for spec in load_batch(str(DATA / "acceptance_batch.yaml"))}
 
 
 def _patch_everywhere(monkeypatch, module, name, replacement):
@@ -106,6 +109,28 @@ def _theta_chi_product_mutant(monkeypatch):
     )
 
 
+def _chain_final_bound_mutant(monkeypatch):
+    # the first stratum of hn-strata's 2:sigma:-2 on its wall sigma - 2f (m = 4)
+    v = MukaiVector(2, E.sigma, -2)
+    wall = next(w for w in wall_enumerate(v, 3) if w.d.coeffs == (1, -2))
+    target = (v, strata_enumerate(v, wall, 2)[0])
+
+    def chain_audit(v, stratum):
+        audit = original(v, stratum)
+        return audit._replace(final_bound_ok=False) if (v, stratum) == target else audit
+
+    original = _patch_everywhere(monkeypatch, strata, "chain_audit", chain_audit)
+
+
+def _failing_chain_walls(result):
+    return [
+        (entry["v"]["s"], wall["wall_d"]["coeffs"])
+        for entry in result["vectors"]
+        for wall in entry["walls"]
+        if not wall["chain_ok"]
+    ]
+
+
 # (mutant, acceptance instance, check that must leave pass, what its report must show)
 MUTANTS = {
     "twist": (_twist_mutant, "tower-identities", "tower", lambda r: 7 in r["failures"]),
@@ -122,6 +147,10 @@ MUTANTS = {
     "_chi_product theta point": (
         _theta_chi_product_mutant, "theta-relation", "theta-relation",
         lambda r: r["failures"] == [[2, 3, 0, -1], [2, 3, 0, -1, "typed-route disagreement"]],
+    ),
+    "chain_audit final bound": (
+        _chain_final_bound_mutant, "hn-strata", "strata-audit",
+        lambda r: _failing_chain_walls(r) == [(-2, [1, -2])],
     ),
 }
 
@@ -159,3 +188,32 @@ def test_delta_bound_raised_by_one_fails_the_point_on_the_bound(monkeypatch):
     for check in BOUND_POINT["checks"]:
         assert results[check]["status"] == "fail"
         assert results[check]["conditions"]["ii_dimension_sum_bound"] is False
+
+
+def _without_timing(results):
+    return json.loads(re.sub(r'"timing_ms": \d+', '"timing_ms": 0', json.dumps(results)))
+
+
+def test_stack_dim_raised_at_one_part_is_caught_only_by_the_golden_file(monkeypatch):
+    # Caught only by the golden file.  The enumerator and the oracle share
+    # _stack_dim, so both see the wrong dimension and still agree, and the
+    # strata only come closer to the codimension bound without crossing it:
+    # the verdict stays pass.  Only the reported min_codim moves.
+    golden = json.loads((DATA / "acceptance_report.json").read_text())
+    expected = next(
+        _without_timing(report["results"])
+        for report in golden["instances"]
+        if report["spec"]["name"] == "hn-strata"
+    )
+    spec = ACCEPTANCE["hn-strata"]
+    assert _without_timing(run_instance(spec)["results"]) == expected
+    # the part (1, f, 0) of <v^2> = 0: (r, c1^2, content of c1, s) = (1, 0, 1, 0)
+    original = _patch_everywhere(
+        monkeypatch, strata, "_stack_dim",
+        lambda *args: original(*args) + (args == (1, 0, 1, 0)),
+    )
+    results = _without_timing(run_instance(spec)["results"])
+    assert results["strata-audit"]["status"] == "pass"
+    assert results != expected
+    min_codims = [[w["min_codim"] for w in e["walls"]] for e in results["strata-audit"]["vectors"]]
+    assert min_codims == [[None, 3], [None, 2], [None, 1], [None, 0], [None, 0]]

@@ -14,6 +14,7 @@ import strangedual.strata as strata
 from strangedual.cli import main, normalize_instance, run_instance
 from strangedual.strata import (
     ChainAudit,
+    CodimAudit,
     Stratum,
     Wall,
     _ceil_div,
@@ -534,9 +535,11 @@ class TestIntegerSlots:
         v = vec(r, 1, y, s)
         got = _all_strata(v)
 
-        def typed_filler(v, ranks, ts, parts_c1, q_v):
-            classes = [NSClass(v.model, c1) for c1 in parts_c1]
-            return map(_as_record, _reference_fill_degree_components(v, ranks, ts, classes, q_v))
+        def typed_filler(v, ranks, ts, parts, q_v, out):
+            # each part record starts with the part's c1 coefficients
+            classes = [NSClass(v.model, part[0]) for part in parts]
+            typed = _reference_fill_degree_components(v, ranks, ts, classes, q_v)
+            out.extend(map(_as_record, typed))
 
         monkeypatch.setattr(strata, "_fill_degree_components", typed_filler)
         assert got == _all_strata(v)
@@ -853,6 +856,35 @@ class TestTypedReferences:
                     compared += len(expected)
         assert compared > 0 or budget < 0
 
+    def test_one_window_per_part_and_enumeration(self, monkeypatch):
+        # a part is fixed by (r_i, t_i): its slot window is built once per call
+        v = vec(4, 1, 0, -9)
+        calls = []
+        original = strata._nonempty_slots
+        monkeypatch.setattr(
+            strata, "_nonempty_slots",
+            lambda r, c1, c1sq, slots: calls.append((r, c1)) or original(r, c1, c1sq, slots),
+        )
+        budget = mukai_pair(v, v) + 2 * 4 * 4
+        (x0, x1), built = v.c1.coeffs, 0
+        for wall in wall_enumerate(v, 4):
+            (d0, d1), dsq = wall.d.coeffs, -ns_pair(wall.d, wall.d)
+            for k in range(2, 5):
+                calls.clear()
+                listed = strata_enumerate(v, wall, k)
+                # every part of the call's t-tuples, as (r_i, c1_i), which fixes t_i
+                parts = {
+                    (ri, ((ri * x0 + ti * d0) // 4, (ri * x1 + ti * d1) // 4))
+                    for ranks in _compositions(4, k)
+                    for ts in _t_tuples(ranks, _t_bounds(ranks, budget, dsq, 4), budget, dsq,
+                                        4, v.c1.coeffs, wall.d.coeffs)
+                    for ri, ti in zip(ranks, ts)
+                }
+                assert len(calls) == len(set(calls)), (wall.d, k)
+                assert {(ri, c1) for st in listed for ri, c1, _ in st.parts} <= set(calls) <= parts
+                built += len(calls)
+        assert built > 0
+
     def test_typed_objects_only_for_kept_walls_and_strata(self, monkeypatch):
         built = {"NSClass": 0, "MukaiVector": 0}
 
@@ -897,6 +929,25 @@ class TestTypedReferences:
             walls += len(result["vectors"][0]["walls"])
         assert walls > 0
         assert len(calls) <= 2 * walls
+
+
+class TestRecordArity:
+    """``Stratum``, ``ChainAudit`` and ``CodimAudit`` are built without their
+    generated constructors; each must still be a whole record."""
+
+    @pytest.mark.parametrize("r,y,s", BENCH_VECTORS)
+    def test_strata_records_match_the_constructor(self, r, y, s):
+        v = vec(r, 1, y, s)
+        records = []
+        for wall, listed in _all_strata(v):
+            records += listed + strata_box_oracle(v, wall)
+            records += [chain_audit(v, st) for st in listed]
+            records.append(codim_audit(v, wall))
+        assert records
+        for rec in records:
+            assert type(rec) in (Stratum, ChainAudit, CodimAudit), rec
+            assert len(rec) == len(type(rec)._fields), rec
+            assert rec == type(rec)(**rec._asdict()), rec
 
 
 def _reference_unordered_count(strata):

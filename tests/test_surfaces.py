@@ -1070,6 +1070,20 @@ class TestRecordArity:
         for rec in _records_built_directly(model, c1[:n], c2[:n], k, r1, s1, r2, s2):
             _assert_whole_record(rec, model)
 
+    @pytest.mark.parametrize("model", ARITY_MODELS)
+    def test_named_classes_are_held_by_the_model(self, model):
+        # built once with the model: every read returns the same record
+        named = {"zero": (0,) * model.ns_rank}
+        if model.ns_rank == 1:
+            named["hyperplane"] = (1,)
+        else:
+            named.update(sigma=(1, 0), fiber=(0, 1))
+        for name, coeffs in named.items():
+            cls = getattr(model, name)
+            assert cls is getattr(model, name), name
+            _assert_whole_record(cls, model)
+            assert cls.coeffs == coeffs, name
+
     @given(st.integers(2, 5), st.integers(2, 5), st.integers(-5, 0), st.integers(-5, 0))
     def test_theta_pair_records(self, r, s, chi, chi_prime):
         h2 = 2 * r * s - r * chi_prime - s * chi
