@@ -658,6 +658,7 @@ def codim_audit(v: MukaiVector, wall: Wall) -> CodimAudit:
     two_part = by_count[0] if by_count else []
     # the bound is b / 2r with b = <v^2> + 2r(r - r^2 + 1), compared on integers
     b = q_v + 2 * r * (r - r * r + 1)
+    bound = Fraction(b, 2 * r)
     min_codim = (q_v + 1) - max([st.total_dim for st in strata]) if strata else None
     return tuple.__new__(CodimAudit, (
         len(strata),
@@ -666,7 +667,7 @@ def codim_audit(v: MukaiVector, wall: Wall) -> CodimAudit:
         all(chain_audit(v, st).ok for st in strata),  # chain_ok
         min_codim is None or 2 * r * min_codim >= b,  # codim_bound_ok: strata need r >= 2
         set(two_part) == set(strata_box_oracle(v, wall)),  # oracle_match
-        Fraction(b, 2 * r),
+        bound,
         b * r >= 4 * r * r,  # corollary_applicable: b / 2r >= 2 times (2r)^2 / 2
         gcd(*v.c1.coeffs) == 1 and q_v >= 2 * (r - 1) * (r * r + 1),  # remark_applicable
     ))
