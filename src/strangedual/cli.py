@@ -210,8 +210,8 @@ class Bound(NamedTuple):
 def check_arguments(spec: dict, where: str = "instance") -> tuple[SurfaceModel, dict[str, dict]]:
     """The model of a spec and the typed keyword arguments of each requested
     check, read as ``CHECKS`` declares them.  Raises CliConfigError on an
-    unknown check, a malformed surface, param or bound, and on a bound that
-    none of the requested checks reads."""
+    unknown check, a malformed surface, param or bound, and on a param or
+    bound that none of the requested checks reads."""
     model = resolve_surface(spec["surface"])
     params = {}
     for key, value in spec["params"].items():
@@ -233,9 +233,10 @@ def check_arguments(spec: dict, where: str = "instance") -> tuple[SurfaceModel, 
         for key, bound in check.bounds.items():
             what = f"{where} bound {key!r}"
             args[name][key] = bound.read(given[key], what) if key in given else bound.default
-    unread = [key for key in given if all(key not in CHECKS[name].bounds for name in args)]
-    if unread:
-        raise CliConfigError(f"{where} bounds {unread} are read by none of its checks")
+    for what, keys in (("params", params), ("bounds", given)):
+        unread = [key for key in keys if all(key not in getattr(CHECKS[n], what) for n in args)]
+        if unread:
+            raise CliConfigError(f"{where} {what} {unread} are read by none of its checks")
     return model, args
 
 
@@ -286,6 +287,8 @@ def normalize_instance(raw: dict, index: int) -> list[dict]:
         for (key, _), value in zip(axes, combo):
             inst["params"][key] = value
         out.append(inst)
+    # every point sets the same params, so one point shows whether a check reads each axis
+    check_arguments(out[0], f"instance #{index}")
     return out
 
 
@@ -385,10 +388,9 @@ def _check_exclusions(ctx: _Ctx, r, s, a, b):
 
 
 def _check_tower(ctx: _Ctx, a, r_max, a_max):
-    if a_max is not None:
-        a_values = range(0, a_max + 1)
-    else:
-        a_values = [9 if a is None else a]
+    if a is not None and a_max is not None:
+        raise ValueError("give the param a or the bound a_max, not both")
+    a_values = [9 if a is None else a] if a_max is None else range(0, a_max + 1)
     failures = [x for x in a_values if not ogrady_tower(r_max, x, ctx.model).ok]
     data = {"r_max": r_max, "a_checked": len(a_values), "failures": failures}
     return ("pass" if not failures else "fail"), data
@@ -433,6 +435,8 @@ def _check_theta_relation(ctx: _Ctx, r, s, chi, chi_prime, r_lo, r_hi, chi_lo, c
             "perpendicular": res.lambda_perp and res.mu_perp,
         }
         return ("pass" if res.ok else "fail"), data
+    if (r, s, chi, chi_prime) != (None,) * 4:
+        raise MissingParamsError("the point mode needs params r, s, chi and chi_prime")
     checked, failures, crossed = theta_relation_sweep(r_lo, r_hi, chi_lo, chi_hi)
     data = {"points_checked": checked, "failures": failures, "typed_cross_checked": crossed}
     if checked == 0:
@@ -455,7 +459,9 @@ def _check_deformation(ctx: _Ctx, r, s, chi, chi_prime):
 
 
 def _check_hypotheses(ctx: _Ctx, theorem: str, v, w, r, s, a, b):
-    if v is None or w is None:
+    if (v is None) != (w is None):
+        raise MissingParamsError("need both vectors v and w")
+    if v is None:
         if None in (r, s, a, b):
             raise MissingParamsError("need vectors v/w or (r, s, a, b)")
         inst = ctx.instance(r, s, a, b)

@@ -70,8 +70,7 @@ def compute_nu(r: int, s: int, a: int, b: int, model: SurfaceModel | None = None
     NuBoundError separately so callers can tell an invalid grid point from a
     merely-too-small one.
     """
-    if r < 2 or s < 2:
-        raise ValueError(_RANKS_MESSAGE)
+    _require_ranks(r, s)
     if a < 0 or b < 0:
         raise ValueError("half-dimensions must be >= 0")
     if model is None:
@@ -132,7 +131,7 @@ def delta_bound(chi_o: int, r: int, s: int) -> int:
 
 
 class DualityInstance(NamedTuple):
-    """A pair of orthogonal vectors with the derived duality parameters."""
+    """A pair of orthogonal vectors with its parameters, twist nu and theta line bundle L."""
 
     surface: SurfaceModel
     v: MukaiVector
@@ -141,8 +140,8 @@ class DualityInstance(NamedTuple):
     s: int
     a: int
     b: int
-    nu: int | None = None
-    line_bundle: NSClass | None = None
+    nu: int
+    line_bundle: NSClass
 
 
 def tower_instance(r: int, s: int, a: int, b: int, model: SurfaceModel | None = None) -> DualityInstance:
@@ -215,13 +214,6 @@ class LineBundleCheck(NamedTuple):
         return self.chi_matches and self.h0_matches and self.alternative_form_matches
 
 
-def _theta_line(inst: DualityInstance) -> NSClass:
-    """The theta line bundle L of an instance built from (r, s, a, b)."""
-    if inst.nu is None or inst.line_bundle is None:
-        raise ValueError("instance carries no twist data; build it from (r, s, a, b)")
-    return inst.line_bundle
-
-
 def duality_line_bundle(inst: DualityInstance) -> LineBundleCheck:
     """chi(L) and h0(L) of an instance's L, each compared with a + b.
 
@@ -229,7 +221,7 @@ def duality_line_bundle(inst: DualityInstance) -> LineBundleCheck:
     2(a+b-chi))/2t + chi - 1)f with t = r+s and chi = chi(O), which on the
     elliptic K3 reads t.sigma + (t + (a+b-2)/t)f.
     """
-    line = _theta_line(inst)
+    line = inst.line_bundle
     total = inst.a + inst.b
     chi = chi_rr(line)
     h0 = h0_surface(line)
@@ -321,7 +313,7 @@ def dimension_match(inst: DualityInstance) -> tuple[int, int, bool]:
     with chi(L) by Riemann-Roch (``chi_rr``), which does not pass through
     ``h0_surface``.
     """
-    line = _theta_line(inst)
+    line = inst.line_bundle
     left = taut_det_sections(line, inst.a)
     right = taut_det_sections(line, inst.b)
     return left, right, left == right == binom(chi_rr(line), inst.a)
@@ -333,7 +325,6 @@ def dimension_match(inst: DualityInstance) -> tuple[int, int, bool]:
 
 
 class TowerResult(NamedTuple):
-    vectors: tuple[MukaiVector, ...]
     recursion_ok: bool
     chi_one_ok: bool
     dim_ok: bool
@@ -374,7 +365,7 @@ def ogrady_tower(r_max: int, a: int, model: SurfaceModel | None = None) -> Tower
     dim_ok = all(moduli_dim(v) == 2 * a for v in vectors)
     h_shadow_ok = all(chi_vec(u) == 1 - chi_o for u in downs)
     ext_shadow_ok = all(euler_pair_hom(u, o) == -1 for u in downs)
-    return TowerResult(vectors, recursion_ok, chi_one_ok, dim_ok, h_shadow_ok, ext_shadow_ok)
+    return TowerResult(recursion_ok, chi_one_ok, dim_ok, h_shadow_ok, ext_shadow_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +455,6 @@ def theta_relation_identity(v: MukaiVector, w: MukaiVector) -> ThetaRelationResu
 
 
 class DeformationPair(NamedTuple):
-    generic: DualityInstance
     elliptic: DualityInstance
     pairings_agree: bool
     degree: int
@@ -473,11 +463,11 @@ class DeformationPair(NamedTuple):
 def deformation_setup(
     r: int, s: int, chi: int, chi_prime: int, model: SurfaceModel | None = None
 ) -> DeformationPair:
-    """Match a generic-K3 instance with its elliptic degeneration.
+    """Match a generic-K3 pair with its elliptic degeneration.
 
-    The generic side is the ``theta_pair`` of H^2 = 2n, which must lie on
-    ``model`` when that is given; on the elliptic side H degenerates to the
-    numerical section sigma + (n+1)f of the same square.
+    The generic side is ``theta_pair(r, s, chi, chi_prime, model)``, of
+    H^2 = 2n; the record holds the elliptic side alone, where H degenerates
+    to the numerical section sigma + (n+1)f of the same square.
     All Mukai pairings must agree across the two models.  The elliptic
     instance carries nu = ``compute_nu(r, s, a, b)`` as computed; the theory
     says it is chi + chi' - 2, which the caller judges.
@@ -503,11 +493,8 @@ def deformation_setup(
     a = mukai_pair(v_g, v_g) // 2 + 1
     b = mukai_pair(w_g, w_g) // 2 + 1
     nu = compute_nu(r, s, a, b)
-    generic_inst = DualityInstance(v_g.model, v_g, w_g, r, s, a, b)
-    elliptic_inst = DualityInstance(
-        ell, v_e, w_e, r, s, a, b, nu, duality_line_bundle_class(r, s, nu)
-    )
-    return DeformationPair(generic_inst, elliptic_inst, agree, h2)
+    line = duality_line_bundle_class(r, s, nu)
+    return DeformationPair(DualityInstance(ell, v_e, w_e, r, s, a, b, nu, line), agree, h2)
 
 
 def theta_relation_sweep(

@@ -100,7 +100,6 @@ def _nonempty_slots(r: int, c1: tuple[int, ...], c1sq: int, slots: range) -> lis
 class _WallFields(NamedTuple):
     d: NSClass
     m_value: Fraction
-    witnesses: tuple[tuple[int, NSClass], ...]
 
 
 class Wall(_WallFields):
@@ -112,14 +111,14 @@ class Wall(_WallFields):
 
     __slots__ = ()
 
-    def __new__(cls, d: NSClass, m_value: Fraction, witnesses: tuple[tuple[int, NSClass], ...]):
+    def __new__(cls, d: NSClass, m_value: Fraction):
         if d.is_zero:
             raise ValueError("a wall class is nonzero")
         if ns_pair(d, d) >= 0:
             raise ValueError("a wall class has negative square")
         if ns_pair(d, _ample_ray_class(d.model, m_value)) != 0:
             raise ValueError("m_value does not lie on the wall")
-        return super().__new__(cls, d, m_value, witnesses)
+        return super().__new__(cls, d, m_value)
 
     @classmethod
     def _make(cls, iterable):
@@ -131,21 +130,14 @@ def _ample_ray_class(model: SurfaceModel, m: Fraction) -> NSClass:
     return model.cls(m.denominator, m.numerator)
 
 
-def _witnesses_for(r: int, xi: tuple[int, ...], d: tuple[int, ...]):
-    """Lower-rank classes xi_1 with r.xi_1 - r_1.xi a multiple of d, as (r_1, coefficients).
-
-    For each sub-rank the smallest positive multiple with integral xi_1 is
-    recorded; walls with no witness at all are not walls for v.
-    """
+def _has_witness(r: int, xi: tuple[int, ...], d: tuple[int, ...]) -> bool:
+    """Whether r.xi_1 - r_1.xi = t.d for an integral xi_1, some 1 <= r_1 < r and 1 <= t <= r."""
     (x0, x1), (d0, d1) = xi, d
-    found = []
     for r1 in range(1, r):
         for t in range(1, r + 1):
-            c0, c1 = r1 * x0 + t * d0, r1 * x1 + t * d1
-            if c0 % r == 0 and c1 % r == 0:
-                found.append((r1, (c0 // r, c1 // r)))
-                break
-    return found
+            if (r1 * x0 + t * d0) % r == 0 and (r1 * x1 + t * d1) % r == 0:
+                return True
+    return False
 
 
 def wall_enumerate(v: MukaiVector, coeff_bound: int) -> list[Wall]:
@@ -173,10 +165,8 @@ def wall_enumerate(v: MukaiVector, coeff_bound: int) -> list[Wall]:
         for df in range(-coeff_bound, 0):
             if gcd(ds, df) != 1:
                 continue
-            witnesses = _witnesses_for(v.r, xi, (ds, df))
-            if witnesses:
-                classes = tuple((r1, NSClass(model, c)) for r1, c in witnesses)
-                walls.append(Wall(NSClass(model, (ds, df)), Fraction(2 * ds - df, ds), classes))
+            if _has_witness(v.r, xi, (ds, df)):
+                walls.append(Wall(NSClass(model, (ds, df)), Fraction(2 * ds - df, ds)))
     return sorted(walls, key=lambda w: (w.m_value, w.d.coeffs))
 
 

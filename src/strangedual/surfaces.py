@@ -365,10 +365,6 @@ class MukaiVector(NamedTuple):
 
     __mul__ = __rmul__
 
-    @property
-    def is_zero(self) -> bool:
-        return self.r == 0 and self.s == 0 and self.c1.is_zero
-
     def content(self) -> int:
         """gcd of all integer coordinates (0 for the zero vector)."""
         g = gcd(abs(self.r), abs(self.s))

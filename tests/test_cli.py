@@ -252,6 +252,35 @@ class TestRunInstance:
 RSAB_9 = {"r": 2, "s": 2, "a": 9, "b": 9}
 
 
+class TestHalfStatedModes:
+    """A check with two modes refuses a half-stated one rather than run the other."""
+
+    @pytest.mark.parametrize("params", [{"r": 9}, {"r": 2, "s": 2, "chi": -1}])
+    def test_a_partial_theta_point_is_missing_params(self, params):
+        raw = {"surface": {"kind": "generic-k3", "degree": 8}, "params": params,
+               "checks": ["theta-relation"]}
+        result = run_instance(normalize_instance(raw, 0)[0])["results"]["theta-relation"]
+        assert result["status"] == "error:missing-params"
+        assert result["reason"] == "the point mode needs params r, s, chi and chi_prime"
+        assert "points_checked" not in result
+
+    def test_tower_a_beside_a_max_is_invalid(self):
+        raw = {"params": {"a": 9}, "checks": ["tower"], "bounds": {"a_max": 6}}
+        result = run_instance(normalize_instance(raw, 0)[0])["results"]["tower"]
+        assert result["status"] == "error:invalid"
+        assert result["reason"] == "give the param a or the bound a_max, not both"
+        assert "a_checked" not in result
+
+    @pytest.mark.parametrize("key", ["v", "w"])
+    @pytest.mark.parametrize("theorem", ["T2", "T5", "Conj"])
+    def test_a_lone_vector_is_missing_params(self, key, theorem):
+        params = {"r": 2, "s": 2, "a": 9, "b": 9, key: "2:1,7:-1"}
+        raw = {"params": params, "checks": [f"hypotheses-{theorem}"]}
+        result = run_instance(normalize_instance(raw, 0)[0])["results"][f"hypotheses-{theorem}"]
+        assert result["status"] == "error:missing-params"
+        assert result["reason"] == "need both vectors v and w"
+
+
 class TestChecksGiveTheVerdict:
     """A broken rule is a fail on the check that owns the fact it breaks."""
 
@@ -1283,8 +1312,10 @@ class TestCheckTable:
         ],
     )
     def test_model_guards(self, surface, check, reason):
-        raw = yaml.safe_load(f"surface: {surface}\nparams: {{r: 2, s: 2, a: 9, b: 9}}")
-        spec = normalize_instance({**raw, "checks": [check]}, 0)[0]
+        rsab = {"r": 2, "s": 2, "a": 9, "b": 9}
+        params = {key: value for key, value in rsab.items() if key in cli.CHECKS[check].params}
+        raw = {"surface": yaml.safe_load(surface), "params": params, "checks": [check]}
+        spec = normalize_instance(raw, 0)[0]
         result = run_instance(spec)["results"][check]
         assert result["status"] == "error:model"
         assert reason in result["reason"]
@@ -1316,6 +1347,24 @@ class TestCheckTable:
         assert code == 2 and doc is None
         assert err.startswith("error: ") and "read by none of its checks" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_exit_two_on_a_param_no_check_reads(self, capsys):
+        argv = ["check", "--checks", "tower", "--r", "2", "--chi", "5", "--a", "9", "--quiet"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: instance #0 params ['r', 'chi'] are read by none of its checks\n"
+
+    def test_exit_two_on_a_grid_axis_no_check_reads(self, tmp_path, capsys):
+        text = "instances:\n  - grid: {r: [2, 3]}\n    checks: [tower]\n"
+        code, err, doc = _run_batch_text(tmp_path, text, capsys)
+        assert code == 2 and doc is None
+        assert err == "error: instance #0 params ['r'] are read by none of its checks\n"
+
+    def test_a_param_read_by_one_of_the_checks_is_taken(self):
+        # a is read by tower; r, s and b by nu
+        raw = {"params": {"r": 2, "s": 2, "a": 9, "b": 9}, "checks": ["tower", "nu"]}
+        results = run_instance(normalize_instance(raw, 0)[0])["results"]
+        assert [results[c]["status"] for c in ("tower", "nu")] == ["pass", "pass"]
 
 
 # one surface of each kind, and the params the matrix below gives every
@@ -1370,7 +1419,11 @@ class TestSurfaceMatrix:
     @pytest.mark.parametrize("kind", list(MATRIX_SURFACES))
     @pytest.mark.parametrize("check", list(SURFACE_MATRIX))
     def test_each_check_on_each_surface_kind(self, check, kind):
-        given = {**MATRIX_PARAMS, "v": MATRIX_V[kind]}
+        given = dict(MATRIX_PARAMS)
+        # v alone is half a pair to the hypotheses checks, which the matrix
+        # runs in their (r, s, a, b) mode
+        if "w" not in cli.CHECKS[check].params:
+            given["v"] = MATRIX_V[kind]
         params = {key: given[key] for key in cli.CHECKS[check].params if key in given}
         raw = {"surface": MATRIX_SURFACES[kind], "params": params, "checks": [check]}
         result = run_instance(normalize_instance(raw, 0)[0])["results"][check]

@@ -1,10 +1,11 @@
-"""Mutant rows: a primitive made wrong at one input must turn a named check
+"""Mutant rows: a primitive made wrong at one input must turn named checks
 away from ``pass``.
 
 Each row patches one library function (or method) so that it is off by one
-on a single input the check reaches, in every ``strangedual`` module that
+on a single input the checks reach, in every ``strangedual`` module that
 binds it, then runs the named instance of the committed acceptance batch in
-process.  The unpatched instance passes; the patched one must not.  Two
+process.  The named checks pass unpatched; patched, each must fail and its
+report must show where.  Two
 tests follow: ``delta_bound`` on a point of its own, which the acceptance
 batch does not run, and ``_stack_dim``, which no verdict can catch and the
 golden file does.
@@ -122,6 +123,31 @@ def _chain_final_bound_mutant(monkeypatch):
     original = _patch_everywhere(monkeypatch, strata, "chain_audit", chain_audit)
 
 
+# case-study-2299: (r, s, a, b) = (2, 2, 9, 9), nu = -2 and L = 4.sigma + 8f
+CASE_POINT = (2, 2, 9, 9)
+
+
+def _nu_mutant(monkeypatch):
+    original = _patch_everywhere(
+        monkeypatch, duality, "compute_nu",
+        lambda r, s, a, b, model=None: original(r, s, a, b, model) + ((r, s, a, b) == CASE_POINT),
+    )
+
+
+def _h0_coeffs_mutant(monkeypatch):
+    original = _patch_everywhere(
+        monkeypatch, surfaces, "h0_coeffs",
+        lambda m, n, chi_o: original(m, n, chi_o) + ((m, n, chi_o) == (4, 8, 2)),
+    )
+
+
+def _chi_rr_mutant(monkeypatch):
+    target = E.cls(4, 8)
+    original = _patch_everywhere(
+        monkeypatch, surfaces, "chi_rr", lambda d: original(d) + (d == target)
+    )
+
+
 def _failing_chain_walls(result):
     return [
         (entry["v"]["s"], wall["wall_d"]["coeffs"])
@@ -131,39 +157,59 @@ def _failing_chain_walls(result):
     ]
 
 
-# (mutant, acceptance instance, check that must leave pass, what its report must show)
+# (mutant, acceptance instance, {check that must leave pass: what its report must show})
 MUTANTS = {
-    "twist": (_twist_mutant, "tower-identities", "tower", lambda r: 7 in r["failures"]),
-    "FMMatrix.apply": (_apply_mutant, "fm-matrix", "fm-verify",
-                       lambda r: r["failures"]["direct_images"] == [[4, 9]]),
-    "mukai_tensor chi": (_tensor_chi_mutant, "theta-relation", "theta-relation",
-                         lambda r: r["failures"] == [[2, 3, 0, -1, "typed-route disagreement"]]),
-    "row_reduce determinant": (_determinant_mutant, "fm-matrix", "fm-verify",
-                               lambda r: r["determinant"] == 2 and r["failures"] == {}),
-    "exclusion_group_flags S": (
-        _group_s_flag_mutant, "exclusion-sweep", "exclusion-sweep",
-        lambda r: r["h0_violations"] == [[2, 2, a, 18 - a] for a in range(19)],
-    ),
-    "_chi_product theta point": (
-        _theta_chi_product_mutant, "theta-relation", "theta-relation",
-        lambda r: r["failures"] == [[2, 3, 0, -1], [2, 3, 0, -1, "typed-route disagreement"]],
-    ),
-    "chain_audit final bound": (
-        _chain_final_bound_mutant, "hn-strata", "strata-audit",
-        lambda r: _failing_chain_walls(r) == [(-2, [1, -2])],
-    ),
+    "twist": (_twist_mutant, "tower-identities", {"tower": lambda r: 7 in r["failures"]}),
+    "FMMatrix.apply": (_apply_mutant, "fm-matrix", {
+        "fm-verify": lambda r: r["failures"]["direct_images"] == [[4, 9]],
+    }),
+    "mukai_tensor chi": (_tensor_chi_mutant, "theta-relation", {
+        "theta-relation": lambda r: r["failures"] == [[2, 3, 0, -1, "typed-route disagreement"]],
+    }),
+    "row_reduce determinant": (_determinant_mutant, "fm-matrix", {
+        "fm-verify": lambda r: r["determinant"] == 2 and r["failures"] == {},
+    }),
+    "exclusion_group_flags S": (_group_s_flag_mutant, "exclusion-sweep", {
+        "exclusion-sweep": lambda r: r["h0_violations"] == [[2, 2, a, 18 - a] for a in range(19)],
+    }),
+    "_chi_product theta point": (_theta_chi_product_mutant, "theta-relation", {
+        "theta-relation":
+            lambda r: r["failures"] == [[2, 3, 0, -1], [2, 3, 0, -1, "typed-route disagreement"]],
+    }),
+    "chain_audit final bound": (_chain_final_bound_mutant, "hn-strata", {
+        "strata-audit": lambda r: _failing_chain_walls(r) == [(-2, [1, -2])],
+    }),
+    # the nu check itself stays pass: the moduli dimension it compares is
+    # invariant under the fiber twist, so it never judges nu
+    "compute_nu case point": (_nu_mutant, "case-study-2299", {
+        "line-bundle": lambda r: r["L"]["coeffs"] == [4, 7] and not r["alternative_form_matches"],
+        "chi-vanishing": lambda r: r["chi_product"] == 4,
+        # with L = 4.sigma + 7f the documented h0 exception no longer holds
+        "exclusions": lambda r: r["report"]["q1q2_excluded"] is True,
+        "hypotheses-T2": lambda r: r["conditions"]["orthogonal"] is False,
+    }),
+    "h0_coeffs of L": (_h0_coeffs_mutant, "case-study-2299", {
+        "line-bundle": lambda r: (r["chi"], r["h0"]) == (18, 19),
+        "dimension-match": lambda r: r["left"] == r["right"] == 92378,  # C(19, 9)
+    }),
+    "chi_rr of L": (_chi_rr_mutant, "case-study-2299", {
+        "line-bundle": lambda r: (r["chi"], r["h0"]) == (19, 18),
+        "dimension-match": lambda r: r["left"] == r["right"] == 48620,  # C(18, 9)
+    }),
 }
 
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_mutant_leaves_pass(monkeypatch, name):
-    mutate, instance, check, shows = MUTANTS[name]
+    mutate, instance, expected = MUTANTS[name]
     spec = ACCEPTANCE[instance]
-    assert run_instance(spec)["results"][check]["status"] == "pass"
+    results = run_instance(spec)["results"]
+    assert all(results[check]["status"] == "pass" for check in expected)
     mutate(monkeypatch)
-    result = run_instance(spec)["results"][check]
-    assert result["status"] == "fail"
-    assert shows(result)
+    results = run_instance(spec)["results"]
+    for check, shows in expected.items():
+        assert results[check]["status"] == "fail", check
+        assert shows(results[check]), check
 
 
 # An elliptic-general point exactly on the dimension bound of T5 and the

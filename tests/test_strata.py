@@ -167,7 +167,8 @@ class TestWalls:
         wall = by_m[Fraction(4)]
         assert wall.d == E.cls(1, -2)
         assert ns_pair(wall.d, wall.d) == -6
-        assert (1, E.cls(1, -1)) in wall.witnesses
+        # the rank-one witness sigma - f: 2(sigma - f) - 1.sigma = sigma - 2f
+        assert 2 * E.cls(1, -1) - E.sigma == wall.d
 
     def test_bound_zero_is_empty(self):
         assert wall_enumerate(vec(2, 1, 0, -2), 0) == []
@@ -177,19 +178,19 @@ class TestWalls:
             wall_enumerate(vec(1, 1, 0, 0), 3)
 
     def test_wall_invariants(self):
-        for wall in wall_enumerate(vec(3, 1, 1, -2), 3):
+        v = vec(3, 1, 1, -2)
+        for wall in wall_enumerate(v, 3):
             h1 = E.cls(wall.m_value.denominator, wall.m_value.numerator)
             assert ns_pair(wall.d, h1) == 0
             assert ns_pair(wall.d, wall.d) < 0
             assert wall.m_value > 2
-            for r1, xi1 in wall.witnesses:
-                assert 1 <= r1 < 3
+            assert _reference_has_witness(v, wall.d)
 
     def test_wall_validation(self):
         with pytest.raises(ValueError):
-            Wall(E.cls(1, -2), Fraction(5), ())
+            Wall(E.cls(1, -2), Fraction(5))
         with pytest.raises(ValueError):
-            Wall(E.cls(0, 1), Fraction(3), ())
+            Wall(E.cls(0, 1), Fraction(3))
 
 
 class TestSuitability:
@@ -356,16 +357,18 @@ def _reference_primitive(d):
     return prim
 
 
-def _reference_witnesses_for(v, d):
-    r = v.r
-    found = []
+def _reference_has_witness(v, d):
+    """Whether r.xi_1 - r_1.xi = t.d for an integral class xi_1, 1 <= r_1 < r and 1 <= t <= r.
+
+    Typed: xi_1 is the floor of (r_1.xi + t.d)/r, and the identity is checked on classes.
+    """
+    r, (model, xi), d_coeffs = v.r, v.c1, d.coeffs
     for r1 in range(1, r):
         for t in range(1, r + 1):
-            coeffs = tuple(r1 * x + t * dc for x, dc in zip(v.c1.coeffs, d.coeffs))
-            if all(c % r == 0 for c in coeffs):
-                found.append((r1, NSClass(v.model, tuple(c // r for c in coeffs))))
-                break
-    return tuple(found)
+            xi1 = NSClass(model, tuple((r1 * x + t * dc) // r for x, dc in zip(xi, d_coeffs)))
+            if r * xi1 - r1 * v.c1 == t * d:
+                return True
+    return False
 
 
 def _reference_wall_enumerate(v, coeff_bound):
@@ -382,10 +385,9 @@ def _reference_wall_enumerate(v, coeff_bound):
             m = Fraction(2 * ps - pf, ps)
             if m <= 2:
                 continue
-            witnesses = _reference_witnesses_for(v, prim)
-            if not witnesses:
+            if not _reference_has_witness(v, prim):
                 continue
-            walls[prim] = Wall(prim, m, witnesses)
+            walls[prim] = Wall(prim, m)
     return sorted(walls.values(), key=lambda w: (w.m_value, w.d.coeffs))
 
 
@@ -610,7 +612,7 @@ class TestOracle:
     def test_wall_outside_the_ample_range(self):
         # sigma is orthogonal to the nef class sigma + 2f, where the box has no bound
         with pytest.raises(ValueError):
-            strata_box_oracle(vec(2, 1, 0, -2), Wall(E.sigma, Fraction(2), ()))
+            strata_box_oracle(vec(2, 1, 0, -2), Wall(E.sigma, Fraction(2)))
 
 
 def _k_part_box_oracle(v, wall, k):
@@ -897,17 +899,16 @@ class TestTypedReferences:
 
         for name, original in (("NSClass", NSClass), ("MukaiVector", MukaiVector)):
             monkeypatch.setattr(strata, name, counted(name, original))
-        walls = witnesses = audited = 0
+        walls = audited = 0
         for r, y, s in BENCH_VECTORS:
             v = vec(r, 1, y, s)
             for wall in wall_enumerate(v, 4):
                 walls += 1
-                witnesses += len(wall.witnesses)
                 # the enumerator, the oracle and the chain of every stratum
                 audited += codim_audit(v, wall).strata
         assert walls > 0 and audited > 0
-        # a wall class and its witnesses per wall, nothing per stratum
-        assert built["NSClass"] <= walls + witnesses
+        # a wall class per wall, nothing per witness or stratum
+        assert built["NSClass"] <= walls
         assert built["MukaiVector"] == 0
 
     def test_ns_pair_calls_per_wall_of_the_strata_audits(self, monkeypatch):
@@ -1261,33 +1262,33 @@ class TestHodgeIndex:
         d, h = E.cls(1, -2), E.cls(1, 4)
         assert ns_pair(d, h) == 0 and ns_pair(h, h) > 0
         assert ns_pair(d, d) == -6
-        assert Wall(d, Fraction(4), ()).m_value == 4
+        assert Wall(d, Fraction(4)).m_value == 4
 
     def test_zero_class_is_not_a_wall(self):
         with pytest.raises(ValueError, match="nonzero"):
-            Wall(E.zero, Fraction(4), ())
+            Wall(E.zero, Fraction(4))
 
     def test_value_off_the_wall_is_rejected(self):
         # (sigma - 2f).(sigma + 5f) = 1
         with pytest.raises(ValueError, match="does not lie on the wall"):
-            Wall(E.cls(1, -2), Fraction(5), ())
+            Wall(E.cls(1, -2), Fraction(5))
 
     def test_class_of_non_negative_square_is_rejected(self):
         for d in (E.fiber, E.cls(1, 3), E.cls(2, 5)):
             assert ns_pair(d, d) >= 0
             with pytest.raises(ValueError, match="negative square"):
-                Wall(d, Fraction(3), ())
+                Wall(d, Fraction(3))
 
     def test_every_construction_path_checks_the_wall(self):
-        wall = Wall(E.cls(1, -2), Fraction(4), ())
+        wall = Wall(E.cls(1, -2), Fraction(4))
         with pytest.raises(ValueError, match="does not lie on the wall"):
             wall._replace(m_value=Fraction(5))
         with pytest.raises(ValueError, match="does not lie on the wall"):
-            Wall._make((E.cls(1, -2), Fraction(5), ()))
+            Wall._make((E.cls(1, -2), Fraction(5)))
         with pytest.raises(ValueError, match="nonzero"):
             wall._replace(d=E.zero)
-        witnesses = ((1, E.cls(0, -1)),)
-        assert wall._replace(witnesses=witnesses) == Wall(wall.d, wall.m_value, witnesses)
+        # (2 sigma - 4f).(sigma + 4f) = 0 and (2 sigma - 4f)^2 = -24
+        assert wall._replace(d=E.cls(2, -4)) == Wall(E.cls(2, -4), wall.m_value)
         assert type(Wall._make(wall)) is Wall and Wall._make(wall) == wall
 
     @pytest.mark.parametrize("model", [E, elliptic_general(1), elliptic_general(3)],
