@@ -1,6 +1,7 @@
 """Batch front-end: parse instance descriptions, run check suites, emit JSON.
 
-Input is a YAML file (or command-line flags assembled into the same shape):
+Input is a batch file in a subset of YAML, read by ``batchfile`` (or
+command-line flags assembled into the same shape):
 
     version: 1
     instances:
@@ -35,6 +36,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import __version__
+from .batchfile import CliConfigError, read_batch_text
 from .duality import (
     DivisibilityError,
     NuBoundError,
@@ -75,7 +77,9 @@ from .surfaces import (
     generic_k3,
     moduli_dim,
     mukai_pair,  # unused here; perfbench/tests/test_perfbench.py reads cli.mukai_pair
+    normalized_vector,
     sign_law_sweep,
+    twist,
 )
 
 # the one valid (r, s, a, b) of the elliptic K3 where h0 does not exclude the
@@ -83,10 +87,6 @@ from .surfaces import (
 DOCUMENTED_H00_EXCEPTION = (2, 2, 9, 9)
 # the batch-file format this reader takes; a file may omit its version
 BATCH_VERSION = 1
-
-
-class CliConfigError(ValueError):
-    """A spec file or flag set could not be parsed into instances."""
 
 
 class MissingParamsError(Exception):
@@ -233,6 +233,10 @@ def check_arguments(spec: dict, where: str = "instance") -> tuple[SurfaceModel, 
         for key, bound in check.bounds.items():
             what = f"{where} bound {key!r}"
             args[name][key] = bound.read(given[key], what) if key in given else bound.default
+        stated = [[key for key in mode if key in params or key in given] for mode in check.modes]
+        stated = [keys for keys in stated if keys]
+        if len(stated) > 1:
+            raise CliConfigError(f"{where} gives {name} inputs of two modes: {stated[0]} and {stated[1]}")
     for what, keys in (("params", params), ("bounds", given)):
         unread = [key for key in keys if all(key not in getattr(CHECKS[n], what) for n in args)]
         if unread:
@@ -293,18 +297,12 @@ def normalize_instance(raw: dict, index: int) -> list[dict]:
 
 
 def load_batch(path: str) -> list[dict]:
-    # imported here, so only a batch file pays for it; libyaml's parser when
-    # the installed PyYAML has it, and both build the same specs
-    import yaml
-
-    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.load(fh, Loader=loader)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliConfigError(f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise CliConfigError(f"{path}: {exc}") from exc
+    doc = read_batch_text(text, path)
     if doc is None:
         return []
     if isinstance(doc, dict):
@@ -349,7 +347,13 @@ class _Ctx:
 
 def _check_nu(ctx: _Ctx, r, s, a, b):
     inst = ctx.instance(r, s, a, b)
-    ok = moduli_dim(inst.v) == 2 * a and moduli_dim(inst.w) == 2 * b
+    # nu is the root of the affine map x -> chi(v . v_{s,b}(x f)); two
+    # evaluations on the typed route find it without compute_nu's formula
+    u = normalized_vector(s, b, ctx.model)
+    at_zero = euler_form(inst.v, u)
+    slope = euler_form(inst.v, twist(u, ctx.model.fiber)) - at_zero
+    root_ok = slope != 0 and at_zero % slope == 0 and -at_zero // slope == inst.nu
+    ok = root_ok and moduli_dim(inst.v) == 2 * a and moduli_dim(inst.w) == 2 * b
     return ("pass" if ok else "fail"), {"nu": inst.nu, "v": inst.v, "w": inst.w}
 
 
@@ -607,13 +611,16 @@ def _check_general_consistency(ctx: _Ctx, chi_list, ranks):
 class Check(NamedTuple):
     """A check and all it reads: ``run(ctx, **args)`` gets its params (None when
     not given) and bounds as typed keyword arguments and returns (status, data).
-    ``examined`` names the count an ``error:empty`` report sets to 0."""
+    ``examined`` names the count an ``error:empty`` report sets to 0.  Each of
+    ``modes`` names the params and bounds of one way to run the check; an
+    instance may give the inputs of one mode only."""
 
     run: Callable
     requires: tuple[str, ...] = ()  # checks that must pass first
     params: tuple[str, ...] = ()
     bounds: Mapping[str, Bound] = MappingProxyType({})
     examined: str | None = None
+    modes: tuple[tuple[str, ...], ...] = ()
 
 
 RSAB = ("r", "s", "a", "b")
@@ -641,10 +648,12 @@ CHECKS = {
         "r_hi": Bound(int, 5),
         "chi_lo": Bound(int, -5),
         "chi_hi": Bound(int, 0),
-    }),
+    }, modes=(THETA_PARAMS, ("r_lo", "r_hi", "chi_lo", "chi_hi"))),
     "deformation": Check(_check_deformation, params=THETA_PARAMS),
     **{
-        f"hypotheses-{t}": Check(partial(_check_hypotheses, theorem=t), params=("v", "w", *RSAB))
+        f"hypotheses-{t}": Check(
+            partial(_check_hypotheses, theorem=t), params=("v", "w", *RSAB), modes=(("v", "w"), RSAB)
+        )
         for t in ("T1", "T1A", "T2", "T5", "Conj")
     },
     "exclusion-sweep": Check(_check_exclusion_sweep, bounds={
@@ -658,7 +667,7 @@ CHECKS = {
         "coeff_bound": Bound(int, 3, lo=1),
         "s4_lo": Bound(int, -4),
         "s4_hi": Bound(int, 0),
-    }),
+    }, modes=(("v",), ("s4_lo", "s4_hi"))),
     "suitability": Check(_check_suitability, params=("v", "m"), bounds={
         "coeff_bound": Bound(int, 3),
     }),

@@ -21,6 +21,7 @@ import strangedual.duality as duality
 import strangedual.hilbert as hilbert
 import strangedual.strata as strata
 import strangedual.surfaces as surfaces
+from strangedual.batchfile import read_batch_text
 from strangedual.cli import (
     CliConfigError,
     document_exit_code,
@@ -54,6 +55,19 @@ from test_strata import BENCH_VECTORS, _reference_stratum_codim_ok
 
 
 E = elliptic_k3()
+
+
+@pytest.fixture(autouse=True)
+def _batch_texts_read_as_pyyaml_reads_them(monkeypatch):
+    """Every batch text a test here loads, and the reader accepts, reads as
+    PyYAML's safe_load reads it: same values, types and key order."""
+
+    def compared(text, source):
+        doc = read_batch_text(text, source)
+        assert repr(doc) == repr(yaml.safe_load(text)), source
+        return doc
+
+    monkeypatch.setattr(cli, "read_batch_text", compared)
 
 
 def _strip_timing(text: str) -> str:
@@ -274,11 +288,50 @@ class TestHalfStatedModes:
     @pytest.mark.parametrize("key", ["v", "w"])
     @pytest.mark.parametrize("theorem", ["T2", "T5", "Conj"])
     def test_a_lone_vector_is_missing_params(self, key, theorem):
-        params = {"r": 2, "s": 2, "a": 9, "b": 9, key: "2:1,7:-1"}
+        params = {key: "2:1,7:-1"}
         raw = {"params": params, "checks": [f"hypotheses-{theorem}"]}
         result = run_instance(normalize_instance(raw, 0)[0])["results"][f"hypotheses-{theorem}"]
         assert result["status"] == "error:missing-params"
         assert result["reason"] == "need both vectors v and w"
+
+
+class TestTwoModesAtOnce:
+    """Inputs of two modes of one check exit 2 at load: one mode would go unread."""
+
+    @pytest.mark.parametrize(
+        "text,stated",
+        [
+            ("  - params: {v: '2:1,0:-2'}\n    checks: [strata-audit]\n    bounds: {s4_lo: -2}\n",
+             "strata-audit inputs of two modes: ['v'] and ['s4_lo']"),
+            ("  - params: {v: '2:1,0:-2'}\n    checks: [strata-audit]\n    bounds: {s4_hi: 0, coeff_bound: 3}\n",
+             "strata-audit inputs of two modes: ['v'] and ['s4_hi']"),
+            ("  - surface: {kind: generic-k3, degree: 12}\n    params: {r: 2, s: 2, chi: -1, chi_prime: -1}\n"
+             "    checks: [theta-relation]\n    bounds: {chi_hi: 0}\n",
+             "theta-relation inputs of two modes: ['r', 's', 'chi', 'chi_prime'] and ['chi_hi']"),
+            ("  - params: {r: 2}\n    checks: [theta-relation]\n    bounds: {r_lo: 2, r_hi: 3}\n",
+             "theta-relation inputs of two modes: ['r'] and ['r_lo', 'r_hi']"),
+            ("  - params: {v: '2:1,7:-1', w: '2:1,6:-2', a: 9}\n    checks: [hypotheses-T2]\n",
+             "hypotheses-T2 inputs of two modes: ['v', 'w'] and ['a']"),
+            ("  - params: {w: '2:1,6:-2', r: 2, s: 2, a: 9, b: 9}\n    checks: [nu, hypotheses-Conj]\n",
+             "hypotheses-Conj inputs of two modes: ['w'] and ['r', 's', 'a', 'b']"),
+            # a grid axis is a param at every point
+            ("  - params: {v: '2:1,7:-1', w: '2:1,6:-2'}\n    grid: {r: [2, 3]}\n    checks: [hypotheses-T5]\n",
+             "hypotheses-T5 inputs of two modes: ['v', 'w'] and ['r']"),
+        ],
+        ids=["strata-v-s4_lo", "strata-v-s4_hi", "theta-point-bound", "theta-part-point-bounds",
+             "hypotheses-vectors-a", "hypotheses-w-rsab", "hypotheses-grid"],
+    )
+    def test_inputs_of_two_modes_exit_two(self, tmp_path, capsys, text, stated):
+        code, err, doc = _run_batch_text(tmp_path, "instances:\n" + text, capsys)
+        assert code == 2 and doc is None
+        assert err == f"error: instance #0 gives {stated}\n"
+
+    @pytest.mark.parametrize("name", [name for name, check in cli.CHECKS.items() if check.modes])
+    def test_the_modes_of_a_check_are_disjoint_inputs_it_reads(self, name):
+        check = cli.CHECKS[name]
+        moded = [key for mode in check.modes for key in mode]
+        assert len(check.modes) == 2 and len(moded) == len(set(moded))
+        assert set(moded) <= set(check.params) | set(check.bounds)
 
 
 class TestChecksGiveTheVerdict:
@@ -287,11 +340,16 @@ class TestChecksGiveTheVerdict:
     def test_nu_off_by_one(self, monkeypatch):
         original = duality.compute_nu
         monkeypatch.setattr(duality, "compute_nu", lambda *args: original(*args) - 1)
-        checks = ["nu", "line-bundle", "chi-vanishing", "dimension-match"]
+        spec = normalize_instance({"params": RSAB_9, "checks": ["nu", "line-bundle"]}, 0)[0]
+        results = run_instance(spec)["results"]
+        # nu finds the twist -2 as the root of chi(v . v_{s,b}(x f)); the
+        # dimensions alone would pass, as a fibre twist keeps them
+        assert (results["nu"]["status"], results["nu"]["nu"]) == ("fail", -3)
+        assert results["line-bundle"]["status"] == "skipped"
+        # run without nu, the checks that require it judge nu too
+        checks = ["line-bundle", "chi-vanishing", "dimension-match"]
         spec = normalize_instance({"params": RSAB_9, "checks": checks}, 0)[0]
         results = run_instance(spec)["results"]
-        # twisting w by fibers keeps both dimensions, so nu itself passes
-        assert (results["nu"]["status"], results["nu"]["nu"]) == ("pass", -3)
         chi = results["chi-vanishing"]
         assert (chi["status"], chi["chi_product"]) == ("fail", -4)
         line = results["line-bundle"]
@@ -321,6 +379,15 @@ class TestChecksGiveTheVerdict:
         results = run_instance(spec)["results"]
         assert results["nu"]["status"] == "fail"
         assert results["chi-vanishing"]["status"] == "skipped"
+
+    @pytest.mark.parametrize("shift", [0, 1, -1])
+    def test_nu_judges_the_twist_at_every_valid_point(self, monkeypatch, shift):
+        original = duality.compute_nu
+        monkeypatch.setattr(duality, "compute_nu", lambda *args: original(*args) + shift)
+        points = [p[:4] for p in k3_divisible_points(range(2, 5), range(2, 5), 40) if p[4]]
+        statuses = Counter(cli._check_nu(cli._Ctx(E), *point)[0] for point in points)
+        assert statuses == {("pass" if shift == 0 else "fail"): len(points)}
+        assert len(points) > 100
 
     def test_broken_euler_form_fails_general_consistency(self, monkeypatch):
         monkeypatch.setattr(cli, "euler_form", lambda v, w: 1)
@@ -854,26 +921,6 @@ class TestBatch:
         assert instances[0]["name"] == "g[a=9,b=9]"
         assert instances[1]["params"]["a"] == 10
 
-    def test_both_yaml_loaders_agree(self, monkeypatch):
-        if not yaml.__with_libyaml__:
-            pytest.skip("PyYAML is built without libyaml")
-        # load_batch takes libyaml's loader exactly when PyYAML reports it
-        path = str(Path(__file__).parent / "data" / "acceptance_batch.yaml")
-        loaders = []
-        original = yaml.load
-
-        def recording(stream, Loader):
-            loaders.append(Loader)
-            return original(stream, Loader=Loader)
-
-        monkeypatch.setattr(yaml, "load", recording)
-        monkeypatch.setattr(yaml, "__with_libyaml__", False)
-        pure = load_batch(path)
-        monkeypatch.setattr(yaml, "__with_libyaml__", True)
-        assert load_batch(path) == pure
-        assert pure
-        assert loaders == [yaml.SafeLoader, yaml.CSafeLoader]
-
     def test_report_matches_the_golden_file(self, tmp_path):
         data = Path(__file__).parent / "data"
         out = tmp_path / "report.json"
@@ -889,11 +936,26 @@ class TestBatch:
         golden = (data / "strata_report.json").read_text()
         assert _strip_timing(out.read_text()) == _strip_timing(golden)
 
-    def test_yaml_parse_error(self, tmp_path):
-        path = tmp_path / "bad.yaml"
-        path.write_text("instances: [}{")
-        with pytest.raises(CliConfigError):
-            load_batch(str(path))
+    def test_yaml_parse_error(self, tmp_path, capsys):
+        code, err, doc = _run_batch_text(tmp_path, "version: 1\ninstances: [}{", capsys)
+        assert code == 2 and doc is None
+        assert err.startswith(f"error: {tmp_path / 'b.yaml'}, line 2: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text,key,line",
+        [
+            ("instances:\n  - params: {r: 2, s: 2, a: 9, b: 9, a: 10}\n    checks: [nu]\n", "a", 2),
+            ("instances:\n  - params: {r: 2, s: 2, a: 9, b: 9}\n    checks: [nu]\n    checks: [tower]\n",
+             "checks", 4),
+        ],
+        ids=["flow-mapping", "block-mapping"],
+    )
+    def test_a_duplicate_key_exits_two(self, tmp_path, capsys, text, key, line):
+        # YAML loaders keep the last value; a batch file must not lose the first
+        code, err, doc = _run_batch_text(tmp_path, text, capsys)
+        assert code == 2 and doc is None
+        assert err == f"error: {tmp_path / 'b.yaml'}, line {line}: duplicate key {key!r}\n"
 
     @pytest.mark.parametrize(
         "text,words",
@@ -1519,22 +1581,38 @@ class TestPerCheckTiming:
 
 
 class TestStartUp:
-    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
-        # all three are costly to import: nothing in the program needs the
-        # first two (inspect alone pulls in ast, dis and tokenize), and only
-        # load_batch reads YAML
+    def test_loading_a_batch_loads_neither_yaml_nor_dataclasses_nor_inspect(self):
+        # all three are costly to import, and the program needs none of them:
+        # inspect alone pulls in ast, dis and tokenize, and the batch-file
+        # reader is the package's own
+        batch = Path(__file__).parent / "data" / "acceptance_batch.yaml"
         code = (
             "import sys\n"
             "before = set(sys.modules)\n"
+            "from strangedual.cli import load_batch\n"
             "import strangedual.cli\n"
+            "assert len(load_batch(sys.argv[1])) == 10\n"
             "print(strangedual.cli.__file__)\n"
             "print(sorted({'dataclasses', 'inspect', 'yaml'} & (set(sys.modules) - before)))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", code, str(batch)], env=env, capture_output=True, text=True,
+            timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         path, loaded = proc.stdout.splitlines()
         assert Path(path).resolve() == Path(cli.__file__).resolve()
         assert loaded == "[]"
+
+    def test_no_module_of_the_package_imports_yaml(self):
+        package = Path(cli.__file__).parent
+        imported = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        assert "re" in imported  # the walk sees the package's imports
+        assert "yaml" not in imported

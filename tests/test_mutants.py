@@ -179,13 +179,11 @@ MUTANTS = {
     "chain_audit final bound": (_chain_final_bound_mutant, "hn-strata", {
         "strata-audit": lambda r: _failing_chain_walls(r) == [(-2, [1, -2])],
     }),
-    # the nu check itself stays pass: the moduli dimension it compares is
-    # invariant under the fiber twist, so it never judges nu
+    # nu finds the twist -2 as the root of chi(v . v_{s,b}(x f)), so it fails
+    # first, and line-bundle, chi-vanishing and exclusions, which require it,
+    # skip; test_nu_mutant_without_the_nu_check runs them without nu
     "compute_nu case point": (_nu_mutant, "case-study-2299", {
-        "line-bundle": lambda r: r["L"]["coeffs"] == [4, 7] and not r["alternative_form_matches"],
-        "chi-vanishing": lambda r: r["chi_product"] == 4,
-        # with L = 4.sigma + 7f the documented h0 exception no longer holds
-        "exclusions": lambda r: r["report"]["q1q2_excluded"] is True,
+        "nu": lambda r: r["nu"] == -1,
         "hypotheses-T2": lambda r: r["conditions"]["orthogonal"] is False,
     }),
     "h0_coeffs of L": (_h0_coeffs_mutant, "case-study-2299", {
@@ -210,6 +208,20 @@ def test_mutant_leaves_pass(monkeypatch, name):
     for check, shows in expected.items():
         assert results[check]["status"] == "fail", check
         assert shows(results[check]), check
+
+
+def test_nu_mutant_without_the_nu_check(monkeypatch):
+    # the other judges of nu on the case point, which skip behind a failing nu
+    spec = dict(ACCEPTANCE["case-study-2299"])
+    spec["checks"] = [check for check in spec["checks"] if check != "nu"]
+    _nu_mutant(monkeypatch)
+    results = run_instance(spec)["results"]
+    line, chi, excl = (results[check] for check in ("line-bundle", "chi-vanishing", "exclusions"))
+    assert all(result["status"] == "fail" for result in (line, chi, excl))
+    assert line["L"]["coeffs"] == [4, 7] and not line["alternative_form_matches"]
+    assert chi["chi_product"] == 4
+    # with L = 4.sigma + 7f the documented h0 exception no longer holds
+    assert excl["report"]["q1q2_excluded"] is True
 
 
 # An elliptic-general point exactly on the dimension bound of T5 and the
