@@ -17,7 +17,8 @@ ints (sign and ``_`` allowed) and floats with a dot.  Any other plain scalar
 is a string, unless YAML 1.1 reads it as another type: octal, hex, binary
 and sexagesimal numbers, ``.inf``/``.nan``, timestamps, ``<<`` and ``=`` are
 refused, and quoting one makes it a string.  Anchors, aliases, tags, block
-scalars, document markers, tabs and duplicate keys are refused too.
+scalars, document markers, tabs, duplicate keys and collections nested more
+than 64 deep are refused too.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ _NOT_PLAIN = "-?:,[]{}#&*!|>'\"%@`"
 _CONSTRUCTS = {"&": "an anchor", "*": "an alias", "!": "a tag", "|": "a block scalar", ">": "a block scalar"}
 # PyYAML refuses a mapping key longer than this, counted up to its ':'
 _KEY_SPAN = 1024
+# collections nest at most this deep: a batch file needs 4, recursion allows ~500
+_DEPTH = 64
 
 
 def read_batch_text(text: str, source: str):
@@ -92,9 +95,16 @@ class _Reader:
                     raise self.error(number, "document markers are not in the batch-file subset")
                 self.lines.append([number, len(line) - len(content), content])
         self.i = 0
+        self.depth = 0  # the collections open around the node being read
 
     def error(self, number: int, message: str) -> CliConfigError:
         return CliConfigError(f"{self.source}, line {number}: {message}")
+
+    def enter(self, number: int) -> None:
+        """Open one more collection; callers close it by ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > _DEPTH:
+            raise self.error(number, f"collections nested more than {_DEPTH} deep")
 
     def indent(self) -> int:
         """The indent of the next line, -1 past the last."""
@@ -111,6 +121,7 @@ class _Reader:
         return self.inline(text, 0, number)
 
     def sequence(self, indent: int) -> list:
+        self.enter(self.lines[self.i][0])
         out = []
         while self.indent() == indent and _is_item(self.lines[self.i][2]):
             number, _, text = self.lines[self.i]
@@ -123,9 +134,11 @@ class _Reader:
                 self.i += 1
                 out.append(self.block() if self.indent() > indent else None)
             self.end_of_node(indent)
+        self.depth -= 1
         return out
 
     def mapping(self, indent: int) -> dict:
+        self.enter(self.lines[self.i][0])
         out = {}
         while self.indent() == indent:
             number, _, text = self.lines[self.i]
@@ -145,6 +158,7 @@ class _Reader:
             else:
                 out[key] = None
             self.end_of_node(indent)
+        self.depth -= 1
         return out
 
     def end_of_node(self, indent: int) -> None:
@@ -183,6 +197,7 @@ class _Reader:
 
     def flow(self, text: str, pos: int, number: int):
         """The flow collection opening at text[pos] and the index after it."""
+        self.enter(number)
         close = "]" if text[pos] == "[" else "}"
         out = [] if close == "]" else {}
         pos = _skip(text, pos + 1)
@@ -206,6 +221,7 @@ class _Reader:
                 pos = _skip(text, pos + 1)
             elif text[pos:pos + 1] != close:
                 raise self.error(number, f"expected ',' or {close!r} in a flow collection")
+        self.depth -= 1
         return out, pos + 1
 
     def scalar(self, text: str, pos: int, number: int, flow: bool):

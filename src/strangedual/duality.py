@@ -14,23 +14,35 @@ This module builds such instances, verifies the hypothesis lists of the
 duality theorems, matches theta-section counts across the two factors, walks
 the rank-raising tower of moduli spaces at chi-level, and checks the exact
 lattice identity behind the big-and-nef theta bundles used in the
-deformation argument.
+deformation argument.  The ``judge_*`` functions at the end give the verdicts
+of the CLI's checks on these facts and on the exclusions.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .hilbert import binom, taut_det_sections
+from .hilbert import (
+    binom,
+    exclusion_group_flags,
+    exclusion_point_flags,
+    exclusion_report,
+    exclusions_hold,
+    require_exclusion_model,
+    taut_det_sections,
+)
 from .surfaces import (
     ELLIPTIC_K3,
     GENERIC_K3,
+    MissingParamsError,
     ModelMismatchError,
     MukaiVector,
+    NothingToExamineError,
     NSClass,
     SurfaceModel,
     chi_rr,
     chi_vec,
+    elliptic_general,
     elliptic_k3,
     euler_form,
     euler_pair_hom,
@@ -563,6 +575,211 @@ def theorem2_equivalence(r: int, s: int, a: int, b: int) -> bool | None:
     except NuBoundError:
         nu_ok = False
     return pairing_sum_ok == nu_ok
+
+
+# ---------------------------------------------------------------------------
+# Check judges: each takes an instance's model and the check's params and
+# bounds, and returns (verdict, report)
+# ---------------------------------------------------------------------------
+
+
+def nu_holds(inst: DualityInstance) -> bool:
+    """Whether nu is the root of x -> chi(v . v_{s,b}(x f)), and dim M(v) = 2a
+    and dim M(w) = 2b.  The map is affine, so two typed evaluations find the
+    root without ``compute_nu``'s formula."""
+    model = inst.surface
+    u = normalized_vector(inst.s, inst.b, model)
+    at_zero = euler_form(inst.v, u)
+    slope = euler_form(inst.v, twist(u, model.fiber)) - at_zero
+    root_ok = slope != 0 and at_zero % slope == 0 and -at_zero // slope == inst.nu
+    return root_ok and moduli_dim(inst.v) == 2 * inst.a and moduli_dim(inst.w) == 2 * inst.b
+
+
+def _tower_point(r, s, a, b, model: SurfaceModel) -> DualityInstance:
+    if None in (r, s, a, b):
+        raise MissingParamsError("missing params: need r, s, a and b")
+    return tower_instance(r, s, a, b, model)
+
+
+def judge_nu(model: SurfaceModel, r, s, a, b) -> tuple[bool, dict]:
+    inst = _tower_point(r, s, a, b, model)
+    return nu_holds(inst), {"nu": inst.nu, "v": inst.v, "w": inst.w}
+
+
+def judge_line_bundle(model: SurfaceModel, r, s, a, b) -> tuple[bool, dict]:
+    check = duality_line_bundle(_tower_point(r, s, a, b, model))
+    data = {"L": check.line_bundle, "chi": check.chi, "h0": check.h0}
+    return check.ok, {**data, "alternative_form_matches": check.alternative_form_matches}
+
+
+def judge_chi_vanishing(model: SurfaceModel, r, s, a, b) -> tuple[bool, dict]:
+    inst = _tower_point(r, s, a, b, model)
+    value = euler_form(inst.v, inst.w)
+    return value == 0, {"chi_product": value}
+
+
+def judge_dimension_match(model: SurfaceModel, r, s, a, b) -> tuple[bool, dict]:
+    left, right, equal = dimension_match(_tower_point(r, s, a, b, model))
+    return equal, {"left": left, "right": right, "equal": equal}
+
+
+def judge_exclusions(model: SurfaceModel, r, s, a, b) -> tuple[bool, dict]:
+    # asked before the instance is built, so an invalid point does not hide it
+    require_exclusion_model(model)
+    rep = exclusion_report(_tower_point(r, s, a, b, model))
+    ok = exclusions_hold((r, s, a, b), rep.q3_excluded, rep.q1q2_excluded, rep.s_proper, rep.q_proper)
+    return ok, {"report": rep}
+
+
+def judge_tower(model: SurfaceModel, a, r_max: int, a_max: int | None) -> tuple[bool, dict]:
+    """``ogrady_tower`` to rank r_max at each a in 0..a_max, or at the one a
+    (9 when not given)."""
+    a_values = [9 if a is None else a] if a_max is None else range(0, a_max + 1)
+    failures = [x for x in a_values if not ogrady_tower(r_max, x, model).ok]
+    return not failures, {"r_max": r_max, "a_checked": len(a_values), "failures": failures}
+
+
+def judge_theta_relation(
+    model: SurfaceModel, r, s, chi, chi_prime, r_lo: int, r_hi: int, chi_lo: int, chi_hi: int
+) -> tuple[bool, dict]:
+    """The identity at the point (r, s, chi, chi') when all four are given,
+    else ``theta_relation_sweep`` over the bounds."""
+    if None not in (r, s, chi, chi_prime):
+        v, w = theta_pair(r, s, chi, chi_prime, model)
+        res = theta_relation_identity(v, w)
+        return res.ok, {
+            "h_squared": v.model.degree,
+            "lambda": res.lambda_v,
+            "mu": res.mu_v,
+            "identity_ok": res.identity_ok,
+            "perpendicular": res.lambda_perp and res.mu_perp,
+        }
+    if (r, s, chi, chi_prime) != (None,) * 4:
+        raise MissingParamsError("the point mode needs params r, s, chi and chi_prime")
+    checked, failures, crossed = theta_relation_sweep(r_lo, r_hi, chi_lo, chi_hi)
+    data = {"points_checked": checked, "failures": failures, "typed_cross_checked": crossed}
+    if checked == 0:
+        raise NothingToExamineError("no point with H^2 > 0 in the bounds", **data)
+    return not failures, data
+
+
+def judge_deformation(model: SurfaceModel, r, s, chi, chi_prime) -> tuple[bool, dict]:
+    """The pairings agree across the degeneration, and nu = chi + chi' - 2."""
+    if None in (r, s, chi, chi_prime):
+        raise MissingParamsError("need params r, s, chi and chi_prime")
+    pair = deformation_setup(r, s, chi, chi_prime, model)
+    data = {
+        "h_squared": pair.degree,
+        "elliptic_c1": pair.elliptic.v.c1,
+        "nu": pair.elliptic.nu,
+        "pairings_agree": pair.pairings_agree,
+    }
+    return pair.pairings_agree and pair.elliptic.nu == chi + chi_prime - 2, data
+
+
+def judge_hypotheses(model: SurfaceModel, theorem: str, v, w) -> tuple[bool, HypothesisReport]:
+    if v is None or w is None:
+        raise MissingParamsError("need both vectors v and w")
+    rep = hypotheses_report(v, w, theorem)
+    return rep.verdict, rep
+
+
+def judge_tower_hypotheses(model: SurfaceModel, theorem: str, v, w, r, s, a, b):
+    """``judge_hypotheses`` on v and w, or without them on the tower vectors
+    of (r, s, a, b)."""
+    if v is None and w is None:
+        if None in (r, s, a, b):
+            raise MissingParamsError("need vectors v/w or (r, s, a, b)")
+        inst = tower_instance(r, s, a, b, model)
+        v, w = inst.v, inst.w
+    return judge_hypotheses(model, theorem, v, w)
+
+
+def judge_exclusion_sweep(
+    model: SurfaceModel, r_lo: int, r_hi: int, s_lo: int, s_hi: int, ab_max: int
+) -> tuple[bool, dict]:
+    """The exclusions, the tower facts and the Theorem-2 bound comparison on
+    every elliptic-K3 point of ``k3_divisible_points`` in the bounds.
+
+    The bound comparison runs on every divisible point, valid or not; the
+    rest on the valid points, on plain integers through ``k3_tower_row``
+    and the two exclusion flag functions.
+    """
+    require_exclusion_model(model)
+    points, holds = 0, True
+    h0_violations, h00_exceptions, chi_violations, bound_disagreements = [], [], [], []
+    grid = k3_divisible_points(range(r_lo, r_hi + 1), range(s_lo, s_hi + 1), ab_max)
+    group = None
+    for r, s, a, b, valid in grid:
+        # the bound comparison, nu, L and the S and Q verdicts depend on
+        # (r, s, a+b) alone, and the grid yields the points of each such
+        # group one after another
+        if group != (r, s, a + b):
+            group = (r, s, a + b)
+            # both directions of the bound equivalence: valid and too-small twists
+            disagrees = theorem2_equivalence(r, s, a, b) is False
+            nu = line = None
+        if disagrees:
+            bound_disagreements.append((r, s, a, b))
+        if not valid:
+            continue
+        points += 1
+        nu, _, _, chi_vw, dims = k3_tower_row(r, s, a, b, nu)
+        if chi_vw != 0 or dims != (2 * a, 2 * b):
+            chi_violations.append((r, s, a, b))
+        if line is None:
+            line = duality_line_bundle_class(r, s, nu)
+            (m, n), chi = line.coeffs, line.model.chi_o
+            s_proper, q_proper = exclusion_group_flags(m, n, a + b, chi)
+        q3_excluded, q1q2_excluded = exclusion_point_flags(m, n, a, b, chi)
+        if not (q3_excluded and s_proper and q_proper):
+            h0_violations.append((r, s, a, b))
+        if not q1q2_excluded:
+            h00_exceptions.append((r, s, a, b))
+        holds = holds and exclusions_hold((r, s, a, b), q3_excluded, q1q2_excluded, s_proper, q_proper)
+    data = {
+        "points_checked": points,
+        "h0_violations": h0_violations,
+        "h00_exceptions": h00_exceptions,
+        "chi_vanishing_violations": chi_violations,
+        "bound_equivalence_disagreements": bound_disagreements,
+    }
+    ok = holds and not chi_violations and not bound_disagreements
+    if ok and points == 0:
+        raise NothingToExamineError("no valid (r, s, a, b) in the bounds", **data)
+    return ok, data
+
+
+def judge_general_consistency(model: SurfaceModel, chi_list, ranks) -> tuple[bool, dict]:
+    """One case for each chi(O) in chi_list and each pair of ranks, at the
+    least valid a + b, on its own general elliptic model.
+
+    A case holds when ``nu_holds`` and chi(v . w) = 0 (``instance_ok``), the
+    line-bundle check passes, the tower to rank 6 holds at a and, at
+    chi(O) = 2, the instance degenerates to the elliptic K3's.
+    """
+    if not (chi_list and ranks):
+        raise NothingToExamineError("nothing to examine: chi_list or ranks is empty", cases=[])
+    cases = []
+    for chi_o in chi_list:
+        surface = elliptic_general(chi_o)
+        for r in ranks:
+            for s in ranks:
+                total = minimal_valid_total(r, s, chi_o)
+                a, b = total // 2, total - total // 2
+                inst = tower_instance(r, s, a, b, surface)
+                line = duality_line_bundle(inst)
+                case = {"chi_o": chi_o, "r": r, "s": s, "a": a, "b": b, "nu": inst.nu, "chi_L": line.chi}
+                case["instance_ok"] = nu_holds(inst) and euler_form(inst.v, inst.w) == 0
+                case["line_bundle_ok"] = line.ok
+                case["tower_ok"] = ogrady_tower(6, a, surface).ok
+                if chi_o == 2:
+                    k3 = tower_instance(r, s, a, b, elliptic_k3())
+                    facts = (inst.nu, inst.line_bundle.coeffs, inst.v.c1.coeffs)
+                    case["k3_degeneration_ok"] = (k3.nu, k3.line_bundle.coeffs, k3.v.c1.coeffs) == facts
+                cases.append(case)
+    oks = ("instance_ok", "line_bundle_ok", "tower_ok", "k3_degeneration_ok")
+    return all(case.get(key, True) for case in cases for key in oks), {"cases": cases}
 
 
 __all__ = [

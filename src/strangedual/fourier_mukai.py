@@ -370,6 +370,17 @@ def _degeneration_failures(matrix: FMMatrix) -> list[Quad]:
     return [e for e in _BASIS if to_s(matrix.apply(to_chi(e))) != k3_matrix.apply(e)]
 
 
+def judge_fm_verify(model: SurfaceModel, r_max: int, a_max: int) -> tuple[bool, dict]:
+    """The suite on the model's derived matrix, reported beside its columns
+    and determinant; the transform is invertible on the integral lattice, so
+    the verdict also needs det = +-1."""
+    matrix = derive_fm_matrix(model)
+    report = verify_fm_suite(matrix, r_max, a_max)
+    determinant = matrix.determinant()
+    data = {"columns": matrix.columns, "determinant": determinant, **report._asdict()}
+    return report.all_ok and determinant in (-1, 1), data
+
+
 __all__ = [
     "FMMatrix",
     "FMSuiteReport",

@@ -92,6 +92,23 @@ def exclusion_point_flags(m: int, n: int, a: int, b: int, chi: int) -> tuple[boo
     return q3_excluded, q1q2_excluded
 
 
+# the one valid (r, s, a, b) of the elliptic K3 where h0 does not exclude the
+# Q1/Q2 components: the paper's case study
+DOCUMENTED_H00_EXCEPTION = (2, 2, 9, 9)
+
+
+def exclusions_hold(
+    point: tuple, q3_excluded: bool, q1q2_excluded: bool, s_proper: bool, q_proper: bool
+) -> bool:
+    """The exclusion verdict at one valid point (r, s, a, b).
+
+    Q3 is excluded and S and Q are proper, and Q1/Q2 are excluded at every
+    point but ``DOCUMENTED_H00_EXCEPTION``, where they must not be.
+    """
+    q1q2_expected = point != DOCUMENTED_H00_EXCEPTION
+    return q3_excluded and s_proper and q_proper and q1q2_excluded == q1q2_expected
+
+
 def exclusion_report(inst: DualityInstance) -> ExclusionReport:
     """Run the section-count exclusions on an elliptic-K3 instance.
 

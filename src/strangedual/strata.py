@@ -47,8 +47,10 @@ from typing import NamedTuple
 
 from .surfaces import (
     ELLIPTIC_K3,
+    MissingParamsError,
     ModelMismatchError,
     MukaiVector,
+    NothingToExamineError,
     NSClass,
     SurfaceModel,
     mukai_pair,
@@ -661,6 +663,44 @@ def codim_audit(v: MukaiVector, wall: Wall) -> CodimAudit:
         b * r >= 4 * r * r,  # corollary_applicable: b / 2r >= 2 times (2r)^2 / 2
         gcd(*v.c1.coeffs) == 1 and q_v >= 2 * (r - 1) * (r * r + 1),  # remark_applicable
     ))
+
+
+def audit_vector(v: MukaiVector, coeff_bound: int) -> tuple[bool, list[dict]]:
+    """One entry per wall of v in the box: the wall and its ``codim_audit``.
+
+    The vector passes when every wall holds ``chain_ok``, ``codim_bound_ok``
+    and ``oracle_match``.
+    """
+    walls = []
+    ok = True
+    for wall in wall_enumerate(v, coeff_bound):
+        audit = codim_audit(v, wall)
+        walls.append({"wall_d": wall.d, "m_value": wall.m_value, **audit._asdict()})
+        ok = ok and audit.chain_ok and audit.codim_bound_ok and audit.oracle_match
+    return ok, walls
+
+
+def judge_strata_audit(
+    model: SurfaceModel, v: MukaiVector | None, coeff_bound: int, s4_lo: int, s4_hi: int
+) -> tuple[bool, dict]:
+    """``audit_vector`` on v, or without v on (2, sigma, s4) for s4_lo <= s4 <= s4_hi."""
+    vectors = [v] if v is not None else [MukaiVector(2, model.sigma, s4) for s4 in range(s4_lo, s4_hi + 1)]
+    if not vectors:
+        raise NothingToExamineError("no vector to audit: s4_lo > s4_hi")
+    results = []
+    for u in vectors:
+        u_ok, walls = audit_vector(u, coeff_bound)
+        results.append({"v": u, "ok": u_ok, "walls": walls})
+    return all(entry["ok"] for entry in results), {"coeff_bound": coeff_bound, "vectors": results}
+
+
+def judge_suitability(
+    model: SurfaceModel, v: MukaiVector | None, m: Fraction | None, coeff_bound: int
+) -> tuple[bool, SuitabilityReport]:
+    if v is None or m is None:
+        raise MissingParamsError("need params v and m")
+    report = is_suitable(m, v, coeff_bound)
+    return report.suitable, report
 
 
 __all__ = [

@@ -68,6 +68,18 @@ class ModelMismatchError(ValueError):
     """Lattice elements from different surface models were combined."""
 
 
+class MissingParamsError(Exception):
+    """A check was not given the params it needs; the message names them."""
+
+
+class NothingToExamineError(Exception):
+    """A check's bounds left it nothing to examine; ``data`` holds its counts, at zero."""
+
+    def __init__(self, reason: str, **data):
+        super().__init__(reason)
+        self.data = data
+
+
 class SurfaceModel:
     """An intersection lattice together with chi(O) and the canonical class.
 
@@ -592,3 +604,19 @@ def _sign_law_mismatches(model: SurfaceModel, bound: int, lhs: list, rhs: list) 
                 pair = (_coordinate_vector(model, v), _coordinate_vector(model, coords[j]))
                 out.append((*pair, left, right))
     return out
+
+
+def judge_sign_law(model: SurfaceModel, coord_bound: int, degrees: tuple[int, ...]) -> tuple[bool, dict]:
+    """The sign law on the elliptic K3 and on the generic K3 of each degree.
+
+    Builds its surfaces from its bounds and reads no instance surface.  The
+    verdict holds when ``sign_law_sweep`` finds no mismatch on any of them.
+    """
+    total, mismatches, discrepancy = sign_law_sweep(elliptic_k3(), coord_bound)
+    count = len(mismatches)
+    for degree in degrees:
+        checked, bad, _ = sign_law_sweep(generic_k3(degree), coord_bound)
+        total += checked
+        count += len(bad)
+    data = {"pairs_checked": total, "mismatches": count, "documented_discrepancy": discrepancy}
+    return count == 0, data

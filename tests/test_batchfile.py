@@ -105,6 +105,9 @@ REFUSED = {
     "sequence item in a mapping": ("a: 1\n- b\n", 2, "expected 'key: value'"),
     "two top-level nodes": ("  a: 1\nb: 2\n", 2, "after the end of the document"),
     "huge int": ("a: " + "1" * 5000 + "\n", 1, "too long"),
+    # deeper than the interpreter's recursion limit lets a recursive reader go
+    "deep flow nesting": ("a: " + "[" * 600 + "]" * 600 + "\n", 1, "nested more than 64 deep"),
+    "deep block nesting": ("- " * 600 + "x\n", 1, "nested more than 64 deep"),
 }
 
 
@@ -118,6 +121,12 @@ def test_a_text_outside_the_subset_exits_two(tmp_path, capsys, name):
     assert err.startswith(f"error: {path}, line {line}: ")
     assert words in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_nesting_up_to_the_bound_is_read():
+    # the mapping and 63 sequences around the innermost value: 64 collections
+    assert _agrees("a: " + "[" * 63 + "x" + "]" * 63 + "\n")
+    assert _agrees("- " * 63 + "{x: 1}\n")
 
 
 def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):

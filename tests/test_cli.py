@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from functools import partial
 from math import comb, gcd
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import yaml
 
 import strangedual.cli as cli
 import strangedual.duality as duality
+import strangedual.fourier_mukai as fourier_mukai
 import strangedual.hilbert as hilbert
 import strangedual.strata as strata
 import strangedual.surfaces as surfaces
@@ -175,7 +177,7 @@ class TestRunInstance:
         def broken(*args):
             raise KeyError("a fault in the program")
 
-        monkeypatch.setattr(cli, "tower_instance", broken)
+        monkeypatch.setattr(duality, "tower_instance", broken)
         spec = normalize_instance(
             {"params": {"r": 2, "s": 2, "a": 9, "b": 9}, "checks": ["nu"]}, 0
         )[0]
@@ -187,7 +189,7 @@ class TestRunInstance:
         def broken(*args):
             raise AssertionError("a fault in the program")
 
-        monkeypatch.setattr(cli, "tower_instance", broken)
+        monkeypatch.setattr(duality, "tower_instance", broken)
         spec = normalize_instance(
             {"params": {"r": 2, "s": 2, "a": 9, "b": 9}, "checks": ["nu"]}, 0
         )[0]
@@ -278,13 +280,6 @@ class TestHalfStatedModes:
         assert result["reason"] == "the point mode needs params r, s, chi and chi_prime"
         assert "points_checked" not in result
 
-    def test_tower_a_beside_a_max_is_invalid(self):
-        raw = {"params": {"a": 9}, "checks": ["tower"], "bounds": {"a_max": 6}}
-        result = run_instance(normalize_instance(raw, 0)[0])["results"]["tower"]
-        assert result["status"] == "error:invalid"
-        assert result["reason"] == "give the param a or the bound a_max, not both"
-        assert "a_checked" not in result
-
     @pytest.mark.parametrize("key", ["v", "w"])
     @pytest.mark.parametrize("theorem", ["T2", "T5", "Conj"])
     def test_a_lone_vector_is_missing_params(self, key, theorem):
@@ -317,9 +312,11 @@ class TestTwoModesAtOnce:
             # a grid axis is a param at every point
             ("  - params: {v: '2:1,7:-1', w: '2:1,6:-2'}\n    grid: {r: [2, 3]}\n    checks: [hypotheses-T5]\n",
              "hypotheses-T5 inputs of two modes: ['v', 'w'] and ['r']"),
+            ("  - params: {a: 9}\n    checks: [tower]\n    bounds: {a_max: 6}\n",
+             "tower inputs of two modes: ['a'] and ['a_max']"),
         ],
         ids=["strata-v-s4_lo", "strata-v-s4_hi", "theta-point-bound", "theta-part-point-bounds",
-             "hypotheses-vectors-a", "hypotheses-w-rsab", "hypotheses-grid"],
+             "hypotheses-vectors-a", "hypotheses-w-rsab", "hypotheses-grid", "tower-a-a_max"],
     )
     def test_inputs_of_two_modes_exit_two(self, tmp_path, capsys, text, stated):
         code, err, doc = _run_batch_text(tmp_path, "instances:\n" + text, capsys)
@@ -385,12 +382,12 @@ class TestChecksGiveTheVerdict:
         original = duality.compute_nu
         monkeypatch.setattr(duality, "compute_nu", lambda *args: original(*args) + shift)
         points = [p[:4] for p in k3_divisible_points(range(2, 5), range(2, 5), 40) if p[4]]
-        statuses = Counter(cli._check_nu(cli._Ctx(E), *point)[0] for point in points)
-        assert statuses == {("pass" if shift == 0 else "fail"): len(points)}
+        verdicts = Counter(duality.judge_nu(E, *point)[0] for point in points)
+        assert verdicts == {shift == 0: len(points)}
         assert len(points) > 100
 
     def test_broken_euler_form_fails_general_consistency(self, monkeypatch):
-        monkeypatch.setattr(cli, "euler_form", lambda v, w: 1)
+        monkeypatch.setattr(duality, "euler_form", lambda v, w: 1)
         bounds = {"chi_list": [3], "ranks": [2]}
         spec = normalize_instance({"checks": ["general-consistency"], "bounds": bounds}, 0)[0]
         result = run_instance(spec)["results"]["general-consistency"]
@@ -451,8 +448,8 @@ class TestNoVacuousPass:
 
     def test_strata_with_empty_wall_box(self, tmp_path):
         out = tmp_path / "s.json"
-        code = main(["strata", "--v", "2:1,0:-2", "--coeff-bound", "-1",
-                     "--out", str(out), "--quiet"])
+        code = main(["check", "--v", "2:1,0:-2", "--checks", "strata-audit",
+                     "--bounds", "{coeff_bound: -1}", "--out", str(out), "--quiet"])
         assert code == 1
         result = json.loads(out.read_text())["instances"][0]["results"]["strata-audit"]
         assert result["status"] == "error:empty"
@@ -475,7 +472,8 @@ class TestNoVacuousPass:
 
     def test_sweep_with_empty_rank_range(self, tmp_path):
         out = tmp_path / "s.json"
-        code = main(["sweep", "--r", "2:1", "--out", str(out), "--quiet"])
+        code = main(["check", "--checks", "exclusion-sweep", "--bounds", "{r_lo: 2, r_hi: 1}",
+                     "--out", str(out), "--quiet"])
         assert code == 1
         result = json.loads(out.read_text())["instances"][0]["results"]["exclusion-sweep"]
         assert result["status"] == "error:empty"
@@ -483,7 +481,8 @@ class TestNoVacuousPass:
 
     def test_fm_verify_with_no_rows(self, tmp_path):
         out = tmp_path / "f.json"
-        code = main(["fm-verify", "--rmax", "0", "--amax", "-1", "--out", str(out), "--quiet"])
+        code = main(["check", "--checks", "fm-verify", "--bounds", "{r_max: 0, a_max: -1}",
+                     "--out", str(out), "--quiet"])
         assert code == 1
         result = json.loads(out.read_text())["instances"][0]["results"]["fm-verify"]
         assert result["status"] == "error:empty"
@@ -598,13 +597,13 @@ class TestExclusionSweepGrid:
         assert sorted(per_group.values()) == [1] * 54 + [2] * 41
 
     def test_one_flipped_q3_flag_fails_its_point(self, monkeypatch):
-        original = cli.exclusion_point_flags
+        original = duality.exclusion_point_flags
 
         def flipped(m, n, a, b, chi):
             q3, q1q2 = original(m, n, a, b, chi)
             return q3 != ((a, b) == (13, 14)), q1q2
 
-        monkeypatch.setattr(cli, "exclusion_point_flags", flipped)
+        monkeypatch.setattr(duality, "exclusion_point_flags", flipped)
         bounds = {"r_hi": 2, "s_lo": 3, "s_hi": 3}
         spec = normalize_instance({"checks": ["exclusion-sweep"], "bounds": bounds}, 0)[0]
         result = run_instance(spec)["results"]["exclusion-sweep"]
@@ -612,7 +611,7 @@ class TestExclusionSweepGrid:
         assert result["h0_violations"] == [[2, 3, 13, 14]]
 
     def test_one_flipped_s_flag_fails_its_group(self, monkeypatch):
-        original = cli.exclusion_group_flags
+        original = duality.exclusion_group_flags
         totals = []
 
         def flipped(m, n, total, chi):
@@ -620,7 +619,7 @@ class TestExclusionSweepGrid:
             s_proper, q_proper = original(m, n, total, chi)
             return s_proper != (total == 27), q_proper
 
-        monkeypatch.setattr(cli, "exclusion_group_flags", flipped)
+        monkeypatch.setattr(duality, "exclusion_group_flags", flipped)
         bounds = {"r_hi": 2, "s_lo": 3, "s_hi": 3}
         spec = normalize_instance({"checks": ["exclusion-sweep"], "bounds": bounds}, 0)[0]
         result = run_instance(spec)["results"]["exclusion-sweep"]
@@ -668,7 +667,7 @@ class TestExclusionSweepGrid:
             seen.append((r, s, a, b))
             return False if (r, s, a, b) == (2, 2, 0, 2) else True
 
-        monkeypatch.setattr(cli, "theorem2_equivalence", recording)
+        monkeypatch.setattr(duality, "theorem2_equivalence", recording)
         spec = normalize_instance({"checks": ["exclusion-sweep"]}, 0)[0]
         result = run_instance(spec)["results"]["exclusion-sweep"]
         # once per (r, s, a+b) group, on its first point; a disagreement
@@ -782,7 +781,7 @@ class TestStrataWallEntries:
     @pytest.mark.parametrize("text,coeff_bound", WALL_ENTRY_CASES)
     def test_entries_equal_the_reference(self, text, coeff_bound):
         v = parse_vector(text, E)
-        got = cli._audit_one_vector(v, coeff_bound)
+        got = strata.audit_vector(v, coeff_bound)
         expected = _reference_audit_one_vector(v, coeff_bound)
         assert to_jsonable(got) == to_jsonable(expected)
         assert got[1]
@@ -817,7 +816,6 @@ class TestStrataWallEntries:
             return original(v, stratum)
 
         monkeypatch.setattr(strata, "chain_audit", counting)
-        monkeypatch.setattr(cli, "chain_audit", counting, raising=False)
         audited = 0
         for text in WALL_ENTRY_VECTORS:
             counts.clear()
@@ -857,7 +855,6 @@ class TestStrataWallEntries:
         for name in names:
             monkeypatch.setattr(strata, name, counted(name))
         monkeypatch.setattr(strata, "codim_audit", codim)
-        monkeypatch.setattr(cli, "codim_audit", codim)
         for text in WALL_ENTRY_VECTORS:
             assert _strata_audit(text)["status"] == "pass"
         assert all(inside.values()) and not any(outside.values())
@@ -883,7 +880,7 @@ class TestStrataWallEntries:
             key = line.strip().strip("|").split("|", 1)[0].strip()
             rows.append(key.strip("`"))
         for text in ("4:1,1:-4", "3:1,1:0", "2:1,0:0"):  # <v, v> > 0, = 0 and < 0
-            _, walls = cli._audit_one_vector(parse_vector(text, E), 3)
+            _, walls = strata.audit_vector(parse_vector(text, E), 3)
             assert [list(entry) for entry in walls] == [rows] * len(walls), text
 
 
@@ -1064,7 +1061,7 @@ class TestMainExitCodes:
         def crash(*args):
             raise RuntimeError("a fault in the program")
 
-        monkeypatch.setattr(cli, "sign_law_sweep", crash)
+        monkeypatch.setattr(surfaces, "sign_law_sweep", crash)
         spec = tmp_path / "b.yaml"
         spec.write_text(
             "instances:\n"
@@ -1116,10 +1113,10 @@ class TestMainExitCodes:
     def test_exit_two_on_missing_file(self):
         assert main(["batch", "/nonexistent/specs.yaml", "--quiet"]) == 2
 
-    def test_strata_subcommand(self, tmp_path):
+    def test_strata_audit_from_the_command_line(self, tmp_path):
         out = tmp_path / "s.json"
-        code = main(["strata", "--v", "2:1,0:-2", "--coeff-bound", "3",
-                     "--out", str(out), "--quiet"])
+        code = main(["check", "--v", "2:1,0:-2", "--checks", "strata-audit",
+                     "--bounds", "{coeff_bound: 3}", "--out", str(out), "--quiet"])
         assert code == 0
         doc = json.loads(out.read_text())
         walls = doc["instances"][0]["results"]["strata-audit"]["vectors"][0]["walls"]
@@ -1127,9 +1124,9 @@ class TestMainExitCodes:
         assert by_m["4/1"]["strata"] == 3
         assert by_m["4/1"]["min_codim"] == 2
 
-    def test_fm_verify_subcommand(self, tmp_path):
+    def test_fm_verify_from_the_command_line(self, tmp_path):
         out = tmp_path / "fm.json"
-        assert main(["fm-verify", "--rmax", "4", "--amax", "8",
+        assert main(["check", "--checks", "fm-verify", "--bounds", "{r_max: 4, a_max: 8}",
                      "--out", str(out), "--quiet"]) == 0
 
     def test_fm_verify_reports_where_a_perturbed_matrix_fails(self, tmp_path, monkeypatch):
@@ -1139,9 +1136,10 @@ class TestMainExitCodes:
             rows[3][0] += 1
             return matrix._replace(rows=tuple(map(tuple, rows)))
 
-        monkeypatch.setattr(cli, "derive_fm_matrix", perturbed)
+        monkeypatch.setattr(fourier_mukai, "derive_fm_matrix", perturbed)
         out = tmp_path / "fm.json"
-        assert main(["fm-verify", "--rmax", "2", "--amax", "2", "--out", str(out), "--quiet"]) == 1
+        assert main(["check", "--checks", "fm-verify", "--bounds", "{r_max: 2, a_max: 2}",
+                     "--out", str(out), "--quiet"]) == 1
         result = json.loads(out.read_text())["instances"][0]["results"]["fm-verify"]
         assert result["status"] == "fail"
         # every fact that fails says where: the bridge and isometry facts too
@@ -1241,24 +1239,8 @@ class TestCheckTable:
     def test_each_check_takes_exactly_its_declared_arguments(self):
         for name, check in cli.CHECKS.items():
             fixed = getattr(check.run, "keywords", {})  # the theorem of a hypotheses check
-            taken = set(inspect.signature(check.run).parameters) - {"ctx", *fixed}
+            taken = set(inspect.signature(check.run).parameters) - {"model", *fixed}
             assert taken == set(check.params) | set(check.bounds), name
-
-    def test_subcommand_defaults_come_from_the_table(self):
-        parser = cli.build_parser()
-        fm = parser.parse_args(["fm-verify"])
-        strata_args = parser.parse_args(["strata", "--v", "2:1,0:-2"])
-        sweep = parser.parse_args(["sweep"])
-        bounds = {name: check.bounds for name, check in cli.CHECKS.items()}
-        assert (fm.rmax, fm.amax) == (
-            bounds["fm-verify"]["r_max"].default,
-            bounds["fm-verify"]["a_max"].default,
-        )
-        assert strata_args.coeff_bound == bounds["strata-audit"]["coeff_bound"].default
-        sweep_bounds = bounds["exclusion-sweep"]
-        assert sweep.r == f"{sweep_bounds['r_lo'].default}:{sweep_bounds['r_hi'].default}"
-        assert sweep.s == f"{sweep_bounds['s_lo'].default}:{sweep_bounds['s_hi'].default}"
-        assert sweep.ab_max == sweep_bounds["ab_max"].default
 
     @pytest.mark.parametrize(
         "check,bounds,key",
@@ -1343,7 +1325,7 @@ class TestCheckTable:
             ["check", "--degree", "8", "--r", "2", "--s", "2", "--a", "9", "--b", "9",
              "--checks", "nu"],
             ["check", "--surface", "generic-k3", "--degree", "8", "--chi-o", "2", "--checks", "tower"],
-            ["fm-verify", "--chi-o", "3"],
+            ["check", "--chi-o", "3", "--checks", "fm-verify"],
         ],
     )
     def test_exit_two_on_a_surface_flag_its_kind_does_not_take(self, capsys, argv):
@@ -1416,6 +1398,17 @@ class TestCheckTable:
         err = capsys.readouterr().err
         assert err == "error: instance #0 params ['r', 'chi'] are read by none of its checks\n"
 
+    @pytest.mark.parametrize("theorem", ["T1", "T1A"])
+    def test_exit_two_on_a_tower_point_given_to_t1(self, tmp_path, capsys, theorem):
+        # T1 and T1A concern the generic K3 and read the vectors v and w alone
+        text = (
+            "instances:\n  - surface: {kind: generic-k3, degree: 8}\n"
+            f"    params: {{r: 2, s: 2, a: 9, b: 9}}\n    checks: [hypotheses-{theorem}]\n"
+        )
+        code, err, doc = _run_batch_text(tmp_path, text, capsys)
+        assert code == 2 and doc is None
+        assert err == "error: instance #0 params ['r', 's', 'a', 'b'] are read by none of its checks\n"
+
     def test_exit_two_on_a_grid_axis_no_check_reads(self, tmp_path, capsys):
         text = "instances:\n  - grid: {r: [2, 3]}\n    checks: [tower]\n"
         code, err, doc = _run_batch_text(tmp_path, text, capsys)
@@ -1447,6 +1440,8 @@ WALLS_MODEL = ("error:model", "walls are enumerated on the elliptic K3 model")
 # (r, s, chi, chi') = (2, 2, -1, -1) lies on the generic K3 of degree 12, not 8
 THETA_MODEL = ("error:model", "the theta pair lives on the generic K3 of degree 12")
 RSAB_CELLS = (PASS, NOT_INTEGRAL, NU_MODEL)
+T1_MODEL = ("error:model", "T1 concerns the generic K3 model")
+T1A_MODEL = ("error:model", "T1A concerns the generic K3 model")
 # (status, reason) of each check alone on elliptic-k3, elliptic-general and
 # generic-k3; every error:model reason is the library's ModelMismatchError
 SURFACE_MATRIX = {
@@ -1460,8 +1455,9 @@ SURFACE_MATRIX = {
     "fm-verify": (PASS, PASS, ("error:model", "the transform is defined on the elliptic models")),
     "theta-relation": (THETA_MODEL, THETA_MODEL, THETA_MODEL),
     "deformation": (THETA_MODEL, THETA_MODEL, THETA_MODEL),
-    "hypotheses-T1": (("error:model", "T1 concerns the generic K3 model"), NOT_INTEGRAL, NU_MODEL),
-    "hypotheses-T1A": (("error:model", "T1A concerns the generic K3 model"), NOT_INTEGRAL, NU_MODEL),
+    # T1 and T1A read v and w alone, both MATRIX_V; ranks (2, 2) fail T1 and pass T1A
+    "hypotheses-T1": (T1_MODEL, T1_MODEL, ("fail", None)),
+    "hypotheses-T1A": (T1A_MODEL, T1A_MODEL, PASS),
     "hypotheses-T2": RSAB_CELLS,
     "hypotheses-T5": RSAB_CELLS,
     "hypotheses-Conj": RSAB_CELLS,
@@ -1481,12 +1477,13 @@ class TestSurfaceMatrix:
     @pytest.mark.parametrize("kind", list(MATRIX_SURFACES))
     @pytest.mark.parametrize("check", list(SURFACE_MATRIX))
     def test_each_check_on_each_surface_kind(self, check, kind):
+        read = cli.CHECKS[check].params
         given = dict(MATRIX_PARAMS)
-        # v alone is half a pair to the hypotheses checks, which the matrix
-        # runs in their (r, s, a, b) mode
-        if "w" not in cli.CHECKS[check].params:
-            given["v"] = MATRIX_V[kind]
-        params = {key: given[key] for key in cli.CHECKS[check].params if key in given}
+        # the hypotheses checks that also read (r, s, a, b) run in that mode;
+        # every other check gets v, and w = v where it reads w
+        if "r" not in read or "w" not in read:
+            given["v"] = given["w"] = MATRIX_V[kind]
+        params = {key: given[key] for key in read if key in given}
         raw = {"surface": MATRIX_SURFACES[kind], "params": params, "checks": [check]}
         result = run_instance(normalize_instance(raw, 0)[0])["results"][check]
         status, reason = SURFACE_MATRIX[check][list(MATRIX_SURFACES).index(kind)]
@@ -1509,10 +1506,54 @@ class TestSurfaceMatrix:
         def refuse(*args):
             raise surfaces.ModelMismatchError("no such surface here")
 
-        monkeypatch.setattr(cli, "sign_law_sweep", refuse)
+        monkeypatch.setattr(surfaces, "sign_law_sweep", refuse)
         result = run_instance(normalize_instance({"checks": ["sign-law"]}, 0)[0])["results"]
         assert result["sign-law"]["status"] == "error:model"
         assert result["sign-law"]["reason"] == "no such surface here"
+
+
+class TestBoundsFlag:
+    """``check --bounds`` gives the bounds as a batch file writes them."""
+
+    def test_the_bounds_reach_the_check(self, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["check", "--checks", "tower", "--bounds", "{r_max: 2, a_max: 1}"]
+        assert main([*argv, "--out", str(out), "--quiet"]) == 0
+        result = json.loads(out.read_text())["instances"][0]["results"]["tower"]
+        assert (result["r_max"], result["a_checked"]) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "bounds,words",
+        [
+            ("{r_max: 6, r_max: 7}", "--bounds, line 1: duplicate key 'r_max'"),
+            ("{r_max: 6", "--bounds, line 1: "),
+            ("[r_max, 6]", "instance #0 bounds is not a mapping"),
+            ("0", "instance #0 bounds is not a mapping"),
+            ("{rmax: 6}", "bounds ['rmax'] are read by none of its checks"),
+            ("{r_max: " + "[" * 600 + "]" * 600 + "}", "--bounds, line 1: collections nested more than 64"),
+        ],
+        ids=["duplicate-key", "unclosed", "not-a-mapping", "zero", "unread", "too-deep"],
+    )
+    def test_a_bad_bounds_flag_exits_two(self, capsys, bounds, words):
+        assert main(["check", "--checks", "fm-verify", "--bounds", bounds, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and words in err
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestJudgesLiveInTheLibrary:
+    """cli.py turns verdicts into statuses; every verdict rule is a library judge."""
+
+    def test_no_check_runs_a_function_of_the_cli(self):
+        for name, check in cli.CHECKS.items():
+            run = check.run.func if isinstance(check.run, partial) else check.run
+            assert run.__module__.startswith("strangedual."), name
+            assert run.__module__ != "strangedual.cli", name
+
+    def test_the_cli_holds_no_verdict_rule(self):
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        assert '"pass" if' not in source
+        assert "def _check_" not in source
 
 
 def _readme_cli_commands():

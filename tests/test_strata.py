@@ -9,7 +9,6 @@ from typing import NamedTuple
 
 import pytest
 
-import strangedual.cli as cli
 import strangedual.strata as strata
 from strangedual.cli import main, normalize_instance, run_instance
 from strangedual.strata import (
@@ -592,8 +591,8 @@ class TestOracle:
     @pytest.mark.parametrize("r,y,s", ORACLE_PROBES)
     def test_probes_pass(self, tmp_path, r, y, s):
         out = tmp_path / "probe.json"
-        code = main(["strata", "--v", f"{r}:1,{y}:{s}", "--coeff-bound", "4",
-                     "--out", str(out), "--quiet"])
+        code = main(["check", "--v", f"{r}:1,{y}:{s}", "--checks", "strata-audit",
+                     "--bounds", "{coeff_bound: 4}", "--out", str(out), "--quiet"])
         assert code == 0
         v = vec(r, 1, y, s)
         for wall, listed in _all_strata(v):
@@ -741,8 +740,8 @@ class TestFibreTwist:
         walls = []
         for text in ("4:1,0:-4", "4:1,-8:-6"):
             out = tmp_path / "twist.json"
-            assert main(["strata", "--v", text, "--coeff-bound", "4",
-                         "--out", str(out), "--quiet"]) == 0
+            assert main(["check", "--v", text, "--checks", "strata-audit",
+                         "--bounds", "{coeff_bound: 4}", "--out", str(out), "--quiet"]) == 0
             doc = json.loads(out.read_text())
             walls.append(doc["instances"][0]["results"]["strata-audit"]["vectors"][0]["walls"])
         assert walls[0] == walls[1]
@@ -995,7 +994,7 @@ class TestIntegerStratumKeys:
     @pytest.mark.parametrize("r,y,s", BENCH_VECTORS)
     def test_oracle_match_equals_the_typed_comparison(self, r, y, s):
         v = vec(r, 1, y, s)
-        _, entries = cli._audit_one_vector(v, 4)
+        _, entries = strata.audit_vector(v, 4)
         walls = _all_strata(v)
         assert len(entries) == len(walls)
         for entry, (wall, listed) in zip(entries, walls):
@@ -1009,7 +1008,7 @@ class TestIntegerStratumKeys:
             return strata_box_oracle(v, wall)[1:]
 
         monkeypatch.setattr(strata, "strata_box_oracle", dropping)
-        ok, entries = cli._audit_one_vector(v, 3)
+        ok, entries = strata.audit_vector(v, 3)
         with_strata = [e for e in entries if e["strata"] > 0]
         assert with_strata and not ok
         assert all(e["oracle_match"] is False for e in with_strata)
