@@ -52,6 +52,7 @@ from .duality import (
     judge_theta_relation,
     judge_tower,
     judge_tower_hypotheses,
+    require_tower_model,
 )
 from .fourier_mukai import judge_fm_verify
 from .strata import judge_strata_audit, judge_suitability
@@ -320,6 +321,7 @@ class Check(NamedTuple):
     bounds: Mapping[str, Bound] = MappingProxyType({})
     examined: str | None = None
     modes: tuple[tuple[str, ...], ...] = ()
+    guard: Callable | None = None  # asks the model before the lower bounds are read
 
 
 RSAB = ("r", "s", "a", "b")
@@ -333,7 +335,7 @@ CHECKS = {
     "tower": Check(judge_tower, params=("a",), examined="a_checked", bounds={
         "r_max": Bound(int, 10, lo=1),
         "a_max": Bound(int, lo=0),
-    }, modes=(("a",), ("a_max",))),
+    }, modes=(("a",), ("a_max",)), guard=require_tower_model),
     "sign-law": Check(judge_sign_law, examined="pairs_checked", bounds={
         "coord_bound": Bound(int, 3, lo=0),
         "degrees": Bound(list, (2, 4, 6, 8)),
@@ -421,6 +423,8 @@ def run_instance(spec: dict) -> dict:
             continue
         check_started = time.perf_counter()
         try:
+            if check.guard:
+                check.guard(model)
             _require_lower_bounds(check, args[name])
             verdict, data = check.run(model, **args[name])
             status = VERDICT_STATUS[verdict]

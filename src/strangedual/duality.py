@@ -354,6 +354,12 @@ class TowerResult(NamedTuple):
         )
 
 
+def require_tower_model(model: SurfaceModel) -> None:
+    """Raise ModelMismatchError unless ``model`` is elliptic, where the tower lives."""
+    if model.ns_rank != 2:
+        raise ModelMismatchError("the tower lives on the elliptic models")
+
+
 def ogrady_tower(r_max: int, a: int, model: SurfaceModel | None = None) -> TowerResult:
     """The sequence v_{1,a} .. v_{r_max,a} with its chi-level consistency checks.
 
@@ -364,8 +370,7 @@ def ogrady_tower(r_max: int, a: int, model: SurfaceModel | None = None) -> Tower
     """
     if model is None:
         model = elliptic_k3()
-    if model.ns_rank != 2:
-        raise ModelMismatchError("the tower lives on the elliptic models")
+    require_tower_model(model)
     chi_o = model.chi_o
     vectors = tuple(normalized_vector(r, a, model) for r in range(1, r_max + 1))
     o = structure_vector(model)

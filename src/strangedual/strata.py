@@ -29,11 +29,13 @@ through the model's Gram matrix.  ``NSClass``, ``Fraction`` and ``Wall`` are
 built only for the walls returned, so a ``Wall`` still validates itself on
 every kept wall.  A ``Stratum`` stays on integers: each part is the triple
 (rank, c1 coefficients, s), so a stratum is its own key.  The searches
-append to lists; ``strata_enumerate`` builds each part's slot window once
-per call, and ``Stratum``, ``ChainAudit`` and ``CodimAudit`` are built with
-``tuple.__new__``.
+append to lists, and ``Stratum``, ``ChainAudit`` and ``CodimAudit`` are
+built with ``tuple.__new__``.
 
-The pairing-sum chain audited per stratum (``chain_audit``) reads those
+A wall is audited in one pass: one ``strata_enumerate`` call lists the
+strata of every part count, building each part's slot window once and
+skipping the part counts that cannot carry a stratum, and one
+``chain_audit`` call audits them all.  The pairing-sum chain reads the part
 triples: each of its lines is a sum of terms over 2 r_i, 2 r_i r_j and 2r,
 so with N = 2 r prod(r_i) each integer line is the typed line times N.
 """
@@ -234,23 +236,41 @@ def _ceil_div(n: int, d: int) -> int:
     return -((-n) // d)
 
 
-def strata_enumerate(v: MukaiVector, wall: Wall, s_parts: int) -> list[Stratum]:
-    """All filtration types with s_parts slope-equal parts on the wall.
+def _part_count_bound(r: int, xi: tuple, d: tuple, dsq: int, budget: int) -> int:
+    """The largest part count a stratum of v = (r, xi, s) can have on the wall of class d.
 
-    Parts are ordered by strictly decreasing Gieseker keys for a polarization
-    just beyond the wall: first by the slope direction t_i/r_i (where
-    r.xi_i - r_i.xi = t_i.D), then by chi_i/r_i.  Ties in both keys admit no
-    filtration and are excluded.
+    Two integral parts i, j of different slope directions have a spread
+    r_i t_j - r_j t_i that is a nonzero multiple of step = r / gcd(r, d) (r on
+    a primitive wall), and ``_t_tuples`` needs step^2 |D^2| <= budget r_i r_j r^2.
+    Among k parts the largest r_i r_j, floor(m/2) ceil(m/2) for m = r - k + 2,
+    falls in k.  The all-zero t-tuple has no spread and is integral for k
+    parts exactly when k <= gcd(r, xi): those counts are never cut.
+    """
+    spread = (r // gcd(r, *d)) ** 2 * dsq
+    for k in range(2, r + 1):
+        m = r - k + 2  # the largest r_i + r_j among k parts
+        if k > gcd(r, *xi) and spread > budget * r * r * (m // 2) * ((m + 1) // 2):
+            return k - 1
+    return r
 
-    A part is fixed by (r_i, t_i), and so are its c1, c1^2 and window of
-    nonempty slots: each is built once per call, on the first t-tuple that
-    holds the part, and kept only until the call returns.
+
+def strata_enumerate(v: MukaiVector, wall: Wall) -> list[Stratum]:
+    """All filtration types with 2..r slope-equal parts on the wall.
+
+    They come by part count, and within it parts are ordered by strictly
+    decreasing Gieseker keys for a polarization just beyond the wall: first
+    by the slope direction t_i/r_i (where r.xi_i - r_i.xi = t_i.D), then by
+    chi_i/r_i.  Ties in both keys admit no filtration and are excluded.
+    Part counts above ``_part_count_bound`` are not searched.
+
+    A part is fixed by (r_i, t_i) whatever the part count, and so are its
+    c1, c1^2 and window of nonempty slots: each is built once per call, on
+    the first t-tuple that holds the part, and kept only until the call
+    returns.
     """
     if v.model.kind != ELLIPTIC_K3:
         raise ModelMismatchError("strata are enumerated on the elliptic K3 model")
     r = v.r
-    if not 2 <= s_parts <= r:
-        return []
     gram, xi, d = v.model.gram, v.c1.coeffs, wall.d.coeffs
     (x0, x1), (d0, d1) = xi, d
     q_v = _gram_dot(gram, xi, xi) - 2 * r * v.s
@@ -264,7 +284,8 @@ def strata_enumerate(v: MukaiVector, wall: Wall, s_parts: int) -> list[Stratum]:
 
     out: list[Stratum] = []
     records = {}  # (r_i, t_i) -> (c1, c1^2, window, its slots, slot -> dimension)
-    for ranks in _compositions(r, s_parts):
+    top = _part_count_bound(r, xi, d, dsq, budget)  # no larger part count carries a stratum
+    for ranks in (ranks for k in range(2, top + 1) for ranks in _compositions(r, k)):
         t_bounds = [isqrt((ri * ri * budget * r * r) // dsq) + 1 for ri in ranks]
         for ts in _t_tuples(ranks, t_bounds, budget, dsq, r, xi, d):
             parts = []
@@ -532,8 +553,8 @@ class ChainAudit(NamedTuple):
         )
 
 
-def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
-    """Verify every step of the pairing-sum estimate on one stratum, exactly.
+def chain_audit(v: MukaiVector, strata: list[Stratum]) -> list[ChainAudit]:
+    """Verify every step of the pairing-sum estimate on each stratum, exactly.
 
     Each line of the chain is a sum of terms over 2 r_i, 2 r_i r_j and 2r.
     With P = prod r_i and N = 2 r P, every line times N is an integer, so
@@ -554,69 +575,76 @@ def chain_audit(v: MukaiVector, stratum: Stratum) -> ChainAudit:
     if not model.is_k3:
         raise ModelMismatchError("the chain uses the Mukai pairing of the K3 models")
     r = v.r
-    ranks, c1s, slots = zip(*stratum.parts)
-    if r < 1 or min(ranks) < 1:
-        raise ValueError("the chain runs over vectors of positive rank")
-    # each c1, v's last, is lowered through the Gram matrix once and paired
-    # from there, unrolled by NS rank as NSClass.dot is; unpacking refuses a c1
-    # with the wrong number of coefficients
+    # v's c1 and each distinct part c1 are lowered through the Gram matrix once
+    # a call, unrolled on two classes as NSClass.dot is: a rank-1 lattice pads
+    # each c1 with 0, and unpacking refuses a c1 of the wrong length
     gram = model.gram
-    c1s += (v.c1.coeffs,)
-    try:
-        if len(gram) == 1:
-            ((g,),) = gram
-            c1s = [(a, 0) for (a,) in c1s]
-            lowered = [(g * a, 0) for a, _ in c1s]
-        else:
-            (g00, g01), (_, g11) = gram
-            lowered = [(g00 * a0 + g01 * a1, g01 * a0 + g11 * a1) for a0, a1 in c1s]
-    except ValueError:
-        raise ValueError("a part's c1 needs one coefficient per class of the lattice") from None
-    squares = [l0 * a0 + l1 * a1 for (l0, l1), (a0, a1) in zip(lowered, c1s)]
+    if len(gram) == 1:
+        ((g00,),), g01, g11, pad = gram, 0, 0, (0,)
+    else:
+        ((g00, g01), (_, g11)), pad = gram, ()
+    lowered = {}  # c1 -> (its two coefficients, lowered through the Gram matrix, c1^2)
 
-    k = len(ranks)
-    rank_prod = prod(ranks)  # P
-    n = 2 * r * rank_prod
-    pair_sum = 0
-    cross_over_r = 0  # cross . N / r
-    weighted = split = 0  # sum_i <v_i^2> P/r_i, and each term times r - r_i
-    rank_sum = rank_sq = 0
-    hodge_ok = bogomolov_ok = True
-    for i in range(k):
-        ri, si, sqi = ranks[i], slots[i], squares[i]
-        qi = sqi - 2 * ri * si  # <v_i^2>
-        if qi + 2 * ri * ri < 0:
-            bogomolov_ok = False
-        wi = qi * (rank_prod // ri)
-        weighted += wi
-        split += (r - ri) * wi
-        rank_sum += ri
-        rank_sq += ri * ri
-        l0, l1 = lowered[i]
-        for j in range(i + 1, k):
-            rj, (b0, b1) = ranks[j], c1s[j]
-            dij = l0 * b0 + l1 * b1
-            pair_sum += dij - ri * slots[j] - si * rj
-            sq = rj * rj * sqi - 2 * ri * rj * dij + ri * ri * squares[j]
-            if sq > 0:
-                hodge_ok = False
-            cross_over_r += sq * (rank_prod // (ri * rj))
-    cross = r * cross_over_r
+    def lower(c1):
+        try:
+            a0, a1 = c1 + pad
+        except ValueError:
+            raise ValueError("a part's c1 needs one coefficient per class of the lattice") from None
+        l0, l1 = g00 * a0 + g01 * a1, g01 * a0 + g11 * a1
+        entry = lowered[c1] = (a0, a1, l0, l1, l0 * a0 + l1 * a1)
+        return entry
 
-    line_split = r * split - cross
-    line_dropped = r * weighted + n * (rank_sum - r * rank_sum + rank_sq) - cross
-    final = (squares[k] - 2 * r * v.s) * rank_prod + n * (r - r * r + rank_sq)
-    line_collect = final + cross_over_r - cross
+    q_v = lower(v.c1.coeffs)[4] - 2 * r * v.s
+    out = []
+    for stratum in strata:
+        ranks, c1s, slots = zip(*stratum.parts)
+        if r < 1 or min(ranks) < 1:
+            raise ValueError("the chain runs over vectors of positive rank")
+        rows = [lowered.get(c1) or lower(c1) for c1 in c1s]
+        k = len(ranks)
+        rank_prod = prod(ranks)  # P
+        n = 2 * r * rank_prod
+        pair_sum = 0
+        cross_over_r = 0  # cross . N / r
+        weighted = split = 0  # sum_i <v_i^2> P/r_i, and each term times r - r_i
+        rank_sum = rank_sq = 0
+        hodge_ok = bogomolov_ok = True
+        for i in range(k):
+            ri, si = ranks[i], slots[i]
+            _, _, l0, l1, sqi = rows[i]
+            qi = sqi - 2 * ri * si  # <v_i^2>
+            if qi + 2 * ri * ri < 0:
+                bogomolov_ok = False
+            wi = qi * (rank_prod // ri)
+            weighted += wi
+            split += (r - ri) * wi
+            rank_sum += ri
+            rank_sq += ri * ri
+            for j in range(i + 1, k):
+                rj, (b0, b1, _, _, sqj) = ranks[j], rows[j]
+                dij = l0 * b0 + l1 * b1
+                pair_sum += dij - ri * slots[j] - si * rj
+                sq = rj * rj * sqi - 2 * ri * rj * dij + ri * ri * sqj
+                if sq > 0:
+                    hodge_ok = False
+                cross_over_r += sq * (rank_prod // (ri * rj))
+        cross = r * cross_over_r
 
-    return tuple.__new__(ChainAudit, (
-        pair_sum,
-        line_split == pair_sum * n,  # split_identity_ok
-        bogomolov_ok,
-        hodge_ok,
-        line_split >= line_dropped,  # drop_rank_weights_ok
-        line_dropped == line_collect,  # collect_identity_ok
-        pair_sum * n >= final,  # final_bound_ok
-    ))
+        line_split = r * split - cross
+        line_dropped = r * weighted + n * (rank_sum - r * rank_sum + rank_sq) - cross
+        final = q_v * rank_prod + n * (r - r * r + rank_sq)
+        line_collect = final + cross_over_r - cross
+
+        out.append(tuple.__new__(ChainAudit, (
+            pair_sum,
+            line_split == pair_sum * n,  # split_identity_ok
+            bogomolov_ok,
+            hodge_ok,
+            line_split >= line_dropped,  # drop_rank_weights_ok
+            line_dropped == line_collect,  # collect_identity_ok
+            pair_sum * n >= final,  # final_bound_ok
+        )))
+    return out
 
 
 class CodimAudit(NamedTuple):
@@ -645,9 +673,8 @@ def codim_audit(v: MukaiVector, wall: Wall) -> CodimAudit:
     """
     r = v.r
     q_v = mukai_pair(v, v)
-    by_count = [strata_enumerate(v, wall, k) for k in range(2, r + 1)]
-    strata = [st for listed in by_count for st in listed]
-    two_part = by_count[0] if by_count else []
+    strata = strata_enumerate(v, wall)
+    two_part = {st for st in strata if len(st.parts) == 2}
     # the bound is b / 2r with b = <v^2> + 2r(r - r^2 + 1), compared on integers
     b = q_v + 2 * r * (r - r * r + 1)
     bound = Fraction(b, 2 * r)
@@ -656,9 +683,9 @@ def codim_audit(v: MukaiVector, wall: Wall) -> CodimAudit:
         len(strata),
         unordered_count(strata),
         min_codim,
-        all(chain_audit(v, st).ok for st in strata),  # chain_ok
+        all(audit.ok for audit in chain_audit(v, strata)),  # chain_ok
         min_codim is None or 2 * r * min_codim >= b,  # codim_bound_ok: strata need r >= 2
-        set(two_part) == set(strata_box_oracle(v, wall)),  # oracle_match
+        two_part == set(strata_box_oracle(v, wall)),  # oracle_match
         bound,
         b * r >= 4 * r * r,  # corollary_applicable: b / 2r >= 2 times (2r)^2 / 2
         gcd(*v.c1.coeffs) == 1 and q_v >= 2 * (r - 1) * (r * r + 1),  # remark_applicable
@@ -686,6 +713,8 @@ def judge_strata_audit(
     """``audit_vector`` on v, or without v on (2, sigma, s4) for s4_lo <= s4 <= s4_hi."""
     vectors = [v] if v is not None else [MukaiVector(2, model.sigma, s4) for s4 in range(s4_lo, s4_hi + 1)]
     if not vectors:
+        # asks the model as a vector would: sigma, then the wall walk
+        wall_enumerate(MukaiVector(2, model.sigma, 0), 0)
         raise NothingToExamineError("no vector to audit: s4_lo > s4_hi")
     results = []
     for u in vectors:

@@ -191,7 +191,7 @@ def test_criterion_6_hn_strata():
     ok = Fraction(4) in walls
     wall = walls[Fraction(4)]
     ok = ok and wall.d == E.cls(1, -2)
-    strata = strata_enumerate(v, wall, 2)
+    strata = [st for st in strata_enumerate(v, wall) if len(st.parts) == 2]
     ok = ok and len(strata) == 3
     ok = ok and {st.parts[0][2] for st in strata} == {-1, -2, -3}
     ok = ok and all(st.total_dim == 5 for st in strata)
@@ -203,11 +203,11 @@ def test_criterion_6_hn_strata():
     for s4 in range(-4, 1):
         vv = MukaiVector(2, E.sigma, s4)
         for w in wall_enumerate(vv, 3):
-            pruned = strata_enumerate(vv, w, 2)
+            pruned = [st for st in strata_enumerate(vv, w) if len(st.parts) == 2]
             ok = ok and set(pruned) == set(strata_box_oracle(vv, w))
             for st in pruned:
                 audited += 1
-                ok = ok and chain_audit(vv, st).ok
+                ok = ok and chain_audit(vv, [st])[0].ok
                 ok = ok and _reference_stratum_codim_ok(vv, st)
     _verdict(6, ok, f"3 strata of dim 5, codim 2 vs bound 1/2, oracle match, {audited} chain audits")
 

@@ -462,6 +462,19 @@ class TestNoVacuousPass:
         assert result["status"] == "error:empty"
 
 
+    @pytest.mark.parametrize("check,bounds,reason", [
+        ("strata-audit", "{s4_lo: 0, s4_hi: -1}", "sigma lives on the elliptic models"),
+        ("tower", "{a_max: -1}", "the tower lives on the elliptic models"),
+    ])
+    def test_an_empty_range_asks_the_model_first(self, tmp_path, check, bounds, reason):
+        # on the elliptic K3 both ranges are error:empty
+        out = tmp_path / "r.json"
+        code = main(["check", "--surface", "generic-k3", "--degree", "8", "--checks", check,
+                     "--bounds", bounds, "--out", str(out), "--quiet"])
+        assert code == 1
+        result = json.loads(out.read_text())["instances"][0]["results"][check]
+        assert (result["status"], result["reason"]) == ("error:model", reason)
+
     def test_sign_law_with_empty_grid(self):
         spec = normalize_instance(
             {"checks": ["sign-law"], "bounds": {"coord_bound": -1}}, 0
@@ -700,7 +713,7 @@ class TestGeneralConsistency:
 
 
 class TestStrataAuditWork:
-    def test_one_enumeration_per_wall_and_part_count(self, monkeypatch):
+    def test_one_enumeration_per_wall(self, monkeypatch):
         calls = []
         original = strata.strata_enumerate
 
@@ -716,7 +729,7 @@ class TestStrataAuditWork:
         assert result["status"] == "pass"
         walls = result["vectors"][0]["walls"]
         assert walls
-        assert len(calls) == len(walls) * (4 - 1)
+        assert len(calls) == len(walls)
 
 
 def _reference_audit_one_vector(v, coeff_bound):
@@ -734,8 +747,8 @@ def _reference_audit_one_vector(v, coeff_bound):
     for wall in wall_enumerate(v, coeff_bound):
         strata = []
         for k in range(2, r + 1):
-            strata.extend(strata_enumerate(v, wall, k))
-        chain_ok = all(chain_audit(v, st).ok for st in strata)
+            strata.extend(st for st in strata_enumerate(v, wall) if len(st.parts) == k)
+        chain_ok = all(chain_audit(v, [st])[0].ok for st in strata)
         codim_ok = all(_reference_stratum_codim_ok(v, st) for st in strata)
         two_part = [st for st in strata if len(st.parts) == 2]
         oracle_ok = set(two_part) == set(strata_box_oracle(v, wall))
@@ -802,7 +815,9 @@ class TestStrataWallEntries:
         entries = result["vectors"][0]["walls"]
         walls = wall_enumerate(v, 3)
         assert len(calls) == len(entries) == len(walls)
-        has_two_part = [bool(strata_enumerate(v, wall, 2)) for wall in walls]
+        has_two_part = [
+            any(len(st.parts) == 2 for st in strata_enumerate(v, wall)) for wall in walls
+        ]
         assert any(has_two_part) and not all(has_two_part)
         assert [not e["oracle_match"] for e in entries] == has_two_part
         assert all(e["chain_ok"] and e["codim_bound_ok"] for e in entries)
@@ -811,9 +826,10 @@ class TestStrataWallEntries:
         counts = {}
         original = strata.chain_audit
 
-        def counting(v, stratum):
-            counts[v, stratum] = counts.get((v, stratum), 0) + 1
-            return original(v, stratum)
+        def counting(v, listed):
+            for stratum in listed:
+                counts[v, stratum] = counts.get((v, stratum), 0) + 1
+            return original(v, listed)
 
         monkeypatch.setattr(strata, "chain_audit", counting)
         audited = 0

@@ -114,13 +114,25 @@ def _chain_final_bound_mutant(monkeypatch):
     # the first stratum of hn-strata's 2:sigma:-2 on its wall sigma - 2f (m = 4)
     v = MukaiVector(2, E.sigma, -2)
     wall = next(w for w in wall_enumerate(v, 3) if w.d.coeffs == (1, -2))
-    target = (v, strata_enumerate(v, wall, 2)[0])
+    target = (v, strata_enumerate(v, wall)[0])
 
-    def chain_audit(v, stratum):
-        audit = original(v, stratum)
-        return audit._replace(final_bound_ok=False) if (v, stratum) == target else audit
+    def chain_audit(v, listed):
+        return [
+            audit._replace(final_bound_ok=False) if (v, stratum) == target else audit
+            for stratum, audit in zip(listed, original(v, listed))
+        ]
 
     original = _patch_everywhere(monkeypatch, strata, "chain_audit", chain_audit)
+
+
+def _part_count_skip_mutant(monkeypatch):
+    # the skip test cuts part count 2 on the same wall of the same vector:
+    # (r, c1, D, |D^2|, <v^2> + 2r^2) = (2, sigma, sigma - 2f, 6, 14)
+    target = (2, (1, 0), (1, -2), 6, 14)
+    original = _patch_everywhere(
+        monkeypatch, strata, "_part_count_bound",
+        lambda *args: 1 if args == target else original(*args),
+    )
 
 
 # case-study-2299: (r, s, a, b) = (2, 2, 9, 9), nu = -2 and L = 4.sigma + 8f
@@ -148,12 +160,12 @@ def _chi_rr_mutant(monkeypatch):
     )
 
 
-def _failing_chain_walls(result):
+def _failing_walls(result, flag):
     return [
         (entry["v"]["s"], wall["wall_d"]["coeffs"])
         for entry in result["vectors"]
         for wall in entry["walls"]
-        if not wall["chain_ok"]
+        if not wall[flag]
     ]
 
 
@@ -177,7 +189,11 @@ MUTANTS = {
             lambda r: r["failures"] == [[2, 3, 0, -1], [2, 3, 0, -1, "typed-route disagreement"]],
     }),
     "chain_audit final bound": (_chain_final_bound_mutant, "hn-strata", {
-        "strata-audit": lambda r: _failing_chain_walls(r) == [(-2, [1, -2])],
+        "strata-audit": lambda r: _failing_walls(r, "chain_ok") == [(-2, [1, -2])],
+    }),
+    # the oracle keeps its own box, so a wrongly skipped part count shows
+    "_part_count_bound skip": (_part_count_skip_mutant, "hn-strata", {
+        "strata-audit": lambda r: _failing_walls(r, "oracle_match") == [(-2, [1, -2])],
     }),
     # nu finds the twist -2 as the root of chi(v . v_{s,b}(x f)), so it fails
     # first, and line-bundle, chi-vanishing and exclusions, which require it,

@@ -216,10 +216,15 @@ def _wall_at_4(v):
     return [w for w in wall_enumerate(v, 3) if w.m_value == 4][0]
 
 
+def _parts_of(v, wall, k):
+    """The k-part strata of the wall, in enumeration order."""
+    return [st for st in strata_enumerate(v, wall) if len(st.parts) == k]
+
+
 class TestStrataEnumeration:
     def test_worked_case_exactly_three(self):
         v = vec(2, 1, 0, -2)
-        strata = strata_enumerate(v, _wall_at_4(v), 2)
+        strata = _parts_of(v, _wall_at_4(v), 2)
         assert len(strata) == 3
         assert unordered_count(strata) == 3
         expected_parts = {
@@ -235,7 +240,7 @@ class TestStrataEnumeration:
         v = vec(2, 1, 0, -2)
         wall = _wall_at_4(v)
         h1 = E.cls(wall.m_value.denominator, wall.m_value.numerator)
-        for st in strata_enumerate(v, wall, 2):
+        for st in _parts_of(v, wall, 2):
             parts = _typed(st.parts)
             assert sum(parts[1:], start=parts[0]) == v
             for p in parts:
@@ -244,23 +249,23 @@ class TestStrataEnumeration:
     def test_ordering_is_filtration_order(self):
         # the swapped tuples fail the descending Gieseker keys
         v = vec(2, 1, 0, -2)
-        strata = strata_enumerate(v, _wall_at_4(v), 2)
+        strata = _parts_of(v, _wall_at_4(v), 2)
         for st in strata:
             assert st.parts[0][1] == (1, -1)
 
     def test_too_many_parts(self):
         v = vec(2, 1, 0, -2)
-        assert strata_enumerate(v, _wall_at_4(v), 3) == []
+        assert _parts_of(v, _wall_at_4(v), 3) == []
 
     def test_rank_three_vector(self):
         v = vec(3, 1, 0, -1)
         for wall in wall_enumerate(v, 2):
             for k in (2, 3):
-                for st in strata_enumerate(v, wall, k):
+                for st in _parts_of(v, wall, k):
                     parts = _typed(st.parts)
                     assert sum(parts[1:], start=parts[0]) == v
                     assert all(p.r >= 1 for p in parts)
-                    assert chain_audit(v, st).ok
+                    assert chain_audit(v, [st])[0].ok
                     assert _reference_stratum_codim_ok(v, st)
 
 
@@ -512,7 +517,7 @@ def _reference_strata_box_oracle(v, wall):
 def _all_strata(v, coeff_bound=4):
     """Every wall of v with its strata for 2..r parts, in enumeration order."""
     return [
-        (wall, [st for k in range(2, v.r + 1) for st in strata_enumerate(v, wall, k)])
+        (wall, strata_enumerate(v, wall))
         for wall in wall_enumerate(v, coeff_bound)
     ]
 
@@ -577,7 +582,7 @@ class TestOracle:
     def test_pruned_matches_box_bruteforce(self, s4):
         v = vec(2, 1, 0, s4)
         for wall in wall_enumerate(v, 3):
-            pruned = strata_enumerate(v, wall, 2)
+            pruned = _parts_of(v, wall, 2)
             oracle = strata_box_oracle(v, wall)
             assert set(pruned) == set(oracle), (s4, wall.d, wall.m_value)
 
@@ -586,7 +591,7 @@ class TestOracle:
         # proportional parts tie in both Gieseker keys and must be left out
         v = vec(r, x, y, s)
         for wall in wall_enumerate(v, 4):
-            assert set(strata_box_oracle(v, wall)) == set(strata_enumerate(v, wall, 2))
+            assert set(strata_box_oracle(v, wall)) == set(_parts_of(v, wall, 2))
 
     @pytest.mark.parametrize("r,y,s", ORACLE_PROBES)
     def test_probes_pass(self, tmp_path, r, y, s):
@@ -704,7 +709,7 @@ class TestKPartOracle:
         compared = 0
         for wall in wall_enumerate(v, 4):
             for k in range(2, r + 1):
-                listed = strata_enumerate(v, wall, k)
+                listed = _parts_of(v, wall, k)
                 found = _k_part_box_oracle(v, wall, k)
                 assert len(found) == len(set(found))
                 assert set(map(_as_record, found)) == set(listed), (wall.d, k)
@@ -829,7 +834,7 @@ class TestTypedReferences:
         compared = 0
         for wall in wall_enumerate(v, 4):
             for k in range(2, r + 1):
-                listed = strata_enumerate(v, wall, k)
+                listed = _parts_of(v, wall, k)
                 expected = list(map(_as_record, _reference_strata_enumerate(v, wall, k)))
                 assert listed == expected, (wall.d, k)
                 compared += len(listed)
@@ -858,7 +863,8 @@ class TestTypedReferences:
         assert compared > 0 or budget < 0
 
     def test_one_window_per_part_and_enumeration(self, monkeypatch):
-        # a part is fixed by (r_i, t_i): its slot window is built once per call
+        # a part is fixed by (r_i, t_i) whatever the part count: its slot
+        # window is built at most once per wall, in its one enumeration
         v = vec(4, 1, 0, -9)
         calls = []
         original = strata._nonempty_slots
@@ -870,21 +876,36 @@ class TestTypedReferences:
         (x0, x1), built = v.c1.coeffs, 0
         for wall in wall_enumerate(v, 4):
             (d0, d1), dsq = wall.d.coeffs, -ns_pair(wall.d, wall.d)
-            for k in range(2, 5):
-                calls.clear()
-                listed = strata_enumerate(v, wall, k)
-                # every part of the call's t-tuples, as (r_i, c1_i), which fixes t_i
-                parts = {
-                    (ri, ((ri * x0 + ti * d0) // 4, (ri * x1 + ti * d1) // 4))
-                    for ranks in _compositions(4, k)
-                    for ts in _t_tuples(ranks, _t_bounds(ranks, budget, dsq, 4), budget, dsq,
-                                        4, v.c1.coeffs, wall.d.coeffs)
-                    for ri, ti in zip(ranks, ts)
-                }
-                assert len(calls) == len(set(calls)), (wall.d, k)
-                assert {(ri, c1) for st in listed for ri, c1, _ in st.parts} <= set(calls) <= parts
-                built += len(calls)
+            calls.clear()
+            listed = strata_enumerate(v, wall)
+            # every part of the wall's t-tuples, as (r_i, c1_i), which fixes t_i
+            parts = {
+                (ri, ((ri * x0 + ti * d0) // 4, (ri * x1 + ti * d1) // 4))
+                for k in range(2, 5)
+                for ranks in _compositions(4, k)
+                for ts in _t_tuples(ranks, _t_bounds(ranks, budget, dsq, 4), budget, dsq,
+                                    4, v.c1.coeffs, wall.d.coeffs)
+                for ri, ti in zip(ranks, ts)
+            }
+            assert len(calls) == len(set(calls)), wall.d
+            assert {(ri, c1) for st in listed for ri, c1, _ in st.parts} <= set(calls) <= parts
+            built += len(calls)
         assert built > 0
+
+    def test_one_enumeration_and_one_chain_audit_per_wall(self, monkeypatch):
+        v = vec(4, 1, 0, -9)
+        calls = []
+
+        def counted(name):
+            original = getattr(strata, name)
+            return lambda v, arg: calls.append((name, arg)) or original(v, arg)
+
+        for name in ("strata_enumerate", "chain_audit"):
+            monkeypatch.setattr(strata, name, counted(name))
+        walls = wall_enumerate(v, 4)
+        assert sum(codim_audit(v, wall).strata for wall in walls) > 0
+        assert [name for name, _ in calls] == ["strata_enumerate", "chain_audit"] * len(walls)
+        assert [arg for name, arg in calls if name == "strata_enumerate"] == walls
 
     def test_typed_objects_only_for_kept_walls_and_strata(self, monkeypatch):
         built = {"NSClass": 0, "MukaiVector": 0}
@@ -931,6 +952,51 @@ class TestTypedReferences:
         assert len(calls) <= 2 * walls
 
 
+def _unskipped(monkeypatch):
+    """Let ``strata_enumerate`` search every part count 2..r."""
+    monkeypatch.setattr(strata, "_part_count_bound", lambda r, *rest: r)
+
+
+class TestPartCountSkip:
+    """``_part_count_bound`` cuts only the part counts that carry no stratum."""
+
+    def test_no_stratum_is_lost_on_the_benchmark_vectors(self, monkeypatch):
+        cases = [
+            (v, wall)
+            for v in (vec(r, 1, y, s) for r, y, s in BENCH_VECTORS)
+            for wall in wall_enumerate(v, 12)
+        ]
+        skipped = []
+        original = strata._part_count_bound
+
+        def counted(r, *rest):
+            top = original(r, *rest)
+            skipped.append(r - top)
+            return top
+
+        monkeypatch.setattr(strata, "_part_count_bound", counted)
+        listed = [strata_enumerate(v, wall) for v, wall in cases]
+        _unskipped(monkeypatch)
+        assert listed == [strata_enumerate(v, wall) for v, wall in cases]
+        assert sum(map(bool, listed)) > 0
+        assert sum(skipped) > 0
+
+    def test_all_zero_strata_of_a_non_primitive_c1_survive(self, monkeypatch):
+        # c1 = 2(sigma + f): (0, 0) is an integral t-tuple, the two parts
+        # (1, sigma + f, 1) and (1, sigma + f, -1) sit on every wall
+        v = vec(2, 2, 2, 0)
+        zero = ((1, (1, 1), 1), (1, (1, 1), -1))
+        walls = wall_enumerate(v, 12)
+        listed = [strata_enumerate(v, wall) for wall in walls]
+        assert all(zero in [st.parts for st in found] for found in listed)
+        # beyond |D^2| = 8 two parts of different slope directions break the
+        # pair bound 2^2 |D^2| <= (<v^2> + 8) 2^2: the spread test alone cuts
+        beyond = [i for i, wall in enumerate(walls) if -ns_pair(wall.d, wall.d) > 8]
+        assert beyond and all([st.parts for st in listed[i]] == [zero] for i in beyond)
+        _unskipped(monkeypatch)
+        assert listed == [strata_enumerate(v, wall) for wall in walls]
+
+
 class TestRecordArity:
     """``Stratum``, ``ChainAudit`` and ``CodimAudit`` are built without their
     generated constructors; each must still be a whole record."""
@@ -941,7 +1007,7 @@ class TestRecordArity:
         records = []
         for wall, listed in _all_strata(v):
             records += listed + strata_box_oracle(v, wall)
-            records += [chain_audit(v, st) for st in listed]
+            records += chain_audit(v, listed)
             records.append(codim_audit(v, wall))
         assert records
         for rec in records:
@@ -1051,7 +1117,7 @@ class TestAudits:
         for v in (vec(2, 1, 0, 0), vec(4, 1, -1, 0), vec(3, 1, 1, 0), vec(4, 1, 1, 0)):
             assert mukai_pair(v, v) <= 0
             for wall in wall_enumerate(v, 3):
-                strata = [st for k in range(2, v.r + 1) for st in strata_enumerate(v, wall, k)]
+                strata = strata_enumerate(v, wall)
                 audit = codim_audit(v, wall)
                 assert audit.strata == len(strata)
                 assert audit.codim_bound_ok == all(_reference_stratum_codim_ok(v, st) for st in strata)
@@ -1061,8 +1127,8 @@ class TestAudits:
 
     def test_chain_steps_individually(self):
         v = vec(2, 1, 0, -2)
-        for st in strata_enumerate(v, _wall_at_4(v), 2):
-            audit = chain_audit(v, st)
+        for st in _parts_of(v, _wall_at_4(v), 2):
+            audit = chain_audit(v, [st])[0]
             assert audit.split_identity_ok
             assert audit.bogomolov_ok
             assert audit.hodge_ok
@@ -1193,14 +1259,14 @@ class TestIntegerChain:
         v = vec(r, 1, y, s)
         compared = 0
         for _, listed in _all_strata(v):
-            for st in listed:
-                assert chain_audit(v, st) == _reference_chain_audit(v, _typed(st.parts)), st
+            for st, audit in zip(listed, chain_audit(v, listed), strict=True):
+                assert audit == _reference_chain_audit(v, _typed(st.parts)), st
                 compared += 1
         assert compared > 0
 
     @pytest.mark.parametrize("v,parts", HAND_BUILT)
     def test_matches_reference_on_hand_built_strata(self, v, parts):
-        assert chain_audit(v, _stratum(parts)) == _reference_chain_audit(v, parts)
+        assert chain_audit(v, [_stratum(parts)])[0] == _reference_chain_audit(v, parts)
 
     def test_hand_built_strata_fail_every_step(self):
         audits = [_reference_chain_audit(v, parts) for v, parts in HAND_BUILT]
@@ -1219,21 +1285,22 @@ class TestIntegerChain:
 
             parts = tuple(draw(rng.randint(1, 3)) for _ in range(k))
             v = draw(rng.randint(1, 8))
-            assert chain_audit(v, _stratum(parts)) == _reference_chain_audit(v, parts), (v, parts)
+            got = chain_audit(v, [_stratum(parts)])
+            assert got == [_reference_chain_audit(v, parts)], (v, parts)
 
     def test_needs_a_k3_model(self):
         m3 = elliptic_general(3)
         p = MukaiVector(1, m3.cls(1, 0), -1)
         with pytest.raises(ModelMismatchError):
-            chain_audit(MukaiVector(2, m3.cls(1, 0), -2), _stratum((p, p)))
+            chain_audit(MukaiVector(2, m3.cls(1, 0), -2), [_stratum((p, p))])
 
     def test_parts_with_the_wrong_coefficient_count_are_refused(self):
         # one coefficient on the elliptic K3, whose lattice has two classes, and two on G4
         g = MukaiVector(1, G4.cls(1), 0)
         with pytest.raises(ValueError, match="one coefficient per class"):
-            chain_audit(vec(2, 1, 0, -2), _stratum((g, g)))
+            chain_audit(vec(2, 1, 0, -2), [_stratum((g, g))])
         with pytest.raises(ValueError, match="one coefficient per class"):
-            chain_audit(MukaiVector(2, G4.cls(1), -1), _stratum((g, vec(1, 0, 0, -1))))
+            chain_audit(MukaiVector(2, G4.cls(1), -1), [_stratum((g, vec(1, 0, 0, -1)))])
 
     def test_ranks_must_be_positive(self):
         for v, parts in (
@@ -1242,7 +1309,7 @@ class TestIntegerChain:
             (vec(0, 1, 0, -2), (vec(1, 1, 0, -2), vec(1, 0, 0, 1))),
         ):
             with pytest.raises(ValueError):
-                chain_audit(v, _stratum(parts))
+                chain_audit(v, [_stratum(parts)])
 
 
 def _ray(model, m):
@@ -1326,7 +1393,7 @@ def test_normalized_vectors_have_expected_walls():
     walls = wall_enumerate(v, 3)
     assert walls
     for wall in walls:
-        strata = strata_enumerate(v, wall, 2)
+        strata = _parts_of(v, wall, 2)
         for st in strata:
-            assert chain_audit(v, st).ok
+            assert chain_audit(v, [st])[0].ok
             assert _reference_stratum_codim_ok(v, st)
