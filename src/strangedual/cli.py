@@ -52,7 +52,6 @@ from .duality import (
     judge_theta_relation,
     judge_tower,
     judge_tower_hypotheses,
-    require_tower_model,
 )
 from .fourier_mukai import judge_fm_verify
 from .strata import judge_strata_audit, judge_suitability
@@ -169,12 +168,10 @@ def _config_int(value, what: str) -> int:
 
 
 class Bound(NamedTuple):
-    """One bound a check reads: its type, its default and, where the check
-    has nothing to examine below some value, that lower bound."""
+    """One bound a check reads: its type and its default."""
 
     kind: type  # int, or list for a list of ints
     default: object = None  # None: the check reads "not given"
-    lo: int | None = None
 
     def read(self, value, what: str):
         if self.kind is list:
@@ -310,18 +307,15 @@ def load_batch(path: str) -> list[dict]:
 class Check(NamedTuple):
     """A check and all it reads.  ``run(model, **args)`` is a library judge:
     it gets the instance's surface model, its params (None when not given)
-    and bounds as typed keyword arguments, and returns (verdict, data).
-    ``examined`` names the count an ``error:empty`` report sets to 0.  Each of
-    ``modes`` names the params and bounds of one way to run the check; an
+    and bounds as typed keyword arguments, and returns (verdict, data).  Each
+    of ``modes`` names the params and bounds of one way to run the check; an
     instance may give the inputs of one mode only."""
 
     run: Callable
     requires: tuple[str, ...] = ()  # checks that must pass first
     params: tuple[str, ...] = ()
     bounds: Mapping[str, Bound] = MappingProxyType({})
-    examined: str | None = None
     modes: tuple[tuple[str, ...], ...] = ()
-    guard: Callable | None = None  # asks the model before the lower bounds are read
 
 
 RSAB = ("r", "s", "a", "b")
@@ -332,17 +326,17 @@ CHECKS = {
     "chi-vanishing": Check(judge_chi_vanishing, ("nu",), RSAB),
     "dimension-match": Check(judge_dimension_match, ("nu",), RSAB),
     "exclusions": Check(judge_exclusions, ("nu",), RSAB),
-    "tower": Check(judge_tower, params=("a",), examined="a_checked", bounds={
-        "r_max": Bound(int, 10, lo=1),
-        "a_max": Bound(int, lo=0),
-    }, modes=(("a",), ("a_max",)), guard=require_tower_model),
-    "sign-law": Check(judge_sign_law, examined="pairs_checked", bounds={
-        "coord_bound": Bound(int, 3, lo=0),
+    "tower": Check(judge_tower, params=("a",), bounds={
+        "r_max": Bound(int, 10),
+        "a_max": Bound(int),
+    }, modes=(("a",), ("a_max",))),
+    "sign-law": Check(judge_sign_law, bounds={
+        "coord_bound": Bound(int, 3),
         "degrees": Bound(list, (2, 4, 6, 8)),
     }),
     "fm-verify": Check(judge_fm_verify, bounds={
-        "r_max": Bound(int, 6, lo=1),
-        "a_max": Bound(int, 20, lo=0),
+        "r_max": Bound(int, 6),
+        "a_max": Bound(int, 20),
     }),
     "theta-relation": Check(judge_theta_relation, params=THETA_PARAMS, bounds={
         "r_lo": Bound(int, 2),
@@ -368,7 +362,7 @@ CHECKS = {
         "ab_max": Bound(int, 60),
     }),
     "strata-audit": Check(judge_strata_audit, params=("v",), bounds={
-        "coeff_bound": Bound(int, 3, lo=1),
+        "coeff_bound": Bound(int, 3),
         "s4_lo": Bound(int, -4),
         "s4_hi": Bound(int, 0),
     }, modes=(("v",), ("s4_lo", "s4_hi"))),
@@ -393,16 +387,6 @@ ERROR_STATUS = (
 )
 
 
-def _require_lower_bounds(check: Check, args: dict) -> None:
-    """Raise NothingToExamineError on a bound below its lower bound."""
-    for key, bound in check.bounds.items():
-        if bound.lo is not None and args[key] is not None and args[key] < bound.lo:
-            data = {key: args[key]}
-            if check.examined:
-                data[check.examined] = 0
-            raise NothingToExamineError(f"nothing to examine: need {key} >= {bound.lo}", **data)
-
-
 def run_instance(spec: dict) -> dict:
     """Execute the requested checks of one instance in dependency order."""
     started = time.perf_counter()
@@ -423,9 +407,6 @@ def run_instance(spec: dict) -> dict:
             continue
         check_started = time.perf_counter()
         try:
-            if check.guard:
-                check.guard(model)
-            _require_lower_bounds(check, args[name])
             verdict, data = check.run(model, **args[name])
             status = VERDICT_STATUS[verdict]
         except Exception as exc:  # one broken check must not sink the batch

@@ -53,6 +53,7 @@ from .surfaces import (
     mukai_pair,
     normalized_vector,
     ns_pair,
+    require_at_least,
     structure_vector,
     twist,
 )
@@ -639,6 +640,10 @@ def judge_exclusions(model: SurfaceModel, r, s, a, b) -> tuple[bool, dict]:
 def judge_tower(model: SurfaceModel, a, r_max: int, a_max: int | None) -> tuple[bool, dict]:
     """``ogrady_tower`` to rank r_max at each a in 0..a_max, or at the one a
     (9 when not given)."""
+    require_tower_model(model)
+    require_at_least("r_max", r_max, 1, a_checked=0)
+    if a_max is not None:
+        require_at_least("a_max", a_max, 0, a_checked=0)
     a_values = [9 if a is None else a] if a_max is None else range(0, a_max + 1)
     failures = [x for x in a_values if not ogrady_tower(r_max, x, model).ok]
     return not failures, {"r_max": r_max, "a_checked": len(a_values), "failures": failures}

@@ -36,6 +36,7 @@ from .surfaces import (
     mukai_dual,
     mukai_pair,
     normalized_vector,
+    require_at_least,
     structure_vector,
     twist,
 )
@@ -375,6 +376,8 @@ def judge_fm_verify(model: SurfaceModel, r_max: int, a_max: int) -> tuple[bool, 
     and determinant; the transform is invertible on the integral lattice, so
     the verdict also needs det = +-1."""
     matrix = derive_fm_matrix(model)
+    require_at_least("r_max", r_max, 1)
+    require_at_least("a_max", a_max, 0)
     report = verify_fm_suite(matrix, r_max, a_max)
     determinant = matrix.determinant()
     data = {"columns": matrix.columns, "determinant": determinant, **report._asdict()}

@@ -57,6 +57,7 @@ from .surfaces import (
     SurfaceModel,
     mukai_pair,
     ns_pair,
+    require_at_least,
 )
 
 
@@ -540,6 +541,7 @@ class ChainAudit(NamedTuple):
     drop_rank_weights_ok: bool    # lowering (r-r_i) -> 1 only decreases
     collect_identity_ok: bool     # exact regrouping through <v^2>/2
     final_bound_ok: bool          # pair sum >= <v^2>/(2r) + r - r^2 + sum r_i^2
+    dims_ok: bool                 # the recorded dims and total_dim, from <v_i^2> and the pair sum
 
     @property
     def ok(self) -> bool:
@@ -550,6 +552,7 @@ class ChainAudit(NamedTuple):
             and self.drop_rank_weights_ok
             and self.collect_identity_ok
             and self.final_bound_ok
+            and self.dims_ok
         )
 
 
@@ -570,6 +573,12 @@ def chain_audit(v: MukaiVector, strata: list[Stratum]) -> list[ChainAudit]:
         dropped . N = r sum_i <v_i^2> P/r_i + N sum_i (r_i - (r - r_i) r_i) - cross . N
         collect . N = <v^2> P + sum_{i<j} sq_ij P/(r_i r_j) + N (r - r^2 + sum_i r_i^2) - cross . N
         final . N   = <v^2> P + N (r - r^2 + sum_i r_i^2)
+
+    The stratum's recorded dimensions are checked on the same pairings,
+    apart from the enumerator's ``_stack_dim``: dim_i is <v_i^2> + 1 when
+    <v_i^2> > 0, l_i when <v_i^2> = 0 and -l_i^2 when <v_i^2> = -2 l_i^2, for
+    l_i the gcd of the part's coordinates, and the total is the sum of the
+    dim_i and the pair sum.
     """
     model = v.model
     if not model.is_k3:
@@ -609,12 +618,18 @@ def chain_audit(v: MukaiVector, strata: list[Stratum]) -> list[ChainAudit]:
         weighted = split = 0  # sum_i <v_i^2> P/r_i, and each term times r - r_i
         rank_sum = rank_sq = 0
         hodge_ok = bogomolov_ok = True
+        dims = []
         for i in range(k):
             ri, si = ranks[i], slots[i]
-            _, _, l0, l1, sqi = rows[i]
+            a0, a1, l0, l1, sqi = rows[i]
             qi = sqi - 2 * ri * si  # <v_i^2>
             if qi + 2 * ri * ri < 0:
                 bogomolov_ok = False
+            if qi > 0:
+                dims.append(qi + 1)
+            else:
+                el = gcd(ri, a0, a1, si)
+                dims.append(el if qi == 0 else -el * el if qi == -2 * el * el else None)
             wi = qi * (rank_prod // ri)
             weighted += wi
             split += (r - ri) * wi
@@ -634,6 +649,7 @@ def chain_audit(v: MukaiVector, strata: list[Stratum]) -> list[ChainAudit]:
         line_dropped = r * weighted + n * (rank_sum - r * rank_sum + rank_sq) - cross
         final = q_v * rank_prod + n * (r - r * r + rank_sq)
         line_collect = final + cross_over_r - cross
+        dims_ok = stratum.dims == tuple(dims) and stratum.total_dim == sum(dims) + pair_sum
 
         out.append(tuple.__new__(ChainAudit, (
             pair_sum,
@@ -643,6 +659,7 @@ def chain_audit(v: MukaiVector, strata: list[Stratum]) -> list[ChainAudit]:
             line_split >= line_dropped,  # drop_rank_weights_ok
             line_dropped == line_collect,  # collect_identity_ok
             pair_sum * n >= final,  # final_bound_ok
+            dims_ok,
         )))
     return out
 
@@ -711,10 +728,11 @@ def judge_strata_audit(
     model: SurfaceModel, v: MukaiVector | None, coeff_bound: int, s4_lo: int, s4_hi: int
 ) -> tuple[bool, dict]:
     """``audit_vector`` on v, or without v on (2, sigma, s4) for s4_lo <= s4 <= s4_hi."""
+    # asks the model as the audit would, before either emptiness test: sigma, then the wall walk
+    wall_enumerate(MukaiVector(2, model.sigma, 0) if v is None else v, 0)
+    require_at_least("coeff_bound", coeff_bound, 1)
     vectors = [v] if v is not None else [MukaiVector(2, model.sigma, s4) for s4 in range(s4_lo, s4_hi + 1)]
     if not vectors:
-        # asks the model as a vector would: sigma, then the wall walk
-        wall_enumerate(MukaiVector(2, model.sigma, 0), 0)
         raise NothingToExamineError("no vector to audit: s4_lo > s4_hi")
     results = []
     for u in vectors:
@@ -729,6 +747,7 @@ def judge_suitability(
     if v is None or m is None:
         raise MissingParamsError("need params v and m")
     report = is_suitable(m, v, coeff_bound)
+    require_at_least("coeff_bound", coeff_bound, 1)
     return report.suitable, report
 
 

@@ -80,6 +80,14 @@ class NothingToExamineError(Exception):
         self.data = data
 
 
+def require_at_least(key: str, value: int, least: int, **counts) -> None:
+    """Raise NothingToExamineError when the bound ``key`` is below ``least``;
+    its data names the bound and its value beside ``counts``."""
+    if value < least:
+        data = {key: value, **counts}
+        raise NothingToExamineError(f"nothing to examine: need {key} >= {least}", **data)
+
+
 class SurfaceModel:
     """An intersection lattice together with chi(O) and the canonical class.
 
@@ -612,6 +620,7 @@ def judge_sign_law(model: SurfaceModel, coord_bound: int, degrees: tuple[int, ..
     Builds its surfaces from its bounds and reads no instance surface.  The
     verdict holds when ``sign_law_sweep`` finds no mismatch on any of them.
     """
+    require_at_least("coord_bound", coord_bound, 0, pairs_checked=0)
     total, mismatches, discrepancy = sign_law_sweep(elliptic_k3(), coord_bound)
     count = len(mismatches)
     for degree in degrees:

@@ -462,18 +462,16 @@ class TestNoVacuousPass:
         assert result["status"] == "error:empty"
 
 
-    @pytest.mark.parametrize("check,bounds,reason", [
-        ("strata-audit", "{s4_lo: 0, s4_hi: -1}", "sigma lives on the elliptic models"),
-        ("tower", "{a_max: -1}", "the tower lives on the elliptic models"),
-    ])
-    def test_an_empty_range_asks_the_model_first(self, tmp_path, check, bounds, reason):
-        # on the elliptic K3 both ranges are error:empty
-        out = tmp_path / "r.json"
-        code = main(["check", "--surface", "generic-k3", "--degree", "8", "--checks", check,
-                     "--bounds", bounds, "--out", str(out), "--quiet"])
-        assert code == 1
-        result = json.loads(out.read_text())["instances"][0]["results"][check]
-        assert (result["status"], result["reason"]) == ("error:model", reason)
+    def test_suitability_with_no_wall_class(self):
+        # below coeff_bound 1 no wall class is enumerated, so nothing is certified
+        raw = {"params": {"v": "2:1,0:-5", "m": 3}, "checks": ["suitability"]}
+        results = [
+            run_instance(normalize_instance({**raw, "bounds": {"coeff_bound": bound}}, 0)[0])
+            ["results"]["suitability"]
+            for bound in (0, 1)
+        ]
+        assert (results[0]["status"], results[0]["coeff_bound"]) == ("error:empty", 0)
+        assert (results[1]["status"], results[1]["max_wall"]) == ("pass", None)
 
     def test_sign_law_with_empty_grid(self):
         spec = normalize_instance(
@@ -1194,7 +1192,7 @@ def _run_batch_text(tmp_path, text, capsys):
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-README_TABLE_HEADER = "| check | params | bound | type | default | lower bound |"
+README_TABLE_HEADER = "| check | params | bound | type | default |"
 TYPE_NAMES = {int: "int", list: "list of int"}
 
 
@@ -1213,10 +1211,9 @@ def _table_rows_from_checks():
         for i, (key, bound) in enumerate(check.bounds.items() or [(None, None)]):
             cells = [f"`{name}`", params if i == 0 else ""]
             if bound is None:
-                cells += ["—"] * 4
+                cells += ["—"] * 3
             else:
-                lo = "—" if bound.lo is None else str(bound.lo)
-                cells += [f"`{key}`", TYPE_NAMES[bound.kind], _default_text(bound.default), lo]
+                cells += [f"`{key}`", TYPE_NAMES[bound.kind], _default_text(bound.default)]
             rows.append(cells)
     return rows
 
@@ -1380,23 +1377,6 @@ class TestCheckTable:
         assert result["status"] == "error:model"
         assert reason in result["reason"]
 
-    def test_each_lower_bound_gives_empty_just_below_it(self):
-        probed = 0
-        for name, check in cli.CHECKS.items():
-            for key, bound in check.bounds.items():
-                if bound.lo is None:
-                    continue
-                for value, empty in ((bound.lo - 1, True), (bound.lo, False)):
-                    spec = normalize_instance({"checks": [name], "bounds": {key: value}}, 0)[0]
-                    result = run_instance(spec)["results"][name]
-                    assert (result["status"] == "error:empty") == empty, (name, key, value)
-                    if empty:
-                        assert result[key] == value
-                        if check.examined:
-                            assert result[check.examined] == 0
-                probed += 1
-        assert probed == 6
-
     @pytest.mark.parametrize("bounds", ["{parts: 2}", "{oracle: false}"])
     def test_the_removed_strata_switches_are_read_by_no_check(self, tmp_path, capsys, bounds):
         text = (
@@ -1526,6 +1506,55 @@ class TestSurfaceMatrix:
         result = run_instance(normalize_instance({"checks": ["sign-law"]}, 0)[0])["results"]
         assert result["sign-law"]["status"] == "error:model"
         assert result["sign-law"]["reason"] == "no such surface here"
+
+
+# (check, the params it runs with, an empty bound, the floor beside it, what
+# the error:empty report shows): each former lower bound just below its floor,
+# the reversed ranges and the empty lists; "v" is each surface's MATRIX_V
+EMPTY_BOUNDS = [
+    ("tower", (), {"r_max": 0}, {"r_max": 1}, {"r_max": 0, "a_checked": 0}),
+    ("tower", (), {"a_max": -1}, {"a_max": 0}, {"a_max": -1, "a_checked": 0}),
+    ("sign-law", (), {"coord_bound": -1}, {"coord_bound": 0}, {"coord_bound": -1, "pairs_checked": 0}),
+    ("fm-verify", (), {"r_max": 0}, {"r_max": 1}, {"r_max": 0}),
+    ("fm-verify", (), {"a_max": -1}, {"a_max": 0}, {"a_max": -1}),
+    ("theta-relation", (), {"r_lo": 5, "r_hi": 2}, {"r_lo": 2, "r_hi": 2}, {"points_checked": 0}),
+    ("theta-relation", (), {"chi_lo": 0, "chi_hi": -5}, {"chi_lo": 0, "chi_hi": 0}, {"points_checked": 0}),
+    ("exclusion-sweep", (), {"r_lo": 2, "r_hi": 1}, {"r_lo": 2, "r_hi": 2}, {"points_checked": 0}),
+    ("exclusion-sweep", (), {"s_lo": 2, "s_hi": 1}, {"s_lo": 2, "s_hi": 2}, {"points_checked": 0}),
+    ("strata-audit", ("v",), {"coeff_bound": 0}, {"coeff_bound": 1}, {"coeff_bound": 0}),
+    ("strata-audit", (), {"coeff_bound": 0}, {"coeff_bound": 1}, {"coeff_bound": 0}),
+    ("strata-audit", (), {"s4_lo": 0, "s4_hi": -1}, {"s4_lo": 0, "s4_hi": 0}, {}),
+    ("suitability", ("v", "m"), {"coeff_bound": 0}, {"coeff_bound": 1}, {"coeff_bound": 0}),
+    ("general-consistency", (), {"chi_list": []}, {"chi_list": [2]}, {"cases": []}),
+    ("general-consistency", (), {"ranks": []}, {"ranks": [2]}, {"cases": []}),
+]
+
+
+class TestEmptyBounds:
+    """Each judge raises error:empty from its own bounds, after asking the model."""
+
+    def test_the_table_covers_every_check_with_bounds(self):
+        assert {row[0] for row in EMPTY_BOUNDS} == {name for name, c in cli.CHECKS.items() if c.bounds}
+
+    @pytest.mark.parametrize("kind", list(MATRIX_SURFACES))
+    @pytest.mark.parametrize("check,params,empty,floor,shows", EMPTY_BOUNDS,
+                             ids=["-".join((row[0], *row[1], *row[2])) for row in EMPTY_BOUNDS])
+    def test_an_empty_bound_hides_no_model_error(self, check, params, empty, floor, shows, kind):
+        given = {key: MATRIX_V[kind] if key == "v" else MATRIX_PARAMS[key] for key in params}
+
+        def run(bounds):
+            raw = {"surface": MATRIX_SURFACES[kind], "params": given, "checks": [check], "bounds": bounds}
+            return run_instance(normalize_instance(raw, 0)[0])["results"][check]
+
+        default, result = run({}), run(empty)
+        if kind == "elliptic-k3":
+            assert result["status"] == "error:empty"
+            assert run(floor)["status"] != "error:empty"
+        if default["status"] == "error:model":
+            assert (result["status"], result["reason"]) == ("error:model", default["reason"])
+        else:
+            assert result["status"] == "error:empty" and result["reason"]
+            assert {key: result[key] for key in shows} == shows
 
 
 class TestBoundsFlag:

@@ -4,15 +4,13 @@ away from ``pass``.
 Each row patches one library function (or method) so that it is off by one
 on a single input the checks reach, in every ``strangedual`` module that
 binds it, then runs the named instance of the committed acceptance batch in
-process.  The named checks pass unpatched; patched, each must fail and its
-report must show where.  Two
-tests follow: ``delta_bound`` on a point of its own, which the acceptance
-batch does not run, and ``_stack_dim``, which no verdict can catch and the
-golden file does.
+process, less any checks the row drops, so that a check which requires the
+broken one can be named.  The named checks pass unpatched; patched, each
+must fail and its report must show where.  One test follows:
+``delta_bound`` on a point of its own, which the acceptance batch does not
+run.
 """
 
-import json
-import re
 import sys
 from pathlib import Path
 
@@ -125,6 +123,23 @@ def _chain_final_bound_mutant(monkeypatch):
     original = _patch_everywhere(monkeypatch, strata, "chain_audit", chain_audit)
 
 
+def _strata_drop_mutant(monkeypatch):
+    # the enumerator loses the first stratum of the same vector on the same wall
+    v = MukaiVector(2, E.sigma, -2)
+    target = (v, next(w for w in wall_enumerate(v, 3) if w.d.coeffs == (1, -2)))
+    original = _patch_everywhere(
+        monkeypatch, strata, "strata_enumerate",
+        lambda v, wall: original(v, wall)[1:] if (v, wall) == target else original(v, wall),
+    )
+
+
+def _stack_dim_mutant(monkeypatch):
+    # the part (1, f, 0) of <v^2> = 0: (r, c1^2, content of c1, s) = (1, 0, 1, 0)
+    original = _patch_everywhere(
+        monkeypatch, strata, "_stack_dim", lambda *args: original(*args) + (args == (1, 0, 1, 0))
+    )
+
+
 def _part_count_skip_mutant(monkeypatch):
     # the skip test cuts part count 2 on the same wall of the same vector:
     # (r, c1, D, |D^2|, <v^2> + 2r^2) = (2, sigma, sigma - 2f, 6, 14)
@@ -169,7 +184,8 @@ def _failing_walls(result, flag):
     ]
 
 
-# (mutant, acceptance instance, {check that must leave pass: what its report must show})
+# (mutant, acceptance instance, {check that must leave pass: what its report
+# must show}, then any checks dropped from the instance)
 MUTANTS = {
     "twist": (_twist_mutant, "tower-identities", {"tower": lambda r: 7 in r["failures"]}),
     "FMMatrix.apply": (_apply_mutant, "fm-matrix", {
@@ -195,13 +211,30 @@ MUTANTS = {
     "_part_count_bound skip": (_part_count_skip_mutant, "hn-strata", {
         "strata-audit": lambda r: _failing_walls(r, "oracle_match") == [(-2, [1, -2])],
     }),
+    "strata_enumerate drops a stratum": (_strata_drop_mutant, "hn-strata", {
+        "strata-audit": lambda r: _failing_walls(r, "oracle_match") == [(-2, [1, -2])],
+    }),
+    # the enumerator and the oracle share _stack_dim, so only the chain's own
+    # dimensions see it, on the wall sigma - 2f of each s4 that has the part
+    "_stack_dim of one part": (_stack_dim_mutant, "hn-strata", {
+        "strata-audit": lambda r: (
+            _failing_walls(r, "chain_ok") == [(s4, [1, -2]) for s4 in range(-4, 0)]
+            and not _failing_walls(r, "oracle_match")
+        ),
+    }),
     # nu finds the twist -2 as the root of chi(v . v_{s,b}(x f)), so it fails
     # first, and line-bundle, chi-vanishing and exclusions, which require it,
-    # skip; test_nu_mutant_without_the_nu_check runs them without nu
+    # skip; the next row runs them without nu
     "compute_nu case point": (_nu_mutant, "case-study-2299", {
         "nu": lambda r: r["nu"] == -1,
         "hypotheses-T2": lambda r: r["conditions"]["orthogonal"] is False,
     }),
+    # with L = 4.sigma + 7f the documented h0 exception no longer holds
+    "compute_nu without the nu check": (_nu_mutant, "case-study-2299", {
+        "line-bundle": lambda r: r["L"]["coeffs"] == [4, 7] and not r["alternative_form_matches"],
+        "chi-vanishing": lambda r: r["chi_product"] == 4,
+        "exclusions": lambda r: r["report"]["q1q2_excluded"] is True,
+    }, "nu"),
     "h0_coeffs of L": (_h0_coeffs_mutant, "case-study-2299", {
         "line-bundle": lambda r: (r["chi"], r["h0"]) == (18, 19),
         "dimension-match": lambda r: r["left"] == r["right"] == 92378,  # C(19, 9)
@@ -215,8 +248,9 @@ MUTANTS = {
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_mutant_leaves_pass(monkeypatch, name):
-    mutate, instance, expected = MUTANTS[name]
-    spec = ACCEPTANCE[instance]
+    mutate, instance, expected, *dropped = MUTANTS[name]
+    spec = dict(ACCEPTANCE[instance])
+    spec["checks"] = [check for check in spec["checks"] if check not in dropped]
     results = run_instance(spec)["results"]
     assert all(results[check]["status"] == "pass" for check in expected)
     mutate(monkeypatch)
@@ -224,20 +258,6 @@ def test_mutant_leaves_pass(monkeypatch, name):
     for check, shows in expected.items():
         assert results[check]["status"] == "fail", check
         assert shows(results[check]), check
-
-
-def test_nu_mutant_without_the_nu_check(monkeypatch):
-    # the other judges of nu on the case point, which skip behind a failing nu
-    spec = dict(ACCEPTANCE["case-study-2299"])
-    spec["checks"] = [check for check in spec["checks"] if check != "nu"]
-    _nu_mutant(monkeypatch)
-    results = run_instance(spec)["results"]
-    line, chi, excl = (results[check] for check in ("line-bundle", "chi-vanishing", "exclusions"))
-    assert all(result["status"] == "fail" for result in (line, chi, excl))
-    assert line["L"]["coeffs"] == [4, 7] and not line["alternative_form_matches"]
-    assert chi["chi_product"] == 4
-    # with L = 4.sigma + 7f the documented h0 exception no longer holds
-    assert excl["report"]["q1q2_excluded"] is True
 
 
 # An elliptic-general point exactly on the dimension bound of T5 and the
@@ -263,31 +283,3 @@ def test_delta_bound_raised_by_one_fails_the_point_on_the_bound(monkeypatch):
         assert results[check]["status"] == "fail"
         assert results[check]["conditions"]["ii_dimension_sum_bound"] is False
 
-
-def _without_timing(results):
-    return json.loads(re.sub(r'"timing_ms": \d+', '"timing_ms": 0', json.dumps(results)))
-
-
-def test_stack_dim_raised_at_one_part_is_caught_only_by_the_golden_file(monkeypatch):
-    # Caught only by the golden file.  The enumerator and the oracle share
-    # _stack_dim, so both see the wrong dimension and still agree, and the
-    # strata only come closer to the codimension bound without crossing it:
-    # the verdict stays pass.  Only the reported min_codim moves.
-    golden = json.loads((DATA / "acceptance_report.json").read_text())
-    expected = next(
-        _without_timing(report["results"])
-        for report in golden["instances"]
-        if report["spec"]["name"] == "hn-strata"
-    )
-    spec = ACCEPTANCE["hn-strata"]
-    assert _without_timing(run_instance(spec)["results"]) == expected
-    # the part (1, f, 0) of <v^2> = 0: (r, c1^2, content of c1, s) = (1, 0, 1, 0)
-    original = _patch_everywhere(
-        monkeypatch, strata, "_stack_dim",
-        lambda *args: original(*args) + (args == (1, 0, 1, 0)),
-    )
-    results = _without_timing(run_instance(spec)["results"])
-    assert results["strata-audit"]["status"] == "pass"
-    assert results != expected
-    min_codims = [[w["min_codim"] for w in e["walls"]] for e in results["strata-audit"]["vectors"]]
-    assert min_codims == [[None, 3], [None, 2], [None, 1], [None, 0], [None, 0]]

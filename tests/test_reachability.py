@@ -46,7 +46,6 @@ REPORTED_WHOLE = {
 
 # members that no reached code reads, kept on purpose, each with its reason
 UNREAD_BY_DESIGN = {
-    "Stratum.dims": "tests compare it with the typed stack-dimension reference",
     "ChainAudit.pair_sum": "tests compare it with the typed pairing-sum chain",
     "MukaiVector.content": "the typed _stack_dim reference in the tests reads it",
 }

@@ -1154,8 +1154,9 @@ def _reference_pair_sum(parts):
     )
 
 
-def _reference_chain_audit(v, parts):
-    """The typed chain audit of the parts (``MukaiVector``s): every line as a ``Fraction``."""
+def _reference_chain_audit(v, parts, dims, total_dim):
+    """The typed chain audit of a stratum with the parts (``MukaiVector``s),
+    dims and total_dim given: every line as a ``Fraction``."""
     r = v.r
     q_v = mukai_pair(v, v)
     k = len(parts)
@@ -1200,6 +1201,9 @@ def _reference_chain_audit(v, parts):
     final = Fraction(q_v, 2 * r) + r - r * r + rank_sq
     final_ok = pair_sum >= final
 
+    typed_dims = tuple(_reference_stack_dim(p) for p in parts)
+    dims_ok = dims == typed_dims and total_dim == sum(dims) + pair_sum
+
     return ChainAudit(
         pair_sum=pair_sum,
         split_identity_ok=split_ok,
@@ -1208,6 +1212,7 @@ def _reference_chain_audit(v, parts):
         drop_rank_weights_ok=drop_ok,
         collect_identity_ok=collect_ok,
         final_bound_ok=final_ok,
+        dims_ok=dims_ok,
     )
 
 
@@ -1218,13 +1223,22 @@ _FLAGS = (
     "drop_rank_weights_ok",
     "collect_identity_ok",
     "final_bound_ok",
+    "dims_ok",
 )
 G4 = generic_k3(4)
 
 
 def _stratum(parts):
-    """The library's stratum of typed parts, dimensions left out as the chain ignores them."""
+    """The library's stratum of typed parts, dimensions left out."""
     return Stratum(_record(parts), (), 0)
+
+
+def _stratum_with_dims(parts):
+    """``_stratum`` with the typed dimensions, when every part has one."""
+    dims = tuple(_reference_stack_dim(p) for p in parts)
+    if None in dims:
+        return _stratum(parts)
+    return Stratum(_record(parts), dims, sum(dims) + _reference_pair_sum(parts))
 
 
 def _hand_built(v, *parts):
@@ -1232,7 +1246,7 @@ def _hand_built(v, *parts):
 
 
 # typed part lists the enumerators never produce; between them the reference
-# sets each of the six flags to False at least once
+# sets each of the seven flags to False at least once
 HAND_BUILT = [
     # ranks 1 + 1 do not sum to 3: split and collect fail (and Bogomolov)
     _hand_built(vec(3, 1, 0, -4), vec(1, 1, -2, -1), vec(1, 0, 2, -1)),
@@ -1260,16 +1274,19 @@ class TestIntegerChain:
         compared = 0
         for _, listed in _all_strata(v):
             for st, audit in zip(listed, chain_audit(v, listed), strict=True):
-                assert audit == _reference_chain_audit(v, _typed(st.parts)), st
+                assert audit == _reference_chain_audit(v, _typed(st.parts), st.dims, st.total_dim), st
+                assert audit.dims_ok, st
                 compared += 1
         assert compared > 0
 
     @pytest.mark.parametrize("v,parts", HAND_BUILT)
     def test_matches_reference_on_hand_built_strata(self, v, parts):
-        assert chain_audit(v, [_stratum(parts)])[0] == _reference_chain_audit(v, parts)
+        st = _stratum_with_dims(parts)
+        assert chain_audit(v, [st])[0] == _reference_chain_audit(v, parts, st.dims, st.total_dim)
 
     def test_hand_built_strata_fail_every_step(self):
-        audits = [_reference_chain_audit(v, parts) for v, parts in HAND_BUILT]
+        audits = [_reference_chain_audit(v, parts, *_stratum_with_dims(parts)[1:])
+                  for v, parts in HAND_BUILT]
         for flag in _FLAGS:
             assert not all(getattr(a, flag) for a in audits), flag
 
@@ -1285,8 +1302,22 @@ class TestIntegerChain:
 
             parts = tuple(draw(rng.randint(1, 3)) for _ in range(k))
             v = draw(rng.randint(1, 8))
-            got = chain_audit(v, [_stratum(parts)])
-            assert got == [_reference_chain_audit(v, parts)], (v, parts)
+            st = _stratum_with_dims(parts)
+            if st.dims:
+                # keep the dimensions, or move the total alone, or one dim with the total
+                i, step = rng.randrange(k), rng.choice((0, 0, 1, -1))
+                dims = st.dims[:i] + (st.dims[i] + step * rng.randint(0, 1),) + st.dims[i + 1:]
+                st = st._replace(dims=dims, total_dim=st.total_dim + step)
+            got = chain_audit(v, [st])
+            assert got == [_reference_chain_audit(v, parts, st.dims, st.total_dim)], (v, parts)
+
+    def test_a_dimension_reads_the_gcd_of_every_coordinate(self):
+        # (4, 2 sigma + 4f, 1) has <v^2> = 0 and coordinate gcd 1, though gcd(r, c1) = 2;
+        # parts of rank 3 or less never tell the two apart
+        st = _stratum_with_dims((vec(4, 2, 4, 1), vec(1, 0, 0, -1)))
+        assert st.dims[0] == 1
+        assert chain_audit(vec(5, 2, 4, 0), [st])[0].dims_ok
+        assert not chain_audit(vec(5, 2, 4, 0), [st._replace(dims=(2, st.dims[1]))])[0].dims_ok
 
     def test_needs_a_k3_model(self):
         m3 = elliptic_general(3)
