@@ -25,6 +25,7 @@ bound that nothing reads.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -511,5 +512,14 @@ def main(argv: list[str] | None = None) -> int:
     return document_exit_code(doc)
 
 
+def entry() -> None:
+    """Run ``main`` and exit with its code, the heap frozen first: shutdown's
+    collections skip frozen objects, and ``atexit`` handlers and stream flushes
+    still run (``os._exit`` would skip them).  Callers of ``main`` keep their GC state."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -61,6 +61,12 @@ from .surfaces import (
 )
 
 
+def _require_elliptic_k3(v: MukaiVector, what: str) -> None:
+    """Raise ModelMismatchError unless v lives on the elliptic K3, where ``what`` are enumerated."""
+    if v.model.kind != ELLIPTIC_K3:
+        raise ModelMismatchError(f"{what} are enumerated on the elliptic K3 model")
+
+
 def _stack_dim(r: int, c1sq: int, c1_content: int, s: int) -> int | None:
     """Dimension of the stack of semistable sheaves of class (r, c1, s) on a K3 (generic H).
 
@@ -160,8 +166,7 @@ def wall_enumerate(v: MukaiVector, coeff_bound: int) -> list[Wall]:
     class of every candidate lies in the box, so the walk runs over the
     primitive pairs (d_s, d_f) with d_f < 0 alone.
     """
-    if v.model.kind != ELLIPTIC_K3:
-        raise ModelMismatchError("walls are enumerated on the elliptic K3 model")
+    _require_elliptic_k3(v, "walls")
     if v.r < 2:
         raise ValueError("wall enumeration needs rank >= 2")
     model, xi = v.model, v.c1.coeffs
@@ -192,6 +197,7 @@ def is_suitable(m: Fraction | int, v: MukaiVector, coeff_bound: int) -> Suitabil
     if m <= 2:
         raise ValueError("the ample range is m > 2")
     if v.r < 2:
+        _require_elliptic_k3(v, "walls")  # the verdict below is the elliptic K3's alone
         return SuitabilityReport(
             True, None, coeff_bound, "rank < 2: no proper sub-ranks, vacuously suitable"
         )
@@ -269,8 +275,7 @@ def strata_enumerate(v: MukaiVector, wall: Wall) -> list[Stratum]:
     the first t-tuple that holds the part, and kept only until the call
     returns.
     """
-    if v.model.kind != ELLIPTIC_K3:
-        raise ModelMismatchError("strata are enumerated on the elliptic K3 model")
+    _require_elliptic_k3(v, "strata")
     r = v.r
     gram, xi, d = v.model.gram, v.c1.coeffs, wall.d.coeffs
     (x0, x1), (d0, d1) = xi, d
@@ -478,8 +483,7 @@ def strata_box_oracle(v: MukaiVector, wall: Wall) -> list[Stratum]:
     outside these bounds has <p^2> < -2r^2 <= -2l^2 for l its content, so
     ``_stack_dim`` rejects it: the box drops no stratum.
     """
-    if v.model.kind != ELLIPTIC_K3:
-        raise ModelMismatchError("strata are enumerated on the elliptic K3 model")
+    _require_elliptic_k3(v, "strata")
     if wall.m_value <= 2:
         raise ValueError("the ample range is m > 2")
     gram = v.model.gram
@@ -738,6 +742,8 @@ def judge_strata_audit(
     for u in vectors:
         u_ok, walls = audit_vector(u, coeff_bound)
         results.append({"v": u, "ok": u_ok, "walls": walls})
+    if not any(entry["walls"] for entry in results):
+        raise NothingToExamineError("no wall in the box to audit", coeff_bound=coeff_bound, walls_checked=0)
     return all(entry["ok"] for entry in results), {"coeff_bound": coeff_bound, "vectors": results}
 
 

@@ -1,9 +1,12 @@
 """CLI behavior: parsing, exit codes, batch semantics, determinism."""
 
 import ast
+import gc
+import importlib
 import inspect
 import json
 import os
+import pstats
 import re
 import shlex
 import subprocess
@@ -472,6 +475,25 @@ class TestNoVacuousPass:
         ]
         assert (results[0]["status"], results[0]["coeff_bound"]) == ("error:empty", 0)
         assert (results[1]["status"], results[1]["max_wall"]) == ("pass", None)
+
+    def test_strata_with_no_wall_in_the_box(self):
+        # 2:1,0:-2 has no wall of coefficients <= 1; sigma - 2f first appears at 2
+        raw = {"params": {"v": "2:1,0:-2"}, "checks": ["strata-audit"], "bounds": {"coeff_bound": 1}}
+        result = run_instance(normalize_instance(raw, 0)[0])["results"]["strata-audit"]
+        assert result["status"] == "error:empty"
+        assert (result["coeff_bound"], result["walls_checked"]) == (1, 0)
+
+    def test_suitability_of_a_rank_one_vector_asks_the_model(self):
+        def run(surface, v):
+            raw = {"surface": surface, "params": {"v": v, "m": 3}, "checks": ["suitability"]}
+            return run_instance(normalize_instance(raw, 0)[0])["results"]["suitability"]
+
+        generic = run({"kind": "generic-k3", "degree": 8}, "1:1:0")
+        assert generic["status"] == "error:model"
+        assert generic["reason"] == run({"kind": "generic-k3", "degree": 8}, "2:1:0")["reason"]
+        elliptic = run({"kind": "elliptic-k3"}, "1:1,0:0")
+        assert (elliptic["status"], elliptic["max_wall"]) == ("pass", None)
+        assert elliptic["note"] == "rank < 2: no proper sub-ranks, vacuously suitable"
 
     def test_sign_law_with_empty_grid(self):
         spec = normalize_instance(
@@ -1510,7 +1532,8 @@ class TestSurfaceMatrix:
 
 # (check, the params it runs with, an empty bound, the floor beside it, what
 # the error:empty report shows): each former lower bound just below its floor,
-# the reversed ranges and the empty lists; "v" is each surface's MATRIX_V
+# the reversed ranges and the empty lists; "v" is each surface's MATRIX_V.
+# The strata-audit floor is coeff_bound 2, the least with a wall to audit
 EMPTY_BOUNDS = [
     ("tower", (), {"r_max": 0}, {"r_max": 1}, {"r_max": 0, "a_checked": 0}),
     ("tower", (), {"a_max": -1}, {"a_max": 0}, {"a_max": -1, "a_checked": 0}),
@@ -1521,8 +1544,8 @@ EMPTY_BOUNDS = [
     ("theta-relation", (), {"chi_lo": 0, "chi_hi": -5}, {"chi_lo": 0, "chi_hi": 0}, {"points_checked": 0}),
     ("exclusion-sweep", (), {"r_lo": 2, "r_hi": 1}, {"r_lo": 2, "r_hi": 2}, {"points_checked": 0}),
     ("exclusion-sweep", (), {"s_lo": 2, "s_hi": 1}, {"s_lo": 2, "s_hi": 2}, {"points_checked": 0}),
-    ("strata-audit", ("v",), {"coeff_bound": 0}, {"coeff_bound": 1}, {"coeff_bound": 0}),
-    ("strata-audit", (), {"coeff_bound": 0}, {"coeff_bound": 1}, {"coeff_bound": 0}),
+    ("strata-audit", ("v",), {"coeff_bound": 0}, {"coeff_bound": 2}, {"coeff_bound": 0}),
+    ("strata-audit", (), {"coeff_bound": 0}, {"coeff_bound": 2}, {"coeff_bound": 0}),
     ("strata-audit", (), {"s4_lo": 0, "s4_hi": -1}, {"s4_lo": 0, "s4_hi": 0}, {}),
     ("suitability", ("v", "m"), {"coeff_bound": 0}, {"coeff_bound": 1}, {"coeff_bound": 0}),
     ("general-consistency", (), {"chi_list": []}, {"chi_list": [2]}, {"cases": []}),
@@ -1702,3 +1725,79 @@ class TestStartUp:
                     imported.add(node.module.split(".")[0])
         assert "re" in imported  # the walk sees the package's imports
         assert "yaml" not in imported
+
+
+ACCEPTANCE_BATCH = Path(__file__).parent / "data" / "acceptance_batch.yaml"
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _run_python(args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestProcessExit:
+    """The process entry point freezes the heap after ``main`` returns and
+    exits as ``sys.exit(main())`` did; in-process callers of ``main`` are untouched."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["check", "--r", "2", "--s", "2", "--a", "9", "--b", "9", "--checks", "nu"], 0),
+        (["check", "--r", "2", "--s", "2", "--a", "9", "--b", "8", "--checks", "nu"], 1),
+        (["check", "--checks", "definitely-not-a-check"], 2),
+        (["check"], 2),  # argparse exits inside main
+    ], ids=["pass", "fail", "config", "usage"])
+    def test_exit_codes_and_stderr_match_main(self, tmp_path, capsys, argv, code):
+        proc = _run_python(["-m", "strangedual.cli", *argv], tmp_path)
+        assert proc.returncode == code
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        captured = capsys.readouterr()
+        assert proc.stderr.splitlines()[-1] == captured.err.splitlines()[-1]
+        assert _strip_timing(proc.stdout) == _strip_timing(captured.out)
+
+    def test_the_report_equals_the_in_process_report(self, tmp_path):
+        argv = ["batch", str(ACCEPTANCE_BATCH), "--quiet", "--out"]
+        proc = _run_python(["-m", "strangedual.cli", *argv, "sub.json"], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert main([*argv, str(tmp_path / "in.json")]) == 0
+        texts = [(tmp_path / name).read_text(encoding="utf-8") for name in ("sub.json", "in.json")]
+        assert _strip_timing(texts[0]) == _strip_timing(texts[1])
+
+    def test_the_readme_profile_recipe_writes_a_profile(self, tmp_path):
+        line = next(line for line in README.read_text(encoding="utf-8").splitlines() if "cProfile" in line
+                    and line.startswith("PYTHONPATH=src python "))
+        args = [str(ACCEPTANCE_BATCH) if arg.endswith(".yaml") else arg for arg in shlex.split(line)[2:]]
+        proc = _run_python(args, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        stats = pstats.Stats(str(tmp_path / "run.prof"))
+        assert any(func[2] == "entry" and func[0].endswith("cli.py") for func in stats.stats)
+        assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["instances"]
+
+    def test_atexit_handlers_still_run_and_see_the_frozen_heap(self, tmp_path):
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('atexit ran, frozen:', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['strangedual', 'check', '--r', '2', '--s', '2', '--a', '9', '--b', '9',\n"
+            "            '--checks', 'nu', '--quiet', '--out', 'r.json']\n"
+            "runpy.run_module('strangedual.cli', run_name='__main__')\n"
+        )
+        proc = _run_python(["-c", code], tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "atexit ran, frozen: True\n", "")
+
+    def test_main_in_process_leaves_the_collector_alone(self, tmp_path):
+        assert gc.get_freeze_count() == 0
+        assert main(["check", "--checks", "nu", "--quiet", "--out", str(tmp_path / "r.json")]) == 1
+        assert gc.get_freeze_count() == 0
+
+    def test_the_console_script_and_the_main_block_name_the_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))
+        module, _, name = pyproject["project"]["scripts"]["strangedual"].partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.entry
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
